@@ -61,6 +61,7 @@ from .spectral import (
     StatePair,
     apply_multiplier,
     projected_product,
+    quadratic_terms,
     set_fft_workers,
     symbol_J,
     symbol_T,
@@ -75,7 +76,7 @@ __all__ = [
     "ModelParams", "SpectralGrid", "StatePair",
     "symbol_g", "symbol_T", "symbol_J",
     "to_coefficients", "to_nodal", "apply_multiplier", "projected_product",
-    "set_fft_workers",
+    "quadratic_terms", "set_fft_workers",
     "EvolutionConfig", "EvolutionRecord", "semidiscrete_rhs", "step", "evolve",
     "linear_speed_bound", "zero_mode_drift",
     "SolitaryConfig", "IterationTrace", "assemble_S_mode", "solve_S",

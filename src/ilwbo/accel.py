@@ -90,7 +90,8 @@ def mpe_extrapolate(window: Sequence[StatePair], gammas: np.ndarray) -> StatePai
     gammas = np.asarray(gammas, dtype=float)
     if len(gammas) > len(window):
         raise ValueError("more coefficients than window iterates")
-    if abs(gammas.sum() - 1.0) > 1e-12:
+    # c / sum(c) rounds each gamma, so the sum misses 1 by about eps * sum|gamma|
+    if abs(gammas.sum() - 1.0) > 1e-12 * max(1.0, np.abs(gammas).sum()):
         raise ValueError(f"coefficients must sum to 1, got {gammas.sum()!r}")
     out = gammas[0] * window[0]
     for g, z in zip(gammas[1:], window[1:]):

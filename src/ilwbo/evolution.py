@@ -27,7 +27,7 @@ from .spectral import (
     SpectralGrid,
     StatePair,
     derivative_symbol,
-    projected_product,
+    quadratic_terms,
     symbol_J,
     symbol_T,
     symmetrize_state,
@@ -81,8 +81,7 @@ def semidiscrete_rhs(params: ModelParams, grid: SpectralGrid, state: StatePair) 
     if not state.is_finite():
         raise StepFailureError("non-finite coefficients in the state")
     jmul, tmul, zmul, umul = _rhs_tables(params, grid)
-    zu_hat = projected_product(grid, state.zeta_hat, state.u_hat)
-    uu_hat = projected_product(grid, state.u_hat, state.u_hat)
+    zu_hat, uu_hat = quadratic_terms(grid, state.zeta_hat, state.u_hat)
     dzeta = jmul * state.u_hat + tmul * zu_hat
     du = zmul * state.zeta_hat + umul * uu_hat
     return StatePair(dzeta, du)

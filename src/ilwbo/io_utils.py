@@ -10,13 +10,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Sequence
 
 import numpy as np
 
 from .harness import AccelRow, ConvergenceReport, DecayFit
 from .solitary import IterationTrace
 from .spectral import SpectralGrid, StatePair, state_to_nodal
+
+# Rows formatted per write: enough to amortise the calls, few enough that the
+# strings of one block stay small next to the arrays being written.
+CSV_BLOCK_ROWS = 2048
 
 
 def fmt(value) -> str:
@@ -25,14 +30,16 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+@contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temp file renamed to `path` once the block succeeds,
+    so readers never observe a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,15 +47,29 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _format_column(values) -> list[str]:
+    """`fmt` of each value; float arrays go through repr of Python floats."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    return list(map(fmt, values))
+
+
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """One CSV line per row of the equal-length `columns` (arrays or lists),
+    formatted and written CSV_BLOCK_ROWS rows at a time."""
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError("CSV columns differ in length")
+    with _atomic_open(path) as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [_format_column(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
+            handle.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as handle:
+        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -57,7 +78,7 @@ def write_json(path: str, obj) -> None:
 
 def write_wave_csv(path: str, grid: SpectralGrid, state: StatePair) -> None:
     zeta, u = state_to_nodal(grid, state)
-    write_csv(path, ["x", "zeta", "u"], zip(grid.nodes, zeta, u))
+    write_csv(path, ["x", "zeta", "u"], [grid.nodes, zeta, u])
 
 
 def read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +98,7 @@ def write_trace_csv(path: str, trace: IterationTrace) -> None:
     write_csv(
         path,
         ["iter", "residual", "m_factor", "phase"],
-        zip(trace.inner_steps, trace.residuals, trace.m_factors, trace.phases),
+        [trace.inner_steps, trace.residuals, trace.m_factors, trace.phases],
     )
 
 
@@ -96,7 +117,7 @@ def write_snapshots(
         write_csv(
             os.path.join(out_dir, name),
             ["t", "x", "zeta", "u"],
-            zip([t] * grid.n_modes, grid.nodes, zeta, u),
+            [np.full(grid.n_modes, t), grid.nodes, zeta, u],
         )
         files.append(name)
     write_json(
@@ -121,18 +142,15 @@ def write_snapshots(
 # ----------------------------------------------------------------------------
 
 def write_convergence_report(path: str, report: ConvergenceReport) -> None:
-    rows = []
-    for i, (n, e) in enumerate(zip(report.resolutions, report.errors)):
-        rate = report.observed_rates[i - 1] if i > 0 else float("nan")
-        rows.append((n, e, rate))
-    write_csv(path, ["N", "error", "rate"], rows)
+    rates = [float("nan")] + list(report.observed_rates)
+    write_csv(path, ["N", "error", "rate"], [report.resolutions, report.errors, rates])
 
 
 def write_acceleration_table(path: str, rows: Sequence[AccelRow]) -> None:
     write_csv(
         path,
         ["mw", "iterations", "seconds", "status"],
-        ((r.mw, r.iterations, r.seconds, r.status) for r in rows),
+        [[getattr(r, name) for r in rows] for name in ("mw", "iterations", "seconds", "status")],
     )
 
 

@@ -33,7 +33,7 @@ from .spectral import (
     StatePair,
     nodal_inner,
     nodal_norm,
-    projected_product,
+    quadratic_terms,
     state_from_nodal,
     symbol_g,
     symmetrize_state,
@@ -141,8 +141,7 @@ def solve_S(params: ModelParams, grid: SpectralGrid, c: float, rhs: StatePair) -
 
 def nonlinearity_F(params: ModelParams, grid: SpectralGrid, z: StatePair) -> StatePair:
     """(1/gamma) (zeta*u, u^2/2) with alias-free pointwise products."""
-    zu = projected_product(grid, z.zeta_hat, z.u_hat)
-    uu = projected_product(grid, z.u_hat, z.u_hat)
+    zu, uu = quadratic_terms(grid, z.zeta_hat, z.u_hat)
     return StatePair(zu / params.gamma, uu / (2.0 * params.gamma))
 
 
@@ -152,8 +151,9 @@ def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig
     The u component comes from the second (algebraic) equation of the
     traveling-wave system with its quadratic term dropped.
     """
-    x = grid.nodes
-    zeta = config.seed_amplitude / np.cosh(config.seed_width * x) ** 2
+    # cosh and its square overflow to inf far out, where 1/inf^2 = 0 is exact
+    with np.errstate(over="ignore"):
+        zeta = config.seed_amplitude / np.cosh(config.seed_width * grid.nodes) ** 2
     u = (1.0 - params.gamma) * zeta / config.speed
     return symmetrize_state(state_from_nodal(grid, zeta, u))
 

@@ -27,7 +27,7 @@ form ``J = (alpha-1)/alpha + T/alpha`` used for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -289,22 +289,54 @@ def pad_modes(coeffs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def truncate_modes(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Keep modes -n/2..n/2-1 of a larger FFT-ordered array."""
-    m = coeffs.shape[0]
-    if n > m:
-        raise ValueError(f"target band {n} larger than source {m}")
-    out = np.empty(n, dtype=complex)
-    out[: n // 2] = coeffs[: n // 2]
-    out[n // 2:] = coeffs[m - n // 2:]
-    return out
-
-
 def _padded_size(n: int) -> int:
     # >= 3n/2 and even: removes every alias from quadratic products of
     # modes in -n/2..n/2-1 that could land back in the retained band.
     m = (3 * n + 1) // 2
     return m + (m % 2)
+
+
+@lru_cache(maxsize=None)
+def _product_table(n: int) -> tuple[int, np.ndarray]:
+    """Padded size and the (-1)^k phase of the retained modes.
+
+    Both n and the padded size are even, so a retained mode sits at an index
+    of the same parity on either grid and one n-long phase serves both ways.
+    """
+    phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    phase.flags.writeable = False  # shared by every caller of the cache
+    return _padded_size(n), phase
+
+
+def _to_fine(n: int, coeffs: np.ndarray) -> np.ndarray:
+    """Nodal values on the padded grid of an n-mode coefficient array.
+
+    The -n/2 coefficient enters one-sided, at mode -n/2 of the padded band.
+    """
+    if coeffs.shape != (n,):
+        raise ValueError("coefficient arrays do not match the grid")
+    m, phase = _product_table(n)
+    h = n // 2
+    fine = np.zeros(m, dtype=complex)
+    np.multiply(phase[:h], coeffs[:h], out=fine[:h])
+    np.multiply(phase[h:], coeffs[h:], out=fine[m - h:])
+    return scipy.fft.ifft(fine, norm="forward", overwrite_x=True, workers=_fft_workers)
+
+
+def _from_fine(n: int, values: np.ndarray) -> np.ndarray:
+    """P_N of padded-grid nodal values (overwritten): the retained modes
+    -n/2+1..n/2-1.
+
+    The -n/2 slot has no +n/2 partner; keeping it would let products of
+    Hermitian inputs acquire an anti-Hermitian component, so it stays zero.
+    """
+    m, phase = _product_table(n)
+    h = n // 2
+    full = scipy.fft.fft(values, norm="forward", overwrite_x=True, workers=_fft_workers)
+    out = np.concatenate((full[:h], full[m - h:]))
+    np.multiply(phase, out, out=out)
+    out[h] = 0.0
+    return out
 
 
 def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
@@ -315,19 +347,21 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
     rounding) for any pair of band-limited inputs.
     """
     n = grid.n_modes
-    if f_hat.shape != (n,) or g_hat.shape != (n,):
-        raise ValueError("coefficient arrays do not match the grid")
-    m = _padded_size(n)
-    phase = np.where(np.fft.fftfreq(m, 1.0 / m).astype(int) % 2 == 0, 1.0, -1.0)
-    f_fine = scipy.fft.ifft(phase * pad_modes(f_hat, m), norm="forward", workers=_fft_workers)
-    g_fine = scipy.fft.ifft(phase * pad_modes(g_hat, m), norm="forward", workers=_fft_workers)
-    prod_hat = phase * scipy.fft.fft(f_fine * g_fine, norm="forward", workers=_fft_workers)
-    out = truncate_modes(prod_hat, n)
-    # the -N/2 slot has no +N/2 partner; keeping it would let products of
-    # Hermitian inputs acquire an anti-Hermitian component, so the retained
-    # band is |k| <= N/2 - 1 and the unpaired slot stays zero
-    out[n // 2] = 0.0
-    return out
+    return _from_fine(n, _to_fine(n, f_hat) * _to_fine(n, g_hat))
+
+
+def quadratic_terms(
+    grid: SpectralGrid, zeta_hat: np.ndarray, u_hat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P_N(zeta u), P_N(u^2)), equal to two `projected_product` calls but
+    transforming each factor once: four FFTs instead of six."""
+    n = grid.n_modes
+    zu_fine = _to_fine(n, zeta_hat)
+    uu_fine = _to_fine(n, u_hat)
+    # in place: the padded fields are not needed past their products
+    np.multiply(zu_fine, uu_fine, out=zu_fine)
+    np.multiply(uu_fine, uu_fine, out=uu_fine)
+    return _from_fine(n, zu_fine), _from_fine(n, uu_fine)
 
 
 # ----------------------------------------------------------------------------

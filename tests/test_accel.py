@@ -114,6 +114,24 @@ class TestMpeExtrapolate:
         x = mpe_extrapolate(window, np.array([3.0, -2.0]))
         assert extract(grid, x, 1)[0] == pytest.approx(0.4, abs=1e-14)
 
+    def test_sum_tolerance_scales_with_weight_magnitude(self):
+        # gammas = c / sum(c) as mpe_coefficients forms them: with a near-
+        # degenerate sum the weights are large and their rounded sum misses
+        # 1 by ~eps * sum|gamma|, far beyond an absolute 1e-12 (this crashed
+        # cycled_solve on B-O c = 0.62, mw = 4)
+        grid = SpectralGrid(1.0, 8)
+        window = [embed(grid, [1.0]), embed(grid, [1.0]), embed(grid, [1.0])]
+        rng = np.random.default_rng(0)
+        missed = 0
+        for _ in range(200):
+            big = rng.standard_normal() * 1e6
+            c = np.array([big, 2.0 + rng.standard_normal() - big, 1.0])
+            gammas = c / c.sum()
+            missed += abs(gammas.sum() - 1.0) > 1e-12
+            x = mpe_extrapolate(window, gammas)
+            assert extract(grid, x, 1)[0] == pytest.approx(1.0, rel=1e-6)
+        assert missed > 0
+
     def test_rejects_non_affine_weights(self):
         grid = SpectralGrid(1.0, 8)
         window = [embed(grid, [1.0]), embed(grid, [2.0])]

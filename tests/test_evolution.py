@@ -104,10 +104,10 @@ class TestStep:
         # 2x2 linear matrix, and one RK4 step must match expm to O(dt^5)
         grid = SpectralGrid(4.0, 32)
 
-        def no_product(g, f_hat, g_hat):
-            return np.zeros(g.n_modes, dtype=complex)
+        def no_products(g, zeta_hat, u_hat):
+            return np.zeros(g.n_modes, dtype=complex), np.zeros(g.n_modes, dtype=complex)
 
-        monkeypatch.setattr(evolution, "projected_product", no_product)
+        monkeypatch.setattr(evolution, "quadratic_terms", no_products)
         rng = np.random.default_rng(2)
         state = StatePair(random_hermitian(grid, rng), random_hermitian(grid, rng))
         errs = []

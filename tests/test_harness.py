@@ -1,11 +1,13 @@
 """Tests for the verification harness: refinement studies, round trips,
 tail-decay fits and the acceleration benchmark."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, harness
 from ilwbo.errors import WindowUnderflowError
 from ilwbo.harness import (
     acceleration_benchmark,
@@ -13,9 +15,11 @@ from ilwbo.harness import (
     crest_scale_of,
     decay_fit,
     gaussian_state,
+    sech2_state,
     state_l2_distance,
     traveling_wave_roundtrip,
 )
+from ilwbo.evolution import evolve
 from ilwbo.spectral import (
     l2_norm,
     state_from_nodal,
@@ -73,10 +77,34 @@ class TestConvergenceStudy:
         )
         assert all(e < 1e-10 for e in report.errors)
 
+    def test_one_evolve_per_resolution_plus_reference_and_probe(self, monkeypatch):
+        calls = []
+
+        def counting_evolve(params, grid, initial, config):
+            calls.append((grid.n_modes, config.dt))
+            return evolve(params, grid, initial, config)
+
+        monkeypatch.setattr(harness, "evolve", counting_evolve)
+        convergence_study(BO_P, gaussian_state(0.1, 1.2), [32, 64, 128],
+                          t_end=0.01, dt=0.002, half_length=16.0)
+        assert calls == [(256, 0.002), (32, 0.002), (64, 0.002), (128, 0.002), (128, 0.001)]
+
     def test_requires_resolution_spread(self):
         with pytest.raises(ValueError, match="4x"):
             convergence_study(ILW_P, gaussian_state(0.1, 1.0), [32, 64],
                               t_end=0.1, dt=0.01, half_length=8.0)
+
+
+class TestInitialData:
+    def test_sech2_far_tail_is_quiet_and_exact(self):
+        # |w x| reaches 819 on this grid: cosh and its square overflow to inf
+        grid = SpectralGrid(1024.0, 16384)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = sech2_state(0.2, 0.8)(grid)
+        zeta, _ = state_to_nodal(grid, state)
+        assert np.all(np.isfinite(zeta))
+        assert zeta[np.argmax(zeta)] == pytest.approx(0.2, rel=1e-12)
 
 
 class TestRoundtrip:

@@ -1,0 +1,106 @@
+"""Tests for the CSV writers: the streamed column writer must produce the
+same bytes as the row-by-row writer it replaced."""
+
+import os
+
+import numpy as np
+import pytest
+
+from ilwbo import BO, ModelParams, SpectralGrid
+from ilwbo.evolution import EvolutionRecord
+from ilwbo.harness import AccelRow, ConvergenceReport, sech2_state
+from ilwbo.io_utils import (
+    CSV_BLOCK_ROWS,
+    write_acceleration_table,
+    write_convergence_report,
+    write_csv,
+    write_snapshots,
+)
+from ilwbo.spectral import state_to_nodal
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def row_writer(path, header, rows):
+    """The row-by-row writer, kept as the byte-level oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def awkward_floats(rng, n):
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[:8] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0, 0.1]
+    return values
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 37])
+    def test_float_arrays_match_row_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        x = awkward_floats(rng, n) if n >= 8 else rng.standard_normal(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        columns = [x, z.real, z.imag]  # strided views as well as a plain array
+        write_csv(str(tmp_path / "new.csv"), ["x", "a", "b"], columns)
+        row_writer(str(tmp_path / "old.csv"), ["x", "a", "b"], zip(*columns))
+        assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+
+    def test_int_str_and_scalar_lists_match_row_writer(self, tmp_path):
+        n = CSV_BLOCK_ROWS + 5
+        rng = np.random.default_rng(1)
+        ints = [int(v) for v in rng.integers(-10 ** 6, 10 ** 6, n)]
+        np_ints = rng.integers(0, 500, n)
+        words = [("plain", "extrapolated", "not-converged")[i % 3] for i in range(n)]
+        mixed = [float(v) if i % 2 else np.float64(v) for i, v in enumerate(rng.standard_normal(n))]
+        columns = [ints, np_ints, words, mixed, [3] * n]
+        header = ["i", "j", "phase", "value", "t"]
+        write_csv(str(tmp_path / "new.csv"), header, columns)
+        row_writer(str(tmp_path / "old.csv"), header, zip(*columns))
+        assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+
+    def test_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            write_csv(str(tmp_path / "bad.csv"), ["a", "b"], [[1, 2], [1]])
+        assert not os.listdir(tmp_path)
+
+
+class TestReportWriters:
+    def test_snapshots_match_row_writer(self, tmp_path):
+        params = ModelParams(0.8, 1.2, BO)
+        grid = SpectralGrid(64.0, 1024)
+        state = sech2_state(0.2, 0.8)(grid)
+        times = [0.0, 0.0625, 3]  # an int end time is written as given
+        record = EvolutionRecord(times, [state] * 3, np.zeros(3), np.zeros(3, complex),
+                                 np.zeros(3, complex))
+        write_snapshots(str(tmp_path), grid, params, record)
+        zeta, u = state_to_nodal(grid, state)
+        for i, t in enumerate(times):
+            oracle = tmp_path / f"oracle_{i}.csv"
+            row_writer(str(oracle), ["t", "x", "zeta", "u"],
+                       zip([t] * grid.n_modes, grid.nodes, zeta, u))
+            assert read_bytes(tmp_path / f"snapshot_{i:04d}.csv") == read_bytes(oracle)
+
+    def test_convergence_and_acceleration_tables(self, tmp_path):
+        report = ConvergenceReport([32, 64, 128], [1e-3, 2e-6, 3e-9], [8.9, 9.4], 256,
+                                   1.0, 0.01, 1e-12)
+        write_convergence_report(str(tmp_path / "conv.csv"), report)
+        row_writer(str(tmp_path / "conv_old.csv"), ["N", "error", "rate"],
+                   [(32, 1e-3, float("nan")), (64, 2e-6, 8.9), (128, 3e-9, 9.4)])
+        assert read_bytes(tmp_path / "conv.csv") == read_bytes(tmp_path / "conv_old.csv")
+
+        rows = [AccelRow(1, 104, 0.032, "converged"), AccelRow(2, -1, 0.5, "singular-mode ktilde=1")]
+        write_acceleration_table(str(tmp_path / "acc.csv"), rows)
+        row_writer(str(tmp_path / "acc_old.csv"), ["mw", "iterations", "seconds", "status"],
+                   [(1, 104, 0.032, "converged"), (2, -1, 0.5, "singular-mode ktilde=1")])
+        assert read_bytes(tmp_path / "acc.csv") == read_bytes(tmp_path / "acc_old.csv")

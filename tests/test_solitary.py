@@ -1,5 +1,7 @@
 """Tests for the traveling-wave fixed-point system and Petviashvili iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,14 @@ class TestSeedProfile:
         seed = seed_profile(ILW_P, grid, cfg)
         assert np.max(np.abs(seed.zeta_hat.imag)) < 1e-12
         assert np.max(np.abs(seed.u_hat.imag)) < 1e-12
+
+    def test_wide_grid_builds_without_overflow_warnings(self):
+        grid = SpectralGrid(1024.0, 16384)
+        cfg = SolitaryConfig(speed=0.57, seed_width=0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seed = seed_profile(BO_P, grid, cfg)
+        assert seed.is_finite()
 
     def test_linearized_velocity_relation(self):
         grid = SpectralGrid(16.0, 128)

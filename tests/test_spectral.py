@@ -14,6 +14,7 @@ from ilwbo.spectral import (
     hermitian_symmetrize,
     l2_norm,
     projected_product,
+    quadratic_terms,
     symbol_J,
     symbol_T,
     symbol_g,
@@ -256,6 +257,44 @@ class TestProjectedProduct:
         grid = SpectralGrid(half_length=1.0, n_modes=16)
         with pytest.raises(ValueError):
             projected_product(grid, np.zeros(8, dtype=complex), np.zeros(16, dtype=complex))
+
+
+class TestQuadraticTerms:
+    """The fused kernel must reproduce two projected products bit for bit."""
+
+    @staticmethod
+    def _inputs(grid, rng, kind):
+        n = grid.n_modes
+        if kind == "hermitian":
+            return random_hermitian(grid, rng), random_hermitian(grid, rng)
+        zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if kind == "nyquist":
+            # Hermitian elsewhere, with a nonzero unpaired -N/2 coefficient
+            zeta, u = hermitian_symmetrize(zeta), hermitian_symmetrize(u)
+            assert zeta[n // 2] != 0 and u[n // 2] != 0
+        return zeta, u
+
+    @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "nyquist"])
+    @pytest.mark.parametrize("n", [8, 32, 1024])
+    def test_equals_two_projected_products(self, kind, n):
+        grid = SpectralGrid(half_length=3.0, n_modes=n)
+        zeta, u = self._inputs(grid, np.random.default_rng(n), kind)
+        zu, uu = quadratic_terms(grid, zeta, u)
+        assert np.array_equal(zu, projected_product(grid, zeta, u))
+        assert np.array_equal(uu, projected_product(grid, u, u))
+
+    def test_inputs_untouched(self):
+        grid = SpectralGrid(half_length=3.0, n_modes=32)
+        zeta, u = self._inputs(grid, np.random.default_rng(4), "nyquist")
+        before = zeta.copy(), u.copy()
+        quadratic_terms(grid, zeta, u)
+        assert np.array_equal(zeta, before[0]) and np.array_equal(u, before[1])
+
+    def test_grid_mismatch(self):
+        grid = SpectralGrid(half_length=1.0, n_modes=16)
+        with pytest.raises(ValueError):
+            quadratic_terms(grid, np.zeros(16, dtype=complex), np.zeros(8, dtype=complex))
 
 
 class TestFftWorkers:
