@@ -47,9 +47,7 @@ from .harness import (
 from .solitary import (
     IterationTrace,
     SolitaryConfig,
-    assemble_S_mode,
     nonlinearity_F,
-    petviashvili_iterate,
     seed_profile,
     solve_S,
 )
@@ -59,7 +57,6 @@ from .spectral import (
     ModelParams,
     SpectralGrid,
     StatePair,
-    apply_multiplier,
     projected_product,
     quadratic_terms,
     set_fft_workers,
@@ -75,12 +72,12 @@ __all__ = [
     "BO", "ILW",
     "ModelParams", "SpectralGrid", "StatePair",
     "symbol_g", "symbol_T", "symbol_J",
-    "to_coefficients", "to_nodal", "apply_multiplier", "projected_product",
+    "to_coefficients", "to_nodal", "projected_product",
     "quadratic_terms", "set_fft_workers",
     "EvolutionConfig", "EvolutionRecord", "semidiscrete_rhs", "step", "evolve",
     "linear_speed_bound", "zero_mode_drift",
-    "SolitaryConfig", "IterationTrace", "assemble_S_mode", "solve_S",
-    "nonlinearity_F", "seed_profile", "petviashvili_iterate",
+    "SolitaryConfig", "IterationTrace", "solve_S",
+    "nonlinearity_F", "seed_profile",
     "mpe_coefficients", "mpe_extrapolate", "cycled_solve",
     "ConvergenceReport", "DecayFit", "AccelRow",
     "convergence_study", "traveling_wave_roundtrip", "decay_fit",

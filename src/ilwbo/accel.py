@@ -15,7 +15,8 @@ error has degree <= q and 1 is not an eigenvalue of M.
 `cycled_solve` wraps the Petviashvili iteration in cycling mode: with width
 mw >= 2 it runs mw fixed-point solves, extrapolates over the resulting window
 of mw+1 iterates (order mw-1), restarts from the extrapolated point, and
-repeats; mw = 1 is the plain iteration.  An extrapolated point is accepted
+repeats; mw = 1 is the plain iteration, the same loop with the
+extrapolation step skipped.  An extrapolated point is accepted
 only if it does not increase the residual; otherwise the cycle continues from
 the last plain iterate, so cycling can never do worse than the plain
 iteration (a looser 10x acceptance window lets occasional bad extrapolations
@@ -33,7 +34,6 @@ from .solitary import (
     IterationTrace,
     SolitaryConfig,
     evaluate_iterate,
-    petviashvili_iterate,
     petviashvili_step,
     seed_profile,
 )
@@ -110,11 +110,9 @@ def cycled_solve(
     The residual is recorded and checked against the tolerance after every
     fixed-point solve and after every extrapolation; the iteration cap counts
     fixed-point solves only (extrapolations are a few small least-squares
-    problems and essentially free).
+    problems and essentially free).  Every fixed-point solve is evaluated, so
+    a run stopped by the cap records max_iter + 1 plain rows, the seed's included.
     """
-    if config.mw == 1:
-        return petviashvili_iterate(params, grid, config, seed)
-
     c = config.speed
     z = seed.copy() if seed is not None else seed_profile(params, grid, config)
     if nodal_norm(grid, z) == 0.0:
@@ -144,6 +142,8 @@ def cycled_solve(
                 trace.iterations_used = solves
                 return z, trace
             window.append(z)
+        if config.mw == 1:
+            continue
 
         try:
             gammas = mpe_coefficients(window)

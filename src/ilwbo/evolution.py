@@ -87,19 +87,6 @@ def semidiscrete_rhs(params: ModelParams, grid: SpectralGrid, state: StatePair) 
     return StatePair(dzeta, du)
 
 
-def linear_mode_matrix(params: ModelParams, grid: SpectralGrid, ktilde: float) -> np.ndarray:
-    """2x2 matrix of the linearized per-mode system d/dt (zeta_hat, u_hat)."""
-    ik = 1j * ktilde
-    j = complex(symbol_J(params, np.asarray(ktilde)))
-    return np.array(
-        [
-            [0.0, -(1.0 / params.gamma) * j * ik],
-            [-(1.0 - params.gamma) * ik, 0.0],
-        ],
-        dtype=complex,
-    )
-
-
 def linear_speed_bound(params: ModelParams, grid: SpectralGrid) -> float:
     """Frozen linear wave-speed bound used by the CFL guard.
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DenominatorCollapseError, NonConvergenceError, SingularModeError
+from .errors import DenominatorCollapseError, SingularModeError
 from .spectral import (
     ModelParams,
     SpectralGrid,
@@ -94,18 +94,6 @@ class IterationTrace:
         self.m_factors.append(float(m))
         self.phases.append(phase)
         self.inner_steps.append(int(inner))
-
-
-def assemble_S_mode(params: ModelParams, c: float, ktilde: float) -> np.ndarray:
-    """The 2x2 per-mode matrix S(ktilde)."""
-    g = float(symbol_g(params, np.asarray(ktilde)))
-    a = params.alpha
-    return np.array(
-        [
-            [-c * (1.0 + g), (1.0 + (a - 1.0) / a * g) / params.gamma],
-            [1.0 - params.gamma, -c],
-        ]
-    )
 
 
 @lru_cache(maxsize=None)
@@ -176,42 +164,9 @@ def evaluate_iterate(
     return fz, m, res
 
 
-def residual_norm(params: ModelParams, grid: SpectralGrid, c: float, z: StatePair) -> float:
-    sz = apply_S(params, grid, c, z)
-    fz = nonlinearity_F(params, grid, z)
-    return nodal_norm(grid, sz - fz)
-
-
 def petviashvili_step(
     params: ModelParams, grid: SpectralGrid, c: float, fz: StatePair, m: float
 ) -> StatePair:
     """Solve S Z_next = m^2 F(Z); the exponent 2 is fixed by the quadratic nonlinearity."""
     return symmetrize_state(solve_S(params, grid, c, (m * m) * fz))
 
-
-def petviashvili_iterate(
-    params: ModelParams,
-    grid: SpectralGrid,
-    config: SolitaryConfig,
-    seed: StatePair | None = None,
-) -> tuple[StatePair, IterationTrace]:
-    """Plain (unaccelerated) Petviashvili iteration.
-
-    Records (RES, m) at every iterate starting from the seed, performs at most
-    `max_iter` fixed-point solves, and raises NonConvergenceError (trace and
-    last state attached) if the tolerance was never met.
-    """
-    z = seed.copy() if seed is not None else seed_profile(params, grid, config)
-    if nodal_norm(grid, z) == 0.0:
-        raise ValueError("seed iterate must be nonzero")
-    trace = IterationTrace()
-    for nu in range(config.max_iter):
-        fz, m, res = evaluate_iterate(params, grid, config.speed, z)
-        trace.append(res, m, "plain", nu)
-        if res <= config.tol:
-            trace.converged = True
-            trace.iterations_used = nu
-            return z, trace
-        z = petviashvili_step(params, grid, config.speed, fz, m)
-    trace.iterations_used = config.max_iter
-    raise NonConvergenceError(trace, state=z)

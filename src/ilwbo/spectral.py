@@ -134,11 +134,6 @@ class StatePair:
         return bool(np.all(np.isfinite(self.zeta_hat)) and np.all(np.isfinite(self.u_hat)))
 
 
-def zero_state(grid: SpectralGrid) -> StatePair:
-    n = grid.n_modes
-    return StatePair(np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
-
-
 # ----------------------------------------------------------------------------
 # Fourier symbols
 # ----------------------------------------------------------------------------
@@ -235,18 +230,6 @@ def symmetrize_state(state: StatePair) -> StatePair:
 # Multipliers
 # ----------------------------------------------------------------------------
 
-def apply_multiplier(grid: SpectralGrid, coeffs: np.ndarray, symbol) -> np.ndarray:
-    """Multiply coefficient k by symbol(ktilde_k).
-
-    `symbol` is either a callable evaluated on `grid.wavenumbers` or a
-    precomputed per-mode array.
-    """
-    values = symbol(grid.wavenumbers) if callable(symbol) else np.asarray(symbol)
-    if values.shape != (grid.n_modes,):
-        raise ValueError("symbol array does not match the grid mode count")
-    return coeffs * values
-
-
 def derivative_symbol(grid: SpectralGrid) -> np.ndarray:
     """Per-mode symbol of d/dx, i*ktilde, with the unpaired Nyquist mode zeroed.
 
@@ -256,10 +239,6 @@ def derivative_symbol(grid: SpectralGrid) -> np.ndarray:
     ik = 1j * grid.wavenumbers
     ik[grid.n_modes // 2] = 0.0
     return ik
-
-
-def derivative(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    return coeffs * derivative_symbol(grid)
 
 
 def translate(grid: SpectralGrid, coeffs: np.ndarray, shift: float) -> np.ndarray:

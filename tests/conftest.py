@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ilwbo import (
     BO,
@@ -7,8 +8,15 @@ from ilwbo import (
     ModelParams,
     SolitaryConfig,
     SpectralGrid,
-    petviashvili_iterate,
+    StatePair,
+    cycled_solve,
 )
+from ilwbo.solitary import apply_S, nonlinearity_F
+from ilwbo.spectral import derivative_symbol, nodal_norm, symbol_g, symbol_J
+
+# Derandomized so that every run of the suite draws the same examples.
+settings.register_profile("ilwbo", derandomize=True, deadline=None)
+settings.load_profile("ilwbo")
 
 # Reference parameter sets used throughout: gamma=0.8, alpha=1.2 with the
 # demonstration speeds c=0.52 (ILW) and c=0.57 (B-O) on the 1024-mode grid.
@@ -33,7 +41,7 @@ def wave_grid():
 def ilw_wave(ilw_params, wave_grid):
     """Converged ILW demonstration wave (c=0.52) plus its trace."""
     config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=500, mw=1)
-    wave, trace = petviashvili_iterate(ilw_params, wave_grid, config)
+    wave, trace = cycled_solve(ilw_params, wave_grid, config)
     return config, wave, trace
 
 
@@ -41,7 +49,7 @@ def ilw_wave(ilw_params, wave_grid):
 def bo_wave(bo_params, wave_grid):
     """Converged B-O demonstration wave (c=0.57) plus its trace."""
     config = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=500, mw=1)
-    wave, trace = petviashvili_iterate(bo_params, wave_grid, config)
+    wave, trace = cycled_solve(bo_params, wave_grid, config)
     return config, wave, trace
 
 
@@ -50,7 +58,7 @@ def ilw_smooth_wave(ilw_params):
     """A speed inside the smooth ILW family (c=0.40), on a fast grid."""
     grid = SpectralGrid(half_length=32.0, n_modes=512)
     config = SolitaryConfig(speed=0.40, tol=1e-10, max_iter=500, mw=1)
-    wave, trace = petviashvili_iterate(ilw_params, grid, config)
+    wave, trace = cycled_solve(ilw_params, grid, config)
     return grid, config, wave, trace
 
 
@@ -81,3 +89,52 @@ def random_hermitian(grid, rng, scale=1.0):
     c = scale * hermitian_symmetrize(c)
     c[n // 2] = 0.0
     return c
+
+
+# Oracles and helpers used only by the tests.
+
+def zero_state(grid):
+    n = grid.n_modes
+    return StatePair(np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
+
+
+def assemble_S_mode(params, c, ktilde):
+    """The 2x2 per-mode matrix S(ktilde)."""
+    g = float(symbol_g(params, np.asarray(ktilde)))
+    a = params.alpha
+    return np.array(
+        [
+            [-c * (1.0 + g), (1.0 + (a - 1.0) / a * g) / params.gamma],
+            [1.0 - params.gamma, -c],
+        ]
+    )
+
+
+def residual_norm(params, grid, c, z):
+    return nodal_norm(grid, apply_S(params, grid, c, z) - nonlinearity_F(params, grid, z))
+
+
+def linear_mode_matrix(params, grid, ktilde):
+    """2x2 matrix of the linearized per-mode system d/dt (zeta_hat, u_hat)."""
+    ik = 1j * ktilde
+    j = complex(symbol_J(params, np.asarray(ktilde)))
+    return np.array(
+        [
+            [0.0, -(1.0 / params.gamma) * j * ik],
+            [-(1.0 - params.gamma) * ik, 0.0],
+        ],
+        dtype=complex,
+    )
+
+
+def apply_multiplier(grid, coeffs, symbol):
+    """Multiply coefficient k by symbol(ktilde_k); `symbol` is a callable on
+    `grid.wavenumbers` or a precomputed per-mode array."""
+    values = symbol(grid.wavenumbers) if callable(symbol) else np.asarray(symbol)
+    if values.shape != (grid.n_modes,):
+        raise ValueError("symbol array does not match the grid mode count")
+    return coeffs * values
+
+
+def derivative(grid, coeffs):
+    return coeffs * derivative_symbol(grid)

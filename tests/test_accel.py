@@ -6,8 +6,9 @@ import pytest
 from ilwbo import SolitaryConfig, SpectralGrid
 from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
 from ilwbo.errors import DegenerateSumError
-from ilwbo.solitary import petviashvili_iterate, residual_norm
-from ilwbo.spectral import state_to_nodal, zero_state
+from ilwbo.spectral import state_to_nodal
+
+from conftest import residual_norm, zero_state
 
 
 def embed(grid, vec):
@@ -140,15 +141,6 @@ class TestMpeExtrapolate:
 
 
 class TestCycledSolve:
-    def test_mw1_identical_to_plain(self, bo_params, wave_grid):
-        config = SolitaryConfig(speed=0.57, tol=1e-8, max_iter=300, mw=1)
-        wave_a, trace_a = petviashvili_iterate(bo_params, wave_grid, config)
-        wave_b, trace_b = cycled_solve(bo_params, wave_grid, config)
-        assert trace_a.residuals == trace_b.residuals
-        assert trace_a.m_factors == trace_b.m_factors
-        assert trace_a.phases == trace_b.phases
-        assert np.array_equal(wave_a.zeta_hat, wave_b.zeta_hat)
-
     def test_acceleration_reduces_iterations(self, ilw_params, bo_params, wave_grid):
         for params, c in ((ilw_params, 0.52), (bo_params, 0.57)):
             counts = {}

@@ -25,9 +25,9 @@ from ilwbo import (
     StatePair,
     acceleration_benchmark,
     convergence_study,
+    cycled_solve,
     decay_fit,
     evolve,
-    petviashvili_iterate,
     projected_product,
     solve_S,
     traveling_wave_roundtrip,
@@ -35,9 +35,9 @@ from ilwbo import (
 )
 from ilwbo.accel import mpe_coefficients, mpe_extrapolate
 from ilwbo.harness import gaussian_state
-from ilwbo.spectral import state_to_nodal, zero_state
+from ilwbo.spectral import state_to_nodal
 
-from conftest import brute_force_product, random_hermitian
+from conftest import brute_force_product, random_hermitian, zero_state
 
 TOL = 1e-10
 
@@ -62,7 +62,7 @@ class TestAcceptance:
         in under a minute."""
         t0 = time.perf_counter()
         config = SolitaryConfig(speed=0.52, tol=TOL, max_iter=500, mw=1)
-        _, trace = petviashvili_iterate(ilw_params, wave_grid, config)
+        _, trace = cycled_solve(ilw_params, wave_grid, config)
         elapsed = time.perf_counter() - t0
         ok = (
             trace.converged
@@ -77,7 +77,7 @@ class TestAcceptance:
         """B-O, c=0.57: same protocol and caps."""
         t0 = time.perf_counter()
         config = SolitaryConfig(speed=0.57, tol=TOL, max_iter=500, mw=1)
-        _, trace = petviashvili_iterate(bo_params, wave_grid, config)
+        _, trace = cycled_solve(bo_params, wave_grid, config)
         elapsed = time.perf_counter() - t0
         ok = (
             trace.converged
@@ -180,8 +180,6 @@ class TestAcceptance:
         contamination stays near the 10% level."""
         grid = SpectralGrid(256.0, 4096)
         config = SolitaryConfig(speed=0.57, tol=TOL, max_iter=800, mw=2)
-        from ilwbo.accel import cycled_solve
-
         wave, trace = cycled_solve(bo_params, grid, config)
         assert trace.converged
         zeta, _ = state_to_nodal(grid, wave)
@@ -281,7 +279,7 @@ class TestAcceptance:
         for name, params, bundle in (("ilw", ilw_params, ilw_wave),
                                      ("bo", bo_params, bo_wave)):
             config, wave, _ = bundle
-            _, trace = petviashvili_iterate(params, wave_grid, config, seed=wave)
+            _, trace = cycled_solve(params, wave_grid, config, seed=wave)
             ok &= trace.converged and trace.iterations_used == 0
             ok &= abs(trace.m_factors[0] - 1.0) <= 1e-6
             ok &= trace.residuals[0] <= config.tol

@@ -1,14 +1,25 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
+import dataclasses
+import inspect
 import json
+import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ilwbo import ILW, ModelParams, SpectralGrid
+from ilwbo import ILW, EvolutionConfig, ModelParams, SolitaryConfig, SpectralGrid, cli
 from ilwbo.cli import main
+from ilwbo.errors import DenominatorCollapseError
+from ilwbo.evolution import max_stable_dt
 from ilwbo.spectral import symbol_g
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(tmp_path, command, config, out="out"):
@@ -144,7 +155,7 @@ class TestSolitaryCommand:
         assert code == 4
         with open(out_dir / "trace.csv") as handle:
             rows = handle.read().strip().splitlines()
-        assert len(rows) == 1 + 5  # header plus one row per iteration
+        assert len(rows) == 1 + 6  # header, the seed and one row per solve
 
     def test_singular_speed_exit_code(self, tmp_path):
         grid = SpectralGrid(64.0, 64)
@@ -279,3 +290,199 @@ class TestConfigHandling:
         manifest = read_manifest(out_dir)
         emitted = {p for p in os.listdir(out_dir) if p != "manifest.json"}
         assert emitted == set(manifest["outputs"])
+
+
+CONVERGENCE_BLOCK = {
+    "kind": "convergence", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+    "l": 16.0, "resolutions": [16, 32, 64], "t_end": 0.1, "dt": 0.01,
+}
+
+
+class TestOutcomes:
+    """Inputs that once escaped as tracebacks, and the exit code each maps to."""
+
+    def test_verify_dt_beyond_step_guard(self, tmp_path, capsys):
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [dict(CONVERGENCE_BLOCK, dt=0.5)]})
+        assert code == 2
+        assert "dt=0.5" in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    def test_verify_resolutions_spanning_less_than_4x(self, tmp_path, capsys):
+        cfg = {"experiments": [dict(CONVERGENCE_BLOCK, resolutions=[32, 64])]}
+        code, out_dir = run_cli(tmp_path, "verify", cfg)
+        assert code == 2
+        assert "resolutions" in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    def test_solitary_nan_speed(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, c=math.nan))
+        assert code == 2
+        assert "'c'" in capsys.readouterr().err
+
+    def test_evolve_nan_end_time(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "evolve", dict(EVOLVE_CFG, t_end=math.nan))
+        assert code == 2
+        assert "'t_end'" in capsys.readouterr().err
+
+    def test_underflowing_seed_amplitude(self, tmp_path):
+        code, out_dir = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, seed_amplitude=1e-200))
+        assert code == 2
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    def test_denominator_collapse_exits_four(self, tmp_path, monkeypatch):
+        def collapse(*args, **kwargs):
+            raise DenominatorCollapseError("<F(Z), Z> vanished")
+
+        monkeypatch.setattr(cli, "cycled_solve", collapse)
+        code, out_dir = run_cli(tmp_path, "solitary", SOLITARY_CFG)
+        assert code == 4
+        manifest = read_manifest(out_dir)
+        assert manifest["exit_status"] == 4
+        assert manifest["termination"] == "denominator-collapse"
+
+    def test_bad_decay_model_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr(cli, "cycled_solve", lambda *args, **kwargs: solves.append(args))
+        block = {"kind": "decay", "regime": "ilw", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.40, "l": 32.0, "N": 512, "model": "weird"}
+        code, _ = run_cli(tmp_path, "verify", {"experiments": [dict(block, model="compare"), block]})
+        assert code == 2
+        assert "experiments[1].model" in capsys.readouterr().err
+        assert solves == []
+
+    def test_verify_manifest_reproduces_summary(self, tmp_path):
+        accel = {"kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.57, "l": 16.0, "N": 64, "max_iter": 20}
+        convergence = {k: v for k, v in CONVERGENCE_BLOCK.items() if k not in ("l", "dt")}
+        code, out_a = run_cli(tmp_path, "verify", {"experiments": [convergence, accel]}, out="a")
+        config = read_manifest(out_a)["config"]
+        # the manifest records the defaults the run applied
+        assert config["experiments"][0]["dt"] == 0.002
+        assert config["experiments"][1]["mw_list"] == [1, 2, 3, 4]
+        assert config["experiments"][1]["seed_width"] == 0.5
+        code_b, out_b = run_cli(tmp_path, "verify", config, out="b")
+        assert code == code_b
+        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+        assert read_manifest(out_b)["config"] == config
+
+    @pytest.mark.parametrize("command, text", [
+        pytest.param("evolve", "{not json", id="invalid-json"),
+        pytest.param("evolve", "[1, 2]", id="not-an-object"),
+        pytest.param("evolve", json.dumps({k: v for k, v in EVOLVE_CFG.items() if k != "dt"}),
+                     id="missing-key"),
+        pytest.param("evolve", json.dumps(dict(EVOLVE_CFG, N=64.0)), id="float-for-int"),
+        pytest.param("evolve", json.dumps(dict(EVOLVE_CFG, dt=5.0)), id="step-guard"),
+        pytest.param("evolve", json.dumps(dict(EVOLVE_CFG, initial={
+            "kind": "gaussian", "amplitude": "big", "width": 1.0})), id="nested-type"),
+        pytest.param("solitary", json.dumps(dict(SOLITARY_CFG, regime="deep")), id="regime"),
+        pytest.param("solitary", json.dumps(dict(SOLITARY_CFG, mw=0)), id="library-range"),
+        pytest.param("verify", json.dumps({"experiments": []}), id="no-experiments"),
+        pytest.param("verify", json.dumps({"experiments": [{"kind": "bisection"}]}),
+                     id="experiment-kind"),
+        pytest.param("verify", json.dumps({"experiments": [
+            dict(CONVERGENCE_BLOCK, resolutions=[16, "32"])]}), id="list-entry-type"),
+    ])
+    def test_every_config_error_leaves_a_manifest(self, tmp_path, command, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["exit_status"] == 2
+        assert manifest["error"].startswith("config error:")
+
+    def test_missing_config_file_leaves_a_manifest(self, tmp_path):
+        code = main(["evolve", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert read_manifest(tmp_path / "out")["config"] is None
+
+
+def test_cli_defaults_match_library_defaults():
+    """Each default the CLI shares with a library dataclass is the same value."""
+    library = {f.name: f.default for f in dataclasses.fields(SolitaryConfig)}
+    for key in ("tol", "max_iter", "mw", "seed_amplitude"):
+        assert cli._WAVE_KEYS[key][1] == library[key], key
+    evolution = {f.name: f.default for f in dataclasses.fields(EvolutionConfig)}
+    guard = inspect.signature(max_stable_dt).parameters["cfl_guard"].default
+    assert cli._EVOLVE_KEYS["cfl_guard"][1] == evolution["cfl_guard"] == guard
+    # the one known difference: moving either side changes shipped results
+    assert cli._WAVE_KEYS["seed_width"][1] == 0.5
+    assert library["seed_width"] == 1.2
+
+
+# Shipped configs shrunk to N <= 64, at most 200 steps and max_iter <= 20, so
+# that each perturbed run stays cheap even when a key falls back to its default.
+SHRINK = {
+    "evolve": {"N": 32, "t_end": 0.2, "dt": 0.05, "record_every": 2},
+    "solitary": {"l": 16.0, "N": 64, "max_iter": 20},
+    "convergence": {"resolutions": [8, 16, 32], "t_end": 0.1, "dt": 0.05},
+    "roundtrip": {"l": 16.0, "N": 64, "max_iter": 20, "t_end": 0.1, "dt": 0.05},
+    "decay": {"l": 16.0, "N": 64, "max_iter": 20},
+    "accel": {"l": 16.0, "N": 64, "max_iter": 20, "mw_list": [1, 2]},
+}
+
+SHIPPED = {
+    "evolve_gaussian.json": "evolve",
+    "solitary_bo.json": "solitary",
+    "solitary_ilw.json": "solitary",
+    "verify_desk.json": "verify",
+}
+
+
+def _shrunk(name):
+    cfg = json.loads((CONFIGS / name).read_text())
+    if SHIPPED[name] == "verify":
+        return {"experiments": [dict(b, **SHRINK[b["kind"]]) for b in cfg["experiments"]]}
+    return dict(cfg, **SHRINK[SHIPPED[name]])
+
+
+def _key_paths(cfg, prefix=()):
+    """Every key path of a config: top-level keys and the keys of nested objects."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, item in enumerate(value):
+                yield from _key_paths(item, prefix + (key, i))
+
+
+CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
+DROP = object()
+PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x"]
+
+
+def _perturbed(name, path, change):
+    cfg = _shrunk(name)
+    parent = cfg
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    if change is DROP:
+        del parent[key]
+    elif change == "negative":
+        value = parent[key]
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        parent[key] = -abs(value) if numeric and value else -1
+    else:
+        parent[key] = change
+    return cfg
+
+
+@settings(max_examples=120)
+@given(case=st.sampled_from(CASES), change=st.sampled_from(PERTURBATIONS))
+def test_perturbed_configs_exit_with_a_documented_code(case, change):
+    """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
+    value or a string: the CLI never raises or exits 1, and always leaves a
+    manifest."""
+    name, path = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "config.json")
+        with open(cfg_path, "w") as handle:
+            json.dump(_perturbed(name, path, change), handle)
+        out = os.path.join(tmp, "out")
+        code = main([SHIPPED[name], "--config", cfg_path, "--out", out, "--threads", "1", "--quiet"])
+        assert code in (0, 2, 3, 4, 5, 6)
+        with open(os.path.join(out, "manifest.json")) as handle:
+            assert json.load(handle)["exit_status"] == code

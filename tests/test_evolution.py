@@ -10,7 +10,6 @@ from ilwbo.errors import StepFailureError
 from ilwbo.evolution import (
     EvolutionConfig,
     evolve,
-    linear_mode_matrix,
     linear_speed_bound,
     max_stable_dt,
     semidiscrete_rhs,
@@ -24,10 +23,9 @@ from ilwbo.spectral import (
     symmetrize_state,
     symbol_T,
     to_nodal,
-    zero_state,
 )
 
-from conftest import brute_force_product, random_hermitian
+from conftest import brute_force_product, linear_mode_matrix, random_hermitian, zero_state
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)

@@ -90,9 +90,18 @@ class TestConvergenceStudy:
         assert calls == [(256, 0.002), (32, 0.002), (64, 0.002), (128, 0.002), (128, 0.001)]
 
     def test_requires_resolution_spread(self):
-        with pytest.raises(ValueError, match="4x"):
-            convergence_study(ILW_P, gaussian_state(0.1, 1.0), [32, 64],
-                              t_end=0.1, dt=0.01, half_length=8.0)
+        for resolutions in ([32, 64], []):
+            with pytest.raises(ValueError, match="resolutions .* 4x"):
+                convergence_study(ILW_P, gaussian_state(0.1, 1.0), resolutions,
+                                  t_end=0.1, dt=0.01, half_length=8.0)
+
+    def test_zero_data_reports_nan_rates(self):
+        # every error is exactly zero; the ratios are 0/0, not a crash
+        report = convergence_study(BO_P, gaussian_state(0.0, 1.2), [8, 16, 32],
+                                   t_end=0.1, dt=0.05, half_length=16.0)
+        assert report.errors == [0.0, 0.0, 0.0]
+        assert all(np.isnan(r) for r in report.observed_rates)
+        assert not report.is_spectral()
 
 
 class TestInitialData:

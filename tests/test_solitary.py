@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair
+from ilwbo.accel import cycled_solve
 from ilwbo.errors import (
     DenominatorCollapseError,
     NonConvergenceError,
@@ -13,10 +14,8 @@ from ilwbo.errors import (
 )
 from ilwbo.solitary import (
     apply_S,
-    assemble_S_mode,
     evaluate_iterate,
     nonlinearity_F,
-    petviashvili_iterate,
     seed_profile,
     solve_S,
 )
@@ -26,10 +25,9 @@ from ilwbo.spectral import (
     symbol_g,
     symmetrize_state,
     to_nodal,
-    zero_state,
 )
 
-from conftest import brute_force_product, random_hermitian
+from conftest import assemble_S_mode, brute_force_product, random_hermitian, zero_state
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
@@ -203,7 +201,7 @@ class TestPetviashvili:
     def test_restart_from_converged_wave(self, bo_params, wave_grid, bo_wave):
         # criterion-10 behavior: the converged output is a fixed point
         config, wave, _ = bo_wave
-        _, trace = petviashvili_iterate(bo_params, wave_grid, config, seed=wave)
+        _, trace = cycled_solve(bo_params, wave_grid, config, seed=wave)
         assert trace.converged
         assert trace.iterations_used == 0
         assert abs(trace.m_factors[0] - 1.0) <= 1e-6
@@ -228,9 +226,9 @@ class TestPetviashvili:
     def test_nonconvergence_trace_has_cap_rows(self, ilw_params, wave_grid):
         config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=5, mw=1)
         with pytest.raises(NonConvergenceError) as excinfo:
-            petviashvili_iterate(ilw_params, wave_grid, config)
+            cycled_solve(ilw_params, wave_grid, config)
         trace = excinfo.value.trace
-        assert len(trace.residuals) == 5
+        assert len(trace.residuals) == 6  # the seed and each of the 5 solves
         assert trace.iterations_used == 5
         assert not trace.converged
 
@@ -247,7 +245,7 @@ class TestPetviashvili:
         grid = SpectralGrid(8.0, 32)
         config = SolitaryConfig(speed=0.52)
         with pytest.raises(ValueError, match="seed"):
-            petviashvili_iterate(ilw_params, grid, config, seed=zero_state(grid))
+            cycled_solve(ilw_params, grid, config, seed=zero_state(grid))
 
     def test_translation_equivariance(self, ilw_params, ilw_smooth_wave):
         # shifting the seed by whole nodes shifts the converged wave likewise
@@ -257,7 +255,7 @@ class TestPetviashvili:
         zeta, u = state_to_nodal(grid, seed)
         shifted_seed = symmetrize_state(state_from_nodal(
             grid, np.roll(zeta, shift_nodes), np.roll(u, shift_nodes)))
-        shifted_wave, trace = petviashvili_iterate(ilw_params, grid, config, seed=shifted_seed)
+        shifted_wave, trace = cycled_solve(ilw_params, grid, config, seed=shifted_seed)
         assert trace.converged
         wz, wu = state_to_nodal(grid, wave)
         sz, su = state_to_nodal(grid, shifted_wave)
@@ -270,7 +268,7 @@ class TestPetviashvili:
             speed=config.speed, tol=config.tol, max_iter=config.max_iter,
             mw=1, seed_amplitude=-0.25, seed_width=config.seed_width,
         )
-        other, trace = petviashvili_iterate(ilw_params, grid, other_cfg)
+        other, trace = cycled_solve(ilw_params, grid, other_cfg)
         assert trace.converged
         a = state_to_nodal(grid, wave)[0]
         b = state_to_nodal(grid, other)[0]
@@ -330,7 +328,7 @@ class TestPetviashvili:
         planted = symmetrize_state(state_from_nodal(grid, v[:8], v[8:]))
         config = SolitaryConfig(speed=c, tol=1e-12, max_iter=200, mw=1)
         seed = symmetrize_state(state_from_nodal(grid, 1.3 * v[:8], 1.3 * v[8:]))
-        recovered, trace = petviashvili_iterate(params, grid, config, seed=seed)
+        recovered, trace = cycled_solve(params, grid, config, seed=seed)
         assert trace.converged
         assert np.max(np.abs(recovered.zeta_hat - planted.zeta_hat)) < 1e-10
         assert np.max(np.abs(recovered.u_hat - planted.u_hat)) < 1e-10

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from ilwbo import BO, ILW, ModelParams, SpectralGrid
 from ilwbo.spectral import (
-    apply_multiplier,
-    derivative,
     derivative_symbol,
     hermitian_symmetrize,
     l2_norm,
@@ -23,7 +21,7 @@ from ilwbo.spectral import (
     translate,
 )
 
-from conftest import brute_force_product, random_hermitian
+from conftest import apply_multiplier, brute_force_product, derivative, random_hermitian
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
