@@ -37,7 +37,7 @@ from .solitary import (
     petviashvili_step,
     seed_profile,
 )
-from .spectral import ModelParams, SpectralGrid, StatePair, nodal_norm, symmetrize_state
+from .spectral import ModelParams, SpectralGrid, StatePair, nodal_norm
 
 # Accept an extrapolated point only if it does not worsen the residual.
 RESIDUAL_GUARD = 1.0
@@ -96,7 +96,7 @@ def mpe_extrapolate(window: Sequence[StatePair], gammas: np.ndarray) -> StatePai
     out = gammas[0] * window[0]
     for g, z in zip(gammas[1:], window[1:]):
         out = out + g * z
-    return symmetrize_state(out)
+    return out
 
 
 def cycled_solve(

@@ -71,7 +71,6 @@ from .spectral import (
     set_fft_workers,
     state_from_nodal,
     state_to_nodal,
-    symmetrize_state,
 )
 
 EXIT_OK = 0
@@ -251,7 +250,7 @@ def _initial_state(spec: dict, grid: SpectralGrid):
         )
     if not np.allclose(x, grid.nodes, atol=1e-9 * grid.half_length):
         raise ConfigError("config key 'initial.path': x column does not match the grid nodes")
-    return symmetrize_state(state_from_nodal(grid, zeta, u))
+    return state_from_nodal(grid, zeta, u)
 
 
 def _solve_summary(termination: str, trace) -> dict:
@@ -266,7 +265,7 @@ def _solve_summary(termination: str, trace) -> dict:
 # evolve and solitary
 # ----------------------------------------------------------------------------
 
-def cmd_evolve(cfg: dict, out_dir: str, quiet: bool) -> tuple[int, list[str], dict]:
+def cmd_evolve(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[int, dict]:
     params, grid = _model(cfg), _grid(cfg)
     config = EvolutionConfig(
         t_end=cfg["t_end"],
@@ -275,23 +274,24 @@ def cmd_evolve(cfg: dict, out_dir: str, quiet: bool) -> tuple[int, list[str], di
         cfl_guard=cfg["cfl_guard"],
     )
     record = evolve(params, grid, _initial_state(cfg["initial"], grid), config)
-    files = write_snapshots(out_dir, grid, params, record)
+    files += write_snapshots(out_dir, grid, params, record)
     if not quiet:
         print(f"evolve: wrote {len(files)} files to {out_dir}")
-    return EXIT_OK, files, {"snapshots": len(record.times)}
+    return EXIT_OK, {"snapshots": len(record.times)}
 
 
-def cmd_solitary(cfg: dict, out_dir: str, quiet: bool) -> tuple[int, list[str], dict]:
+def cmd_solitary(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[int, dict]:
     params, grid, config = _wave_problem(cfg)
     wave, trace = cycled_solve(params, grid, config)
     write_wave_csv(os.path.join(out_dir, "wave.csv"), grid, wave)
     write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
+    files += ["wave.csv", "trace.csv"]
     if not quiet:
         print(
             f"solitary: converged in {trace.iterations_used} iterations "
             f"(residual {trace.residuals[-1]:.3e})"
         )
-    return EXIT_OK, ["wave.csv", "trace.csv"], _solve_summary("converged", trace)
+    return EXIT_OK, _solve_summary("converged", trace)
 
 
 # ----------------------------------------------------------------------------
@@ -419,11 +419,10 @@ _EXPERIMENTS = {
 }
 
 
-def cmd_verify(cfg: dict, out_dir: str, quiet: bool) -> tuple[int, list[str], dict]:
+def cmd_verify(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[int, dict]:
     if not cfg["experiments"]:
         raise ConfigError("config key 'experiments' must be a non-empty list")
     results = []
-    files: list[str] = []
     seen: dict[str, int] = {}
     for block in cfg["experiments"]:
         kind = block["kind"]
@@ -441,7 +440,7 @@ def cmd_verify(cfg: dict, out_dir: str, quiet: bool) -> tuple[int, list[str], di
     all_pass = all(r["pass"] for r in results)
     write_json(os.path.join(out_dir, "summary.json"), {"experiments": results, "all_pass": all_pass})
     files.append("summary.json")
-    return (EXIT_OK if all_pass else EXIT_VERIFY_FAILED), files, {"all_pass": all_pass}
+    return (EXIT_OK if all_pass else EXIT_VERIFY_FAILED), {"all_pass": all_pass}
 
 
 # ----------------------------------------------------------------------------
@@ -486,7 +485,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; the only place where outcomes become exit codes.
 
-    Every outcome, a configuration error included, leaves a manifest.json.
+    Every outcome, a configuration error included, leaves a manifest.json
+    listing each file the run wrote: commands append to `files` as they write.
     """
     args = _parser().parse_args(argv)
     set_fft_workers(args.threads)
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
         with open(args.config) as handle:
             config = json.load(handle)
         config = _resolve(_COMMAND_KEYS[args.command], config)
-        code, files, extra = _COMMANDS[args.command](config, args.out, args.quiet)
+        code, extra = _COMMANDS[args.command](config, args.out, args.quiet, files)
     except (ConfigError, OSError, ValueError) as err:
         # ValueError: a value the library rejects, such as a dt beyond the
         # step-size guard or resolutions spanning less than 4x
@@ -505,11 +505,14 @@ def main(argv=None) -> int:
         extra = {"error": error}
     except StepFailureError as err:
         code, error = EXIT_NUMERICAL, f"{args.command}: {err}"
+        if err.record is not None:  # keep the snapshots taken before the failure
+            files += write_snapshots(args.out, _grid(config), _model(config), err.record)
         extra = {"failing_time": err.time, "error": str(err)}
     except NonConvergenceError as err:
         code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"
         write_trace_csv(os.path.join(args.out, "trace.csv"), err.trace)
-        files, extra = ["trace.csv"], _solve_summary("not-converged", err.trace)
+        files.append("trace.csv")
+        extra = _solve_summary("not-converged", err.trace)
     except DenominatorCollapseError as err:
         code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"
         extra = {"termination": "denominator-collapse", "error": str(err)}

@@ -43,10 +43,11 @@ class DegenerateSumError(IlwboError):
 
 
 class StepFailureError(IlwboError):
-    """A time step produced non-finite values."""
+    """A time step produced non-finite values; `record` is the run up to the last good step."""
 
-    def __init__(self, message: str, time: float | None = None):
+    def __init__(self, message: str, time: float | None = None, record=None):
         self.time = time
+        self.record = record
         super().__init__(message)
 
 

@@ -30,7 +30,6 @@ from .spectral import (
     quadratic_terms,
     symbol_J,
     symbol_T,
-    symmetrize_state,
 )
 
 
@@ -104,7 +103,7 @@ def max_stable_dt(params: ModelParams, grid: SpectralGrid, cfl_guard: float = 0.
 
 
 def step(params: ModelParams, grid: SpectralGrid, state: StatePair, dt: float) -> StatePair:
-    """One explicit RK4 step, followed by Hermitian symmetrization."""
+    """One explicit RK4 step; a Hermitian state stays exactly Hermitian."""
     # a diverging run overflows before the finite check catches it; the typed
     # error below is the contract, so keep numpy quiet about the overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -113,7 +112,6 @@ def step(params: ModelParams, grid: SpectralGrid, state: StatePair, dt: float) -
         k3 = semidiscrete_rhs(params, grid, state + (0.5 * dt) * k2)
         k4 = semidiscrete_rhs(params, grid, state + dt * k3)
         out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out = symmetrize_state(out)
     if not out.is_finite():
         raise StepFailureError("time step produced non-finite values")
     return out
@@ -127,9 +125,11 @@ def evolve(
 ) -> EvolutionRecord:
     """March the semidiscrete system to t_end, recording snapshots.
 
+    `initial` must be Hermitian, as every `state_from_nodal` state is.
     Snapshots are stored every `record_every` steps (plus the initial and
     final states); the k = 0 coefficients are stored at every step so mean
-    conservation can be audited at full resolution.
+    conservation can be audited at full resolution.  A failing step raises
+    StepFailureError with the record up to the last good step.
     """
     dt_max = max_stable_dt(params, grid, config.cfl_guard)
     if abs(config.dt) > dt_max * (1.0 + 1e-12):
@@ -144,38 +144,29 @@ def evolve(
         remainder = 0.0
     n_steps = n_full + (1 if remainder else 0)
 
-    state = symmetrize_state(initial)
-    times = [0.0]
-    states = [state.copy()]
-    step_times = np.empty(n_steps + 1)
-    zm_zeta = np.empty(n_steps + 1, dtype=complex)
-    zm_u = np.empty(n_steps + 1, dtype=complex)
-    step_times[0] = 0.0
-    zm_zeta[0] = state.zeta_hat[0]
-    zm_u[0] = state.u_hat[0]
+    times, states = [0.0], [initial.copy()]
+    step_times, zm_zeta, zm_u = [0.0], [initial.zeta_hat[0]], [initial.u_hat[0]]
 
-    t = 0.0
+    def record() -> EvolutionRecord:
+        return EvolutionRecord(times, states, np.array(step_times),
+                               np.array(zm_zeta, dtype=complex), np.array(zm_u, dtype=complex))
+
+    state, t = initial, 0.0
     for i in range(1, n_steps + 1):
         h = config.dt if i <= n_full else remainder
         try:
             state = step(params, grid, state, h)
         except StepFailureError as err:
-            raise StepFailureError(str(err), time=t + h) from err
+            raise StepFailureError(str(err), time=t + h, record=record()) from err
         t = i * config.dt if i <= n_full else config.t_end
-        step_times[i] = t
-        zm_zeta[i] = state.zeta_hat[0]
-        zm_u[i] = state.u_hat[0]
+        step_times.append(t)
+        zm_zeta.append(state.zeta_hat[0])
+        zm_u.append(state.u_hat[0])
         if i % config.record_every == 0 or i == n_steps:
             times.append(t)
             states.append(state.copy())
 
-    return EvolutionRecord(
-        times=times,
-        states=states,
-        step_times=step_times,
-        zero_mode_zeta=zm_zeta,
-        zero_mode_u=zm_u,
-    )
+    return record()
 
 
 def zero_mode_drift(record: EvolutionRecord) -> float:

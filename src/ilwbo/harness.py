@@ -28,7 +28,6 @@ from .spectral import (
     pad_modes,
     state_from_nodal,
     state_l2_norm,
-    symmetrize_state,
     translate_state,
 )
 
@@ -89,10 +88,12 @@ class AccelRow:
 
 def gaussian_state(amplitude: float, width: float) -> Callable[[SpectralGrid], StatePair]:
     """Initial-data generator: zeta = a exp(-(x/w)^2), u = 0."""
+    if width == 0:
+        raise ValueError("width must be nonzero")
 
     def build(grid: SpectralGrid) -> StatePair:
         zeta = amplitude * np.exp(-((grid.nodes / width) ** 2))
-        return symmetrize_state(state_from_nodal(grid, zeta, np.zeros_like(zeta)))
+        return state_from_nodal(grid, zeta, np.zeros_like(zeta))
 
     return build
 
@@ -104,7 +105,7 @@ def sech2_state(amplitude: float, width: float) -> Callable[[SpectralGrid], Stat
         # cosh and its square overflow to inf far out, where 1/inf^2 = 0 is exact
         with np.errstate(over="ignore"):
             zeta = amplitude / np.cosh(width * grid.nodes) ** 2
-        return symmetrize_state(state_from_nodal(grid, zeta, np.zeros_like(zeta)))
+        return state_from_nodal(grid, zeta, np.zeros_like(zeta))
 
     return build
 

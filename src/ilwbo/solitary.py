@@ -36,7 +36,6 @@ from .spectral import (
     quadratic_terms,
     state_from_nodal,
     symbol_g,
-    symmetrize_state,
 )
 
 # Relative floor below which a per-mode determinant counts as singular.
@@ -143,7 +142,7 @@ def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig
     with np.errstate(over="ignore"):
         zeta = config.seed_amplitude / np.cosh(config.seed_width * grid.nodes) ** 2
     u = (1.0 - params.gamma) * zeta / config.speed
-    return symmetrize_state(state_from_nodal(grid, zeta, u))
+    return state_from_nodal(grid, zeta, u)
 
 
 def evaluate_iterate(
@@ -168,5 +167,5 @@ def petviashvili_step(
     params: ModelParams, grid: SpectralGrid, c: float, fz: StatePair, m: float
 ) -> StatePair:
     """Solve S Z_next = m^2 F(Z); the exponent 2 is fixed by the quadratic nonlinearity."""
-    return symmetrize_state(solve_S(params, grid, c, (m * m) * fz))
+    return solve_S(params, grid, c, (m * m) * fz)
 

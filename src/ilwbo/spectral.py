@@ -15,6 +15,11 @@ Conventions used throughout the package
   phase which the transform helpers fold in.
 * Real fields are represented by Hermitian-symmetric coefficient arrays:
   ``c[-k] == conj(c[k])`` with a real entry at ``k = 0`` and ``k = -N/2``.
+  The symmetry is made exact where a real field is formed, in
+  ``state_from_nodal`` and ``quadratic_terms``.  Every other operation (the
+  real-even or odd-imaginary multipliers, the per-mode 2x2 solve, real affine
+  combinations) keeps it exact, so no solver re-symmetrizes its state.
+  ``translate`` projects its own output, as the ``-N/2`` mode has no partner.
 
 The two model regimes differ only in the nonlocal symbol ``g``:
 ``g(k) = (alpha/gamma) * |k| * coth|k|`` for the finite-lower-depth (ILW)
@@ -197,7 +202,9 @@ def to_nodal(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def state_from_nodal(grid: SpectralGrid, zeta: np.ndarray, u: np.ndarray) -> StatePair:
-    return StatePair(to_coefficients(grid, zeta), to_coefficients(grid, u))
+    """Exactly Hermitian coefficients of the real nodal fields (zeta, u)."""
+    zeta_hat, u_hat = to_coefficients(grid, zeta), to_coefficients(grid, u)
+    return StatePair(hermitian_symmetrize(zeta_hat), hermitian_symmetrize(u_hat))
 
 
 def state_to_nodal(grid: SpectralGrid, state: StatePair) -> tuple[np.ndarray, np.ndarray]:
@@ -207,23 +214,18 @@ def state_to_nodal(grid: SpectralGrid, state: StatePair) -> tuple[np.ndarray, np
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     """Project onto Hermitian-symmetric arrays: c[-k] = conj(c[k]).
 
-    The unpaired mode at index N/2 and the mean are forced real.  This is the
-    nearest coefficient array representing a real nodal field.
+    Entry k becomes 0.5 * (c[k] + conj(c[-k])), formed in place from a
+    reversed view; the mean and the unpaired mode at index N/2 are forced
+    real.  This is the nearest coefficient array representing a real field.
     """
     c = np.asarray(coeffs)
-    n = c.shape[0]
-    out = np.empty_like(c, dtype=complex)
-    rev = np.conj(np.roll(c[::-1], 1))  # entry k holds conj(c[-k])
-    out[:] = 0.5 * (c + rev)
-    out[0] = c[0].real
-    out[n // 2] = c[n // 2].real
+    h = c.shape[0] // 2
+    out = np.empty(c.shape, dtype=complex)
+    np.conj(c[:0:-1], out=out[1:])  # entry k holds conj(c[-k])
+    out[1:] += c[1:]
+    out *= 0.5
+    out[0], out[h] = c[0].real, c[h].real
     return out
-
-
-def symmetrize_state(state: StatePair) -> StatePair:
-    return StatePair(
-        hermitian_symmetrize(state.zeta_hat), hermitian_symmetrize(state.u_hat)
-    )
 
 
 # ----------------------------------------------------------------------------
@@ -332,15 +334,16 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
 def quadratic_terms(
     grid: SpectralGrid, zeta_hat: np.ndarray, u_hat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(P_N(zeta u), P_N(u^2)), equal to two `projected_product` calls but
-    transforming each factor once: four FFTs instead of six."""
+    """Hermitian parts of (P_N(zeta u), P_N(u^2)): those of two
+    `projected_product` calls, transforming each factor once (4 FFTs, not 6)."""
     n = grid.n_modes
     zu_fine = _to_fine(n, zeta_hat)
     uu_fine = _to_fine(n, u_hat)
     # in place: the padded fields are not needed past their products
     np.multiply(zu_fine, uu_fine, out=zu_fine)
     np.multiply(uu_fine, uu_fine, out=uu_fine)
-    return _from_fine(n, zu_fine), _from_fine(n, uu_fine)
+    zu_hat, uu_hat = _from_fine(n, zu_fine), _from_fine(n, uu_fine)
+    return hermitian_symmetrize(zu_hat), hermitian_symmetrize(uu_hat)
 
 
 # ----------------------------------------------------------------------------

@@ -81,6 +81,19 @@ def brute_force_product(grid, f_hat, g_hat):
     return out
 
 
+def hermitian_symmetrize_reference(coeffs):
+    """The Hermitian projection built from a rolled, reversed copy: a bitwise
+    oracle for `spectral.hermitian_symmetrize`, which works in place."""
+    c = np.asarray(coeffs)
+    n = c.shape[0]
+    out = np.empty_like(c, dtype=complex)
+    rev = np.conj(np.roll(c[::-1], 1))  # entry k holds conj(c[-k])
+    out[:] = 0.5 * (c + rev)
+    out[0] = c[0].real
+    out[n // 2] = c[n // 2].real
+    return out
+
+
 def random_hermitian(grid, rng, scale=1.0):
     from ilwbo.spectral import hermitian_symmetrize
 

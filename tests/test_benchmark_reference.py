@@ -1,0 +1,46 @@
+"""A quick guard against the stored benchmark reference.
+
+Runs a few of the benchmark's invocations through `cli.main` and judges each
+output with the benchmark's own checks against `perfbench/reference.json`,
+so a change that moves a shipped number past its tolerance fails here, not
+first in a benchmark run.  The perfbench files are only read.
+"""
+
+import json
+import pathlib
+import sys
+
+import pytest
+
+from ilwbo.cli import main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from checks import judge, observe  # noqa: E402
+from workloads import kinds  # noqa: E402
+
+
+def invocation(workload, key):
+    for variants in kinds(workload, PERFBENCH.parent).values():
+        for inv in variants:
+            if inv.key == key:
+                return inv
+    raise KeyError(key)
+
+
+@pytest.mark.parametrize("workload, key", [
+    ("verify-desk", "desk4-accel/0"),
+    ("verify-desk", "desk1-roundtrip/0"),
+    ("solitary-sweep", "bo-c0.540-mw4"),
+    ("solitary-sweep", "ilw-c0.409-mw4"),
+    ("evolve-compute", "N1024/0"),
+])
+def test_output_matches_benchmark_reference(tmp_path, workload, key):
+    inv = invocation(workload, key)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[workload][key]
+    config, out_dir = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(inv.config))
+    code = main([inv.command, "--config", str(config), "--out", str(out_dir), "--quiet"])
+    verdict = judge(inv.command, observe(inv.command, code, out_dir), reference, inv.snapshots)
+    assert verdict.failure is None, (verdict.failure, verdict.notes)

@@ -254,13 +254,13 @@ class TestFileFormats:
     def test_wave_csv_roundtrips_binary_exact(self, tmp_path):
         # shortest round-trip decimals: reloading reproduces the exact values
         from ilwbo.io_utils import read_profile_csv, write_wave_csv
-        from ilwbo.spectral import state_from_nodal, state_to_nodal, symmetrize_state
+        from ilwbo.spectral import state_from_nodal, state_to_nodal
 
         grid = SpectralGrid(8.0, 64)
         rng = np.random.default_rng(31)
         zeta = rng.standard_normal(64)
         u = rng.standard_normal(64)
-        state = symmetrize_state(state_from_nodal(grid, zeta, u))
+        state = state_from_nodal(grid, zeta, u)
         zeta_s, u_s = state_to_nodal(grid, state)
         path = str(tmp_path / "wave.csv")
         write_wave_csv(path, grid, state)
@@ -298,8 +298,54 @@ CONVERGENCE_BLOCK = {
 }
 
 
+# Diverges within the step-size guard: the step to t = 1.1 is the first to fail.
+DIVERGING_EVOLVE = dict(EVOLVE_CFG, l=16.0, dt=0.1, initial={
+    "kind": "gaussian", "amplitude": 50.0, "width": 1.0})
+
+
+def listed_outputs_are_on_disk(out_dir):
+    """The manifest lists exactly the files the run left in the output directory."""
+    on_disk = {p for p in os.listdir(out_dir) if p != "manifest.json"}
+    return on_disk == set(read_manifest(out_dir)["outputs"])
+
+
 class TestOutcomes:
     """Inputs that once escaped as tracebacks, and the exit code each maps to."""
+
+    def test_evolve_does_not_allocate_for_the_end_time(self, tmp_path):
+        code, out_dir = run_cli(tmp_path, "evolve", dict(DIVERGING_EVOLVE, t_end=1e12))
+        assert code == 3
+        assert read_manifest(out_dir)["exit_status"] == 3
+
+    def test_step_failure_keeps_earlier_snapshots(self, tmp_path):
+        cfg = dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1)
+        code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert code == 3
+        manifest = read_manifest(out_dir)
+        assert manifest["failing_time"] == pytest.approx(1.1)
+        index = json.loads((out_dir / "snapshots_manifest.json").read_text())
+        assert index["times"] == pytest.approx([0.1 * i for i in range(11)])
+        assert len(manifest["outputs"]) == 12
+        assert listed_outputs_are_on_disk(out_dir)
+
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("evolve", dict(EVOLVE_CFG, initial={
+            "kind": "gaussian", "amplitude": 0.1, "width": 0.0}), id="evolve"),
+        pytest.param("verify", {"experiments": [dict(CONVERGENCE_BLOCK, width=0.0)]},
+                     id="verify"),
+    ])
+    def test_zero_gaussian_width(self, tmp_path, capsys, command, cfg):
+        code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "width" in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    def test_library_error_in_a_later_block_keeps_earlier_outputs(self, tmp_path):
+        cfg = {"experiments": [CONVERGENCE_BLOCK, dict(CONVERGENCE_BLOCK, dt=5.0)]}
+        code, out_dir = run_cli(tmp_path, "verify", cfg)
+        assert code == 2
+        assert read_manifest(out_dir)["outputs"] == ["convergence_report.csv"]
+        assert listed_outputs_are_on_disk(out_dir)
 
     def test_verify_dt_beyond_step_guard(self, tmp_path, capsys):
         code, out_dir = run_cli(tmp_path, "verify", {"experiments": [dict(CONVERGENCE_BLOCK, dt=0.5)]})

@@ -24,7 +24,6 @@ from ilwbo.spectral import (
     l2_norm,
     state_from_nodal,
     state_to_nodal,
-    symmetrize_state,
     translate_state,
     state_l2_norm,
 )
@@ -70,7 +69,7 @@ class TestConvergenceStudy:
                 np.cos(np.pi * grid.nodes / grid.half_length)
                 + 0.5 * np.cos(5 * np.pi * grid.nodes / grid.half_length)
             )
-            return symmetrize_state(state_from_nodal(grid, zeta, np.zeros_like(zeta)))
+            return state_from_nodal(grid, zeta, np.zeros_like(zeta))
 
         report = convergence_study(
             BO_P, band_limited, [32, 64, 128], t_end=0.25, dt=0.002, half_length=16.0,

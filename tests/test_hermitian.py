@@ -1,0 +1,121 @@
+"""Real fields are exactly Hermitian where they are formed and stay so.
+
+`state_from_nodal` and `quadratic_terms` project onto Hermitian arrays; every
+other operation (real-even and odd-imaginary multipliers, the per-mode 2x2
+solve, real affine combinations) must keep that exact, bit for bit, so no
+solver re-symmetrizes its state.
+"""
+
+import numpy as np
+import pytest
+
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid
+from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
+from ilwbo.evolution import EvolutionConfig, evolve, step
+from ilwbo.harness import gaussian_state, sech2_state
+from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
+from ilwbo.spectral import (
+    hermitian_symmetrize,
+    projected_product,
+    quadratic_terms,
+    state_from_nodal,
+)
+
+from conftest import hermitian_symmetrize_reference
+
+ILW_P = ModelParams(0.8, 1.2, ILW)
+BO_P = ModelParams(0.8, 1.2, BO)
+
+
+def assert_exactly_hermitian(*arrays):
+    for c in arrays:
+        assert np.array_equal(c, hermitian_symmetrize(c))
+
+
+def assert_state_exactly_hermitian(*states):
+    for s in states:
+        assert_exactly_hermitian(s.zeta_hat, s.u_hat)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 1024, 4096, 16384])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_projection_matches_full_length_reference_bitwise(n, dtype):
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal(n).astype(dtype)
+    if dtype is complex:
+        c = c + 1j * rng.standard_normal(n)
+    c[3] = 0.0  # signed zeros must come out the same way as well
+    got = hermitian_symmetrize(c)
+    want = hermitian_symmetrize_reference(c)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_state_from_nodal_is_hermitian():
+    grid = SpectralGrid(8.0, 64)
+    rng = np.random.default_rng(7)
+    assert_state_exactly_hermitian(
+        state_from_nodal(grid, rng.standard_normal(64), rng.standard_normal(64)),
+        # complex nodal input: its coefficients are projected onto the real part
+        state_from_nodal(grid, rng.standard_normal(64) + 1j, rng.standard_normal(64)),
+        gaussian_state(0.3, 1.1)(grid),
+        sech2_state(0.3, 0.7)(grid),
+    )
+
+
+@pytest.mark.parametrize("n", [8, 32, 1024])
+def test_quadratic_terms_are_hermitian(n):
+    grid = SpectralGrid(3.0, n)
+    rng = np.random.default_rng(n)
+    zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert_exactly_hermitian(*quadratic_terms(grid, zeta, u))
+
+
+def test_step_and_evolve_keep_state_hermitian():
+    grid = SpectralGrid(8.0, 64)
+    y0 = gaussian_state(0.4, 1.0)(grid)
+    assert_state_exactly_hermitian(step(ILW_P, grid, y0, 0.05), step(BO_P, grid, y0, 0.05))
+    rec = evolve(BO_P, grid, y0, EvolutionConfig(t_end=1.0, dt=0.05, record_every=4))
+    assert len(rec.states) == 6
+    assert_state_exactly_hermitian(*rec.states)
+
+
+def test_solver_iterates_stay_hermitian():
+    grid = SpectralGrid(32.0, 256)
+    config = SolitaryConfig(speed=0.57, tol=1e-9, max_iter=200, mw=3)
+    z = seed_profile(BO_P, grid, config)
+    window = [z]
+    for _ in range(config.mw):
+        fz, m, _ = evaluate_iterate(BO_P, grid, config.speed, z)
+        z = petviashvili_step(BO_P, grid, config.speed, fz, m)
+        window.append(z)
+    assert_state_exactly_hermitian(*window)
+    assert_state_exactly_hermitian(mpe_extrapolate(window, mpe_coefficients(window)))
+    wave, trace = cycled_solve(BO_P, grid, config)
+    assert trace.converged and "extrapolated" in trace.phases
+    assert_state_exactly_hermitian(wave)
+
+
+def test_projected_product_splits_the_unpaired_input_mode():
+    # The one-sided -N/2 input coefficient, once the product is projected,
+    # acts as if split in halves between -N/2 and +N/2, except at k = 0.
+    n = 16
+    grid = SpectralGrid(3.0, n)
+    rng = np.random.default_rng(5)
+    f, g = (hermitian_symmetrize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            for _ in range(2))
+    modes = grid.mode_numbers.astype(int)
+
+    def split(c):
+        coeffs = dict(zip(modes.tolist(), c))
+        coeffs[-n // 2] = coeffs[n // 2] = c[n // 2] / 2
+        return coeffs
+
+    fs, gs = split(f), split(g)
+    want = np.array([sum(a * gs[k - k1] for k1, a in fs.items() if k - k1 in gs)
+                     for k in modes])
+    want[n // 2] = 0.0  # the -N/2 output slot stays empty
+    want[0] -= f[n // 2] * g[n // 2] / 2
+    assert np.allclose(hermitian_symmetrize(projected_product(grid, f, g)), want,
+                       rtol=0, atol=1e-13)
