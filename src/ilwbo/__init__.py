@@ -57,6 +57,8 @@ from .spectral import (
     ModelParams,
     SpectralGrid,
     StatePair,
+    full_state,
+    half_spectrum,
     projected_product,
     quadratic_terms,
     set_fft_workers,
@@ -73,7 +75,7 @@ __all__ = [
     "ModelParams", "SpectralGrid", "StatePair",
     "symbol_g", "symbol_T", "symbol_J",
     "to_coefficients", "to_nodal", "projected_product",
-    "quadratic_terms", "set_fft_workers",
+    "half_spectrum", "full_state", "quadratic_terms", "set_fft_workers",
     "EvolutionConfig", "EvolutionRecord", "semidiscrete_rhs", "step", "evolve",
     "linear_speed_bound", "zero_mode_drift",
     "SolitaryConfig", "IterationTrace", "solve_S",

@@ -424,22 +424,28 @@ def cmd_verify(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[
         raise ConfigError("config key 'experiments' must be a non-empty list")
     results = []
     seen: dict[str, int] = {}
-    for block in cfg["experiments"]:
-        kind = block["kind"]
-        seen[kind] = seen.get(kind, 0) + 1
-        tag = "" if seen[kind] == 1 else f"_{seen[kind]}"
-        try:
-            ok, detail, emitted = _EXPERIMENTS[kind](block, out_dir, tag)
-        except IlwboError as err:
-            # solver-level failures fail the experiment, not the command
-            ok, detail, emitted = False, {"error": str(err)}, []
-        results.append({"kind": kind, "pass": ok, "detail": detail})
-        files.extend(emitted)
-        if not quiet:
-            print(f"verify[{kind}]: {'PASS' if ok else 'FAIL'}")
-    all_pass = all(r["pass"] for r in results)
-    write_json(os.path.join(out_dir, "summary.json"), {"experiments": results, "all_pass": all_pass})
-    files.append("summary.json")
+    try:
+        for block in cfg["experiments"]:
+            kind = block["kind"]
+            seen[kind] = seen.get(kind, 0) + 1
+            tag = "" if seen[kind] == 1 else f"_{seen[kind]}"
+            try:
+                ok, detail, emitted = _EXPERIMENTS[kind](block, out_dir, tag)
+            except IlwboError as err:
+                # solver-level failures fail the experiment, not the command
+                ok, detail, emitted = False, {"error": str(err)}, []
+            except ValueError as err:
+                # a value the library rejects ends the command (exit 2)
+                results.append({"kind": kind, "pass": False, "detail": {"error": str(err)}})
+                raise
+            results.append({"kind": kind, "pass": ok, "detail": detail})
+            files.extend(emitted)
+            if not quiet:
+                print(f"verify[{kind}]: {'PASS' if ok else 'FAIL'}")
+    finally:  # the verdicts of the blocks that ran are kept, also on an error
+        all_pass = all(r["pass"] for r in results)
+        write_json(os.path.join(out_dir, "summary.json"), {"experiments": results, "all_pass": all_pass})
+        files.append("summary.json")
     return (EXIT_OK if all_pass else EXIT_VERIFY_FAILED), {"all_pass": all_pass}
 
 

@@ -9,9 +9,10 @@ Per mode ktilde the coefficient system reads
 
 with the quadratic terms formed by the alias-free truncated product, so the
 right-hand side is the exact Galerkin projection of the nonlinear terms.
-Time stepping is classical explicit RK4; the linear part has purely imaginary
-per-mode eigenvalues +-i*ktilde*sqrt((1-gamma) J(ktilde)/gamma), i.e. it is
-transport-like, so an explicit method with dt proportional to h is adequate.
+Time stepping is classical explicit RK4 on the (2, N/2+1) half spectrum of
+the real pair.  The linear part has purely imaginary per-mode eigenvalues
++-i*ktilde*sqrt((1-gamma) J(ktilde)/gamma), i.e. it is transport-like, so an
+explicit method with dt proportional to h is adequate.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .spectral import (
     SpectralGrid,
     StatePair,
     derivative_symbol,
+    full_state,
+    half_spectrum,
     quadratic_terms,
     symbol_J,
     symbol_T,
@@ -65,25 +68,41 @@ class EvolutionRecord:
 
 
 @lru_cache(maxsize=None)
-def _rhs_tables(params: ModelParams, grid: SpectralGrid):
-    ik = derivative_symbol(grid)
-    k = grid.wavenumbers
-    jmul = -(1.0 / params.gamma) * symbol_J(params, k) * ik
-    tmul = (1.0 / params.gamma) * symbol_T(params, k) * ik
-    zmul = -(1.0 - params.gamma) * ik
-    umul = (1.0 / (2.0 * params.gamma)) * ik
-    return jmul, tmul, zmul, umul
+def _rhs_tables(params: ModelParams, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectrum multipliers: d/dt y = linear * y[::-1] + quadratic * products."""
+    h = grid.n_modes // 2
+    ik = derivative_symbol(grid)[: h + 1]
+    k = grid.wavenumbers[: h + 1]
+    g = params.gamma
+    linear = np.stack((-(1.0 / g) * symbol_J(params, k) * ik, -(1.0 - g) * ik))
+    quadratic = np.stack(((1.0 / g) * symbol_T(params, k) * ik, (1.0 / (2.0 * g)) * ik))
+    return linear, quadratic
+
+
+def _rhs(params: ModelParams, grid: SpectralGrid, y: np.ndarray) -> np.ndarray:
+    if not np.isfinite(y).all():
+        raise StepFailureError("non-finite coefficients in the state")
+    linear, quadratic = _rhs_tables(params, grid)
+    return linear * y[::-1] + quadratic * quadratic_terms(grid, y)
+
+
+def _rk4(params: ModelParams, grid: SpectralGrid, y: np.ndarray, dt: float) -> np.ndarray:
+    # a diverging run overflows before the finite check catches it; the typed
+    # error below is the contract, so keep numpy quiet about the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _rhs(params, grid, y)
+        k2 = _rhs(params, grid, y + (0.5 * dt) * k1)
+        k3 = _rhs(params, grid, y + (0.5 * dt) * k2)
+        k4 = _rhs(params, grid, y + dt * k3)
+        out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
+        raise StepFailureError("time step produced non-finite values")
+    return out
 
 
 def semidiscrete_rhs(params: ModelParams, grid: SpectralGrid, state: StatePair) -> StatePair:
-    """Time derivative of the coefficient pair (d/dt zeta_hat, d/dt u_hat)."""
-    if not state.is_finite():
-        raise StepFailureError("non-finite coefficients in the state")
-    jmul, tmul, zmul, umul = _rhs_tables(params, grid)
-    zu_hat, uu_hat = quadratic_terms(grid, state.zeta_hat, state.u_hat)
-    dzeta = jmul * state.u_hat + tmul * zu_hat
-    du = zmul * state.zeta_hat + umul * uu_hat
-    return StatePair(dzeta, du)
+    """Time derivative (d/dt zeta_hat, d/dt u_hat) of a real (Hermitian) state."""
+    return full_state(_rhs(params, grid, half_spectrum(state)))
 
 
 def linear_speed_bound(params: ModelParams, grid: SpectralGrid) -> float:
@@ -103,18 +122,8 @@ def max_stable_dt(params: ModelParams, grid: SpectralGrid, cfl_guard: float = 0.
 
 
 def step(params: ModelParams, grid: SpectralGrid, state: StatePair, dt: float) -> StatePair:
-    """One explicit RK4 step; a Hermitian state stays exactly Hermitian."""
-    # a diverging run overflows before the finite check catches it; the typed
-    # error below is the contract, so keep numpy quiet about the overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = semidiscrete_rhs(params, grid, state)
-        k2 = semidiscrete_rhs(params, grid, state + (0.5 * dt) * k1)
-        k3 = semidiscrete_rhs(params, grid, state + (0.5 * dt) * k2)
-        k4 = semidiscrete_rhs(params, grid, state + dt * k3)
-        out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not out.is_finite():
-        raise StepFailureError("time step produced non-finite values")
-    return out
+    """One explicit RK4 step of a real (Hermitian) state."""
+    return full_state(_rk4(params, grid, half_spectrum(state), dt))
 
 
 def evolve(
@@ -125,7 +134,8 @@ def evolve(
 ) -> EvolutionRecord:
     """March the semidiscrete system to t_end, recording snapshots.
 
-    `initial` must be Hermitian, as every `state_from_nodal` state is.
+    `initial` must be Hermitian, as every `state_from_nodal` state is: only
+    its half spectrum is stepped.
     Snapshots are stored every `record_every` steps (plus the initial and
     final states); the k = 0 coefficients are stored at every step so mean
     conservation can be audited at full resolution.  A failing step raises
@@ -144,27 +154,27 @@ def evolve(
         remainder = 0.0
     n_steps = n_full + (1 if remainder else 0)
 
-    times, states = [0.0], [initial.copy()]
-    step_times, zm_zeta, zm_u = [0.0], [initial.zeta_hat[0]], [initial.u_hat[0]]
+    y, t = half_spectrum(initial), 0.0
+    times, states = [0.0], [full_state(y)]
+    step_times, zm_zeta, zm_u = [0.0], [y[0, 0]], [y[1, 0]]
 
     def record() -> EvolutionRecord:
         return EvolutionRecord(times, states, np.array(step_times),
                                np.array(zm_zeta, dtype=complex), np.array(zm_u, dtype=complex))
 
-    state, t = initial, 0.0
     for i in range(1, n_steps + 1):
         h = config.dt if i <= n_full else remainder
         try:
-            state = step(params, grid, state, h)
+            y = _rk4(params, grid, y, h)
         except StepFailureError as err:
             raise StepFailureError(str(err), time=t + h, record=record()) from err
         t = i * config.dt if i <= n_full else config.t_end
         step_times.append(t)
-        zm_zeta.append(state.zeta_hat[0])
-        zm_u.append(state.u_hat[0])
+        zm_zeta.append(y[0, 0])
+        zm_u.append(y[1, 0])
         if i % config.record_every == 0 or i == n_steps:
             times.append(t)
-            states.append(state.copy())
+            states.append(full_state(y))
 
     return record()
 

@@ -31,6 +31,8 @@ from .spectral import (
     ModelParams,
     SpectralGrid,
     StatePair,
+    full_state,
+    half_spectrum,
     nodal_inner,
     nodal_norm,
     quadratic_terms,
@@ -127,9 +129,9 @@ def solve_S(params: ModelParams, grid: SpectralGrid, c: float, rhs: StatePair) -
 
 
 def nonlinearity_F(params: ModelParams, grid: SpectralGrid, z: StatePair) -> StatePair:
-    """(1/gamma) (zeta*u, u^2/2) with alias-free pointwise products."""
-    zu, uu = quadratic_terms(grid, z.zeta_hat, z.u_hat)
-    return StatePair(zu / params.gamma, uu / (2.0 * params.gamma))
+    """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the evolver."""
+    scale = np.array([[params.gamma], [2.0 * params.gamma]])
+    return full_state(quadratic_terms(grid, half_spectrum(z)) / scale)
 
 
 def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig) -> StatePair:

@@ -16,10 +16,15 @@ Conventions used throughout the package
 * Real fields are represented by Hermitian-symmetric coefficient arrays:
   ``c[-k] == conj(c[k])`` with a real entry at ``k = 0`` and ``k = -N/2``.
   The symmetry is made exact where a real field is formed, in
-  ``state_from_nodal`` and ``quadratic_terms``.  Every other operation (the
+  ``state_from_nodal`` and ``full_state``.  Every other operation (the
   real-even or odd-imaginary multipliers, the per-mode 2x2 solve, real affine
   combinations) keeps it exact, so no solver re-symmetrizes its state.
   ``translate`` projects its own output, as the ``-N/2`` mode has no partner.
+* The evolver holds the half spectrum: the first ``N/2+1`` entries (modes
+  ``0..N/2-1`` and ``-N/2``) of zeta_hat and u_hat as one ``(2, N/2+1)``
+  array; ``full_state`` mirrors it back.  ``quadratic_terms`` splits the real
+  ``-N/2`` input coefficient in halves between ``-N/2`` and ``+N/2`` and
+  leaves the ``-N/2`` output slot zero.
 
 The two model regimes differ only in the nonlocal symbol ``g``:
 ``g(k) = (alpha/gamma) * |k| * coth|k|`` for the finite-lower-depth (ILW)
@@ -135,9 +140,6 @@ class StatePair:
 
     __rmul__ = __mul__
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.zeta_hat)) and np.all(np.isfinite(self.u_hat)))
-
 
 # ----------------------------------------------------------------------------
 # Fourier symbols
@@ -209,6 +211,22 @@ def state_from_nodal(grid: SpectralGrid, zeta: np.ndarray, u: np.ndarray) -> Sta
 
 def state_to_nodal(grid: SpectralGrid, state: StatePair) -> tuple[np.ndarray, np.ndarray]:
     return to_nodal(grid, state.zeta_hat).real, to_nodal(grid, state.u_hat).real
+
+
+def half_spectrum(state: StatePair) -> np.ndarray:
+    """The (2, N/2+1) rows (zeta_hat, u_hat) at k = 0..N/2-1 and -N/2: the
+    first N/2+1 entries in FFT order, all that a real field needs."""
+    h = state.zeta_hat.shape[0] // 2
+    return np.stack((state.zeta_hat[: h + 1], state.u_hat[: h + 1]))
+
+
+def full_state(half: np.ndarray) -> StatePair:
+    """The state with half spectrum `half` and c[-k] = conj(c[k]) mirrored in."""
+    h = half.shape[1] - 1
+    full = np.empty((2, 2 * h), dtype=complex)
+    full[:, : h + 1] = half
+    np.conj(half[:, h - 1: 0: -1], out=full[:, h + 1:])
+    return StatePair(full[0], full[1])
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
@@ -289,61 +307,53 @@ def _product_table(n: int) -> tuple[int, np.ndarray]:
     return _padded_size(n), phase
 
 
-def _to_fine(n: int, coeffs: np.ndarray) -> np.ndarray:
-    """Nodal values on the padded grid of an n-mode coefficient array.
-
-    The -n/2 coefficient enters one-sided, at mode -n/2 of the padded band.
-    """
-    if coeffs.shape != (n,):
-        raise ValueError("coefficient arrays do not match the grid")
-    m, phase = _product_table(n)
-    h = n // 2
-    fine = np.zeros(m, dtype=complex)
-    np.multiply(phase[:h], coeffs[:h], out=fine[:h])
-    np.multiply(phase[h:], coeffs[h:], out=fine[m - h:])
-    return scipy.fft.ifft(fine, norm="forward", overwrite_x=True, workers=_fft_workers)
-
-
-def _from_fine(n: int, values: np.ndarray) -> np.ndarray:
-    """P_N of padded-grid nodal values (overwritten): the retained modes
-    -n/2+1..n/2-1.
-
-    The -n/2 slot has no +n/2 partner; keeping it would let products of
-    Hermitian inputs acquire an anti-Hermitian component, so it stays zero.
-    """
-    m, phase = _product_table(n)
-    h = n // 2
-    full = scipy.fft.fft(values, norm="forward", overwrite_x=True, workers=_fft_workers)
-    out = np.concatenate((full[:h], full[m - h:]))
-    np.multiply(phase, out, out=out)
-    out[h] = 0.0
-    return out
-
-
 def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
     """Truncation P_N of the pointwise product of two trigonometric polynomials.
 
     Computed alias-free: zero-pad both factors to >= 3N/2 modes, multiply in
     nodal space on the fine grid, transform back and truncate.  Exact (to
-    rounding) for any pair of band-limited inputs.
+    rounding) for any pair of band-limited inputs, Hermitian or not.  The -N/2
+    input coefficient enters one-sided, at mode -N/2 of the padded band; the
+    -N/2 output slot has no +N/2 partner and stays zero.
     """
     n = grid.n_modes
-    return _from_fine(n, _to_fine(n, f_hat) * _to_fine(n, g_hat))
+    if f_hat.shape != (n,) or g_hat.shape != (n,):
+        raise ValueError("coefficient arrays do not match the grid")
+    m, phase = _product_table(n)
+    h = n // 2
+    fine = np.stack([pad_modes(phase * c, m) for c in (f_hat, g_hat)])
+    values = scipy.fft.ifft(fine, norm="forward", overwrite_x=True, workers=_fft_workers)
+    full = scipy.fft.fft(values[0] * values[1], norm="forward", overwrite_x=True,
+                         workers=_fft_workers)
+    out = phase * np.concatenate((full[:h], full[m - h:]))
+    out[h] = 0.0
+    return out
 
 
-def quadratic_terms(
-    grid: SpectralGrid, zeta_hat: np.ndarray, u_hat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian parts of (P_N(zeta u), P_N(u^2)): those of two
-    `projected_product` calls, transforming each factor once (4 FFTs, not 6)."""
+def quadratic_terms(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
+    """Half spectra of (P_N(zeta u), P_N(u^2)) for the real fields whose half
+    spectra (see `half_spectrum`) are the rows of `half`.
+
+    One batched irfft puts both fields on the padded grid and one batched
+    rfft brings both products back.  The -N/2 input coefficient is split in
+    halves between -N/2 and +N/2, which at every k != 0 is the Hermitian part
+    of `projected_product`; the -N/2 output slot stays zero.
+    """
     n = grid.n_modes
-    zu_fine = _to_fine(n, zeta_hat)
-    uu_fine = _to_fine(n, u_hat)
-    # in place: the padded fields are not needed past their products
-    np.multiply(zu_fine, uu_fine, out=zu_fine)
-    np.multiply(uu_fine, uu_fine, out=uu_fine)
-    zu_hat, uu_hat = _from_fine(n, zu_fine), _from_fine(n, uu_fine)
-    return hermitian_symmetrize(zu_hat), hermitian_symmetrize(uu_hat)
+    h = n // 2
+    if half.shape != (2, h + 1):
+        raise ValueError("half spectra do not match the grid")
+    m, phase = _product_table(n)
+    fine = np.zeros((2, m // 2 + 1), dtype=complex)
+    np.multiply(phase[: h + 1], half, out=fine[:, : h + 1])
+    fine[:, h] *= 0.5  # the -N/2 coefficient, split between -N/2 and +N/2
+    values = scipy.fft.irfft(fine, m, norm="forward", overwrite_x=True, workers=_fft_workers)
+    values[0] *= values[1]
+    values[1] *= values[1]
+    full = scipy.fft.rfft(values, norm="forward", overwrite_x=True, workers=_fft_workers)
+    out = phase[: h + 1] * full[:, : h + 1]
+    out[:, h] = 0.0
+    return out
 
 
 # ----------------------------------------------------------------------------

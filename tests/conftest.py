@@ -12,7 +12,15 @@ from ilwbo import (
     cycled_solve,
 )
 from ilwbo.solitary import apply_S, nonlinearity_F
-from ilwbo.spectral import derivative_symbol, nodal_norm, symbol_g, symbol_J
+from ilwbo.spectral import (
+    derivative_symbol,
+    hermitian_symmetrize,
+    nodal_norm,
+    projected_product,
+    symbol_g,
+    symbol_J,
+    symbol_T,
+)
 
 # Derandomized so that every run of the suite draws the same examples.
 settings.register_profile("ilwbo", derandomize=True, deadline=None)
@@ -151,3 +159,26 @@ def apply_multiplier(grid, coeffs, symbol):
 
 def derivative(grid, coeffs):
     return coeffs * derivative_symbol(grid)
+
+
+def reference_rhs(params, grid, state):
+    """The full-length StatePair right-hand side: per-mode multipliers on all
+    N modes and the Hermitian parts of two `projected_product` calls."""
+    ik = derivative_symbol(grid)
+    k = grid.wavenumbers
+    zu = hermitian_symmetrize(projected_product(grid, state.zeta_hat, state.u_hat))
+    uu = hermitian_symmetrize(projected_product(grid, state.u_hat, state.u_hat))
+    dzeta = (-(1.0 / params.gamma) * symbol_J(params, k) * ik * state.u_hat
+             + (1.0 / params.gamma) * symbol_T(params, k) * ik * zu)
+    du = -(1.0 - params.gamma) * ik * state.zeta_hat + (1.0 / (2.0 * params.gamma)) * ik * uu
+    return StatePair(dzeta, du)
+
+
+def reference_step(params, grid, state, dt):
+    """Classical RK4 on the full-length StatePair: an oracle for `evolve`,
+    which steps the half spectrum."""
+    k1 = reference_rhs(params, grid, state)
+    k2 = reference_rhs(params, grid, state + (0.5 * dt) * k1)
+    k3 = reference_rhs(params, grid, state + (0.5 * dt) * k2)
+    k4 = reference_rhs(params, grid, state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

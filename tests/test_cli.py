@@ -344,8 +344,13 @@ class TestOutcomes:
         cfg = {"experiments": [CONVERGENCE_BLOCK, dict(CONVERGENCE_BLOCK, dt=5.0)]}
         code, out_dir = run_cli(tmp_path, "verify", cfg)
         assert code == 2
-        assert read_manifest(out_dir)["outputs"] == ["convergence_report.csv"]
+        assert read_manifest(out_dir)["outputs"] == ["convergence_report.csv", "summary.json"]
         assert listed_outputs_are_on_disk(out_dir)
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["all_pass"] is False
+        first, failed = summary["experiments"]
+        assert first["pass"] is True and first["detail"]["spectral"] is True
+        assert failed["pass"] is False and "dt=5.0" in failed["detail"]["error"]
 
     def test_verify_dt_beyond_step_guard(self, tmp_path, capsys):
         code, out_dir = run_cli(tmp_path, "verify", {"experiments": [dict(CONVERGENCE_BLOCK, dt=0.5)]})

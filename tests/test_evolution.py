@@ -16,7 +16,7 @@ from ilwbo.evolution import (
     step,
     zero_mode_drift,
 )
-from ilwbo.harness import gaussian_state, state_l2_distance
+from ilwbo.harness import gaussian_state, sech2_state, state_l2_distance
 from ilwbo.spectral import (
     hermitian_symmetrize,
     state_l2_norm,
@@ -25,7 +25,13 @@ from ilwbo.spectral import (
     to_nodal,
 )
 
-from conftest import brute_force_product, linear_mode_matrix, random_hermitian, zero_state
+from conftest import (
+    brute_force_product,
+    linear_mode_matrix,
+    random_hermitian,
+    reference_step,
+    zero_state,
+)
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
@@ -102,8 +108,8 @@ class TestStep:
         # 2x2 linear matrix, and one RK4 step must match expm to O(dt^5)
         grid = SpectralGrid(4.0, 32)
 
-        def no_products(g, zeta_hat, u_hat):
-            return np.zeros(g.n_modes, dtype=complex), np.zeros(g.n_modes, dtype=complex)
+        def no_products(g, half):
+            return np.zeros_like(half)
 
         monkeypatch.setattr(evolution, "quadratic_terms", no_products)
         rng = np.random.default_rng(2)
@@ -146,6 +152,25 @@ class TestStep:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("params", [ILW_P, BO_P], ids=["ilw", "bo"])
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096, 16384])
+    def test_matches_full_length_reference_stepper(self, params, n):
+        # 50 RK4 steps on the half spectrum against the same steps taken on
+        # the full-length StatePair with two projected products per stage
+        grid = SpectralGrid(n * 0.125 / 2, n)
+        y = sech2_state(0.3, 0.8)(grid)
+        dt = 0.0625
+        rec = evolve(params, grid, y, EvolutionConfig(t_end=50 * dt, dt=dt, record_every=25))
+        assert len(rec.step_times) == 51 and rec.times == [0.0, 25 * dt, 50 * dt]
+        for i in range(50):
+            y = reference_step(params, grid, y, dt)
+            if i == 24:
+                halfway = y
+        for got, want in zip(rec.states[1:], (halfway, y)):
+            scale = max(np.max(np.abs(want.zeta_hat)), np.max(np.abs(want.u_hat)))
+            assert np.max(np.abs(got.zeta_hat - want.zeta_hat)) <= 1e-13 * scale
+            assert np.max(np.abs(got.u_hat - want.u_hat)) <= 1e-13 * scale
+
     def test_zero_initial(self):
         grid = SpectralGrid(4.0, 32)
         rec = evolve(BO_P, grid, zero_state(grid), EvolutionConfig(t_end=0.5, dt=0.01))

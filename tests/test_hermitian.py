@@ -1,6 +1,7 @@
 """Real fields are exactly Hermitian where they are formed and stay so.
 
-`state_from_nodal` and `quadratic_terms` project onto Hermitian arrays; every
+`state_from_nodal` projects onto Hermitian arrays and `full_state` mirrors a
+half spectrum into one (the output of `quadratic_terms` included); every
 other operation (real-even and odd-imaginary multipliers, the per-mode 2x2
 solve, real affine combinations) must keep that exact, bit for bit, so no
 solver re-symmetrizes its state.
@@ -15,6 +16,8 @@ from ilwbo.evolution import EvolutionConfig, evolve, step
 from ilwbo.harness import gaussian_state, sech2_state
 from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
 from ilwbo.spectral import (
+    full_state,
+    half_spectrum,
     hermitian_symmetrize,
     projected_product,
     quadratic_terms,
@@ -65,11 +68,20 @@ def test_state_from_nodal_is_hermitian():
 
 @pytest.mark.parametrize("n", [8, 32, 1024])
 def test_quadratic_terms_are_hermitian(n):
+    # any half spectrum: irfft reads the real part of the mean only, rfft
+    # returns a real mean, and the -N/2 output slot is zeroed
     grid = SpectralGrid(3.0, n)
     rng = np.random.default_rng(n)
-    zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert_exactly_hermitian(*quadratic_terms(grid, zeta, u))
+    half = rng.standard_normal((2, n // 2 + 1)) + 1j * rng.standard_normal((2, n // 2 + 1))
+    assert_state_exactly_hermitian(full_state(quadratic_terms(grid, half)))
+
+
+def test_half_spectrum_round_trip_is_exact():
+    grid = SpectralGrid(8.0, 64)
+    for state in (gaussian_state(0.4, 1.0)(grid), sech2_state(0.3, 0.7)(grid)):
+        back = full_state(half_spectrum(state))
+        assert np.array_equal(back.zeta_hat, state.zeta_hat)
+        assert np.array_equal(back.u_hat, state.u_hat)
 
 
 def test_step_and_evolve_keep_state_hermitian():

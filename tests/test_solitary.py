@@ -186,7 +186,7 @@ class TestSeedProfile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seed = seed_profile(BO_P, grid, cfg)
-        assert seed.is_finite()
+        assert np.isfinite(seed.zeta_hat).all() and np.isfinite(seed.u_hat).all()
 
     def test_linearized_velocity_relation(self):
         grid = SpectralGrid(16.0, 128)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilwbo import BO, ILW, ModelParams, SpectralGrid
+from ilwbo import BO, ILW, ModelParams, SpectralGrid, StatePair
 from ilwbo.spectral import (
     derivative_symbol,
+    full_state,
+    half_spectrum,
     hermitian_symmetrize,
     l2_norm,
     projected_product,
@@ -251,6 +253,20 @@ class TestProjectedProduct:
         assert np.max(np.abs(left - right)) < 1e-12
         assert np.max(np.abs(projected_product(grid, f, g) - projected_product(grid, g, f))) < 1e-14
 
+    @pytest.mark.parametrize("n", [8, 32, 1024])
+    def test_non_hermitian_inputs_match_linear_convolution(self, n):
+        # the general product of any complex coefficients; the -N/2 input
+        # enters one-sided and the -N/2 output slot stays empty
+        grid = SpectralGrid(half_length=3.0, n_modes=n)
+        rng = np.random.default_rng(n)
+        f, g = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        h = n // 2
+        full = np.convolve(np.fft.fftshift(f), np.fft.fftshift(g))  # modes -N .. N-2
+        want = np.fft.ifftshift(full[h: h + n])  # modes -N/2 .. N/2-1, FFT order
+        want[h] = 0.0
+        got = projected_product(grid, f, g)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_grid_mismatch(self):
         grid = SpectralGrid(half_length=1.0, n_modes=16)
         with pytest.raises(ValueError):
@@ -258,42 +274,45 @@ class TestProjectedProduct:
 
 
 class TestQuadraticTerms:
-    """The fused kernel must reproduce the Hermitian parts of two projected
-    products bit for bit."""
+    """The half-spectrum kernel against the Hermitian parts of two projected
+    products: equal at every k != 0; at k = 0 it is the product with the -N/2
+    input coefficient split in halves between -N/2 and +N/2."""
 
     @staticmethod
     def _inputs(grid, rng, kind):
-        n = grid.n_modes
-        if kind == "hermitian":
-            return random_hermitian(grid, rng), random_hermitian(grid, rng)
-        zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        zeta, u = random_hermitian(grid, rng), random_hermitian(grid, rng)
         if kind == "nyquist":
-            # Hermitian elsewhere, with a nonzero unpaired -N/2 coefficient
-            zeta, u = hermitian_symmetrize(zeta), hermitian_symmetrize(u)
-            assert zeta[n // 2] != 0 and u[n // 2] != 0
+            # with a nonzero (real) unpaired -N/2 coefficient
+            zeta[grid.n_modes // 2], u[grid.n_modes // 2] = rng.standard_normal(2)
         return zeta, u
 
-    @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "nyquist"])
+    @pytest.mark.parametrize("kind", ["hermitian", "nyquist"])
     @pytest.mark.parametrize("n", [8, 32, 1024])
     def test_equals_two_projected_products(self, kind, n):
         grid = SpectralGrid(half_length=3.0, n_modes=n)
         zeta, u = self._inputs(grid, np.random.default_rng(n), kind)
-        zu, uu = quadratic_terms(grid, zeta, u)
-        assert np.array_equal(zu, hermitian_symmetrize(projected_product(grid, zeta, u)))
-        assert np.array_equal(uu, hermitian_symmetrize(projected_product(grid, u, u)))
+        got = full_state(quadratic_terms(grid, half_spectrum(StatePair(zeta, u))))
+        h = n // 2
+        for mine, f, g in ((got.zeta_hat, zeta, u), (got.u_hat, u, u)):
+            want = hermitian_symmetrize(projected_product(grid, f, g))
+            assert np.max(np.abs(mine[1:] - want[1:])) <= 1e-15 * np.max(np.abs(want))
+            # k = 0: sum of f[k1] g[-k1], the -N/2 pair counted as two halves
+            split_mean = f @ np.roll(g[::-1], 1) - f[h] * g[h] / 2
+            assert abs(mine[0] - split_mean) <= 1e-15 * np.sum(np.abs(f) * np.abs(g[::-1]))
+            assert mine[0].imag == 0.0 and mine[h] == 0.0
 
     def test_inputs_untouched(self):
         grid = SpectralGrid(half_length=3.0, n_modes=32)
-        zeta, u = self._inputs(grid, np.random.default_rng(4), "nyquist")
-        before = zeta.copy(), u.copy()
-        quadratic_terms(grid, zeta, u)
-        assert np.array_equal(zeta, before[0]) and np.array_equal(u, before[1])
+        half = half_spectrum(StatePair(*self._inputs(grid, np.random.default_rng(4), "nyquist")))
+        before = half.copy()
+        quadratic_terms(grid, half)
+        assert np.array_equal(half, before)
 
     def test_grid_mismatch(self):
         grid = SpectralGrid(half_length=1.0, n_modes=16)
-        with pytest.raises(ValueError):
-            quadratic_terms(grid, np.zeros(16, dtype=complex), np.zeros(8, dtype=complex))
+        for shape in ((2, 5), (2, 16), (9,)):
+            with pytest.raises(ValueError):
+                quadratic_terms(grid, np.zeros(shape, dtype=complex))
 
 
 class TestFftWorkers:
