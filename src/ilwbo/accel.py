@@ -25,6 +25,7 @@ through during the nonlinear transient and measurably slows convergence).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .solitary import (
     petviashvili_step,
     seed_profile,
 )
-from .spectral import ModelParams, SpectralGrid, StatePair, nodal_norm
+from .spectral import ModelParams, SpectralGrid, StatePair, full_state, half_spectrum, nodal_norm
 
 # Accept an extrapolated point only if it does not worsen the residual.
 RESIDUAL_GUARD = 1.0
@@ -46,15 +47,11 @@ RESIDUAL_GUARD = 1.0
 SUM_FLOOR = 1e-12
 
 
-def _as_real_vector(z: StatePair) -> np.ndarray:
-    return np.concatenate(
-        [z.zeta_hat.real, z.zeta_hat.imag, z.u_hat.real, z.u_hat.imag]
-    )
+def mpe_coefficients(window: Sequence[np.ndarray]) -> np.ndarray:
+    """Affine weights gamma_0..gamma_q for a window of q+2 half-spectrum iterates.
 
-
-def mpe_coefficients(window: Sequence[StatePair]) -> np.ndarray:
-    """Affine weights gamma_0..gamma_q for a window of q+2 iterates.
-
+    The least squares are taken in the nodal norm: each difference, as real
+    numbers, scaled by the root of its Parseval weight (see `nodal_inner`).
     A stationary window (all differences exactly zero) short-circuits to
     gamma = (0, ..., 0, 1): the sequence has already converged and the last
     combined iterate is returned unchanged.  Rank-deficient difference
@@ -64,17 +61,15 @@ def mpe_coefficients(window: Sequence[StatePair]) -> np.ndarray:
     """
     if len(window) < 2:
         raise ValueError("window must hold at least two iterates")
-    diffs = [_as_real_vector(b - a) for a, b in zip(window[:-1], window[1:])]
+    diffs = np.diff(np.stack(window), axis=0)
     q = len(diffs) - 1  # extrapolation order
-    if all(not d.any() for d in diffs):
-        gam = np.zeros(q + 1)
-        gam[-1] = 1.0
-        return gam
+    if not diffs.any():
+        return np.eye(q + 1)[-1]
     if q == 0:
         return np.ones(1)
-    a_mat = np.stack(diffs[:-1], axis=1)
-    rhs = -diffs[-1]
-    c_free, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    diffs[..., 1:-1] *= math.sqrt(2.0)
+    real = diffs.view(float).reshape(q + 1, -1)
+    c_free, *_ = np.linalg.lstsq(real[:-1].T, -real[-1], rcond=None)
     c = np.append(c_free, 1.0)
     total = c.sum()
     if abs(total) < SUM_FLOOR * np.max(np.abs(c)):
@@ -85,7 +80,7 @@ def mpe_coefficients(window: Sequence[StatePair]) -> np.ndarray:
     return c / total
 
 
-def mpe_extrapolate(window: Sequence[StatePair], gammas: np.ndarray) -> StatePair:
+def mpe_extrapolate(window: Sequence[np.ndarray], gammas: np.ndarray) -> np.ndarray:
     """Affine recombination sum_j gamma_j Z_j over the first len(gammas) iterates."""
     gammas = np.asarray(gammas, dtype=float)
     if len(gammas) > len(window):
@@ -112,50 +107,52 @@ def cycled_solve(
     fixed-point solves only (extrapolations are a few small least-squares
     problems and essentially free).  Every fixed-point solve is evaluated, so
     a run stopped by the cap records max_iter + 1 plain rows, the seed's included.
+    A non-finite residual (divergence) also raises NonConvergenceError, with
+    that row last.  The iteration runs on the half spectrum; `seed`, the
+    returned wave and the error's state are full-length states.
     """
     c = config.speed
-    z = seed.copy() if seed is not None else seed_profile(params, grid, config)
+    z = half_spectrum(seed) if seed is not None else seed_profile(params, grid, config)
     if nodal_norm(grid, z) == 0.0:
         raise ValueError("seed iterate must be nonzero")
 
     trace = IterationTrace()
     solves = 0
-    fz, m, res = evaluate_iterate(params, grid, c, z)
-    trace.append(res, m, "plain", solves)
-    if res <= config.tol:
-        trace.converged = True
-        trace.iterations_used = 0
-        return z, trace
 
-    while True:
-        window = [z]
-        for _ in range(config.mw):
-            if solves >= config.max_iter:
-                trace.iterations_used = solves
-                raise NonConvergenceError(trace, state=z)
-            z = petviashvili_step(params, grid, c, fz, m)
-            solves += 1
-            fz, m, res = evaluate_iterate(params, grid, c, z)
-            trace.append(res, m, "plain", solves)
-            if res <= config.tol:
-                trace.converged = True
-                trace.iterations_used = solves
-                return z, trace
-            window.append(z)
-        if config.mw == 1:
-            continue
-
-        try:
-            gammas = mpe_coefficients(window)
-            x = mpe_extrapolate(window, gammas)
-        except DegenerateSumError:
-            continue  # keep iterating from the last plain iterate
+    def evaluate(x: np.ndarray, phase: str):
         fx, mx, res_x = evaluate_iterate(params, grid, c, x)
-        trace.append(res_x, mx, "extrapolated", solves)
-        if res_x <= config.tol:
-            trace.converged = True
-            trace.iterations_used = solves
-            return x, trace
-        if res_x <= RESIDUAL_GUARD * res:
-            z, fz, m, res = x, fx, mx, res_x
-        # else: rejected; restart the cycle from the last plain iterate
+        trace.append(res_x, mx, phase, solves)
+        trace.iterations_used = solves
+        trace.converged = res_x <= config.tol
+        if not math.isfinite(res_x):
+            raise NonConvergenceError(trace, state=full_state(x))
+        return fx, mx, res_x
+
+    # a diverging iterate overflows on its way to a non-finite residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        fz, m, res = evaluate(z, "plain")
+        while not trace.converged:
+            window = [z]
+            for _ in range(config.mw):
+                if solves >= config.max_iter:
+                    raise NonConvergenceError(trace, state=full_state(z))
+                z = petviashvili_step(params, grid, c, fz, m)
+                solves += 1
+                fz, m, res = evaluate(z, "plain")
+                if trace.converged:
+                    break
+                window.append(z)
+            if trace.converged or config.mw == 1:
+                continue
+            try:
+                x = mpe_extrapolate(window, mpe_coefficients(window))
+            except DegenerateSumError:
+                trace.extrapolations["skipped"] += 1
+                continue  # keep iterating from the last plain iterate
+            fx, mx, res_x = evaluate(x, "extrapolated")
+            if res_x <= RESIDUAL_GUARD * res:
+                trace.extrapolations["accepted"] += 1
+                z, fz, m, res = x, fx, mx, res_x
+            else:  # restart the cycle from the last plain iterate
+                trace.extrapolations["rejected"] += 1
+    return full_state(z), trace

@@ -121,10 +121,10 @@ _WAVE_KEYS = {
 
 
 def _default_record_every(cfg: dict) -> int:
-    """About ten snapshots per run."""
+    """About ten snapshots per run (EvolutionConfig rejects a non-finite t_end/dt)."""
     positive = cfg["t_end"] > 0 and cfg["dt"] > 0
-    n_steps = max(1, int(round(cfg["t_end"] / cfg["dt"]))) if positive else 1
-    return max(1, n_steps // 10)
+    n_steps = cfg["t_end"] / cfg["dt"] if positive else 1.0
+    return max(1, int(round(n_steps)) // 10) if math.isfinite(n_steps) else 1
 
 
 _PROFILES = {"gaussian": gaussian_state, "sech2": sech2_state}
@@ -200,8 +200,8 @@ def _value(kind, value, name: str):
         head = _resolve({"kind": (tuple(kind), _REQUIRED)}, value, name + ".")
         return head | _resolve(kind[head["kind"]], value, name + ".")
     if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"config key '{name}' must be a list")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config key '{name}' must be a non-empty list")
         return [_value(kind[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
     if isinstance(kind, tuple):
         if isinstance(value, str) and value.lower() in kind:
@@ -254,10 +254,13 @@ def _initial_state(spec: dict, grid: SpectralGrid):
 
 
 def _solve_summary(termination: str, trace) -> dict:
+    """A solve ends at its first non-finite residual, so such a last row means "diverged"."""
+    last = trace.residuals[-1]
     return {
-        "termination": termination,
+        "termination": termination if math.isfinite(last) else "diverged",
         "iterations": trace.iterations_used,
-        "last_residual": trace.residuals[-1],
+        "last_residual": last if math.isfinite(last) else None,
+        "extrapolations": dict(trace.extrapolations),
     }
 
 
@@ -420,8 +423,6 @@ _EXPERIMENTS = {
 
 
 def cmd_verify(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[int, dict]:
-    if not cfg["experiments"]:
-        raise ConfigError("config key 'experiments' must be a non-empty list")
     results = []
     seen: dict[str, int] = {}
     try:

@@ -16,7 +16,10 @@ where g = g(ktilde).  The Petviashvili update solves
 with the Euclidean inner product over all 2N nodal values; the squared
 stabilizing factor matches the quadratic nonlinearity and collapses to 1 at a
 solution.  The iteration is monitored by the residual RES = ||S Z - F(Z)||
-in the same nodal norm and stops once RES <= tol.
+in the same nodal norm and stops once RES <= tol.  Iterates are (2, N/2+1)
+half spectra (`spectral.half_spectrum`), over which the 2N-value nodal inner
+product is a Parseval sum: each mode weighted 2 for its conjugate partner,
+k = 0 and -N/2 weighted 1 (`spectral.nodal_inner`).
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .errors import DenominatorCollapseError, SingularModeError
 from .spectral import (
     ModelParams,
     SpectralGrid,
-    StatePair,
-    full_state,
     half_spectrum,
     nodal_inner,
     nodal_norm,
@@ -81,6 +82,9 @@ class IterationTrace:
     Petviashvili steps from extrapolated points; `inner_steps[i]` is the
     number of fixed-point solves performed before row i was recorded, so the
     residual history can be plotted against either solves or cycles.
+    `extrapolations` splits the "extrapolated" rows into those accepted and
+    rejected by the residual guard, and counts the cycles skipped for a
+    degenerate coefficient sum, which leave no row.
     """
 
     residuals: list[float] = field(default_factory=list)
@@ -89,6 +93,8 @@ class IterationTrace:
     inner_steps: list[int] = field(default_factory=list)
     converged: bool = False
     iterations_used: int = 0
+    extrapolations: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(("accepted", "rejected", "skipped"), 0))
 
     def append(self, residual: float, m: float, phase: str, inner: int) -> None:
         self.residuals.append(float(residual))
@@ -99,8 +105,14 @@ class IterationTrace:
 
 @lru_cache(maxsize=None)
 def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
-    """Per-mode entries of S and its determinant, with the singularity check."""
-    g = symbol_g(params, grid.wavenumbers)
+    """Half-spectrum tables of S (S z = diag * z + off * z[::-1]) and of 1/det S,
+    with the singularity check; g is even, so k = 0..N/2 holds every |k|.
+
+    Stored complex, as numpy casts a real factor in a complex product anyway
+    (and divides a complex array by a real one as a product with 1/det).
+    """
+    k = grid.wavenumbers[: grid.n_modes // 2 + 1]
+    g = symbol_g(params, k)
     a = params.alpha
     s11 = -c * (1.0 + g)
     s12 = (1.0 + (a - 1.0) / a * g) / params.gamma
@@ -111,30 +123,27 @@ def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
     bad = np.abs(det) <= floor
     if np.any(bad):
         i = int(np.argmin(np.abs(det) - floor))
-        raise SingularModeError(grid.wavenumbers[i], det[i])
-    return s11, s12, s21, s22, det
+        raise SingularModeError(k[i], det[i])
+    return tuple(np.array(t, dtype=complex) for t in ((s11, s22), (s12, s21), 1.0 / det))
 
 
-def apply_S(params: ModelParams, grid: SpectralGrid, c: float, z: StatePair) -> StatePair:
-    s11, s12, s21, s22, _ = _S_tables(params, grid, c)
-    return StatePair(s11 * z.zeta_hat + s12 * z.u_hat, s21 * z.zeta_hat + s22 * z.u_hat)
+def apply_S(params: ModelParams, grid: SpectralGrid, c: float, z: np.ndarray) -> np.ndarray:
+    diag, off, _ = _S_tables(params, grid, c)
+    return diag * z + off * z[::-1]
 
 
-def solve_S(params: ModelParams, grid: SpectralGrid, c: float, rhs: StatePair) -> StatePair:
+def solve_S(params: ModelParams, grid: SpectralGrid, c: float, rhs: np.ndarray) -> np.ndarray:
     """Apply S(ktilde)^{-1} mode by mode (closed-form 2x2 inversion)."""
-    s11, s12, s21, s22, det = _S_tables(params, grid, c)
-    zeta = (s22 * rhs.zeta_hat - s12 * rhs.u_hat) / det
-    u = (-s21 * rhs.zeta_hat + s11 * rhs.u_hat) / det
-    return StatePair(zeta, u)
+    diag, off, inv_det = _S_tables(params, grid, c)
+    return (diag[::-1] * rhs - off * rhs[::-1]) * inv_det
 
 
-def nonlinearity_F(params: ModelParams, grid: SpectralGrid, z: StatePair) -> StatePair:
+def nonlinearity_F(params: ModelParams, grid: SpectralGrid, z: np.ndarray) -> np.ndarray:
     """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the evolver."""
-    scale = np.array([[params.gamma], [2.0 * params.gamma]])
-    return full_state(quadratic_terms(grid, half_spectrum(z)) / scale)
+    return quadratic_terms(grid, z) * np.array([[1.0 / params.gamma], [0.5 / params.gamma]])
 
 
-def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig) -> StatePair:
+def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig) -> np.ndarray:
     """Initial iterate: zeta = A sech^2(lambda x), u = (1-gamma) zeta / c.
 
     The u component comes from the second (algebraic) equation of the
@@ -144,12 +153,12 @@ def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig
     with np.errstate(over="ignore"):
         zeta = config.seed_amplitude / np.cosh(config.seed_width * grid.nodes) ** 2
     u = (1.0 - params.gamma) * zeta / config.speed
-    return state_from_nodal(grid, zeta, u)
+    return half_spectrum(state_from_nodal(grid, zeta, u))
 
 
 def evaluate_iterate(
-    params: ModelParams, grid: SpectralGrid, c: float, z: StatePair
-) -> tuple[StatePair, float, float]:
+    params: ModelParams, grid: SpectralGrid, c: float, z: np.ndarray
+) -> tuple[np.ndarray, float, float]:
     """F(Z), the stabilizing factor m, and the residual RES at iterate Z."""
     sz = apply_S(params, grid, c, z)
     fz = nonlinearity_F(params, grid, z)
@@ -166,8 +175,7 @@ def evaluate_iterate(
 
 
 def petviashvili_step(
-    params: ModelParams, grid: SpectralGrid, c: float, fz: StatePair, m: float
-) -> StatePair:
+    params: ModelParams, grid: SpectralGrid, c: float, fz: np.ndarray, m: float
+) -> np.ndarray:
     """Solve S Z_next = m^2 F(Z); the exponent 2 is fixed by the quadratic nonlinearity."""
     return solve_S(params, grid, c, (m * m) * fz)
-

@@ -20,9 +20,11 @@ Conventions used throughout the package
   real-even or odd-imaginary multipliers, the per-mode 2x2 solve, real affine
   combinations) keeps it exact, so no solver re-symmetrizes its state.
   ``translate`` projects its own output, as the ``-N/2`` mode has no partner.
-* The evolver holds the half spectrum: the first ``N/2+1`` entries (modes
-  ``0..N/2-1`` and ``-N/2``) of zeta_hat and u_hat as one ``(2, N/2+1)``
-  array; ``full_state`` mirrors it back.  ``quadratic_terms`` splits the real
+* The evolver and the Petviashvili/MPE solver hold the half spectrum: the
+  first ``N/2+1`` entries (modes ``0..N/2-1`` and ``-N/2``) of zeta_hat and
+  u_hat as one ``(2, N/2+1)`` array; ``full_state`` mirrors it back.  The
+  solver's ``nodal_inner`` is the weighted Parseval sum over it (weight 1 at
+  ``k = 0`` and ``-N/2``, 2 elsewhere).  ``quadratic_terms`` splits the real
   ``-N/2`` input coefficient in halves between ``-N/2`` and ``+N/2`` and
   leaves the ``-N/2`` output slot zero.
 
@@ -126,19 +128,8 @@ class StatePair:
     zeta_hat: np.ndarray
     u_hat: np.ndarray
 
-    def copy(self) -> "StatePair":
-        return StatePair(self.zeta_hat.copy(), self.u_hat.copy())
-
-    def __add__(self, other: "StatePair") -> "StatePair":
-        return StatePair(self.zeta_hat + other.zeta_hat, self.u_hat + other.u_hat)
-
     def __sub__(self, other: "StatePair") -> "StatePair":
         return StatePair(self.zeta_hat - other.zeta_hat, self.u_hat - other.u_hat)
-
-    def __mul__(self, s: float) -> "StatePair":
-        return StatePair(s * self.zeta_hat, s * self.u_hat)
-
-    __rmul__ = __mul__
 
 
 # ----------------------------------------------------------------------------
@@ -360,17 +351,17 @@ def quadratic_terms(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
 # Inner products and norms
 # ----------------------------------------------------------------------------
 
-def nodal_inner(grid: SpectralGrid, a: StatePair, b: StatePair) -> float:
-    """Euclidean inner product of the stacked 2N nodal values.
-
-    Evaluated in coefficient space via Parseval with the forward-divides-by-N
-    normalization: sum_j a_j b_j = N * sum_k a_hat conj(b_hat).
+def nodal_inner(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean inner product of the stacked 2N nodal values of two real
+    states, from their half spectra: by Parseval, N * Re sum_k a_hat conj(b_hat)
+    over all N modes, where the conjugate modes -k double 1..N/2-1.
     """
-    s = np.vdot(b.zeta_hat, a.zeta_hat) + np.vdot(b.u_hat, a.u_hat)
+    h = grid.n_modes // 2
+    s = 2.0 * np.vdot(b, a) - np.vdot(b[:, ::h], a[:, ::h])
     return grid.n_modes * s.real
 
 
-def nodal_norm(grid: SpectralGrid, a: StatePair) -> float:
+def nodal_norm(grid: SpectralGrid, a: np.ndarray) -> float:
     return float(np.sqrt(max(nodal_inner(grid, a, a), 0.0)))
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,9 +13,19 @@ from ilwbo import (
     StatePair,
     cycled_solve,
 )
-from ilwbo.solitary import apply_S, nonlinearity_F
+from ilwbo.accel import RESIDUAL_GUARD, SUM_FLOOR, mpe_extrapolate
+from ilwbo.errors import DegenerateSumError, DenominatorCollapseError, NonConvergenceError
+from ilwbo.solitary import (
+    DENOMINATOR_FLOOR,
+    IterationTrace,
+    apply_S,
+    nonlinearity_F,
+    seed_profile,
+)
 from ilwbo.spectral import (
     derivative_symbol,
+    full_state,
+    half_spectrum,
     hermitian_symmetrize,
     nodal_norm,
     projected_product,
@@ -131,7 +143,8 @@ def assemble_S_mode(params, c, ktilde):
     )
 
 
-def residual_norm(params, grid, c, z):
+def residual_norm(params, grid, c, state):
+    z = half_spectrum(state)
     return nodal_norm(grid, apply_S(params, grid, c, z) - nonlinearity_F(params, grid, z))
 
 
@@ -175,10 +188,113 @@ def reference_rhs(params, grid, state):
 
 
 def reference_step(params, grid, state, dt):
-    """Classical RK4 on the full-length StatePair: an oracle for `evolve`,
-    which steps the half spectrum."""
-    k1 = reference_rhs(params, grid, state)
-    k2 = reference_rhs(params, grid, state + (0.5 * dt) * k1)
-    k3 = reference_rhs(params, grid, state + (0.5 * dt) * k2)
-    k4 = reference_rhs(params, grid, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """Classical RK4 on the full-length state: an oracle for `evolve`, which
+    steps the half spectrum."""
+    def rhs(y):
+        out = reference_rhs(params, grid, StatePair(y[0], y[1]))
+        return np.stack((out.zeta_hat, out.u_hat))
+
+    y = np.stack((state.zeta_hat, state.u_hat))
+    k1 = rhs(y)
+    k2 = rhs(y + (0.5 * dt) * k1)
+    k3 = rhs(y + (0.5 * dt) * k2)
+    k4 = rhs(y + dt * k3)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return StatePair(y[0], y[1])
+
+
+# The full-length Petviashvili/MPE solve: an oracle for `cycled_solve`, which
+# iterates on the half spectrum.  States are (2, N) coefficient arrays, the
+# nodal inner product is the plain N * Re vdot over all N modes, and MPE
+# solves its least-squares problem on the 4N real parts.
+
+@functools.lru_cache(maxsize=None)
+def reference_S_tables(params, grid, c):
+    g = symbol_g(params, grid.wavenumbers)
+    a = params.alpha
+    s11 = -c * (1.0 + g)
+    s12 = (1.0 + (a - 1.0) / a * g) / params.gamma
+    s21 = np.full_like(g, 1.0 - params.gamma)
+    s22 = np.full_like(g, -c)
+    return s11, s12, s21, s22, s11 * s22 - s12 * s21
+
+
+def reference_inner(grid, a, b):
+    return grid.n_modes * (np.vdot(b[0], a[0]) + np.vdot(b[1], a[1])).real
+
+
+def reference_evaluate_iterate(params, grid, c, z):
+    s11, s12, s21, s22, _ = reference_S_tables(params, grid, c)
+    sz = np.stack((s11 * z[0] + s12 * z[1], s21 * z[0] + s22 * z[1]))
+    f = full_state(nonlinearity_F(params, grid, z[:, : grid.n_modes // 2 + 1]))
+    fz = np.stack((f.zeta_hat, f.u_hat))
+    num, den = reference_inner(grid, sz, z), reference_inner(grid, fz, z)
+    if abs(den) < DENOMINATOR_FLOOR * reference_inner(grid, z, z):
+        raise DenominatorCollapseError("<F(Z), Z> is negligible")
+    d = sz - fz
+    return fz, num / den, float(np.sqrt(max(reference_inner(grid, d, d), 0.0)))
+
+
+def reference_petviashvili_step(params, grid, c, fz, m):
+    s11, s12, s21, s22, det = reference_S_tables(params, grid, c)
+    r = (m * m) * fz
+    return np.stack(((s22 * r[0] - s12 * r[1]) / det, (-s21 * r[0] + s11 * r[1]) / det))
+
+
+def reference_mpe_coefficients(window):
+    diffs = [np.concatenate([d[0].real, d[0].imag, d[1].real, d[1].imag])
+             for d in (b - a for a, b in zip(window[:-1], window[1:]))]
+    q = len(diffs) - 1
+    if all(not d.any() for d in diffs):
+        return np.eye(q + 1)[-1]
+    if q == 0:
+        return np.ones(1)
+    c_free, *_ = np.linalg.lstsq(np.stack(diffs[:-1], axis=1), -diffs[-1], rcond=None)
+    c = np.append(c_free, 1.0)
+    if abs(c.sum()) < SUM_FLOOR * np.max(np.abs(c)):
+        raise DegenerateSumError("coefficient sum is negligible")
+    return c / c.sum()
+
+
+def reference_cycled_solve(params, grid, config):
+    """The cycling loop on (2, N) arrays from the seed of `seed_profile`;
+    returns the final (2, N) iterate and its IterationTrace."""
+    c = config.speed
+    z = full_state(seed_profile(params, grid, config))
+    z = np.stack((z.zeta_hat, z.u_hat))
+    trace = IterationTrace()
+    solves = 0
+    fz, m, res = reference_evaluate_iterate(params, grid, c, z)
+    trace.append(res, m, "plain", solves)
+    if res <= config.tol:
+        trace.converged = True
+        return z, trace
+    while True:
+        window = [z]
+        for _ in range(config.mw):
+            if solves >= config.max_iter:
+                trace.iterations_used = solves
+                raise NonConvergenceError(trace, state=z)
+            z = reference_petviashvili_step(params, grid, c, fz, m)
+            solves += 1
+            fz, m, res = reference_evaluate_iterate(params, grid, c, z)
+            trace.append(res, m, "plain", solves)
+            if res <= config.tol:
+                trace.converged = True
+                trace.iterations_used = solves
+                return z, trace
+            window.append(z)
+        if config.mw == 1:
+            continue
+        try:
+            x = mpe_extrapolate(window, reference_mpe_coefficients(window))
+        except DegenerateSumError:
+            continue
+        fx, mx, res_x = reference_evaluate_iterate(params, grid, c, x)
+        trace.append(res_x, mx, "extrapolated", solves)
+        if res_x <= config.tol:
+            trace.converged = True
+            trace.iterations_used = solves
+            return x, trace
+        if res_x <= RESIDUAL_GUARD * res:
+            z, fz, m, res = x, fx, mx, res_x

@@ -3,26 +3,31 @@
 import numpy as np
 import pytest
 
-from ilwbo import SolitaryConfig, SpectralGrid
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid
 from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
 from ilwbo.errors import DegenerateSumError
-from ilwbo.spectral import state_to_nodal
+from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
+from ilwbo.spectral import full_state, half_spectrum, state_from_nodal, state_to_nodal
 
-from conftest import residual_norm, zero_state
+from conftest import (
+    reference_cycled_solve,
+    reference_mpe_coefficients,
+    residual_norm,
+    zero_state,
+)
 
 
 def embed(grid, vec):
-    """Embed a real vector into Hermitian-symmetric coefficient slots so that
-    StatePair arithmetic acts on it exactly like plain vector arithmetic."""
-    z = zero_state(grid)
-    for i, v in enumerate(vec):
-        z.zeta_hat[i + 1] = v
-        z.zeta_hat[-(i + 1)] = v
+    """Embed a real vector into paired-mode slots of a half spectrum, all of
+    the same Parseval weight, so that array arithmetic and the nodal norm act
+    on it exactly like plain vector arithmetic and the Euclidean norm."""
+    z = half_spectrum(zero_state(grid))
+    z[0, 1: len(vec) + 1] = vec
     return z
 
 
 def extract(grid, state, dim):
-    return np.array([state.zeta_hat[i + 1].real for i in range(dim)])
+    return state[0, 1: dim + 1].real
 
 
 class TestMpeCoefficients:
@@ -98,7 +103,7 @@ class TestMpeCoefficients:
     def test_window_too_short(self):
         grid = SpectralGrid(1.0, 8)
         with pytest.raises(ValueError):
-            mpe_coefficients([zero_state(grid)])
+            mpe_coefficients([half_spectrum(zero_state(grid))])
 
 
 class TestMpeExtrapolate:
@@ -187,3 +192,59 @@ class TestCycledSolve:
         final = residual_norm(ilw_params, wave_grid, config.speed, wave)
         plain_res = [r for r, ph in zip(trace.residuals, trace.phases) if ph == "plain"]
         assert final <= min(plain_res)
+
+
+def as_full(half):
+    state = full_state(half)
+    return np.stack((state.zeta_hat, state.u_hat))
+
+
+class TestMatchesFullLengthOracle:
+    """The half-spectrum solve against the full-length solve in conftest."""
+
+    def test_mpe_coefficients_on_random_windows(self):
+        grid = SpectralGrid(8.0, 256)
+        rng = np.random.default_rng(3)
+        for size in (3, 4, 5, 6):
+            window = [half_spectrum(state_from_nodal(grid, rng.standard_normal(256),
+                                                     rng.standard_normal(256)))
+                      for _ in range(size)]
+            gammas = mpe_coefficients(window)
+            want = reference_mpe_coefficients([as_full(z) for z in window])
+            assert np.max(np.abs(gammas - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("params, c", [(ModelParams(0.8, 1.2, BO), 0.57),
+                                           (ModelParams(0.8, 1.2, ILW), 0.40)])
+    def test_mpe_coefficients_on_petviashvili_windows(self, wave_grid, params, c):
+        config = SolitaryConfig(speed=c)
+        window = [seed_profile(params, wave_grid, config)]
+        for _ in range(5):
+            fz, m, _ = evaluate_iterate(params, wave_grid, c, window[-1])
+            window.append(petviashvili_step(params, wave_grid, c, fz, m))
+        for size in (3, 4, 6):
+            gammas = mpe_coefficients(window[:size])
+            want = reference_mpe_coefficients([as_full(z) for z in window[:size]])
+            assert np.max(np.abs(gammas - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("params, c", [(ModelParams(0.8, 1.2, BO), 0.57),
+                                           (ModelParams(0.8, 1.2, ILW), 0.40)])
+    @pytest.mark.parametrize("mw", [1, 2, 4])
+    def test_cycled_solve(self, wave_grid, params, c, mw):
+        # seed_width 0.5: the CLI default, which the desk's accel block and
+        # the benchmark's solitary sweep run with
+        config = SolitaryConfig(speed=c, tol=1e-10, max_iter=500, mw=mw, seed_width=0.5)
+        wave, trace = cycled_solve(params, wave_grid, config)
+        want, want_trace = reference_cycled_solve(params, wave_grid, config)
+        assert trace.converged and want_trace.converged
+        assert trace.iterations_used == want_trace.iterations_used
+        assert trace.phases == want_trace.phases
+        assert trace.inner_steps == want_trace.inner_steps
+        got = np.stack((wave.zeta_hat, wave.u_hat))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        residual_gap = np.abs(np.subtract(trace.residuals, want_trace.residuals))
+        assert np.max(residual_gap) <= 1e-12 * want_trace.residuals[0]
+        if mw > 1:
+            extrapolated = trace.phases.count("extrapolated")
+            counts = trace.extrapolations
+            assert extrapolated > 0 and counts["skipped"] == 0
+            assert counts["accepted"] + counts["rejected"] == extrapolated

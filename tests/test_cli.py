@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
+import csv
 import dataclasses
 import inspect
 import json
@@ -7,15 +8,16 @@ import math
 import os
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilwbo import ILW, EvolutionConfig, ModelParams, SolitaryConfig, SpectralGrid, cli
+from ilwbo import ILW, EvolutionConfig, ModelParams, SolitaryConfig, SpectralGrid, accel, cli
 from ilwbo.cli import main
-from ilwbo.errors import DenominatorCollapseError
+from ilwbo.errors import DegenerateSumError, DenominatorCollapseError
 from ilwbo.evolution import max_stable_dt
 from ilwbo.spectral import symbol_g
 
@@ -303,6 +305,17 @@ DIVERGING_EVOLVE = dict(EVOLVE_CFG, l=16.0, dt=0.1, initial={
     "kind": "gaussian", "amplitude": 50.0, "width": 1.0})
 
 
+ROUNDTRIP_BLOCK = {
+    "kind": "roundtrip", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+    "c": 0.57, "l": 32.0, "N": 256, "t_end": 0.1, "dt": 0.01,
+}
+
+
+def trace_rows(out_dir):
+    with open(out_dir / "trace.csv") as handle:
+        return list(csv.DictReader(handle))
+
+
 def listed_outputs_are_on_disk(out_dir):
     """The manifest lists exactly the files the run left in the output directory."""
     on_disk = {p for p in os.listdir(out_dir) if p != "manifest.json"}
@@ -363,6 +376,78 @@ class TestOutcomes:
         code, out_dir = run_cli(tmp_path, "verify", cfg)
         assert code == 2
         assert "resolutions" in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("evolve", {k: v for k, v in dict(EVOLVE_CFG, dt=1e-320).items()
+                                if k != "record_every"}, id="evolve"),
+        pytest.param("verify", {"experiments": [dict(CONVERGENCE_BLOCK, dt=1e-320)]},
+                     id="convergence"),
+        pytest.param("verify", {"experiments": [dict(ROUNDTRIP_BLOCK, dt=1e-320)]},
+                     id="roundtrip"),
+    ])
+    def test_step_so_small_that_the_step_count_overflows(self, tmp_path, capsys, command, cfg):
+        code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "dt=1e-320" in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    @pytest.mark.parametrize("key, value", [("seed_amplitude", 1e300), ("c", 1e-300)])
+    def test_diverging_solve_stops_at_the_first_non_finite_residual(
+            self, tmp_path, capsys, key, value):
+        cfg = dict(SOLITARY_CFG, l=64.0, **{key: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_dir = run_cli(tmp_path, "solitary", cfg)
+        assert code == 4
+        assert "Warning" not in capsys.readouterr().err
+
+        def reject(constant):
+            raise ValueError(f"manifest holds {constant}, which is not JSON")
+
+        manifest = json.loads((out_dir / "manifest.json").read_text(), parse_constant=reject)
+        assert manifest["termination"] == "diverged"
+        assert manifest["last_residual"] is None
+        assert manifest["outputs"] == ["trace.csv"]
+        rows = trace_rows(out_dir)
+        assert len(rows) == manifest["iterations"] + 1
+        assert not math.isfinite(float(rows[-1]["residual"]))
+        assert all(math.isfinite(float(r["residual"])) for r in rows[:-1])
+
+    @pytest.mark.parametrize("max_iter, exit_code", [(500, 0), (6, 4)])
+    def test_extrapolation_counts_match_the_trace(self, tmp_path, max_iter, exit_code):
+        code, out_dir = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, mw=2, max_iter=max_iter))
+        assert code == exit_code
+        counts = read_manifest(out_dir)["extrapolations"]
+        rows = trace_rows(out_dir)
+        pairs = [(prev, row) for prev, row in zip(rows, rows[1:]) if row["phase"] == "extrapolated"]
+        assert counts["accepted"] + counts["rejected"] == len(pairs) > 0
+        # accepted: the point does not raise the residual of the plain iterate before it
+        assert counts["accepted"] == sum(float(row["residual"]) <= float(prev["residual"])
+                                         for prev, row in pairs)
+        assert counts["skipped"] == 0
+
+    def test_degenerate_sums_are_counted_as_skipped(self, tmp_path, monkeypatch):
+        def degenerate(window):
+            raise DegenerateSumError("coefficient sum vanished")
+
+        monkeypatch.setattr(accel, "mpe_coefficients", degenerate)
+        code, out_dir = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, mw=2))
+        assert code == 0
+        manifest = read_manifest(out_dir)
+        solves = manifest["iterations"]
+        # every full cycle of two solves skips its extrapolation; the last
+        # cycle ends at the converged solve
+        assert manifest["extrapolations"] == {"accepted": 0, "rejected": 0,
+                                              "skipped": (solves - 1) // 2}
+        assert all(row["phase"] == "plain" for row in trace_rows(out_dir))
+
+    def test_empty_mw_list(self, tmp_path, capsys):
+        block = {"kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.57, "l": 16.0, "N": 64, "mw_list": []}
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        assert code == 2
+        assert "experiments[0].mw_list" in capsys.readouterr().err
         assert read_manifest(out_dir)["exit_status"] == 2
 
     def test_solitary_nan_speed(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, harness
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, harness
 from ilwbo.errors import WindowUnderflowError
 from ilwbo.harness import (
     acceleration_benchmark,
@@ -203,7 +203,7 @@ class TestAccelerationBenchmark:
 class TestStateDistance:
     def test_same_grid_reduces_to_norm(self, wave_grid, bo_wave):
         _, wave, _ = bo_wave
-        other = 1.1 * wave
+        other = StatePair(1.1 * wave.zeta_hat, 1.1 * wave.u_hat)
         d = state_l2_distance(wave_grid, wave, wave_grid, other)
         expected = state_l2_norm(wave_grid, other - wave)
         # distance sums the component norms; both vanish together

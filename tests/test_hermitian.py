@@ -102,8 +102,9 @@ def test_solver_iterates_stay_hermitian():
         fz, m, _ = evaluate_iterate(BO_P, grid, config.speed, z)
         z = petviashvili_step(BO_P, grid, config.speed, fz, m)
         window.append(z)
-    assert_state_exactly_hermitian(*window)
-    assert_state_exactly_hermitian(mpe_extrapolate(window, mpe_coefficients(window)))
+    # a half spectrum is Hermitian once mirrored iff its k = 0 and -N/2 entries are real
+    assert_state_exactly_hermitian(*map(full_state, window))
+    assert_state_exactly_hermitian(full_state(mpe_extrapolate(window, mpe_coefficients(window))))
     wave, trace = cycled_solve(BO_P, grid, config)
     assert trace.converged and "extrapolated" in trace.phases
     assert_state_exactly_hermitian(wave)

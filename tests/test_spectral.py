@@ -13,8 +13,10 @@ from ilwbo.spectral import (
     half_spectrum,
     hermitian_symmetrize,
     l2_norm,
+    nodal_inner,
     projected_product,
     quadratic_terms,
+    state_from_nodal,
     symbol_J,
     symbol_T,
     symbol_g,
@@ -346,3 +348,19 @@ class TestTranslate:
         c = random_hermitian(grid, np.random.default_rng(13))
         out = translate(grid, c, 0.7137)
         assert l2_norm(grid, out) == pytest.approx(l2_norm(grid, c), rel=1e-13)
+
+
+class TestNodalInner:
+    @pytest.mark.parametrize("n", [8, 16, 64, 256, 1024, 4096, 16384])
+    def test_half_spectrum_sum_equals_full_length_parseval(self, n):
+        # states of random real nodal data: Hermitian, with a nonzero real -N/2 mode
+        grid = SpectralGrid(3.0, n)
+        rng = np.random.default_rng(n)
+        a, b = (state_from_nodal(grid, rng.standard_normal(n), rng.standard_normal(n))
+                for _ in range(2))
+        full_a, full_b = (np.stack((s.zeta_hat, s.u_hat)) for s in (a, b))
+        full = n * np.vdot(full_b, full_a).real
+        half = nodal_inner(grid, half_spectrum(a), half_spectrum(b))
+        # |<a, b>| <= N ||a|| ||b||; the two sums differ only in rounding
+        scale = n * np.linalg.norm(full_a) * np.linalg.norm(full_b)
+        assert abs(half - full) <= 1e-14 * scale
