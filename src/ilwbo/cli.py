@@ -53,12 +53,12 @@ from .harness import (
     traveling_wave_roundtrip,
 )
 from .io_utils import (
+    SnapshotWriter,
     read_profile_csv,
     write_acceleration_table,
     write_convergence_report,
     write_decay_fit,
     write_json,
-    write_snapshots,
     write_trace_csv,
     write_wave_csv,
 )
@@ -276,8 +276,12 @@ def cmd_evolve(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[
         record_every=cfg["record_every"],
         cfl_guard=cfg["cfl_guard"],
     )
-    record = evolve(params, grid, _initial_state(cfg["initial"], grid), config)
-    files += write_snapshots(out_dir, grid, params, record)
+    initial = _initial_state(cfg["initial"], grid)
+    writer = SnapshotWriter(out_dir, grid, params)
+    try:  # a failed run keeps the snapshots it took, with their manifest
+        record = evolve(params, grid, initial, config, sink=writer.write)
+    finally:
+        files += writer.close()
     if not quiet:
         print(f"evolve: wrote {len(files)} files to {out_dir}")
     return EXIT_OK, {"snapshots": len(record.times)}
@@ -512,8 +516,6 @@ def main(argv=None) -> int:
         extra = {"error": error}
     except StepFailureError as err:
         code, error = EXIT_NUMERICAL, f"{args.command}: {err}"
-        if err.record is not None:  # keep the snapshots taken before the failure
-            files += write_snapshots(args.out, _grid(config), _model(config), err.record)
         extra = {"failing_time": err.time, "error": str(err)}
     except NonConvergenceError as err:
         code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"

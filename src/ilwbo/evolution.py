@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -60,7 +61,8 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionRecord:
-    """Snapshots at the output stride plus per-step zero-mode audit trail."""
+    """Snapshots at the output stride plus per-step zero-mode audit trail;
+    `states` is empty when `evolve` handed the snapshots to a sink."""
 
     times: list[float]
     states: list[StatePair]
@@ -133,13 +135,16 @@ def evolve(
     grid: SpectralGrid,
     initial: StatePair,
     config: EvolutionConfig,
+    sink: Callable[[float, StatePair], None] | None = None,
 ) -> EvolutionRecord:
     """March the semidiscrete system to t_end, recording snapshots.
 
     `initial` must be Hermitian, as every `state_from_nodal` state is: only
     its half spectrum is stepped.
-    Snapshots are stored every `record_every` steps (plus the initial and
-    final states); the k = 0 coefficients are stored at every step so mean
+    Snapshots are taken every `record_every` steps (plus the initial and
+    final states) and stored, or, given a `sink`, handed to `sink(t, state)`
+    and not stored, so that the run holds O(N) memory whatever its snapshot
+    count.  The k = 0 coefficients are stored at every step so mean
     conservation can be audited at full resolution.  A failing step raises
     StepFailureError with the record up to the last good step.
     """
@@ -157,7 +162,9 @@ def evolve(
     n_steps = n_full + (1 if remainder else 0)
 
     y, t = half_spectrum(initial), 0.0
-    times, states = [0.0], [full_state(y)]
+    times, states = [0.0], []
+    take = sink if sink is not None else lambda _, state: states.append(state)
+    take(0.0, full_state(y))
     step_times, zm_zeta, zm_u = [0.0], [y[0, 0]], [y[1, 0]]
 
     def record() -> EvolutionRecord:
@@ -176,7 +183,7 @@ def evolve(
         zm_u.append(y[1, 0])
         if i % config.record_every == 0 or i == n_steps:
             times.append(t)
-            states.append(full_state(y))
+            take(t, full_state(y))
 
     return record()
 

@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +103,65 @@ def write_trace_csv(path: str, trace: IterationTrace) -> None:
     )
 
 
+def write_snapshot_csv(path: str, t: float, x_blocks: Sequence[str], zeta, u) -> None:
+    """One t,x,zeta,u CSV; `x_blocks` is the x column formatted CSV_BLOCK_ROWS
+    values at a time, each block one newline-joined string."""
+    t_text = fmt(t)
+    with _atomic_open(path) as handle:
+        handle.write("t,x,zeta,u\n")
+        for i, x_block in enumerate(x_blocks):
+            rows = slice(i * CSV_BLOCK_ROWS, (i + 1) * CSV_BLOCK_ROWS)
+            block = zip(repeat(t_text), x_block.split("\n"),
+                        _format_column(zeta[rows]), _format_column(u[rows]))
+            handle.write("\n".join(map(",".join, block)) + "\n")
+
+
+class SnapshotWriter:
+    """Writes each state it is given as one t,x,zeta,u CSV, at once and
+    atomically; `close` writes the manifest naming them all.
+
+    The caller owns the writer: pass `write` as `evolve`'s sink so no state is
+    held, and call `close` also when the run fails, so the files written so
+    far keep their manifest.  A writer that was given no state writes nothing.
+    """
+
+    def __init__(self, out_dir: str, grid: SpectralGrid, params, prefix: str = "snapshot"):
+        self.out_dir, self.grid, self.params, self.prefix = out_dir, grid, params, prefix
+        # x is the same in every file: formatted once, and held as one string
+        # per block, since a list of N short strings costs ~70 bytes a node
+        self.x_blocks = ["\n".join(_format_column(grid.nodes[start:start + CSV_BLOCK_ROWS]))
+                         for start in range(0, grid.n_modes, CSV_BLOCK_ROWS)]
+        self.times: list[float] = []
+        self.files: list[str] = []
+
+    def write(self, t: float, state: StatePair) -> None:
+        zeta, u = state_to_nodal(self.grid, state)
+        name = f"{self.prefix}_{len(self.files):04d}.csv"
+        write_snapshot_csv(os.path.join(self.out_dir, name), t, self.x_blocks, zeta, u)
+        self.times.append(t)
+        self.files.append(name)
+
+    def close(self) -> list[str]:
+        """Write the manifest; return the snapshot files and the manifest's name."""
+        if not self.files:
+            return []
+        manifest = f"{self.prefix}s_manifest.json"
+        write_json(
+            os.path.join(self.out_dir, manifest),
+            {
+                "files": self.files,
+                "times": [float(t) for t in self.times],
+                "grid": {"half_length": self.grid.half_length, "n_modes": self.grid.n_modes},
+                "params": {
+                    "gamma": self.params.gamma,
+                    "alpha": self.params.alpha,
+                    "regime": self.params.regime,
+                },
+            },
+        )
+        return self.files + [manifest]
+
+
 def write_snapshots(
     out_dir: str,
     grid: SpectralGrid,
@@ -109,32 +169,11 @@ def write_snapshots(
     record,
     prefix: str = "snapshot",
 ) -> list[str]:
-    """One t,x,zeta,u CSV per snapshot plus a manifest naming them all."""
-    files = []
-    for i, (t, state) in enumerate(zip(record.times, record.states)):
-        zeta, u = state_to_nodal(grid, state)
-        name = f"{prefix}_{i:04d}.csv"
-        write_csv(
-            os.path.join(out_dir, name),
-            ["t", "x", "zeta", "u"],
-            [np.full(grid.n_modes, t), grid.nodes, zeta, u],
-        )
-        files.append(name)
-    write_json(
-        os.path.join(out_dir, f"{prefix}s_manifest.json"),
-        {
-            "files": files,
-            "times": [float(t) for t in record.times],
-            "grid": {"half_length": grid.half_length, "n_modes": grid.n_modes},
-            "params": {
-                "gamma": params.gamma,
-                "alpha": params.alpha,
-                "regime": params.regime,
-            },
-        },
-    )
-    files.append(f"{prefix}s_manifest.json")
-    return files
+    """One t,x,zeta,u CSV per held snapshot of `record` plus a manifest naming them all."""
+    writer = SnapshotWriter(out_dir, grid, params, prefix)
+    for t, state in zip(record.times, record.states):
+        writer.write(t, state)
+    return writer.close()
 
 
 # ----------------------------------------------------------------------------

@@ -51,9 +51,13 @@ def test_output_matches_benchmark_reference(tmp_path, workload, key):
     assert verdict.failure is None, (verdict.failure, verdict.notes)
 
 
-def test_layer_ladder_kernels_run():
+def test_layer_ladder_kernels_run(tmp_path):
     # what `perfbench/run.py --trace 1` calls besides the timed kernels
     assert isinstance(ladder.spectral._fft_workers, int)
     assert ladder.product_bytes(256) > 0
     for kernel in ladder._kernels(256).values():
         kernel()
+    # the snapshot rung builds an EvolutionRecord positionally for write_snapshots
+    out = {}
+    ladder._io_rung(tmp_path, out)
+    assert out["io_utils.snapshot_ms.N4096"] > 0

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,6 +323,30 @@ def listed_outputs_are_on_disk(out_dir):
     return on_disk == set(read_manifest(out_dir)["outputs"])
 
 
+# The benchmark's evolve-snapshots run: N = 4096, 100 RK4 steps.
+SNAPSHOT_EVOLVE = dict(EVOLVE_CFG, l=256.0, N=4096, dt=0.0625, t_end=6.25, initial={
+    "kind": "sech2", "amplitude": 0.2, "width": 0.8})
+
+
+def evolve_peak_bytes(tmp_path, record_every):
+    """tracemalloc's peak over one `ilwbo evolve` of SNAPSHOT_EVOLVE."""
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, "evolve", dict(SNAPSHOT_EVOLVE, record_every=record_every),
+                          out=f"every{record_every}")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_evolve_memory_does_not_grow_with_the_snapshot_count(tmp_path):
+    # snapshots are written as they are taken, so 101 of them cost what 11 do
+    run_cli(tmp_path, "evolve", dict(SNAPSHOT_EVOLVE, t_end=0.0625), out="warm-up")
+    assert evolve_peak_bytes(tmp_path, 1) <= 1.5 * evolve_peak_bytes(tmp_path, 10)
+
+
 class TestOutcomes:
     """Inputs that once escaped as tracebacks, and the exit code each maps to."""
 
@@ -329,6 +354,17 @@ class TestOutcomes:
         code, out_dir = run_cli(tmp_path, "evolve", dict(DIVERGING_EVOLVE, t_end=1e12))
         assert code == 3
         assert read_manifest(out_dir)["exit_status"] == 3
+
+    @pytest.mark.parametrize("cfg, n_outputs", [
+        pytest.param(dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1), 12, id="step-failure"),
+        pytest.param(dict(EVOLVE_CFG, dt=5.0), 0, id="step-guard"),  # fails before any snapshot
+    ])
+    def test_failed_evolve_leaves_only_its_listed_files(self, tmp_path, cfg, n_outputs):
+        code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert code != 0
+        assert len(read_manifest(out_dir)["outputs"]) == n_outputs
+        assert not list(out_dir.glob("*.tmp"))
+        assert listed_outputs_are_on_disk(out_dir)
 
     def test_step_failure_keeps_earlier_snapshots(self, tmp_path):
         cfg = dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1)
@@ -460,10 +496,11 @@ class TestOutcomes:
         assert code == 2
         assert "'t_end'" in capsys.readouterr().err
 
-    def test_underflowing_seed_amplitude(self, tmp_path):
+    def test_underflowing_seed_amplitude(self, tmp_path, capsys):
         code, out_dir = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, seed_amplitude=1e-200))
         assert code == 2
         assert read_manifest(out_dir)["exit_status"] == 2
+        assert "norm underflows to 0: seed_amplitude is too small" in capsys.readouterr().err
 
     def test_denominator_collapse_exits_four(self, tmp_path, monkeypatch):
         def collapse(*args, **kwargs):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from ilwbo import BO, ModelParams, SpectralGrid
-from ilwbo.evolution import EvolutionRecord
+from ilwbo.evolution import EvolutionConfig, EvolutionRecord, evolve
 from ilwbo.harness import AccelRow, ConvergenceReport, sech2_state
 from ilwbo.io_utils import (
     CSV_BLOCK_ROWS,
+    SnapshotWriter,
     write_acceleration_table,
     write_convergence_report,
     write_csv,
@@ -78,18 +79,38 @@ class TestWriteCsv:
 class TestReportWriters:
     def test_snapshots_match_row_writer(self, tmp_path):
         params = ModelParams(0.8, 1.2, BO)
-        grid = SpectralGrid(64.0, 1024)
-        state = sech2_state(0.2, 0.8)(grid)
-        times = [0.0, 0.0625, 3]  # an int end time is written as given
-        record = EvolutionRecord(times, [state] * 3, np.zeros(3), np.zeros(3, complex),
-                                 np.zeros(3, complex))
-        write_snapshots(str(tmp_path), grid, params, record)
-        zeta, u = state_to_nodal(grid, state)
-        for i, t in enumerate(times):
-            oracle = tmp_path / f"oracle_{i}.csv"
-            row_writer(str(oracle), ["t", "x", "zeta", "u"],
-                       zip([t] * grid.n_modes, grid.nodes, zeta, u))
-            assert read_bytes(tmp_path / f"snapshot_{i:04d}.csv") == read_bytes(oracle)
+        for n in (1024, 2 * CSV_BLOCK_ROWS + 38):  # one block; two full blocks and a part
+            grid = SpectralGrid(64.0, n)
+            state = sech2_state(0.2, 0.8)(grid)
+            times = [0.0, 0.0625, 3]  # an int end time is written as given
+            record = EvolutionRecord(times, [state] * 3, np.zeros(3), np.zeros(3, complex),
+                                     np.zeros(3, complex))
+            out = tmp_path / f"N{n}"
+            write_snapshots(str(out), grid, params, record)
+            zeta, u = state_to_nodal(grid, state)
+            for i, t in enumerate(times):
+                oracle = tmp_path / f"oracle_{i}.csv"
+                row_writer(str(oracle), ["t", "x", "zeta", "u"],
+                           zip([t] * grid.n_modes, grid.nodes, zeta, u))
+                assert read_bytes(out / f"snapshot_{i:04d}.csv") == read_bytes(oracle)
+
+    def test_streamed_snapshots_match_the_held_record(self, tmp_path):
+        params = ModelParams(0.8, 1.2, BO)
+        grid = SpectralGrid(16.0, 256)
+        initial = sech2_state(0.2, 0.8)(grid)
+        config = EvolutionConfig(t_end=0.33, dt=0.05, record_every=3)  # a short last step
+        held = evolve(params, grid, initial, config)
+        write_snapshots(str(tmp_path / "held"), grid, params, held)
+        writer = SnapshotWriter(str(tmp_path / "streamed"), grid, params)
+        streamed = evolve(params, grid, initial, config, sink=writer.write)
+        files = writer.close()
+        assert streamed.states == []
+        assert streamed.times == held.times and held.times[-1] == 0.33
+        assert len(held.states) == 4
+        assert np.array_equal(streamed.zero_mode_zeta, held.zero_mode_zeta)
+        assert sorted(os.listdir(tmp_path / "streamed")) == sorted(files)
+        for name in files:
+            assert read_bytes(tmp_path / "streamed" / name) == read_bytes(tmp_path / "held" / name)
 
     def test_convergence_and_acceleration_tables(self, tmp_path):
         report = ConvergenceReport([32, 64, 128], [1e-3, 2e-6, 3e-9], [8.9, 9.4], 256,
