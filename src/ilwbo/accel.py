@@ -113,6 +113,9 @@ def cycled_solve(
     """
     c = config.speed
     z = half_spectrum(seed) if seed is not None else seed_profile(params, grid, config)
+    if nodal_norm(grid, z) == 0.0:
+        raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
+                         if seed is None else "seed iterate must be nonzero")
 
     trace = IterationTrace()
     solves = 0
@@ -126,11 +129,8 @@ def cycled_solve(
             raise NonConvergenceError(trace, state=full_state(x))
         return fx, mx, res_x
 
-    # a huge seed or a diverging iterate overflows on its way to a non-finite residual
+    # a diverging iterate overflows on its way to a non-finite residual
     with np.errstate(over="ignore", invalid="ignore"):
-        if nodal_norm(grid, z) == 0.0:
-            raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
-                             if seed is None else "seed iterate must be nonzero")
         fz, m, res = evaluate(z, "plain")
         while not trace.converged:
             window = [z]

@@ -23,6 +23,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
@@ -278,10 +279,15 @@ def cmd_evolve(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[
     )
     initial = _initial_state(cfg["initial"], grid)
     writer = SnapshotWriter(out_dir, grid, params)
-    try:  # a failed run keeps the snapshots it took, with their manifest
+    try:
         record = evolve(params, grid, initial, config, sink=writer.write)
-    finally:
-        files += writer.close()
+    except BaseException:
+        # a failed run keeps the snapshots it took, with their manifest when
+        # that can be written; the run's own error is the one reported
+        with contextlib.suppress(OSError):
+            files += writer.close()
+        raise
+    files += writer.close()
     if not quiet:
         print(f"evolve: wrote {len(files)} files to {out_dir}")
     return EXIT_OK, {"snapshots": len(record.times)}

@@ -43,11 +43,10 @@ class DegenerateSumError(IlwboError):
 
 
 class StepFailureError(IlwboError):
-    """A time step produced non-finite values; `record` is the run up to the last good step."""
+    """A time step produced non-finite values; `time` is where that step would have ended."""
 
-    def __init__(self, message: str, time: float | None = None, record=None):
+    def __init__(self, message: str, time: float | None = None):
         self.time = time
-        self.record = record
         super().__init__(message)
 
 

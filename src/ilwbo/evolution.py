@@ -146,7 +146,7 @@ def evolve(
     and not stored, so that the run holds O(N) memory whatever its snapshot
     count.  The k = 0 coefficients are stored at every step so mean
     conservation can be audited at full resolution.  A failing step raises
-    StepFailureError with the record up to the last good step.
+    StepFailureError with the time it would have ended at.
     """
     dt_max = max_stable_dt(params, grid, config.cfl_guard)
     if abs(config.dt) > dt_max * (1.0 + 1e-12):
@@ -167,16 +167,12 @@ def evolve(
     take(0.0, full_state(y))
     step_times, zm_zeta, zm_u = [0.0], [y[0, 0]], [y[1, 0]]
 
-    def record() -> EvolutionRecord:
-        return EvolutionRecord(times, states, np.array(step_times),
-                               np.array(zm_zeta, dtype=complex), np.array(zm_u, dtype=complex))
-
     for i in range(1, n_steps + 1):
         h = config.dt if i <= n_full else remainder
         try:
             y = _rk4(params, grid, y, h)
         except StepFailureError as err:
-            raise StepFailureError(str(err), time=t + h, record=record()) from err
+            raise StepFailureError(str(err), time=t + h) from err
         t = i * config.dt if i <= n_full else config.t_end
         step_times.append(t)
         zm_zeta.append(y[0, 0])
@@ -185,7 +181,8 @@ def evolve(
             times.append(t)
             take(t, full_state(y))
 
-    return record()
+    return EvolutionRecord(times, states, np.array(step_times),
+                           np.array(zm_zeta, dtype=complex), np.array(zm_u, dtype=complex))
 
 
 def zero_mode_drift(record: EvolutionRecord) -> float:

@@ -11,7 +11,6 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -103,19 +102,6 @@ def write_trace_csv(path: str, trace: IterationTrace) -> None:
     )
 
 
-def write_snapshot_csv(path: str, t: float, x_blocks: Sequence[str], zeta, u) -> None:
-    """One t,x,zeta,u CSV; `x_blocks` is the x column formatted CSV_BLOCK_ROWS
-    values at a time, each block one newline-joined string."""
-    t_text = fmt(t)
-    with _atomic_open(path) as handle:
-        handle.write("t,x,zeta,u\n")
-        for i, x_block in enumerate(x_blocks):
-            rows = slice(i * CSV_BLOCK_ROWS, (i + 1) * CSV_BLOCK_ROWS)
-            block = zip(repeat(t_text), x_block.split("\n"),
-                        _format_column(zeta[rows]), _format_column(u[rows]))
-            handle.write("\n".join(map(",".join, block)) + "\n")
-
-
 class SnapshotWriter:
     """Writes each state it is given as one t,x,zeta,u CSV, at once and
     atomically; `close` writes the manifest naming them all.
@@ -127,17 +113,17 @@ class SnapshotWriter:
 
     def __init__(self, out_dir: str, grid: SpectralGrid, params, prefix: str = "snapshot"):
         self.out_dir, self.grid, self.params, self.prefix = out_dir, grid, params, prefix
-        # x is the same in every file: formatted once, and held as one string
-        # per block, since a list of N short strings costs ~70 bytes a node
-        self.x_blocks = ["\n".join(_format_column(grid.nodes[start:start + CSV_BLOCK_ROWS]))
-                         for start in range(0, grid.n_modes, CSV_BLOCK_ROWS)]
         self.times: list[float] = []
         self.files: list[str] = []
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)
         name = f"{self.prefix}_{len(self.files):04d}.csv"
-        write_snapshot_csv(os.path.join(self.out_dir, name), t, self.x_blocks, zeta, u)
+        write_csv(
+            os.path.join(self.out_dir, name),
+            ["t", "x", "zeta", "u"],
+            [np.full(self.grid.n_modes, t), self.grid.nodes, zeta, u],
+        )
         self.times.append(t)
         self.files.append(name)
 

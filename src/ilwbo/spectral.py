@@ -351,23 +351,14 @@ def quadratic_terms(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
 # Inner products and norms
 # ----------------------------------------------------------------------------
 
-# OpenBLAS runs a dot of more than 10^4 elements on its thread pool; on a
-# 2-core VM such calls, zdotc and ddot alike, stalled for about 8 ms each
-# where 8 us was due.  einsum never calls BLAS, but below this size it costs
-# about 4 us more than the single-threaded BLAS dot.
-_BLAS_DOT_MAX = 10_000
-
-
 def nodal_inner(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean inner product of the stacked 2N nodal values of two real
     states, from their half spectra: by Parseval, N * Re sum_k a_hat conj(b_hat)
     over all N modes, where the conjugate modes -k double 1..N/2-1.
-    Re sum a conj(b) is the real dot of the (contiguous) arrays viewed as floats.
     """
     h = grid.n_modes // 2
-    x, y = a.view(float), b.view(float)
-    s = np.vdot(x, y) if x.size <= _BLAS_DOT_MAX else np.einsum("ij,ij->", x, y)
-    return grid.n_modes * (2.0 * s - np.vdot(b[:, ::h], a[:, ::h]).real)
+    s = 2.0 * np.vdot(b, a) - np.vdot(b[:, ::h], a[:, ::h])
+    return grid.n_modes * s.real
 
 
 def nodal_norm(grid: SpectralGrid, a: np.ndarray) -> float:

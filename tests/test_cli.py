@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilwbo import ILW, EvolutionConfig, ModelParams, SolitaryConfig, SpectralGrid, accel, cli
+from ilwbo import ILW, EvolutionConfig, ModelParams, SolitaryConfig, SpectralGrid, accel, cli, io_utils
 from ilwbo.cli import main
 from ilwbo.errors import DegenerateSumError, DenominatorCollapseError
 from ilwbo.evolution import max_stable_dt
@@ -376,6 +376,20 @@ class TestOutcomes:
         assert index["times"] == pytest.approx([0.1 * i for i in range(11)])
         assert len(manifest["outputs"]) == 12
         assert listed_outputs_are_on_disk(out_dir)
+
+    def test_unwritable_snapshot_index_does_not_hide_a_step_failure(self, tmp_path, monkeypatch):
+        write_json = io_utils.write_json
+
+        def fail_on_index(path, obj):
+            if path.endswith("snapshots_manifest.json"):
+                raise OSError("disk full")
+            write_json(path, obj)
+
+        monkeypatch.setattr(io_utils, "write_json", fail_on_index)
+        code, out_dir = run_cli(tmp_path, "evolve",
+                                dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1))
+        assert code == 3
+        assert read_manifest(out_dir)["failing_time"] == pytest.approx(1.1)
 
     @pytest.mark.parametrize("command, cfg", [
         pytest.param("evolve", dict(EVOLVE_CFG, initial={
