@@ -108,8 +108,8 @@ def cycled_solve(
     problems and essentially free).  Every fixed-point solve is evaluated, so
     a run stopped by the cap records max_iter + 1 plain rows, the seed's included.
     A non-finite residual (divergence) also raises NonConvergenceError, with
-    that row last.  The iteration runs on the half spectrum; `seed`, the
-    returned wave and the error's state are full-length states.
+    that row last.  The iteration runs on the half spectrum; `seed` and the
+    returned wave are full-length states.
     """
     c = config.speed
     z = half_spectrum(seed) if seed is not None else seed_profile(params, grid, config)
@@ -126,7 +126,7 @@ def cycled_solve(
         trace.iterations_used = solves
         trace.converged = res_x <= config.tol
         if not math.isfinite(res_x):
-            raise NonConvergenceError(trace, state=full_state(x))
+            raise NonConvergenceError(trace)
         return fx, mx, res_x
 
     # a diverging iterate overflows on its way to a non-finite residual
@@ -136,7 +136,7 @@ def cycled_solve(
             window = [z]
             for _ in range(config.mw):
                 if solves >= config.max_iter:
-                    raise NonConvergenceError(trace, state=full_state(z))
+                    raise NonConvergenceError(trace)
                 z = petviashvili_step(params, grid, c, fz, m)
                 solves += 1
                 fz, m, res = evaluate(z, "plain")

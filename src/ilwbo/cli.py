@@ -251,6 +251,9 @@ def _initial_state(spec: dict, grid: SpectralGrid):
         )
     if not np.allclose(x, grid.nodes, atol=1e-9 * grid.half_length):
         raise ConfigError("config key 'initial.path': x column does not match the grid nodes")
+    if not (np.isfinite(zeta).all() and np.isfinite(u).all()):
+        raise ConfigError("config key 'initial.path': zeta or u holds a non-finite or "
+                          "unparsable value")
     return state_from_nodal(grid, zeta, u)
 
 

@@ -28,9 +28,8 @@ class DenominatorCollapseError(IlwboError):
 class NonConvergenceError(IlwboError):
     """Iteration cap reached before the residual tolerance."""
 
-    def __init__(self, trace, state=None):
+    def __init__(self, trace):
         self.trace = trace
-        self.state = state
         last = trace.residuals[-1] if trace.residuals else float("nan")
         super().__init__(
             f"no convergence after {trace.iterations_used} iterations "

@@ -212,16 +212,13 @@ def decay_fit(
     profile: np.ndarray,
     model: str,
     crest_scale: float | None = None,
-    outer_fraction: float = OUTER_FRACTION,
-    amplitude_floor: float = AMPLITUDE_FLOOR,
-    relative_floor: float = RELATIVE_FLOOR,
 ) -> DecayFit:
     """Fit the tail decay of a crest-centered profile on the right half-axis.
 
     The window starts five crest scales from the origin (the scale defaults
     to the measured e-folding width of the profile), stops at
-    `outer_fraction` of the half-length, and drops points whose amplitude is
-    below the noise floor `max(amplitude_floor, relative_floor * peak)`.
+    OUTER_FRACTION of the half-length, and drops points whose amplitude is
+    below the noise floor `max(AMPLITUDE_FLOOR, RELATIVE_FLOOR * peak)`.
     The exponential model fits log|zeta| against x, the algebraic model
     against log x; the fitted rate is the negative slope and the quality is
     the coefficient of determination.
@@ -236,12 +233,12 @@ def decay_fit(
 
     x = grid.nodes
     x_lo = 5.0 * crest_scale
-    x_hi = outer_fraction * grid.half_length
-    floor = max(amplitude_floor, relative_floor * np.abs(profile).max())
+    x_hi = OUTER_FRACTION * grid.half_length
+    floor = max(AMPLITUDE_FLOOR, RELATIVE_FLOOR * np.abs(profile).max())
     mask = (x >= x_lo) & (x <= x_hi) & (np.abs(profile) > floor)
     if int(mask.sum()) < MIN_FIT_POINTS:
         raise WindowUnderflowError(
-            f"only {int(mask.sum())} tail points above {amplitude_floor:g} "
+            f"only {int(mask.sum())} tail points above {AMPLITUDE_FLOOR:g} "
             f"in [{x_lo:g}, {x_hi:g}]"
         )
 

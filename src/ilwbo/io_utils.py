@@ -111,14 +111,14 @@ class SnapshotWriter:
     far keep their manifest.  A writer that was given no state writes nothing.
     """
 
-    def __init__(self, out_dir: str, grid: SpectralGrid, params, prefix: str = "snapshot"):
-        self.out_dir, self.grid, self.params, self.prefix = out_dir, grid, params, prefix
+    def __init__(self, out_dir: str, grid: SpectralGrid, params):
+        self.out_dir, self.grid, self.params = out_dir, grid, params
         self.times: list[float] = []
         self.files: list[str] = []
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)
-        name = f"{self.prefix}_{len(self.files):04d}.csv"
+        name = f"snapshot_{len(self.files):04d}.csv"
         write_csv(
             os.path.join(self.out_dir, name),
             ["t", "x", "zeta", "u"],
@@ -131,7 +131,7 @@ class SnapshotWriter:
         """Write the manifest; return the snapshot files and the manifest's name."""
         if not self.files:
             return []
-        manifest = f"{self.prefix}s_manifest.json"
+        manifest = "snapshots_manifest.json"
         write_json(
             os.path.join(self.out_dir, manifest),
             {
@@ -148,15 +148,9 @@ class SnapshotWriter:
         return self.files + [manifest]
 
 
-def write_snapshots(
-    out_dir: str,
-    grid: SpectralGrid,
-    params,
-    record,
-    prefix: str = "snapshot",
-) -> list[str]:
+def write_snapshots(out_dir: str, grid: SpectralGrid, params, record) -> list[str]:
     """One t,x,zeta,u CSV per held snapshot of `record` plus a manifest naming them all."""
-    writer = SnapshotWriter(out_dir, grid, params, prefix)
+    writer = SnapshotWriter(out_dir, grid, params)
     for t, state in zip(record.times, record.states):
         writer.write(t, state)
     return writer.close()

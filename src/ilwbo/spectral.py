@@ -15,11 +15,12 @@ Conventions used throughout the package
   phase which the transform helpers fold in.
 * Real fields are represented by Hermitian-symmetric coefficient arrays:
   ``c[-k] == conj(c[k])`` with a real entry at ``k = 0`` and ``k = -N/2``.
-  The symmetry is made exact where a real field is formed, in
-  ``state_from_nodal`` and ``full_state``.  Every other operation (the
-  real-even or odd-imaginary multipliers, the per-mode 2x2 solve, real affine
-  combinations) keeps it exact, so no solver re-symmetrizes its state.
-  ``translate`` projects its own output, as the ``-N/2`` mode has no partner.
+  A real field is formed by ``rfft`` and read by ``irfft`` (in
+  ``state_from_nodal`` and ``state_to_nodal``), and ``full_state`` mirrors
+  conjugates, so the symmetry is exact by construction.  Every other
+  operation (the real-even or odd-imaginary multipliers, the per-mode 2x2
+  solve, real affine combinations) keeps it exact, so no solver
+  re-symmetrizes its state.
 * The evolver and the Petviashvili/MPE solver hold the half spectrum: the
   first ``N/2+1`` entries (modes ``0..N/2-1`` and ``-N/2``) of zeta_hat and
   u_hat as one ``(2, N/2+1)`` array; ``full_state`` mirrors it back.  The
@@ -195,13 +196,18 @@ def to_nodal(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def state_from_nodal(grid: SpectralGrid, zeta: np.ndarray, u: np.ndarray) -> StatePair:
-    """Exactly Hermitian coefficients of the real nodal fields (zeta, u)."""
-    zeta_hat, u_hat = to_coefficients(grid, zeta), to_coefficients(grid, u)
-    return StatePair(hermitian_symmetrize(zeta_hat), hermitian_symmetrize(u_hat))
+    """Coefficients of the real nodal fields (zeta, u): one batched rfft."""
+    h = grid.n_modes // 2
+    half = scipy.fft.rfft(np.stack((zeta, u)), norm="forward", workers=_fft_workers)
+    return full_state(grid._phase[: h + 1] * half)
 
 
 def state_to_nodal(grid: SpectralGrid, state: StatePair) -> tuple[np.ndarray, np.ndarray]:
-    return to_nodal(grid, state.zeta_hat).real, to_nodal(grid, state.u_hat).real
+    """Nodal values of the real fields (zeta, u): one batched irfft."""
+    h = grid.n_modes // 2
+    values = scipy.fft.irfft(grid._phase[: h + 1] * half_spectrum(state), grid.n_modes,
+                             norm="forward", workers=_fft_workers)
+    return values[0], values[1]
 
 
 def half_spectrum(state: StatePair) -> np.ndarray:
@@ -220,23 +226,6 @@ def full_state(half: np.ndarray) -> StatePair:
     return StatePair(full[0], full[1])
 
 
-def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto Hermitian-symmetric arrays: c[-k] = conj(c[k]).
-
-    Entry k becomes 0.5 * (c[k] + conj(c[-k])), formed in place from a
-    reversed view; the mean and the unpaired mode at index N/2 are forced
-    real.  This is the nearest coefficient array representing a real field.
-    """
-    c = np.asarray(coeffs)
-    h = c.shape[0] // 2
-    out = np.empty(c.shape, dtype=complex)
-    np.conj(c[:0:-1], out=out[1:])  # entry k holds conj(c[-k])
-    out[1:] += c[1:]
-    out *= 0.5
-    out[0], out[h] = c[0].real, c[h].real
-    return out
-
-
 # ----------------------------------------------------------------------------
 # Multipliers
 # ----------------------------------------------------------------------------
@@ -252,16 +241,16 @@ def derivative_symbol(grid: SpectralGrid) -> np.ndarray:
     return ik
 
 
-def translate(grid: SpectralGrid, coeffs: np.ndarray, shift: float) -> np.ndarray:
-    """Coefficients of x -> f(x - shift); exact for trigonometric polynomials."""
-    out = coeffs * np.exp(-1j * grid.wavenumbers * shift)
-    return hermitian_symmetrize(out)
-
-
 def translate_state(grid: SpectralGrid, state: StatePair, shift: float) -> StatePair:
-    return StatePair(
-        translate(grid, state.zeta_hat, shift), translate(grid, state.u_hat, shift)
-    )
+    """The state of x -> (zeta, u)(x - shift); exact for trigonometric polynomials.
+
+    The -N/2 coefficient has no +N/2 partner to turn with, so it keeps the
+    real part of its turned value.
+    """
+    h = grid.n_modes // 2
+    half = half_spectrum(state) * np.exp(-1j * grid.wavenumbers[: h + 1] * shift)
+    half[:, h] = half[:, h].real
+    return full_state(half)
 
 
 # ----------------------------------------------------------------------------

@@ -26,12 +26,12 @@ from ilwbo.spectral import (
     derivative_symbol,
     full_state,
     half_spectrum,
-    hermitian_symmetrize,
     nodal_norm,
     projected_product,
     symbol_g,
     symbol_J,
     symbol_T,
+    to_coefficients,
 )
 
 # Derandomized so that every run of the suite draws the same examples.
@@ -102,8 +102,9 @@ def brute_force_product(grid, f_hat, g_hat):
 
 
 def hermitian_symmetrize_reference(coeffs):
-    """The Hermitian projection built from a rolled, reversed copy: a bitwise
-    oracle for `spectral.hermitian_symmetrize`, which works in place."""
+    """The Hermitian projection, built from a rolled, reversed copy: entry k
+    becomes 0.5 * (c[k] + conj(c[-k])), and the mean and the unpaired mode at
+    index N/2 are forced real.  The nearest coefficient array of a real field."""
     c = np.asarray(coeffs)
     n = c.shape[0]
     out = np.empty_like(c, dtype=complex)
@@ -114,12 +115,25 @@ def hermitian_symmetrize_reference(coeffs):
     return out
 
 
-def random_hermitian(grid, rng, scale=1.0):
-    from ilwbo.spectral import hermitian_symmetrize
+def state_from_nodal_reference(grid, zeta, u):
+    """Full-length fft and Hermitian projection of each real field: an oracle
+    for `spectral.state_from_nodal`, which takes one batched rfft."""
+    return StatePair(*(hermitian_symmetrize_reference(to_coefficients(grid, f))
+                       for f in (zeta, u)))
 
+
+def translate_reference(grid, state, shift):
+    """Full-length phase factor and Hermitian projection: an oracle for
+    `spectral.translate_state`, which turns the half spectrum."""
+    turn = np.exp(-1j * grid.wavenumbers * shift)
+    return StatePair(*(hermitian_symmetrize_reference(c * turn)
+                       for c in (state.zeta_hat, state.u_hat)))
+
+
+def random_hermitian(grid, rng, scale=1.0):
     n = grid.n_modes
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    c = scale * hermitian_symmetrize(c)
+    c = scale * hermitian_symmetrize_reference(c)
     c[n // 2] = 0.0
     return c
 
@@ -179,8 +193,8 @@ def reference_rhs(params, grid, state):
     N modes and the Hermitian parts of two `projected_product` calls."""
     ik = derivative_symbol(grid)
     k = grid.wavenumbers
-    zu = hermitian_symmetrize(projected_product(grid, state.zeta_hat, state.u_hat))
-    uu = hermitian_symmetrize(projected_product(grid, state.u_hat, state.u_hat))
+    zu = hermitian_symmetrize_reference(projected_product(grid, state.zeta_hat, state.u_hat))
+    uu = hermitian_symmetrize_reference(projected_product(grid, state.u_hat, state.u_hat))
     dzeta = (-(1.0 / params.gamma) * symbol_J(params, k) * ik * state.u_hat
              + (1.0 / params.gamma) * symbol_T(params, k) * ik * zu)
     du = -(1.0 - params.gamma) * ik * state.zeta_hat + (1.0 / (2.0 * params.gamma)) * ik * uu
@@ -274,7 +288,7 @@ def reference_cycled_solve(params, grid, config):
         for _ in range(config.mw):
             if solves >= config.max_iter:
                 trace.iterations_used = solves
-                raise NonConvergenceError(trace, state=z)
+                raise NonConvergenceError(trace)
             z = reference_petviashvili_step(params, grid, c, fz, m)
             solves += 1
             fz, m, res = reference_evaluate_iterate(params, grid, c, z)

@@ -140,6 +140,22 @@ class TestEvolveCommand:
         assert code == 2
         assert "initial.path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["zeta", "u"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "abc", ""])
+    def test_from_file_bad_value_is_config_error(self, tmp_path, capsys, column, cell):
+        grid = SpectralGrid(EVOLVE_CFG["l"], 32)
+        rows = [[f"{x:.17g}", f"{0.1 * np.exp(-x * x):.17g}", "0.0"] for x in grid.nodes]
+        rows[5][1 if column == "zeta" else 2] = cell
+        profile = tmp_path / "profile.csv"
+        profile.write_text("x,zeta,u\n" + "".join(",".join(r) + "\n" for r in rows))
+        cfg = dict(EVOLVE_CFG, N=32, initial={"kind": "from-file", "path": str(profile)})
+        code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert code == 2
+        error = read_manifest(out_dir)["error"]
+        assert "initial.path" in error and "non-finite" in error
+        assert capsys.readouterr().err == error + "\n"  # no RuntimeWarning either
+        assert not list(out_dir.glob("snapshot*"))
+
 
 class TestSolitaryCommand:
     def test_converged_run(self, tmp_path):

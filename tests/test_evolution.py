@@ -18,7 +18,6 @@ from ilwbo.evolution import (
 )
 from ilwbo.harness import gaussian_state, sech2_state, state_l2_distance
 from ilwbo.spectral import (
-    hermitian_symmetrize,
     state_l2_norm,
     symbol_J,
     symbol_T,
@@ -27,6 +26,7 @@ from ilwbo.spectral import (
 
 from conftest import (
     brute_force_product,
+    hermitian_symmetrize_reference,
     linear_mode_matrix,
     random_hermitian,
     reference_step,
@@ -148,7 +148,7 @@ class TestStep:
         y = gaussian_state(0.4, 1.0)(grid)
         out = step(ILW_P, grid, y, 0.05)
         for c in (out.zeta_hat, out.u_hat):
-            assert np.max(np.abs(c - hermitian_symmetrize(c))) < 1e-15
+            assert np.max(np.abs(c - hermitian_symmetrize_reference(c))) < 1e-15
 
 
 class TestEvolve:
@@ -250,8 +250,8 @@ class TestEvolve:
         # the packed integrator does not know about Hermitian symmetry and
         # accumulates a small anti-Hermitian noise component; project it out
         # before comparing with the exactly Hermitian march
-        reference = StatePair(hermitian_symmetrize(reference.zeta_hat),
-                              hermitian_symmetrize(reference.u_hat))
+        reference = StatePair(hermitian_symmetrize_reference(reference.zeta_hat),
+                              hermitian_symmetrize_reference(reference.u_hat))
         rec = evolve(BO_P, grid, y0, EvolutionConfig(t_end=t_end, dt=1e-3,
                                                      record_every=10 ** 9))
         err = state_l2_norm(grid, rec.states[-1] - reference)

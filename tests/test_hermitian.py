@@ -1,8 +1,8 @@
 """Real fields are exactly Hermitian where they are formed and stay so.
 
-`state_from_nodal` projects onto Hermitian arrays and `full_state` mirrors a
-half spectrum into one (the output of `quadratic_terms` included); every
-other operation (real-even and odd-imaginary multipliers, the per-mode 2x2
+`state_from_nodal` forms a real field by `rfft` (and `state_to_nodal` reads
+it by `irfft`); `full_state` mirrors a half spectrum into a Hermitian array
+(the output of `quadratic_terms` included); every other operation (real-even and odd-imaginary multipliers, the per-mode 2x2
 solve, real affine combinations) must keep that exact, bit for bit, so no
 solver re-symmetrizes its state.
 """
@@ -18,13 +18,12 @@ from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
 from ilwbo.spectral import (
     full_state,
     half_spectrum,
-    hermitian_symmetrize,
     projected_product,
     quadratic_terms,
     state_from_nodal,
 )
 
-from conftest import hermitian_symmetrize_reference
+from conftest import hermitian_symmetrize_reference, state_from_nodal_reference
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
@@ -32,7 +31,7 @@ BO_P = ModelParams(0.8, 1.2, BO)
 
 def assert_exactly_hermitian(*arrays):
     for c in arrays:
-        assert np.array_equal(c, hermitian_symmetrize(c))
+        assert np.array_equal(c, hermitian_symmetrize_reference(c))
 
 
 def assert_state_exactly_hermitian(*states):
@@ -41,17 +40,18 @@ def assert_state_exactly_hermitian(*states):
 
 
 @pytest.mark.parametrize("n", [8, 16, 64, 1024, 4096, 16384])
-@pytest.mark.parametrize("dtype", [complex, float])
-def test_projection_matches_full_length_reference_bitwise(n, dtype):
+def test_state_from_nodal_matches_full_length_reference_bitwise(n):
+    # the first N/2+1 entries of a full-length fft of real data are those of
+    # rfft, and the rest are their conjugates, so projecting changes no bit
+    grid = SpectralGrid(3.0, n)
     rng = np.random.default_rng(n)
-    c = rng.standard_normal(n).astype(dtype)
-    if dtype is complex:
-        c = c + 1j * rng.standard_normal(n)
-    c[3] = 0.0  # signed zeros must come out the same way as well
-    got = hermitian_symmetrize(c)
-    want = hermitian_symmetrize_reference(c)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    zeta, u = rng.standard_normal(n), rng.standard_normal(n)
+    zeta[3] = 0.0  # signed zeros must come out the same way as well
+    got = state_from_nodal(grid, zeta, u)
+    want = state_from_nodal_reference(grid, zeta, u)
+    for mine, theirs in ((got.zeta_hat, want.zeta_hat), (got.u_hat, want.u_hat)):
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
 
 
 def test_state_from_nodal_is_hermitian():
@@ -59,11 +59,12 @@ def test_state_from_nodal_is_hermitian():
     rng = np.random.default_rng(7)
     assert_state_exactly_hermitian(
         state_from_nodal(grid, rng.standard_normal(64), rng.standard_normal(64)),
-        # complex nodal input: its coefficients are projected onto the real part
-        state_from_nodal(grid, rng.standard_normal(64) + 1j, rng.standard_normal(64)),
         gaussian_state(0.3, 1.1)(grid),
         sech2_state(0.3, 0.7)(grid),
     )
+    # a real field only: rfft rejects complex nodal input
+    with pytest.raises(TypeError):
+        state_from_nodal(grid, rng.standard_normal(64) + 1j, rng.standard_normal(64))
 
 
 @pytest.mark.parametrize("n", [8, 32, 1024])
@@ -116,7 +117,8 @@ def test_projected_product_splits_the_unpaired_input_mode():
     n = 16
     grid = SpectralGrid(3.0, n)
     rng = np.random.default_rng(5)
-    f, g = (hermitian_symmetrize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    f, g = (hermitian_symmetrize_reference(rng.standard_normal(n)
+                                           + 1j * rng.standard_normal(n))
             for _ in range(2))
     modes = grid.mode_numbers.astype(int)
 
@@ -130,5 +132,5 @@ def test_projected_product_splits_the_unpaired_input_mode():
                      for k in modes])
     want[n // 2] = 0.0  # the -N/2 output slot stays empty
     want[0] -= f[n // 2] * g[n // 2] / 2
-    assert np.allclose(hermitian_symmetrize(projected_product(grid, f, g)), want,
+    assert np.allclose(hermitian_symmetrize_reference(projected_product(grid, f, g)), want,
                        rtol=0, atol=1e-13)

@@ -11,21 +11,28 @@ from ilwbo.spectral import (
     derivative_symbol,
     full_state,
     half_spectrum,
-    hermitian_symmetrize,
-    l2_norm,
     nodal_inner,
     projected_product,
     quadratic_terms,
     state_from_nodal,
+    state_l2_norm,
+    state_to_nodal,
     symbol_J,
     symbol_T,
     symbol_g,
     to_coefficients,
     to_nodal,
-    translate,
+    translate_state,
 )
 
-from conftest import apply_multiplier, brute_force_product, derivative, random_hermitian
+from conftest import (
+    apply_multiplier,
+    brute_force_product,
+    derivative,
+    hermitian_symmetrize_reference,
+    random_hermitian,
+    translate_reference,
+)
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
@@ -167,14 +174,13 @@ class TestTransforms:
         with pytest.raises(ValueError):
             to_nodal(grid, np.zeros(32, dtype=complex))
 
-    def test_symmetrize_is_projection(self):
-        rng = np.random.default_rng(11)
-        c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        s = hermitian_symmetrize(c)
-        assert np.allclose(hermitian_symmetrize(s), s, atol=1e-15)
-        # fixed points of the projection represent real fields
-        grid = SpectralGrid(half_length=1.0, n_modes=16)
-        assert np.max(np.abs(to_nodal(grid, s).imag)) < 1e-14
+    @pytest.mark.parametrize("n", [8, 16, 64, 1024, 4096, 16384])
+    def test_state_roundtrip(self, n):
+        grid = SpectralGrid(half_length=5.0, n_modes=n)
+        rng = np.random.default_rng(n)
+        zeta, u = rng.standard_normal(n), rng.standard_normal(n)
+        for back, f in zip(state_to_nodal(grid, state_from_nodal(grid, zeta, u)), (zeta, u)):
+            assert np.max(np.abs(back - f)) <= 1e-15 * np.max(np.abs(f))
 
 
 class TestMultipliers:
@@ -212,7 +218,7 @@ class TestMultipliers:
         grid = SpectralGrid(half_length=2.0, n_modes=64)
         c = random_hermitian(grid, np.random.default_rng(7))
         out = apply_multiplier(grid, c, lambda k: symbol_g(bo_params, k))
-        assert np.max(np.abs(out - hermitian_symmetrize(out))) < 1e-14
+        assert np.max(np.abs(out - hermitian_symmetrize_reference(out))) < 1e-14
 
 
 class TestProjectedProduct:
@@ -296,7 +302,7 @@ class TestQuadraticTerms:
         got = full_state(quadratic_terms(grid, half_spectrum(StatePair(zeta, u))))
         h = n // 2
         for mine, f, g in ((got.zeta_hat, zeta, u), (got.u_hat, u, u)):
-            want = hermitian_symmetrize(projected_product(grid, f, g))
+            want = hermitian_symmetrize_reference(projected_product(grid, f, g))
             assert np.max(np.abs(mine[1:] - want[1:])) <= 1e-15 * np.max(np.abs(want))
             # k = 0: sum of f[k1] g[-k1], the -N/2 pair counted as two halves
             split_mean = f @ np.roll(g[::-1], 1) - f[h] * g[h] / 2
@@ -339,15 +345,33 @@ class TestTranslate:
     def test_exact_on_single_mode(self):
         grid = SpectralGrid(half_length=2.0, n_modes=32)
         k1 = np.pi / 2.0
-        f = np.cos(k1 * grid.nodes)
-        shifted = to_nodal(grid, translate(grid, to_coefficients(grid, f), 0.3)).real
-        assert np.max(np.abs(shifted - np.cos(k1 * (grid.nodes - 0.3)))) < 1e-13
+        state = state_from_nodal(grid, np.cos(k1 * grid.nodes), np.sin(k1 * grid.nodes))
+        zeta, u = state_to_nodal(grid, translate_state(grid, state, 0.3))
+        assert np.max(np.abs(zeta - np.cos(k1 * (grid.nodes - 0.3)))) < 1e-13
+        assert np.max(np.abs(u - np.sin(k1 * (grid.nodes - 0.3)))) < 1e-13
 
     def test_unitary(self):
         grid = SpectralGrid(half_length=2.0, n_modes=64)
-        c = random_hermitian(grid, np.random.default_rng(13))
-        out = translate(grid, c, 0.7137)
-        assert l2_norm(grid, out) == pytest.approx(l2_norm(grid, c), rel=1e-13)
+        rng = np.random.default_rng(13)
+        state = StatePair(random_hermitian(grid, rng), random_hermitian(grid, rng))
+        out = translate_state(grid, state, 0.7137)
+        assert state_l2_norm(grid, out) == pytest.approx(state_l2_norm(grid, state), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 1024, 4096, 16384])
+    @pytest.mark.parametrize("shift", [0.3, -1.7, 12.345])
+    def test_matches_full_length_projection(self, n, shift):
+        # states of random real nodal data: with a nonzero real -N/2 mode,
+        # which the full-length phase makes complex and the projection real
+        grid = SpectralGrid(half_length=3.0, n_modes=n)
+        rng = np.random.default_rng(n)
+        state = state_from_nodal(grid, rng.standard_normal(n), rng.standard_normal(n))
+        got = translate_state(grid, state, shift)
+        want = translate_reference(grid, state, shift)
+        for mine, theirs in ((got.zeta_hat, want.zeta_hat), (got.u_hat, want.u_hat)):
+            # the projection averages c[k] e[k] with the conjugate of
+            # c[-k] e[-k]; the two products may differ in their last bit
+            assert np.max(np.abs(mine - theirs)) <= 1e-15 * np.max(np.abs(theirs))
+            assert mine[n // 2].imag == 0.0
 
 
 class TestNodalInner:
