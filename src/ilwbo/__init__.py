@@ -33,7 +33,6 @@ from .evolution import (
     linear_speed_bound,
     semidiscrete_rhs,
     step,
-    zero_mode_drift,
 )
 from .harness import (
     AccelRow,
@@ -57,8 +56,6 @@ from .spectral import (
     ModelParams,
     SpectralGrid,
     StatePair,
-    full_state,
-    half_spectrum,
     projected_product,
     quadratic_terms,
     set_fft_workers,
@@ -75,9 +72,9 @@ __all__ = [
     "ModelParams", "SpectralGrid", "StatePair",
     "symbol_g", "symbol_T", "symbol_J",
     "to_coefficients", "to_nodal", "projected_product",
-    "half_spectrum", "full_state", "quadratic_terms", "set_fft_workers",
+    "quadratic_terms", "set_fft_workers",
     "EvolutionConfig", "EvolutionRecord", "semidiscrete_rhs", "step", "evolve",
-    "linear_speed_bound", "zero_mode_drift",
+    "linear_speed_bound",
     "SolitaryConfig", "IterationTrace", "solve_S",
     "nonlinearity_F", "seed_profile",
     "mpe_coefficients", "mpe_extrapolate", "cycled_solve",

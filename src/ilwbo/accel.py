@@ -38,7 +38,7 @@ from .solitary import (
     petviashvili_step,
     seed_profile,
 )
-from .spectral import ModelParams, SpectralGrid, StatePair, full_state, half_spectrum, nodal_norm
+from .spectral import ModelParams, SpectralGrid, StatePair, nodal_norm
 
 # Accept an extrapolated point only if it does not worsen the residual.
 RESIDUAL_GUARD = 1.0
@@ -108,11 +108,11 @@ def cycled_solve(
     problems and essentially free).  Every fixed-point solve is evaluated, so
     a run stopped by the cap records max_iter + 1 plain rows, the seed's included.
     A non-finite residual (divergence) also raises NonConvergenceError, with
-    that row last.  The iteration runs on the half spectrum; `seed` and the
-    returned wave are full-length states.
+    that row last.  The iteration runs on the half spectrum of `seed`, and
+    the returned wave wraps the last iterate.
     """
     c = config.speed
-    z = half_spectrum(seed) if seed is not None else seed_profile(params, grid, config)
+    z = seed.half if seed is not None else seed_profile(params, grid, config)
     if nodal_norm(grid, z) == 0.0:
         raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
                          if seed is None else "seed iterate must be nonzero")
@@ -156,4 +156,4 @@ def cycled_solve(
                 z, fz, m, res = x, fx, mx, res_x
             else:  # restart the cycle from the last plain iterate
                 trace.extrapolations["rejected"] += 1
-    return full_state(z), trace
+    return StatePair(z), trace

@@ -10,9 +10,10 @@ Per mode ktilde the coefficient system reads
 with the quadratic terms formed by the alias-free truncated product, so the
 right-hand side is the exact Galerkin projection of the nonlinear terms.
 Time stepping is classical explicit RK4 on the (2, N/2+1) half spectrum of
-the real pair.  The linear part has purely imaginary per-mode eigenvalues
-+-i*ktilde*sqrt((1-gamma) J(ktilde)/gamma), i.e. it is transport-like, so an
-explicit method with dt proportional to h is adequate.
+the real pair, the array a `StatePair` holds.  The linear part has purely
+imaginary per-mode eigenvalues +-i*ktilde*sqrt((1-gamma) J(ktilde)/gamma),
+i.e. it is transport-like, so an explicit method with dt proportional to h
+is adequate.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .spectral import (
     SpectralGrid,
     StatePair,
     derivative_symbol,
-    full_state,
-    half_spectrum,
     quadratic_terms,
     symbol_J,
     symbol_T,
@@ -105,8 +104,8 @@ def _rk4(params: ModelParams, grid: SpectralGrid, y: np.ndarray, dt: float) -> n
 
 
 def semidiscrete_rhs(params: ModelParams, grid: SpectralGrid, state: StatePair) -> StatePair:
-    """Time derivative (d/dt zeta_hat, d/dt u_hat) of a real (Hermitian) state."""
-    return full_state(_rhs(params, grid, half_spectrum(state)))
+    """Time derivative (d/dt zeta_hat, d/dt u_hat) of a state."""
+    return StatePair(_rhs(params, grid, state.half))
 
 
 def linear_speed_bound(params: ModelParams, grid: SpectralGrid) -> float:
@@ -126,8 +125,8 @@ def max_stable_dt(params: ModelParams, grid: SpectralGrid, cfl_guard: float = 0.
 
 
 def step(params: ModelParams, grid: SpectralGrid, state: StatePair, dt: float) -> StatePair:
-    """One explicit RK4 step of a real (Hermitian) state."""
-    return full_state(_rk4(params, grid, half_spectrum(state), dt))
+    """One explicit RK4 step of a state."""
+    return StatePair(_rk4(params, grid, state.half, dt))
 
 
 def evolve(
@@ -139,8 +138,6 @@ def evolve(
 ) -> EvolutionRecord:
     """March the semidiscrete system to t_end, recording snapshots.
 
-    `initial` must be Hermitian, as every `state_from_nodal` state is: only
-    its half spectrum is stepped.
     Snapshots are taken every `record_every` steps (plus the initial and
     final states) and stored, or, given a `sink`, handed to `sink(t, state)`
     and not stored, so that the run holds O(N) memory whatever its snapshot
@@ -161,10 +158,10 @@ def evolve(
         remainder = 0.0
     n_steps = n_full + (1 if remainder else 0)
 
-    y, t = half_spectrum(initial), 0.0
+    y, t = initial.half, 0.0
     times, states = [0.0], []
     take = sink if sink is not None else lambda _, state: states.append(state)
-    take(0.0, full_state(y))
+    take(0.0, initial)
     step_times, zm_zeta, zm_u = [0.0], [y[0, 0]], [y[1, 0]]
 
     for i in range(1, n_steps + 1):
@@ -179,14 +176,8 @@ def evolve(
         zm_u.append(y[1, 0])
         if i % config.record_every == 0 or i == n_steps:
             times.append(t)
-            take(t, full_state(y))
+            take(t, StatePair(y))
 
     return EvolutionRecord(times, states, np.array(step_times),
                            np.array(zm_zeta, dtype=complex), np.array(zm_u, dtype=complex))
 
-
-def zero_mode_drift(record: EvolutionRecord) -> float:
-    """Largest deviation of either k=0 coefficient from its initial value."""
-    dz = np.max(np.abs(record.zero_mode_zeta - record.zero_mode_zeta[0]))
-    du = np.max(np.abs(record.zero_mode_u - record.zero_mode_u[0]))
-    return float(max(dz, du))

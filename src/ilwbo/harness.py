@@ -238,7 +238,7 @@ def decay_fit(
     mask = (x >= x_lo) & (x <= x_hi) & (np.abs(profile) > floor)
     if int(mask.sum()) < MIN_FIT_POINTS:
         raise WindowUnderflowError(
-            f"only {int(mask.sum())} tail points above {AMPLITUDE_FLOOR:g} "
+            f"only {int(mask.sum())} tail points above {floor:g} "
             f"in [{x_lo:g}, {x_hi:g}]"
         )
 

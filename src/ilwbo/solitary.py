@@ -17,9 +17,9 @@ with the Euclidean inner product over all 2N nodal values; the squared
 stabilizing factor matches the quadratic nonlinearity and collapses to 1 at a
 solution.  The iteration is monitored by the residual RES = ||S Z - F(Z)||
 in the same nodal norm and stops once RES <= tol.  Iterates are (2, N/2+1)
-half spectra (`spectral.half_spectrum`), over which the 2N-value nodal inner
-product is a Parseval sum: each mode weighted 2 for its conjugate partner,
-k = 0 and -N/2 weighted 1 (`spectral.nodal_inner`).
+half spectra (the `half` of a `spectral.StatePair`), over which the 2N-value
+nodal inner product is a Parseval sum: each mode weighted 2 for its conjugate
+partner, k = 0 and -N/2 weighted 1 (`spectral.nodal_inner`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import DenominatorCollapseError, SingularModeError
 from .spectral import (
     ModelParams,
     SpectralGrid,
-    half_spectrum,
     nodal_inner,
     nodal_norm,
     quadratic_terms,
@@ -153,7 +152,7 @@ def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig
     with np.errstate(over="ignore"):
         zeta = config.seed_amplitude / np.cosh(config.seed_width * grid.nodes) ** 2
     u = (1.0 - params.gamma) * zeta / config.speed
-    return half_spectrum(state_from_nodal(grid, zeta, u))
+    return state_from_nodal(grid, zeta, u).half
 
 
 def evaluate_iterate(

@@ -15,15 +15,16 @@ Conventions used throughout the package
   phase which the transform helpers fold in.
 * Real fields are represented by Hermitian-symmetric coefficient arrays:
   ``c[-k] == conj(c[k])`` with a real entry at ``k = 0`` and ``k = -N/2``.
+  A ``StatePair`` *is* the half spectrum of the real pair: the first ``N/2+1``
+  entries (modes ``0..N/2-1`` and ``-N/2``) of zeta_hat and u_hat as one
+  ``(2, N/2+1)`` array, ``half``.  Its full-length ``zeta_hat`` and ``u_hat``
+  are read-only views that mirror conjugates, so a state is Hermitian by type.
   A real field is formed by ``rfft`` and read by ``irfft`` (in
-  ``state_from_nodal`` and ``state_to_nodal``), and ``full_state`` mirrors
-  conjugates, so the symmetry is exact by construction.  Every other
-  operation (the real-even or odd-imaginary multipliers, the per-mode 2x2
-  solve, real affine combinations) keeps it exact, so no solver
-  re-symmetrizes its state.
-* The evolver and the Petviashvili/MPE solver hold the half spectrum: the
-  first ``N/2+1`` entries (modes ``0..N/2-1`` and ``-N/2``) of zeta_hat and
-  u_hat as one ``(2, N/2+1)`` array; ``full_state`` mirrors it back.  The
+  ``state_from_nodal`` and ``state_to_nodal``).  Every other operation (the
+  real-even or odd-imaginary multipliers, the per-mode 2x2 solve, real affine
+  combinations) acts on the half spectrum, so no solver re-symmetrizes its
+  state.
+* The evolver and the Petviashvili/MPE solver step that same array.  The
   solver's ``nodal_inner`` is the weighted Parseval sum over it (weight 1 at
   ``k = 0`` and ``-N/2``, 2 elsewhere).  ``quadratic_terms`` splits the real
   ``-N/2`` input coefficient in halves between ``-N/2`` and ``+N/2`` and
@@ -40,7 +41,7 @@ form ``J = (alpha-1)/alpha + T/alpha`` used for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -122,15 +123,33 @@ class SpectralGrid:
         return np.where(self.mode_numbers.astype(int) % 2 == 0, 1.0, -1.0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StatePair:
-    """Coefficient representation of the pair (zeta, u)."""
+    """The real pair (zeta, u) as its (2, N/2+1) half spectrum `half`: rows
+    zeta_hat and u_hat at k = 0..N/2-1, and the real -N/2 coefficient last."""
 
-    zeta_hat: np.ndarray
-    u_hat: np.ndarray
+    half: np.ndarray
+
+    @cached_property
+    def _full(self) -> np.ndarray:
+        # the full-length arrays, with c[-k] = conj(c[k]) mirrored in
+        h = self.half.shape[1] - 1
+        full = np.empty((2, 2 * h), dtype=complex)
+        full[:, : h + 1] = self.half
+        np.conj(self.half[:, h - 1: 0: -1], out=full[:, h + 1:])
+        full.flags.writeable = False
+        return full
+
+    @property
+    def zeta_hat(self) -> np.ndarray:
+        return self._full[0]
+
+    @property
+    def u_hat(self) -> np.ndarray:
+        return self._full[1]
 
     def __sub__(self, other: "StatePair") -> "StatePair":
-        return StatePair(self.zeta_hat - other.zeta_hat, self.u_hat - other.u_hat)
+        return StatePair(self.half - other.half)
 
 
 # ----------------------------------------------------------------------------
@@ -196,34 +215,18 @@ def to_nodal(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def state_from_nodal(grid: SpectralGrid, zeta: np.ndarray, u: np.ndarray) -> StatePair:
-    """Coefficients of the real nodal fields (zeta, u): one batched rfft."""
+    """The state of the real nodal fields (zeta, u): one batched rfft."""
     h = grid.n_modes // 2
     half = scipy.fft.rfft(np.stack((zeta, u)), norm="forward", workers=_fft_workers)
-    return full_state(grid._phase[: h + 1] * half)
+    return StatePair(grid._phase[: h + 1] * half)
 
 
 def state_to_nodal(grid: SpectralGrid, state: StatePair) -> tuple[np.ndarray, np.ndarray]:
     """Nodal values of the real fields (zeta, u): one batched irfft."""
     h = grid.n_modes // 2
-    values = scipy.fft.irfft(grid._phase[: h + 1] * half_spectrum(state), grid.n_modes,
+    values = scipy.fft.irfft(grid._phase[: h + 1] * state.half, grid.n_modes,
                              norm="forward", workers=_fft_workers)
     return values[0], values[1]
-
-
-def half_spectrum(state: StatePair) -> np.ndarray:
-    """The (2, N/2+1) rows (zeta_hat, u_hat) at k = 0..N/2-1 and -N/2: the
-    first N/2+1 entries in FFT order, all that a real field needs."""
-    h = state.zeta_hat.shape[0] // 2
-    return np.stack((state.zeta_hat[: h + 1], state.u_hat[: h + 1]))
-
-
-def full_state(half: np.ndarray) -> StatePair:
-    """The state with half spectrum `half` and c[-k] = conj(c[k]) mirrored in."""
-    h = half.shape[1] - 1
-    full = np.empty((2, 2 * h), dtype=complex)
-    full[:, : h + 1] = half
-    np.conj(half[:, h - 1: 0: -1], out=full[:, h + 1:])
-    return StatePair(full[0], full[1])
 
 
 # ----------------------------------------------------------------------------
@@ -248,9 +251,9 @@ def translate_state(grid: SpectralGrid, state: StatePair, shift: float) -> State
     real part of its turned value.
     """
     h = grid.n_modes // 2
-    half = half_spectrum(state) * np.exp(-1j * grid.wavenumbers[: h + 1] * shift)
+    half = state.half * np.exp(-1j * grid.wavenumbers[: h + 1] * shift)
     half[:, h] = half[:, h].real
-    return full_state(half)
+    return StatePair(half)
 
 
 # ----------------------------------------------------------------------------
@@ -270,21 +273,11 @@ def pad_modes(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 def _padded_size(n: int) -> int:
     # >= 3n/2 and even: removes every alias from quadratic products of
-    # modes in -n/2..n/2-1 that could land back in the retained band.
+    # modes in -n/2..n/2-1 that could land back in the retained band.  Both
+    # sizes are even, so a retained mode sits at an index of the same parity
+    # on either grid and the grid's (-1)^k phase serves both ways.
     m = (3 * n + 1) // 2
     return m + (m % 2)
-
-
-@lru_cache(maxsize=None)
-def _product_table(n: int) -> tuple[int, np.ndarray]:
-    """Padded size and the (-1)^k phase of the retained modes.
-
-    Both n and the padded size are even, so a retained mode sits at an index
-    of the same parity on either grid and one n-long phase serves both ways.
-    """
-    phase = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    phase.flags.writeable = False  # shared by every caller of the cache
-    return _padded_size(n), phase
 
 
 def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) -> np.ndarray:
@@ -299,7 +292,7 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
     n = grid.n_modes
     if f_hat.shape != (n,) or g_hat.shape != (n,):
         raise ValueError("coefficient arrays do not match the grid")
-    m, phase = _product_table(n)
+    m, phase = _padded_size(n), grid._phase
     h = n // 2
     fine = np.stack([pad_modes(phase * c, m) for c in (f_hat, g_hat)])
     values = scipy.fft.ifft(fine, norm="forward", overwrite_x=True, workers=_fft_workers)
@@ -312,7 +305,7 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
 
 def quadratic_terms(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
     """Half spectra of (P_N(zeta u), P_N(u^2)) for the real fields whose half
-    spectra (see `half_spectrum`) are the rows of `half`.
+    spectra (see `StatePair`) are the rows of `half`.
 
     One batched irfft puts both fields on the padded grid and one batched
     rfft brings both products back.  The -N/2 input coefficient is split in
@@ -323,7 +316,7 @@ def quadratic_terms(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
     h = n // 2
     if half.shape != (2, h + 1):
         raise ValueError("half spectra do not match the grid")
-    m, phase = _product_table(n)
+    m, phase = _padded_size(n), grid._phase
     fine = np.zeros((2, m // 2 + 1), dtype=complex)
     np.multiply(phase[: h + 1], half, out=fine[:, : h + 1])
     fine[:, h] *= 0.5  # the -N/2 coefficient, split between -N/2 and +N/2

@@ -24,8 +24,6 @@ from ilwbo.solitary import (
 )
 from ilwbo.spectral import (
     derivative_symbol,
-    full_state,
-    half_spectrum,
     nodal_norm,
     projected_product,
     symbol_g,
@@ -115,19 +113,43 @@ def hermitian_symmetrize_reference(coeffs):
     return out
 
 
+def full_state(half):
+    """The (2, N) coefficient arrays with half spectrum `half` and
+    c[-k] = conj(c[k]) mirrored in: the mirror oracle for the full-length
+    `StatePair.zeta_hat` and `u_hat`."""
+    h = half.shape[1] - 1
+    full = np.empty((2, 2 * h), dtype=complex)
+    full[:, : h + 1] = half
+    np.conj(half[:, h - 1: 0: -1], out=full[:, h + 1:])
+    return full
+
+
+def state_of(zeta_hat, u_hat):
+    """The state whose half spectrum is the first N/2+1 entries of two
+    full-length coefficient arrays (the rest is mirrored back, not read)."""
+    h = len(zeta_hat) // 2
+    return StatePair(np.stack((zeta_hat[: h + 1], u_hat[: h + 1])))
+
+
+def full_arrays(state):
+    """The (2, N) full-length coefficient arrays of a state."""
+    return np.stack((state.zeta_hat, state.u_hat))
+
+
 def state_from_nodal_reference(grid, zeta, u):
-    """Full-length fft and Hermitian projection of each real field: an oracle
-    for `spectral.state_from_nodal`, which takes one batched rfft."""
-    return StatePair(*(hermitian_symmetrize_reference(to_coefficients(grid, f))
-                       for f in (zeta, u)))
+    """Full-length fft and Hermitian projection of each real field, as (2, N)
+    arrays: an oracle for `spectral.state_from_nodal`, which takes one
+    batched rfft."""
+    return np.stack([hermitian_symmetrize_reference(to_coefficients(grid, f))
+                     for f in (zeta, u)])
 
 
 def translate_reference(grid, state, shift):
-    """Full-length phase factor and Hermitian projection: an oracle for
-    `spectral.translate_state`, which turns the half spectrum."""
+    """Full-length phase factor and Hermitian projection, as (2, N) arrays:
+    an oracle for `spectral.translate_state`, which turns the half spectrum."""
     turn = np.exp(-1j * grid.wavenumbers * shift)
-    return StatePair(*(hermitian_symmetrize_reference(c * turn)
-                       for c in (state.zeta_hat, state.u_hat)))
+    return np.stack([hermitian_symmetrize_reference(c * turn)
+                     for c in (state.zeta_hat, state.u_hat)])
 
 
 def random_hermitian(grid, rng, scale=1.0):
@@ -141,8 +163,14 @@ def random_hermitian(grid, rng, scale=1.0):
 # Oracles and helpers used only by the tests.
 
 def zero_state(grid):
-    n = grid.n_modes
-    return StatePair(np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
+    return StatePair(np.zeros((2, grid.n_modes // 2 + 1), dtype=complex))
+
+
+def zero_mode_drift(record):
+    """Largest deviation of either k=0 coefficient from its initial value."""
+    dz = np.max(np.abs(record.zero_mode_zeta - record.zero_mode_zeta[0]))
+    du = np.max(np.abs(record.zero_mode_u - record.zero_mode_u[0]))
+    return float(max(dz, du))
 
 
 def assemble_S_mode(params, c, ktilde):
@@ -158,7 +186,7 @@ def assemble_S_mode(params, c, ktilde):
 
 
 def residual_norm(params, grid, c, state):
-    z = half_spectrum(state)
+    z = state.half
     return nodal_norm(grid, apply_S(params, grid, c, z) - nonlinearity_F(params, grid, z))
 
 
@@ -188,33 +216,29 @@ def derivative(grid, coeffs):
     return coeffs * derivative_symbol(grid)
 
 
-def reference_rhs(params, grid, state):
-    """The full-length StatePair right-hand side: per-mode multipliers on all
-    N modes and the Hermitian parts of two `projected_product` calls."""
+def reference_rhs(params, grid, y):
+    """The full-length right-hand side of (2, N) coefficient arrays: per-mode
+    multipliers on all N modes and the Hermitian parts of two
+    `projected_product` calls."""
     ik = derivative_symbol(grid)
     k = grid.wavenumbers
-    zu = hermitian_symmetrize_reference(projected_product(grid, state.zeta_hat, state.u_hat))
-    uu = hermitian_symmetrize_reference(projected_product(grid, state.u_hat, state.u_hat))
-    dzeta = (-(1.0 / params.gamma) * symbol_J(params, k) * ik * state.u_hat
+    zeta_hat, u_hat = y
+    zu = hermitian_symmetrize_reference(projected_product(grid, zeta_hat, u_hat))
+    uu = hermitian_symmetrize_reference(projected_product(grid, u_hat, u_hat))
+    dzeta = (-(1.0 / params.gamma) * symbol_J(params, k) * ik * u_hat
              + (1.0 / params.gamma) * symbol_T(params, k) * ik * zu)
-    du = -(1.0 - params.gamma) * ik * state.zeta_hat + (1.0 / (2.0 * params.gamma)) * ik * uu
-    return StatePair(dzeta, du)
+    du = -(1.0 - params.gamma) * ik * zeta_hat + (1.0 / (2.0 * params.gamma)) * ik * uu
+    return np.stack((dzeta, du))
 
 
-def reference_step(params, grid, state, dt):
-    """Classical RK4 on the full-length state: an oracle for `evolve`, which
-    steps the half spectrum."""
-    def rhs(y):
-        out = reference_rhs(params, grid, StatePair(y[0], y[1]))
-        return np.stack((out.zeta_hat, out.u_hat))
-
-    y = np.stack((state.zeta_hat, state.u_hat))
-    k1 = rhs(y)
-    k2 = rhs(y + (0.5 * dt) * k1)
-    k3 = rhs(y + (0.5 * dt) * k2)
-    k4 = rhs(y + dt * k3)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return StatePair(y[0], y[1])
+def reference_step(params, grid, y, dt):
+    """Classical RK4 on (2, N) coefficient arrays: an oracle for `evolve`,
+    which steps the half spectrum."""
+    k1 = reference_rhs(params, grid, y)
+    k2 = reference_rhs(params, grid, y + (0.5 * dt) * k1)
+    k3 = reference_rhs(params, grid, y + (0.5 * dt) * k2)
+    k4 = reference_rhs(params, grid, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # The full-length Petviashvili/MPE solve: an oracle for `cycled_solve`, which
@@ -240,8 +264,7 @@ def reference_inner(grid, a, b):
 def reference_evaluate_iterate(params, grid, c, z):
     s11, s12, s21, s22, _ = reference_S_tables(params, grid, c)
     sz = np.stack((s11 * z[0] + s12 * z[1], s21 * z[0] + s22 * z[1]))
-    f = full_state(nonlinearity_F(params, grid, z[:, : grid.n_modes // 2 + 1]))
-    fz = np.stack((f.zeta_hat, f.u_hat))
+    fz = full_state(nonlinearity_F(params, grid, z[:, : grid.n_modes // 2 + 1]))
     num, den = reference_inner(grid, sz, z), reference_inner(grid, fz, z)
     if abs(den) < DENOMINATOR_FLOOR * reference_inner(grid, z, z):
         raise DenominatorCollapseError("<F(Z), Z> is negligible")
@@ -275,7 +298,6 @@ def reference_cycled_solve(params, grid, config):
     returns the final (2, N) iterate and its IterationTrace."""
     c = config.speed
     z = full_state(seed_profile(params, grid, config))
-    z = np.stack((z.zeta_hat, z.u_hat))
     trace = IterationTrace()
     solves = 0
     fz, m, res = reference_evaluate_iterate(params, grid, c, z)

@@ -7,9 +7,11 @@ from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid
 from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
 from ilwbo.errors import DegenerateSumError
 from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
-from ilwbo.spectral import full_state, half_spectrum, state_from_nodal, state_to_nodal
+from ilwbo.spectral import state_from_nodal, state_to_nodal
 
 from conftest import (
+    full_arrays,
+    full_state,
     reference_cycled_solve,
     reference_mpe_coefficients,
     residual_norm,
@@ -21,7 +23,7 @@ def embed(grid, vec):
     """Embed a real vector into paired-mode slots of a half spectrum, all of
     the same Parseval weight, so that array arithmetic and the nodal norm act
     on it exactly like plain vector arithmetic and the Euclidean norm."""
-    z = half_spectrum(zero_state(grid))
+    z = zero_state(grid).half
     z[0, 1: len(vec) + 1] = vec
     return z
 
@@ -103,7 +105,7 @@ class TestMpeCoefficients:
     def test_window_too_short(self):
         grid = SpectralGrid(1.0, 8)
         with pytest.raises(ValueError):
-            mpe_coefficients([half_spectrum(zero_state(grid))])
+            mpe_coefficients([zero_state(grid).half])
 
 
 class TestMpeExtrapolate:
@@ -194,11 +196,6 @@ class TestCycledSolve:
         assert final <= min(plain_res)
 
 
-def as_full(half):
-    state = full_state(half)
-    return np.stack((state.zeta_hat, state.u_hat))
-
-
 class TestMatchesFullLengthOracle:
     """The half-spectrum solve against the full-length solve in conftest."""
 
@@ -206,11 +203,11 @@ class TestMatchesFullLengthOracle:
         grid = SpectralGrid(8.0, 256)
         rng = np.random.default_rng(3)
         for size in (3, 4, 5, 6):
-            window = [half_spectrum(state_from_nodal(grid, rng.standard_normal(256),
-                                                     rng.standard_normal(256)))
+            window = [state_from_nodal(grid, rng.standard_normal(256),
+                                       rng.standard_normal(256)).half
                       for _ in range(size)]
             gammas = mpe_coefficients(window)
-            want = reference_mpe_coefficients([as_full(z) for z in window])
+            want = reference_mpe_coefficients([full_state(z) for z in window])
             assert np.max(np.abs(gammas - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("params, c", [(ModelParams(0.8, 1.2, BO), 0.57),
@@ -223,7 +220,7 @@ class TestMatchesFullLengthOracle:
             window.append(petviashvili_step(params, wave_grid, c, fz, m))
         for size in (3, 4, 6):
             gammas = mpe_coefficients(window[:size])
-            want = reference_mpe_coefficients([as_full(z) for z in window[:size]])
+            want = reference_mpe_coefficients([full_state(z) for z in window[:size]])
             assert np.max(np.abs(gammas - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("params, c", [(ModelParams(0.8, 1.2, BO), 0.57),
@@ -239,8 +236,7 @@ class TestMatchesFullLengthOracle:
         assert trace.iterations_used == want_trace.iterations_used
         assert trace.phases == want_trace.phases
         assert trace.inner_steps == want_trace.inner_steps
-        got = np.stack((wave.zeta_hat, wave.u_hat))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(full_arrays(wave) - want)) <= 1e-12 * np.max(np.abs(want))
         residual_gap = np.abs(np.subtract(trace.residuals, want_trace.residuals))
         assert np.max(residual_gap) <= 1e-12 * want_trace.residuals[0]
         if mw > 1:

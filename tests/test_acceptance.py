@@ -22,7 +22,6 @@ from ilwbo import (
     EvolutionConfig,
     SolitaryConfig,
     SpectralGrid,
-    StatePair,
     acceleration_benchmark,
     convergence_study,
     cycled_solve,
@@ -31,13 +30,12 @@ from ilwbo import (
     projected_product,
     solve_S,
     traveling_wave_roundtrip,
-    zero_mode_drift,
 )
 from ilwbo.accel import mpe_coefficients, mpe_extrapolate
 from ilwbo.harness import gaussian_state
-from ilwbo.spectral import half_spectrum, state_to_nodal
+from ilwbo.spectral import state_to_nodal
 
-from conftest import brute_force_product, random_hermitian, zero_state
+from conftest import brute_force_product, random_hermitian, state_of, zero_mode_drift, zero_state
 
 TOL = 1e-10
 
@@ -237,7 +235,7 @@ class TestAcceptance:
 
         grid8 = SpectralGrid(4.0, 8)
         rng = np.random.default_rng(1)
-        rhs = half_spectrum(StatePair(random_hermitian(grid8, rng), random_hermitian(grid8, rng)))
+        rhs = state_of(random_hermitian(grid8, rng), random_hermitian(grid8, rng)).half
         mine = solve_S(ilw_params, grid8, 0.52, rhs)
         oracle = dense_block_solve(ilw_params, grid8, 0.52, rhs)
         solve_err = float(np.max(np.abs(mine - oracle)))
@@ -255,7 +253,7 @@ class TestAcceptance:
             vec = rng.standard_normal(dim)
             window = []
             for _ in range(dim + 2):
-                state = half_spectrum(zero_state(grid))
+                state = zero_state(grid).half
                 state[0, 1: dim + 1] = vec
                 window.append(state)
                 vec = m @ vec + b

@@ -156,6 +156,12 @@ class TestDecayFit:
         with pytest.raises(WindowUnderflowError):
             decay_fit(grid, profile, "exponential", crest_scale=1.0)
 
+    def test_window_underflow_names_the_applied_floor(self):
+        # a unit peak sets the relative floor, 1e-7, above the absolute 1e-11
+        grid = SpectralGrid(32.0, 256)
+        with pytest.raises(WindowUnderflowError, match="above 1e-07 in"):
+            decay_fit(grid, np.exp(-grid.nodes ** 2), "exponential")
+
     def test_model_validation(self):
         grid = SpectralGrid(10.0, 64)
         with pytest.raises(ValueError, match="model"):
@@ -203,7 +209,7 @@ class TestAccelerationBenchmark:
 class TestStateDistance:
     def test_same_grid_reduces_to_norm(self, wave_grid, bo_wave):
         _, wave, _ = bo_wave
-        other = StatePair(1.1 * wave.zeta_hat, 1.1 * wave.u_hat)
+        other = StatePair(1.1 * wave.half)
         d = state_l2_distance(wave_grid, wave, wave_grid, other)
         expected = state_l2_norm(wave_grid, other - wave)
         # distance sums the component norms; both vanish together

@@ -1,29 +1,30 @@
 """Real fields are exactly Hermitian where they are formed and stay so.
 
-`state_from_nodal` forms a real field by `rfft` (and `state_to_nodal` reads
-it by `irfft`); `full_state` mirrors a half spectrum into a Hermitian array
-(the output of `quadratic_terms` included); every other operation (real-even and odd-imaginary multipliers, the per-mode 2x2
-solve, real affine combinations) must keep that exact, bit for bit, so no
-solver re-symmetrizes its state.
+A `StatePair` holds the half spectrum, and its full-length `zeta_hat` and
+`u_hat` mirror it, so a state is Hermitian once its k = 0 and -N/2 entries
+are real.  `state_from_nodal` forms a real field by `rfft` (and
+`state_to_nodal` reads it by `irfft`); every other operation (real-even and
+odd-imaginary multipliers, the per-mode 2x2 solve, real affine combinations,
+`quadratic_terms`) must keep that exact, bit for bit, so no solver
+re-symmetrizes its state.
 """
 
 import numpy as np
 import pytest
 
-from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair
 from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
 from ilwbo.evolution import EvolutionConfig, evolve, step
 from ilwbo.harness import gaussian_state, sech2_state
 from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
-from ilwbo.spectral import (
-    full_state,
-    half_spectrum,
-    projected_product,
-    quadratic_terms,
-    state_from_nodal,
-)
+from ilwbo.spectral import projected_product, quadratic_terms, state_from_nodal
 
-from conftest import hermitian_symmetrize_reference, state_from_nodal_reference
+from conftest import (
+    full_state,
+    hermitian_symmetrize_reference,
+    state_from_nodal_reference,
+    state_of,
+)
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
@@ -49,7 +50,7 @@ def test_state_from_nodal_matches_full_length_reference_bitwise(n):
     zeta[3] = 0.0  # signed zeros must come out the same way as well
     got = state_from_nodal(grid, zeta, u)
     want = state_from_nodal_reference(grid, zeta, u)
-    for mine, theirs in ((got.zeta_hat, want.zeta_hat), (got.u_hat, want.u_hat)):
+    for mine, theirs in ((got.zeta_hat, want[0]), (got.u_hat, want[1])):
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
 
@@ -74,13 +75,29 @@ def test_quadratic_terms_are_hermitian(n):
     grid = SpectralGrid(3.0, n)
     rng = np.random.default_rng(n)
     half = rng.standard_normal((2, n // 2 + 1)) + 1j * rng.standard_normal((2, n // 2 + 1))
-    assert_state_exactly_hermitian(full_state(quadratic_terms(grid, half)))
+    assert_state_exactly_hermitian(StatePair(quadratic_terms(grid, half)))
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 64, 1024, 4096, 16384])
+def test_full_length_views_match_mirror_oracle_bitwise(n):
+    # any complex half spectrum, its k = 0 and -N/2 entries included
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal((2, n // 2 + 1)) + 1j * rng.standard_normal((2, n // 2 + 1))
+    state = StatePair(half)
+    want = full_state(half)
+    for mine, theirs in ((state.zeta_hat, want[0]), (state.u_hat, want[1])):
+        assert mine.dtype == theirs.dtype and mine.shape == (n,)
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+        assert not mine.flags.writeable
+    assert np.shares_memory(state.zeta_hat, state.zeta_hat)  # built once, not per read
 
 
 def test_half_spectrum_round_trip_is_exact():
+    # half spectrum -> full-length views -> their first N/2+1 entries
     grid = SpectralGrid(8.0, 64)
     for state in (gaussian_state(0.4, 1.0)(grid), sech2_state(0.3, 0.7)(grid)):
-        back = full_state(half_spectrum(state))
+        back = state_of(state.zeta_hat, state.u_hat)
+        assert np.array_equal(back.half, state.half)
         assert np.array_equal(back.zeta_hat, state.zeta_hat)
         assert np.array_equal(back.u_hat, state.u_hat)
 
@@ -104,8 +121,8 @@ def test_solver_iterates_stay_hermitian():
         z = petviashvili_step(BO_P, grid, config.speed, fz, m)
         window.append(z)
     # a half spectrum is Hermitian once mirrored iff its k = 0 and -N/2 entries are real
-    assert_state_exactly_hermitian(*map(full_state, window))
-    assert_state_exactly_hermitian(full_state(mpe_extrapolate(window, mpe_coefficients(window))))
+    assert_state_exactly_hermitian(*map(StatePair, window))
+    assert_state_exactly_hermitian(StatePair(mpe_extrapolate(window, mpe_coefficients(window))))
     wave, trace = cycled_solve(BO_P, grid, config)
     assert trace.converged and "extrapolated" in trace.phases
     assert_state_exactly_hermitian(wave)

@@ -20,20 +20,24 @@ from ilwbo.solitary import (
     solve_S,
 )
 from ilwbo.spectral import (
-    full_state,
-    half_spectrum,
     state_from_nodal,
     state_to_nodal,
     symbol_g,
     to_nodal,
 )
 
-from conftest import assemble_S_mode, brute_force_product, random_hermitian, zero_state
+from conftest import (
+    assemble_S_mode,
+    brute_force_product,
+    full_state,
+    random_hermitian,
+    state_of,
+    zero_state,
+)
 
 
 def random_half(grid, rng, scale=1.0):
-    return half_spectrum(StatePair(random_hermitian(grid, rng, scale),
-                                   random_hermitian(grid, rng, scale)))
+    return state_of(random_hermitian(grid, rng, scale), random_hermitian(grid, rng, scale)).half
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
@@ -53,12 +57,9 @@ def dense_block_solve(params, grid, c, rhs):
         [-c * (eye + g_dense), (eye + beta * g_dense) / params.gamma],
         [(1.0 - params.gamma) * eye, -c * eye],
     ])
-    rhs = full_state(rhs)
-    rhs_nodal = np.concatenate([
-        to_nodal(grid, rhs.zeta_hat).real, to_nodal(grid, rhs.u_hat).real
-    ])
+    rhs_nodal = np.concatenate([to_nodal(grid, c).real for c in full_state(rhs)])
     sol = np.linalg.solve(s_full, rhs_nodal)
-    return half_spectrum(state_from_nodal(grid, sol[:n], sol[n:]))
+    return state_from_nodal(grid, sol[:n], sol[n:]).half
 
 
 class TestSolitaryConfig:
@@ -113,7 +114,7 @@ class TestSolveS:
 
     def test_zero_rhs(self):
         grid = SpectralGrid(8.0, 32)
-        out = solve_S(BO_P, grid, 0.57, half_spectrum(zero_state(grid)))
+        out = solve_S(BO_P, grid, 0.57, zero_state(grid).half)
         assert np.max(np.abs(out[0])) == 0.0
 
     def test_linearity(self):
@@ -153,7 +154,7 @@ class TestSolveS:
 class TestNonlinearity:
     def test_zero(self):
         grid = SpectralGrid(4.0, 16)
-        out = nonlinearity_F(ILW_P, grid, half_spectrum(zero_state(grid)))
+        out = nonlinearity_F(ILW_P, grid, zero_state(grid).half)
         assert np.max(np.abs(out[0])) == 0.0
 
     def test_quadratic_homogeneity(self):
@@ -168,16 +169,16 @@ class TestNonlinearity:
 
     def test_single_mode_against_convolution_oracle(self):
         grid = SpectralGrid(4.0, 16)
-        z = zero_state(grid)
-        z.zeta_hat[1] = 0.2
-        z.zeta_hat[-1] = 0.2
-        z.u_hat[2] = -0.1
-        z.u_hat[-2] = -0.1
-        out = full_state(nonlinearity_F(ILW_P, grid, half_spectrum(z)))
-        zu = brute_force_product(grid, z.zeta_hat, z.u_hat) / 0.8
-        uu = brute_force_product(grid, z.u_hat, z.u_hat) / 1.6
-        assert np.max(np.abs(out.zeta_hat - zu)) < 1e-13
-        assert np.max(np.abs(out.u_hat - uu)) < 1e-13
+        zeta_hat, u_hat = np.zeros((2, 16), dtype=complex)
+        zeta_hat[1] = 0.2
+        zeta_hat[-1] = 0.2
+        u_hat[2] = -0.1
+        u_hat[-2] = -0.1
+        out = full_state(nonlinearity_F(ILW_P, grid, state_of(zeta_hat, u_hat).half))
+        zu = brute_force_product(grid, zeta_hat, u_hat) / 0.8
+        uu = brute_force_product(grid, u_hat, u_hat) / 1.6
+        assert np.max(np.abs(out[0] - zu)) < 1e-13
+        assert np.max(np.abs(out[1] - uu)) < 1e-13
 
 
 class TestSeedProfile:
@@ -200,7 +201,7 @@ class TestSeedProfile:
         grid = SpectralGrid(16.0, 128)
         cfg = SolitaryConfig(speed=0.5, seed_amplitude=-0.3, seed_width=1.0)
         seed = seed_profile(BO_P, grid, cfg)
-        zeta, u = state_to_nodal(grid, full_state(seed))
+        zeta, u = state_to_nodal(grid, StatePair(seed))
         assert np.max(np.abs(u - (1 - 0.8) * zeta / 0.5)) < 1e-13
 
 
@@ -216,11 +217,11 @@ class TestPetviashvili:
 
     def test_fixed_point_stays(self, bo_params, wave_grid, bo_wave):
         config, wave, _ = bo_wave
-        fz, m, _ = evaluate_iterate(bo_params, wave_grid, config.speed, half_spectrum(wave))
+        fz, m, _ = evaluate_iterate(bo_params, wave_grid, config.speed, wave.half)
         from ilwbo.solitary import petviashvili_step
 
         z1 = petviashvili_step(bo_params, wave_grid, config.speed, fz, m)
-        diff = full_state(z1) - wave
+        diff = StatePair(z1) - wave
         # the wave satisfies the system to RES <= tol, so one update moves it
         # by at most the residual level
         assert np.max(np.abs(diff.zeta_hat)) < config.tol
@@ -242,11 +243,12 @@ class TestPetviashvili:
     def test_denominator_collapse(self):
         # F(zeta, 0) = 0, so <F(Z), Z> vanishes for any pure-zeta state
         grid = SpectralGrid(8.0, 32)
-        z = zero_state(grid)
-        z.zeta_hat[1] = 0.5
-        z.zeta_hat[-1] = 0.5
+        zeta_hat = np.zeros(32, dtype=complex)
+        zeta_hat[1] = 0.5
+        zeta_hat[-1] = 0.5
+        z = state_of(zeta_hat, np.zeros(32, dtype=complex))
         with pytest.raises(DenominatorCollapseError):
-            evaluate_iterate(ILW_P, grid, 0.52, half_spectrum(z))
+            evaluate_iterate(ILW_P, grid, 0.52, z.half)
 
     def test_zero_seed_rejected(self, ilw_params):
         grid = SpectralGrid(8.0, 32)
@@ -259,7 +261,7 @@ class TestPetviashvili:
         grid, config, wave, _ = ilw_smooth_wave
         shift_nodes = 37
         seed = seed_profile(ilw_params, grid, config)
-        zeta, u = state_to_nodal(grid, full_state(seed))
+        zeta, u = state_to_nodal(grid, StatePair(seed))
         shifted_seed = state_from_nodal(
             grid, np.roll(zeta, shift_nodes), np.roll(u, shift_nodes))
         shifted_wave, trace = cycled_solve(ilw_params, grid, config, seed=shifted_seed)
@@ -310,11 +312,9 @@ class TestPetviashvili:
 
         def gal_f(v):
             # same alias-free quadratic terms as the iteration under test
-            z = half_spectrum(state_from_nodal(grid, v[:8], v[8:]))
+            z = state_from_nodal(grid, v[:8], v[8:]).half
             f = full_state(nonlinearity_F(params, grid, z))
-            return np.concatenate([
-                to_nodal(grid, f.zeta_hat).real, to_nodal(grid, f.u_hat).real
-            ])
+            return np.concatenate([to_nodal(grid, c).real for c in f])
 
         v = np.concatenate([-0.4 / np.cosh(0.4 * x) ** 2,
                             -0.1 / np.cosh(0.4 * x) ** 2])

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilwbo import BO, ILW, ModelParams, SpectralGrid, StatePair
+from ilwbo import BO, ILW, ModelParams, SpectralGrid
 from ilwbo.spectral import (
     derivative_symbol,
-    full_state,
-    half_spectrum,
     nodal_inner,
     projected_product,
     quadratic_terms,
@@ -29,8 +27,11 @@ from conftest import (
     apply_multiplier,
     brute_force_product,
     derivative,
+    full_arrays,
+    full_state,
     hermitian_symmetrize_reference,
     random_hermitian,
+    state_of,
     translate_reference,
 )
 
@@ -299,9 +300,9 @@ class TestQuadraticTerms:
     def test_equals_two_projected_products(self, kind, n):
         grid = SpectralGrid(half_length=3.0, n_modes=n)
         zeta, u = self._inputs(grid, np.random.default_rng(n), kind)
-        got = full_state(quadratic_terms(grid, half_spectrum(StatePair(zeta, u))))
+        got = full_state(quadratic_terms(grid, state_of(zeta, u).half))
         h = n // 2
-        for mine, f, g in ((got.zeta_hat, zeta, u), (got.u_hat, u, u)):
+        for mine, f, g in ((got[0], zeta, u), (got[1], u, u)):
             want = hermitian_symmetrize_reference(projected_product(grid, f, g))
             assert np.max(np.abs(mine[1:] - want[1:])) <= 1e-15 * np.max(np.abs(want))
             # k = 0: sum of f[k1] g[-k1], the -N/2 pair counted as two halves
@@ -311,7 +312,7 @@ class TestQuadraticTerms:
 
     def test_inputs_untouched(self):
         grid = SpectralGrid(half_length=3.0, n_modes=32)
-        half = half_spectrum(StatePair(*self._inputs(grid, np.random.default_rng(4), "nyquist")))
+        half = state_of(*self._inputs(grid, np.random.default_rng(4), "nyquist")).half
         before = half.copy()
         quadratic_terms(grid, half)
         assert np.array_equal(half, before)
@@ -353,7 +354,7 @@ class TestTranslate:
     def test_unitary(self):
         grid = SpectralGrid(half_length=2.0, n_modes=64)
         rng = np.random.default_rng(13)
-        state = StatePair(random_hermitian(grid, rng), random_hermitian(grid, rng))
+        state = state_of(random_hermitian(grid, rng), random_hermitian(grid, rng))
         out = translate_state(grid, state, 0.7137)
         assert state_l2_norm(grid, out) == pytest.approx(state_l2_norm(grid, state), rel=1e-13)
 
@@ -367,7 +368,7 @@ class TestTranslate:
         state = state_from_nodal(grid, rng.standard_normal(n), rng.standard_normal(n))
         got = translate_state(grid, state, shift)
         want = translate_reference(grid, state, shift)
-        for mine, theirs in ((got.zeta_hat, want.zeta_hat), (got.u_hat, want.u_hat)):
+        for mine, theirs in ((got.zeta_hat, want[0]), (got.u_hat, want[1])):
             # the projection averages c[k] e[k] with the conjugate of
             # c[-k] e[-k]; the two products may differ in their last bit
             assert np.max(np.abs(mine - theirs)) <= 1e-15 * np.max(np.abs(theirs))
@@ -382,9 +383,9 @@ class TestNodalInner:
         rng = np.random.default_rng(n)
         a, b = (state_from_nodal(grid, rng.standard_normal(n), rng.standard_normal(n))
                 for _ in range(2))
-        full_a, full_b = (np.stack((s.zeta_hat, s.u_hat)) for s in (a, b))
+        full_a, full_b = full_arrays(a), full_arrays(b)
         full = n * np.vdot(full_b, full_a).real
-        half = nodal_inner(grid, half_spectrum(a), half_spectrum(b))
+        half = nodal_inner(grid, a.half, b.half)
         # |<a, b>| <= N ||a|| ||b||; the two sums differ only in rounding
         scale = n * np.linalg.norm(full_a) * np.linalg.norm(full_b)
         assert abs(half - full) <= 1e-14 * scale
