@@ -46,6 +46,7 @@ from .evolution import EvolutionConfig, evolve
 from .harness import (
     ALGEBRAIC,
     EXPONENTIAL,
+    DecayFit,
     acceleration_benchmark,
     convergence_study,
     decay_fit,
@@ -56,9 +57,7 @@ from .harness import (
 from .io_utils import (
     SnapshotWriter,
     read_profile_csv,
-    write_acceleration_table,
-    write_convergence_report,
-    write_decay_fit,
+    write_csv,
     write_json,
     write_trace_csv,
     write_wave_csv,
@@ -122,7 +121,7 @@ _WAVE_KEYS = {
 
 
 def _default_record_every(cfg: dict) -> int:
-    """About ten snapshots per run (EvolutionConfig rejects a non-finite t_end/dt)."""
+    """About ten snapshots per run (EvolutionConfig rejects a t_end/dt above 2**53)."""
     positive = cfg["t_end"] > 0 and cfg["dt"] > 0
     n_steps = cfg["t_end"] / cfg["dt"] if positive else 1.0
     return max(1, int(round(n_steps)) // 10) if math.isfinite(n_steps) else 1
@@ -325,7 +324,8 @@ def _verify_convergence(block: dict, out_dir: str, tag: str) -> tuple[bool, dict
     )
     ok = report.is_spectral(block["min_ratio"])
     name = f"convergence_report{tag}.csv"
-    write_convergence_report(os.path.join(out_dir, name), report)
+    write_csv(os.path.join(out_dir, name), ["N", "error", "rate"],
+              [report.resolutions, report.errors, [math.nan] + report.observed_rates])
     detail = {
         "resolutions": report.resolutions,
         "errors": report.errors,
@@ -356,6 +356,11 @@ def _verify_roundtrip(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, 
     return ok, detail, [name]
 
 
+def _fit_record(fit: DecayFit) -> dict:
+    return {"model": fit.model, "rate": fit.fitted_rate, "quality": fit.fit_quality,
+            "window": list(fit.window), "n_points": fit.n_points}
+
+
 def _verify_decay(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list[str]]:
     params, grid, config = _wave_problem(block)
     wave, _ = cycled_solve(params, grid, config)
@@ -373,9 +378,8 @@ def _verify_decay(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list
             "algebraic": {"rate": fit_alg.fitted_rate, "quality": fit_alg.fit_quality},
             "min_quality": block["min_quality"],
         }
-        write_decay_fit(
-            os.path.join(out_dir, name), fit_exp, extra={"algebraic_quality": fit_alg.fit_quality, "pass": ok}
-        )
+        write_json(os.path.join(out_dir, name),
+                   _fit_record(fit_exp) | {"algebraic_quality": fit_alg.fit_quality, "pass": ok})
         return ok, detail, [name]
     fit = decay_fit(grid, zeta, model)
     detail = {"model": model, "rate": fit.fitted_rate, "quality": fit.fit_quality}
@@ -385,7 +389,7 @@ def _verify_decay(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list
     else:
         ok = fit.fit_quality >= block["min_quality"]
         detail["min_quality"] = block["min_quality"]
-    write_decay_fit(os.path.join(out_dir, name), fit, extra={"pass": ok})
+    write_json(os.path.join(out_dir, name), _fit_record(fit) | {"pass": ok})
     return ok, detail, [name]
 
 
@@ -412,7 +416,9 @@ def _verify_accel(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list
     rows = acceleration_benchmark(params, grid, config, block["mw_list"])
     name = f"acceleration_table{tag}.csv"
     files = [name]
-    write_acceleration_table(os.path.join(out_dir, name), rows)
+    columns = ("mw", "iterations", "seconds", "status")
+    write_csv(os.path.join(out_dir, name), columns,
+              [[getattr(r, column) for r in rows] for column in columns])
     for row in rows:
         if row.trace is not None:
             trace_name = f"trace_mw{row.mw}{tag}.csv"
@@ -528,9 +534,10 @@ def main(argv=None) -> int:
         extra = {"failing_time": err.time, "error": str(err)}
     except NonConvergenceError as err:
         code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"
-        write_trace_csv(os.path.join(args.out, "trace.csv"), err.trace)
-        files.append("trace.csv")
         extra = _solve_summary("not-converged", err.trace)
+        with contextlib.suppress(OSError):  # an unwritable --out is reported below
+            write_trace_csv(os.path.join(args.out, "trace.csv"), err.trace)
+            files.append("trace.csv")
     except DenominatorCollapseError as err:
         code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"
         extra = {"termination": "denominator-collapse", "error": str(err)}
@@ -549,7 +556,12 @@ def main(argv=None) -> int:
         "wall_time_seconds": time.perf_counter() - started,
     }
     manifest.update(extra)
-    write_json(os.path.join(args.out, "manifest.json"), manifest)
+    try:
+        write_json(os.path.join(args.out, "manifest.json"), manifest)
+    except OSError as err:
+        # say so in one line, and keep the run's own failure if it had one
+        print(f"cannot write the manifest: {err}", file=sys.stderr)
+        return code or EXIT_CONFIG
     return code
 
 

@@ -50,8 +50,9 @@ class EvolutionConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if not np.isfinite(self.t_end / self.dt):
-            raise ValueError(f"dt={self.dt} is too small: t_end/dt is not finite")
+        # past 2**53 steps the step count and t = i*dt are no longer exact
+        if not self.t_end / self.dt <= 2 ** 53:
+            raise ValueError(f"dt={self.dt} is too small: t_end/dt exceeds 2**53")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.cfl_guard <= 0:

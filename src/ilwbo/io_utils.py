@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .harness import AccelRow, ConvergenceReport, DecayFit
 from .solitary import IterationTrace
 from .spectral import SpectralGrid, StatePair, state_to_nodal
 
@@ -154,33 +153,3 @@ def write_snapshots(out_dir: str, grid: SpectralGrid, params, record) -> list[st
     for t, state in zip(record.times, record.states):
         writer.write(t, state)
     return writer.close()
-
-
-# ----------------------------------------------------------------------------
-# Harness reports
-# ----------------------------------------------------------------------------
-
-def write_convergence_report(path: str, report: ConvergenceReport) -> None:
-    rates = [float("nan")] + list(report.observed_rates)
-    write_csv(path, ["N", "error", "rate"], [report.resolutions, report.errors, rates])
-
-
-def write_acceleration_table(path: str, rows: Sequence[AccelRow]) -> None:
-    write_csv(
-        path,
-        ["mw", "iterations", "seconds", "status"],
-        [[getattr(r, name) for r in rows] for name in ("mw", "iterations", "seconds", "status")],
-    )
-
-
-def write_decay_fit(path: str, fit: DecayFit, extra: dict | None = None) -> None:
-    payload = {
-        "model": fit.model,
-        "rate": fit.fitted_rate,
-        "quality": fit.fit_quality,
-        "window": [fit.window[0], fit.window[1]],
-        "n_points": fit.n_points,
-    }
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)

@@ -93,6 +93,9 @@ class SpectralGrid:
     def __post_init__(self):
         if not self.half_length > 0:
             raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if not np.isfinite(2.0 * self.half_length):
+            raise ValueError(f"half_length l={self.half_length} is too large: the period 2l "
+                             "is not finite")
         n = self.n_modes
         if n < 8 or n % 2 != 0:
             raise ValueError(f"n_modes must be even and >= 8, got {n}")
@@ -147,9 +150,6 @@ class StatePair:
     @property
     def u_hat(self) -> np.ndarray:
         return self._full[1]
-
-    def __sub__(self, other: "StatePair") -> "StatePair":
-        return StatePair(self.half - other.half)
 
 
 # ----------------------------------------------------------------------------
@@ -257,19 +257,8 @@ def translate_state(grid: SpectralGrid, state: StatePair, shift: float) -> State
 
 
 # ----------------------------------------------------------------------------
-# Mode-band transfer and the dealiased product
+# The dealiased product
 # ----------------------------------------------------------------------------
-
-def pad_modes(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Embed an FFT-ordered coefficient array into a larger band (zero fill)."""
-    n = coeffs.shape[0]
-    if m < n:
-        raise ValueError(f"target band {m} smaller than source {n}")
-    out = np.zeros(m, dtype=complex)
-    out[: n // 2] = coeffs[: n // 2]
-    out[m - n // 2:] = coeffs[n // 2:]
-    return out
-
 
 def _padded_size(n: int) -> int:
     # >= 3n/2 and even: removes every alias from quadratic products of
@@ -294,7 +283,9 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
         raise ValueError("coefficient arrays do not match the grid")
     m, phase = _padded_size(n), grid._phase
     h = n // 2
-    fine = np.stack([pad_modes(phase * c, m) for c in (f_hat, g_hat)])
+    coarse = phase * np.stack((f_hat, g_hat))
+    fine = np.zeros((2, m), dtype=complex)
+    fine[:, :h], fine[:, m - h:] = coarse[:, :h], coarse[:, h:]
     values = scipy.fft.ifft(fine, norm="forward", overwrite_x=True, workers=_fft_workers)
     full = scipy.fft.fft(values[0] * values[1], norm="forward", overwrite_x=True,
                          workers=_fft_workers)
@@ -347,11 +338,9 @@ def nodal_norm(grid: SpectralGrid, a: np.ndarray) -> float:
     return float(np.sqrt(max(nodal_inner(grid, a, a), 0.0)))
 
 
-def l2_norm(grid: SpectralGrid, coeffs: np.ndarray) -> float:
-    """Continuous L2 norm on [-l, l]: ||f||^2 = 2l * sum |f_hat|^2."""
-    return float(np.sqrt(2.0 * grid.half_length * np.sum(np.abs(coeffs) ** 2)))
-
-
-def state_l2_norm(grid: SpectralGrid, state: StatePair) -> float:
-    """Sum of the component L2 norms, ||zeta|| + ||u||."""
-    return l2_norm(grid, state.zeta_hat) + l2_norm(grid, state.u_hat)
+def l2_norm(grid: SpectralGrid, half: np.ndarray) -> float:
+    """||zeta|| + ||u|| of the real fields whose half spectra are the rows of
+    `half`, each the continuous L2 norm on [-l, l]: ||f||^2 = 2l sum |f_hat|^2
+    over all N modes, the node spacing times the row's `nodal_inner`."""
+    return sum(float(np.sqrt(grid.node_spacing * nodal_inner(grid, row, row)))
+               for row in half[:, None])

@@ -152,6 +152,37 @@ def translate_reference(grid, state, shift):
                      for c in (state.zeta_hat, state.u_hat)])
 
 
+def full_l2_norm(grid, coeffs):
+    """Continuous L2 norm on [-l, l] of one full-length coefficient array,
+    ||f||^2 = 2l * sum |f_hat|^2 over all N modes: an oracle for
+    `spectral.l2_norm`, which weights the half spectrum."""
+    return float(np.sqrt(2.0 * grid.half_length * np.sum(np.abs(coeffs) ** 2)))
+
+
+def state_l2_norm(grid, state):
+    """Sum of the component L2 norms, ||zeta|| + ||u||, from the full-length views."""
+    return full_l2_norm(grid, state.zeta_hat) + full_l2_norm(grid, state.u_hat)
+
+
+def pad_modes(coeffs, m):
+    """Embed an FFT-ordered coefficient array into a larger band (zero fill);
+    the -N/2 coefficient lands at mode -N/2 of the larger band only."""
+    n = coeffs.shape[0]
+    out = np.zeros(m, dtype=complex)
+    out[: n // 2] = coeffs[: n // 2]
+    out[m - n // 2:] = coeffs[n // 2:]
+    return out
+
+
+def state_l2_distance_reference(coarse_grid, coarse, fine_grid, fine):
+    """Pad the full-length views of the coarse state into the fine band,
+    subtract and sum the component norms: an oracle for
+    `harness.state_l2_distance`, which works on the half spectra."""
+    m = fine_grid.n_modes
+    return (full_l2_norm(fine_grid, pad_modes(coarse.zeta_hat, m) - fine.zeta_hat)
+            + full_l2_norm(fine_grid, pad_modes(coarse.u_hat, m) - fine.u_hat))
+
+
 def random_hermitian(grid, rng, scale=1.0):
     n = grid.n_modes
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)

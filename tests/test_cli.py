@@ -3,10 +3,12 @@
 import csv
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
 import pathlib
+import signal
 import tempfile
 import tracemalloc
 import warnings
@@ -157,6 +159,15 @@ class TestEvolveCommand:
         assert not list(out_dir.glob("snapshot*"))
 
 
+def singular_speed():
+    """Mode 5 of the ILW grid l = 64, N = 64 (gamma 0.8, alpha 1.2) and the
+    speed that puts it in the discrete linear spectrum."""
+    kt = SpectralGrid(64.0, 64).wavenumbers[5]
+    g = float(symbol_g(ModelParams(0.8, 1.2, ILW), kt))
+    beta = (1.2 - 1.0) / 1.2
+    return kt, float(np.sqrt((0.2 / 0.8) * (1 + beta * g) / (1 + g)))
+
+
 class TestSolitaryCommand:
     def test_converged_run(self, tmp_path):
         code, out_dir = run_cli(tmp_path, "solitary", SOLITARY_CFG)
@@ -177,12 +188,7 @@ class TestSolitaryCommand:
         assert len(rows) == 1 + 6  # header, the seed and one row per solve
 
     def test_singular_speed_exit_code(self, tmp_path):
-        grid = SpectralGrid(64.0, 64)
-        params = ModelParams(0.8, 1.2, ILW)
-        kt = grid.wavenumbers[5]
-        g = float(symbol_g(params, kt))
-        beta = (1.2 - 1.0) / 1.2
-        c_sing = float(np.sqrt((0.2 / 0.8) * (1 + beta * g) / (1 + g)))
+        kt, c_sing = singular_speed()
         cfg = dict(SOLITARY_CFG, c=c_sing, l=64.0, N=64)
         code, out_dir = run_cli(tmp_path, "solitary", cfg)
         assert code == 5
@@ -261,6 +267,39 @@ class TestVerifyCommand:
         with open(out_dir / "summary.json") as handle:
             summary = json.load(handle)
         assert summary["all_pass"] is False
+
+    def test_report_tables_match_a_csv_writer_rendering_of_the_summary(self, tmp_path):
+        # the report files hold, byte for byte, the numbers summary.json gives
+        accel = {"kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.57, "l": 16.0, "N": 64, "max_iter": 20, "mw_list": [1, 2]}
+        singular = dict(accel, regime="ilw", c=singular_speed()[1], l=64.0, mw_list=[1])
+        code, out_dir = run_cli(tmp_path, "verify",
+                                {"experiments": [CONVERGENCE_BLOCK, accel, singular]})
+        assert code == 6
+        convergence, *accels = json.loads((out_dir / "summary.json").read_text())["experiments"]
+
+        def rendered(header, rows):
+            handle = io.StringIO()
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return handle.getvalue()
+
+        detail = convergence["detail"]
+        rates = [math.nan] + detail["rates"]
+        assert (out_dir / "convergence_report.csv").read_text() == rendered(
+            ["N", "error", "rate"], zip(detail["resolutions"], detail["errors"], rates))
+        statuses = []
+        for block, name in zip(accels, ["acceleration_table.csv", "acceleration_table_2.csv"]):
+            text = (out_dir / name).read_text()
+            seconds = [float(row["seconds"]) for row in csv.DictReader(io.StringIO(text))]
+            detail = block["detail"]
+            rows = [(int(mw), detail["iterations"][mw], t, detail["status"][mw])
+                    for mw, t in zip(detail["iterations"], seconds)]
+            assert text == rendered(["mw", "iterations", "seconds", "status"], rows)
+            statuses += [row[3] for row in rows]
+        assert statuses[:2] == ["not-converged"] * 2
+        assert statuses[2].startswith("singular-mode ktilde=")
 
     def test_unknown_experiment_kind(self, tmp_path, capsys):
         cfg = {"experiments": [{"kind": "bisection"}]}
@@ -458,6 +497,59 @@ class TestOutcomes:
         assert "dt=1e-320" in capsys.readouterr().err
         assert read_manifest(out_dir)["exit_status"] == 2
 
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("evolve", dict(EVOLVE_CFG, dt=1e-300), id="evolve"),
+        pytest.param("verify", {"experiments": [dict(ROUNDTRIP_BLOCK, dt=1e-300)]},
+                     id="roundtrip"),
+    ])
+    def test_more_than_2_to_the_53_steps_is_a_config_error(self, tmp_path, capsys, command, cfg):
+        # t_end/dt = 2e299 is finite, but no step count or i*dt is exact there
+        code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "dt=1e-300" in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
+        EvolutionConfig(t_end=2.0 ** 53, dt=1.0)
+        with pytest.raises(ValueError, match="dt=1.0"):
+            EvolutionConfig(t_end=2.0 ** 53 + 2.0, dt=1.0)
+
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("solitary", dict(SOLITARY_CFG, l=1e308), id="solitary"),
+        pytest.param("evolve", dict(EVOLVE_CFG, l=1e308), id="evolve"),
+    ])
+    def test_half_length_whose_period_overflows(self, tmp_path, capsys, command, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert "l=1e+308" in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    @pytest.mark.parametrize("command, cfg, want", [
+        pytest.param("solitary", SOLITARY_CFG, 2, id="solitary"),
+        pytest.param("solitary", dict(SOLITARY_CFG, max_iter=3), 4, id="not-converged"),
+        pytest.param("evolve", EVOLVE_CFG, 2, id="evolve"),
+        pytest.param("verify", {"experiments": [CONVERGENCE_BLOCK]}, 2, id="verify"),
+    ])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_output_path_that_is_or_lies_under_a_file(self, tmp_path, capsys, command, cfg,
+                                                      want, out):
+        # neither the outputs nor the manifest can be written: one line says
+        # so, and a run that failed first keeps its own code
+        (tmp_path / "afile").write_text("keep")
+        code, _ = run_cli(tmp_path, command, cfg, out=out)
+        assert code == want
+        err = capsys.readouterr().err
+        assert err.count("cannot write the manifest") == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "keep"
+
+    def test_unwritable_manifest_after_a_good_run_exits_2(self, tmp_path, capsys):
+        (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+        code, out_dir = run_cli(tmp_path, "solitary", SOLITARY_CFG)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("cannot write the manifest")
+        assert sorted(os.listdir(out_dir)) == ["manifest.json", "trace.csv", "wave.csv"]
+
     @pytest.mark.parametrize("key, value", [("seed_amplitude", 1e300), ("c", 1e-300)])
     def test_diverging_solve_stops_at_the_first_non_finite_residual(
             self, tmp_path, capsys, key, value):
@@ -653,7 +745,19 @@ def _key_paths(cfg, prefix=()):
 
 CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
 DROP = object()
-PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x"]
+PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x",
+                 1e300, -1e300, 1e-300, -1e-300]
+
+# Every shrunk run takes well under a second; a run past this limit is a hang.
+CASE_SECONDS = 20
+
+
+class CaseTimeLimit(Exception):
+    """Raised by the alarm; `main` maps no such exception to an exit code."""
+
+
+def _time_limit(signum, frame):
+    raise CaseTimeLimit(f"a perturbed run took longer than {CASE_SECONDS} s")
 
 
 def _perturbed(name, path, change):
@@ -677,15 +781,25 @@ def _perturbed(name, path, change):
 @given(case=st.sampled_from(CASES), change=st.sampled_from(PERTURBATIONS))
 def test_perturbed_configs_exit_with_a_documented_code(case, change):
     """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
-    value or a string: the CLI never raises or exits 1, and always leaves a
-    manifest."""
+    value, a string or a magnitude of 1e+-300: the CLI never raises, exits 1,
+    warns or hangs, and always leaves a manifest."""
     name, path = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "config.json")
         with open(cfg_path, "w") as handle:
             json.dump(_perturbed(name, path, change), handle)
         out = os.path.join(tmp, "out")
-        code = main([SHIPPED[name], "--config", cfg_path, "--out", out, "--threads", "1", "--quiet"])
+        previous = signal.signal(signal.SIGALRM, _time_limit)
+        signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([SHIPPED[name], "--config", cfg_path, "--out", out,
+                             "--threads", "1", "--quiet"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [str(w.message) for w in caught] == []
         assert code in (0, 2, 3, 4, 5, 6)
         with open(os.path.join(out, "manifest.json")) as handle:
             assert json.load(handle)["exit_status"] == code

@@ -18,7 +18,6 @@ from ilwbo.evolution import (
 from ilwbo.harness import gaussian_state, sech2_state, state_l2_distance
 from ilwbo.spectral import (
     l2_norm,
-    state_l2_norm,
     symbol_J,
     symbol_T,
     to_nodal,
@@ -27,10 +26,12 @@ from ilwbo.spectral import (
 from conftest import (
     brute_force_product,
     full_arrays,
+    full_l2_norm,
     hermitian_symmetrize_reference,
     linear_mode_matrix,
     random_hermitian,
     reference_step,
+    state_l2_norm,
     state_of,
     zero_mode_drift,
     zero_state,
@@ -131,7 +132,7 @@ class TestStep:
                     propagator = scipy.linalg.expm(dt * linear_mode_matrix(ILW_P, grid, kt))
                 vec = propagator @ np.array([state.zeta_hat[i], state.u_hat[i]])
                 expected[:, i] = vec
-            errs.append(state_l2_norm(grid, out - state_of(*expected)))
+            errs.append(l2_norm(grid, out.half - state_of(*expected).half))
         assert errs[0] < 1e-6
         assert 16.0 <= errs[0] / errs[1] <= 64.0  # local defect is O(dt^5)
 
@@ -145,7 +146,7 @@ class TestStep:
         for dt in (1e-2, 5e-3, 2.5e-3):
             one = step(params, grid, y0, dt)
             half = step(params, grid, step(params, grid, y0, dt / 2), dt / 2)
-            diffs.append(state_l2_norm(grid, one - half))
+            diffs.append(l2_norm(grid, one.half - half.half))
         for a, b in zip(diffs[:-1], diffs[1:]):
             assert 16.0 <= a / b <= 64.0
 
@@ -210,7 +211,7 @@ class TestEvolve:
         y0 = gaussian_state(0.1, 0.5)(grid)
         rec = evolve(ILW_P, grid, y0, EvolutionConfig(t_end=0.1, dt=0.01))
         assert rec.times[0] == 0.0
-        assert state_l2_norm(grid, rec.states[0] - y0) < 1e-15
+        assert l2_norm(grid, rec.states[0].half - y0.half) < 1e-15
 
     def test_time_reversal(self):
         # RK4 is not time-symmetric; the forward-backward error is O(dt^4)
@@ -226,7 +227,7 @@ class TestEvolve:
                 y = step(ILW_P, grid, y, dt)
             for _ in range(n):
                 y = step(ILW_P, grid, y, -dt)
-            errs.append(state_l2_norm(grid, y - y0) / n0)
+            errs.append(l2_norm(grid, y.half - y0.half) / n0)
         assert errs[0] < 1e-6
         assert errs[0] / errs[1] >= 8.0
         assert errs[1] / errs[2] >= 8.0
@@ -261,8 +262,8 @@ class TestEvolve:
         rec = evolve(BO_P, grid, y0, EvolutionConfig(t_end=t_end, dt=1e-3,
                                                      record_every=10 ** 9))
         got = rec.states[-1]
-        err = (l2_norm(grid, got.zeta_hat - reference[0])
-               + l2_norm(grid, got.u_hat - reference[1]))
+        err = (full_l2_norm(grid, got.zeta_hat - reference[0])
+               + full_l2_norm(grid, got.u_hat - reference[1]))
         assert err < 1e-11
 
     def test_refinement_is_spectral(self):

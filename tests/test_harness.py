@@ -25,8 +25,9 @@ from ilwbo.spectral import (
     state_from_nodal,
     state_to_nodal,
     translate_state,
-    state_l2_norm,
 )
+
+from conftest import full_l2_norm, state_l2_distance_reference
 
 ILW_P = ModelParams(0.8, 1.2, ILW)
 BO_P = ModelParams(0.8, 1.2, BO)
@@ -123,11 +124,11 @@ class TestRoundtrip:
     def test_phase_shift_is_unitary(self, wave_grid, bo_wave):
         _, wave, _ = bo_wave
         shifted = translate_state(wave_grid, wave, -0.57 * 1.0)
-        assert l2_norm(wave_grid, shifted.zeta_hat) == pytest.approx(
-            l2_norm(wave_grid, wave.zeta_hat), rel=1e-13
+        assert full_l2_norm(wave_grid, shifted.zeta_hat) == pytest.approx(
+            full_l2_norm(wave_grid, wave.zeta_hat), rel=1e-13
         )
-        assert l2_norm(wave_grid, shifted.u_hat) == pytest.approx(
-            l2_norm(wave_grid, wave.u_hat), rel=1e-13
+        assert full_l2_norm(wave_grid, shifted.u_hat) == pytest.approx(
+            full_l2_norm(wave_grid, wave.u_hat), rel=1e-13
         )
 
     def test_bo_wave_travels_at_speed_c(self, bo_params, wave_grid, bo_wave):
@@ -211,11 +212,35 @@ class TestStateDistance:
         _, wave, _ = bo_wave
         other = StatePair(1.1 * wave.half)
         d = state_l2_distance(wave_grid, wave, wave_grid, other)
-        expected = state_l2_norm(wave_grid, other - wave)
+        expected = l2_norm(wave_grid, other.half - wave.half)
         # distance sums the component norms; both vanish together
         assert d == pytest.approx(
-            l2_norm(wave_grid, other.zeta_hat - wave.zeta_hat)
-            + l2_norm(wave_grid, other.u_hat - wave.u_hat),
+            full_l2_norm(wave_grid, other.zeta_hat - wave.zeta_hat)
+            + full_l2_norm(wave_grid, other.u_hat - wave.u_hat),
             rel=1e-14,
         )
-        assert (d == 0.0) == (expected == 0.0)
+        assert d == expected
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_matches_pad_and_subtract_oracle(self, n, factor, scale):
+        # random half spectra with real, nonzero k = 0 and -N/2 entries; at
+        # scale 1e-6 the fine state sits near the coarse one, as in a study
+        rng = np.random.default_rng(100 * n + factor)
+
+        def random_state(m):
+            half = rng.standard_normal((2, m // 2 + 1)) + 1j * rng.standard_normal((2, m // 2 + 1))
+            half[:, 0] = half[:, 0].real
+            half[:, -1] = half[:, -1].real
+            return half
+
+        coarse_grid, fine_grid = SpectralGrid(5.0, n), SpectralGrid(5.0, factor * n)
+        coarse = StatePair(random_state(n))
+        fine_half = scale * random_state(factor * n)
+        fine_half[:, : n // 2] += coarse.half[:, : n // 2]
+        fine = StatePair(fine_half)
+        assert coarse.half[:, n // 2].all()
+        got = state_l2_distance(coarse_grid, coarse, fine_grid, fine)
+        want = state_l2_distance_reference(coarse_grid, coarse, fine_grid, fine)
+        assert got == pytest.approx(want, rel=1e-14)

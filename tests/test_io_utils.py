@@ -8,12 +8,10 @@ import pytest
 
 from ilwbo import BO, ModelParams, SpectralGrid
 from ilwbo.evolution import EvolutionConfig, EvolutionRecord, evolve
-from ilwbo.harness import AccelRow, ConvergenceReport, sech2_state
+from ilwbo.harness import sech2_state
 from ilwbo.io_utils import (
     CSV_BLOCK_ROWS,
     SnapshotWriter,
-    write_acceleration_table,
-    write_convergence_report,
     write_csv,
     write_snapshots,
 )
@@ -109,17 +107,3 @@ class TestReportWriters:
         assert sorted(os.listdir(tmp_path / "streamed")) == sorted(files)
         for name in files:
             assert read_bytes(tmp_path / "streamed" / name) == read_bytes(tmp_path / "held" / name)
-
-    def test_convergence_and_acceleration_tables(self, tmp_path):
-        report = ConvergenceReport([32, 64, 128], [1e-3, 2e-6, 3e-9], [8.9, 9.4], 256,
-                                   1.0, 0.01, 1e-12)
-        write_convergence_report(str(tmp_path / "conv.csv"), report)
-        row_writer(str(tmp_path / "conv_old.csv"), ["N", "error", "rate"],
-                   [(32, 1e-3, float("nan")), (64, 2e-6, 8.9), (128, 3e-9, 9.4)])
-        assert read_bytes(tmp_path / "conv.csv") == read_bytes(tmp_path / "conv_old.csv")
-
-        rows = [AccelRow(1, 104, 0.032, "converged"), AccelRow(2, -1, 0.5, "singular-mode ktilde=1")]
-        write_acceleration_table(str(tmp_path / "acc.csv"), rows)
-        row_writer(str(tmp_path / "acc_old.csv"), ["mw", "iterations", "seconds", "status"],
-                   [(1, 104, 0.032, "converged"), (2, -1, 0.5, "singular-mode ktilde=1")])
-        assert read_bytes(tmp_path / "acc.csv") == read_bytes(tmp_path / "acc_old.csv")

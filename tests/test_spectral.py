@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from ilwbo import BO, ILW, ModelParams, SpectralGrid
 from ilwbo.spectral import (
     derivative_symbol,
+    l2_norm,
     nodal_inner,
     projected_product,
     quadratic_terms,
     state_from_nodal,
-    state_l2_norm,
     state_to_nodal,
     symbol_J,
     symbol_T,
@@ -28,9 +28,11 @@ from conftest import (
     brute_force_product,
     derivative,
     full_arrays,
+    full_l2_norm,
     full_state,
     hermitian_symmetrize_reference,
     random_hermitian,
+    state_l2_norm,
     state_of,
     translate_reference,
 )
@@ -67,6 +69,12 @@ class TestSpectralGrid:
             SpectralGrid(half_length=1.0, n_modes=4)
         with pytest.raises(ValueError, match="half_length"):
             SpectralGrid(half_length=-1.0, n_modes=16)
+
+    def test_period_must_be_finite(self):
+        # 2l overflows, which would make every node non-finite
+        with pytest.raises(ValueError, match="l=1e"):
+            SpectralGrid(half_length=1e308, n_modes=16)
+        assert np.isfinite(SpectralGrid(half_length=8e307, n_modes=16).nodes).all()
 
     @pytest.mark.parametrize("n", [8, 32, 256, 1024])
     def test_node_endpoints_exact(self, n):
@@ -389,3 +397,15 @@ class TestNodalInner:
         # |<a, b>| <= N ||a|| ||b||; the two sums differ only in rounding
         scale = n * np.linalg.norm(full_a) * np.linalg.norm(full_b)
         assert abs(half - full) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [8, 64, 1024, 16384])
+    def test_l2_norm_equals_full_length_sum(self, n):
+        # the row norms of the half spectrum against 2l * sum |c|^2 over all N modes
+        grid = SpectralGrid(3.0, n)
+        rng = np.random.default_rng(n)
+        state = state_from_nodal(grid, rng.standard_normal(n), rng.standard_normal(n))
+        assert state.half[:, n // 2].all()
+        norms = [l2_norm(grid, state.half[i:i + 1]) for i in range(2)]
+        assert norms == pytest.approx([full_l2_norm(grid, state.zeta_hat),
+                                       full_l2_norm(grid, state.u_hat)], rel=1e-14)
+        assert l2_norm(grid, state.half) == pytest.approx(state_l2_norm(grid, state), rel=1e-14)
