@@ -503,7 +503,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
         p.add_argument("--threads", type=int, default=-1,
-                       help="FFT worker threads (default: all)")
+                       help="FFT worker threads, -1 (all, the default) or at least 1")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -515,11 +515,13 @@ def main(argv=None) -> int:
     listing each file the run wrote: commands append to `files` as they write.
     """
     args = _parser().parse_args(argv)
-    set_fft_workers(args.threads)
     started = time.perf_counter()
 
     config, files, extra, error = None, [], {}, None
     try:
+        if args.threads == 0 or args.threads < -1:
+            raise ConfigError(f"--threads must be -1 (all cores) or at least 1, got {args.threads}")
+        set_fft_workers(args.threads)
         with open(args.config) as handle:
             config = json.load(handle)
         config = _resolve(_COMMAND_KEYS[args.command], config)

@@ -2,7 +2,8 @@
 
 All floating-point values are written with the shortest round-trip decimal
 representation (Python repr), so reloading a CSV reproduces the exact binary
-values and identical runs produce byte-identical files.
+values and identical runs produce byte-identical files.  A column of `str` is
+written as given: the snapshot writer formats its nodes once and `t` once per file.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ def _atomic_open(path: str):
 
 
 def _format_column(values) -> list[str]:
-    """`fmt` of each value; float arrays go through repr of Python floats."""
+    """`fmt` of each value; float arrays go through repr of Python floats, and
+    values that are all `str` are returned as given."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return list(map(repr, values.tolist()))
+    if set(map(type, values)) == {str}:
+        return list(values)
     return list(map(fmt, values))
 
 
@@ -105,6 +109,9 @@ class SnapshotWriter:
     """Writes each state it is given as one t,x,zeta,u CSV, at once and
     atomically; `close` writes the manifest naming them all.
 
+    The node column is formatted once, when the writer is built, and `t` once
+    per file, so each snapshot formats only its zeta and u values.
+
     The caller owns the writer: pass `write` as `evolve`'s sink so no state is
     held, and call `close` also when the run fails, so the files written so
     far keep their manifest.  A writer that was given no state writes nothing.
@@ -112,6 +119,7 @@ class SnapshotWriter:
 
     def __init__(self, out_dir: str, grid: SpectralGrid, params):
         self.out_dir, self.grid, self.params = out_dir, grid, params
+        self._nodes = _format_column(grid.nodes)
         self.times: list[float] = []
         self.files: list[str] = []
 
@@ -121,7 +129,7 @@ class SnapshotWriter:
         write_csv(
             os.path.join(self.out_dir, name),
             ["t", "x", "zeta", "u"],
-            [np.full(self.grid.n_modes, t), self.grid.nodes, zeta, u],
+            [[fmt(t)] * self.grid.n_modes, self._nodes, zeta, u],
         )
         self.times.append(t)
         self.files.append(name)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file contracts."""
 
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -692,6 +693,20 @@ class TestOutcomes:
         assert code == 2
         assert read_manifest(tmp_path / "out")["config"] is None
 
+    @pytest.mark.parametrize("threads", ["0", "-2", "-100"])
+    def test_threads_other_than_all_or_a_positive_count(self, tmp_path, capsys, threads):
+        # rejected before the command runs, so no worker is ever started
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(SOLITARY_CFG))
+        code = main(["solitary", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--threads", threads, "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and f"got {threads}" in err
+        manifest = read_manifest(tmp_path / "out")
+        assert manifest["exit_status"] == 2 and manifest["outputs"] == []
+        assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+
 
 def test_cli_defaults_match_library_defaults():
     """Each default the CLI shares with a library dataclass is the same value."""
@@ -747,6 +762,8 @@ CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
 DROP = object()
 PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x",
                  1e300, -1e300, 1e-300, -1e-300]
+# Never a large count: a rejected value starts no thread, and -1 at most one per core.
+THREADS = ["1", "-1", "0", "-100"]
 
 # Every shrunk run takes well under a second; a run past this limit is a hang.
 CASE_SECONDS = 20
@@ -777,29 +794,45 @@ def _perturbed(name, path, change):
     return cfg
 
 
-@settings(max_examples=120)
-@given(case=st.sampled_from(CASES), change=st.sampled_from(PERTURBATIONS))
-def test_perturbed_configs_exit_with_a_documented_code(case, change):
+@settings(max_examples=240)
+@given(case=st.sampled_from(CASES), change=st.sampled_from(PERTURBATIONS),
+       threads=st.sampled_from(THREADS), out_is_file=st.booleans())
+def test_perturbed_configs_exit_with_a_documented_code(case, change, threads, out_is_file):
     """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
-    value, a string or a magnitude of 1e+-300: the CLI never raises, exits 1,
-    warns or hangs, and always leaves a manifest."""
+    value, a string or a magnitude of 1e+-300, run with any of `THREADS` and
+    with `--out` a fresh directory or a file: the CLI never raises, exits 1,
+    warns or hangs, and leaves a manifest unless `--out` is a file, which it
+    then says in one line, with a non-zero code."""
     name, path = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "config.json")
         with open(cfg_path, "w") as handle:
             json.dump(_perturbed(name, path, change), handle)
         out = os.path.join(tmp, "out")
+        if out_is_file:
+            with open(out, "w") as handle:
+                handle.write("keep")
+        stderr = io.StringIO()
         previous = signal.signal(signal.SIGALRM, _time_limit)
         signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
         try:
-            with warnings.catch_warnings(record=True) as caught:
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(stderr):
                 warnings.simplefilter("always")
                 code = main([SHIPPED[name], "--config", cfg_path, "--out", out,
-                             "--threads", "1", "--quiet"])
+                             "--threads", threads, "--quiet"])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert [str(w.message) for w in caught] == []
         assert code in (0, 2, 3, 4, 5, 6)
-        with open(os.path.join(out, "manifest.json")) as handle:
-            assert json.load(handle)["exit_status"] == code
+        if threads in ("0", "-100"):
+            assert code == 2 and "--threads" in stderr.getvalue()
+        if out_is_file:
+            assert code != 0
+            assert stderr.getvalue().count("cannot write the manifest") == 1
+            with open(out) as handle:
+                assert handle.read() == "keep"
+        else:
+            with open(os.path.join(out, "manifest.json")) as handle:
+                assert json.load(handle)["exit_status"] == code

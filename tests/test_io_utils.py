@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ilwbo import BO, ModelParams, SpectralGrid
+from ilwbo import BO, ModelParams, SpectralGrid, io_utils
 from ilwbo.evolution import EvolutionConfig, EvolutionRecord, evolve
 from ilwbo.harness import sech2_state
 from ilwbo.io_utils import (
@@ -62,8 +62,11 @@ class TestWriteCsv:
         np_ints = rng.integers(0, 500, n)
         words = [("plain", "extrapolated", "not-converged")[i % 3] for i in range(n)]
         mixed = [float(v) if i % 2 else np.float64(v) for i, v in enumerate(rng.standard_normal(n))]
-        columns = [ints, np_ints, words, mixed, [3] * n]
-        header = ["i", "j", "phase", "value", "t"]
+        # a str column is written as given, but only when every value is a
+        # str: a str first value must not let the floats after it through
+        str_first = ["first"] + mixed[1:-1] + [np.str_("last")]
+        columns = [ints, np_ints, words, mixed, [3] * n, str_first, ["3"] * n]
+        header = ["i", "j", "phase", "value", "t", "s", "r"]
         write_csv(str(tmp_path / "new.csv"), header, columns)
         row_writer(str(tmp_path / "old.csv"), header, zip(*columns))
         assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
@@ -89,6 +92,45 @@ class TestReportWriters:
             row_writer(str(oracle), ["t", "x", "zeta", "u"],
                        zip([t] * grid.n_modes, grid.nodes, zeta, u))
             assert read_bytes(tmp_path / f"snapshot_{i:04d}.csv") == read_bytes(oracle)
+
+    def test_one_writer_over_several_blocks_and_times(self, tmp_path):
+        # the formatted nodes are shared by every file and each file formats
+        # its own t: no time may leak from one file into the next
+        params = ModelParams(0.8, 1.2, BO)
+        grid = SpectralGrid(32.0, 4100)
+        assert grid.n_modes > 2 * CSV_BLOCK_ROWS
+        state = sech2_state(0.2, 0.8)(grid)
+        times = [0.0, 0.1 + 0.2, 3, np.float64(1e-5)]
+        writer = SnapshotWriter(str(tmp_path), grid, params)
+        for t in times:
+            writer.write(t, state)
+        writer.close()
+        zeta, u = state_to_nodal(grid, state)
+        for i, t in enumerate(times):
+            oracle = tmp_path / f"oracle_{i}.csv"
+            row_writer(str(oracle), ["t", "x", "zeta", "u"],
+                       zip([t] * grid.n_modes, grid.nodes, zeta, u))
+            assert read_bytes(tmp_path / f"snapshot_{i:04d}.csv") == read_bytes(oracle)
+
+    def test_snapshots_format_the_nodes_once_and_t_once_per_file(self, tmp_path, monkeypatch):
+        # k snapshots of an N-node grid: N node values, then per file 2N
+        # field values and one t (a writer that formats every cell takes 4kN)
+        formatted = []
+
+        def counting_repr(value):
+            formatted.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(io_utils, "repr", counting_repr, raising=False)
+        params = ModelParams(0.8, 1.2, BO)
+        grid = SpectralGrid(16.0, 256)
+        state = sech2_state(0.2, 0.8)(grid)
+        times = [0.0, 0.25, 0.5]
+        record = EvolutionRecord(times, [state] * 3, np.zeros(3), np.zeros(3, complex),
+                                 np.zeros(3, complex))
+        write_snapshots(str(tmp_path), grid, params, record)
+        n, k = grid.n_modes, len(times)
+        assert 2 * n * k <= len(formatted) <= n + k * (2 * n + 1)
 
     def test_streamed_snapshots_match_the_held_record(self, tmp_path):
         params = ModelParams(0.8, 1.2, BO)
