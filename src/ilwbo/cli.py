@@ -55,6 +55,7 @@ from .harness import (
     traveling_wave_roundtrip,
 )
 from .io_utils import (
+    OutputDir,
     SnapshotWriter,
     read_profile_csv,
     write_csv,
@@ -171,12 +172,6 @@ _EXPERIMENT_KEYS = {
     "accel": {**_WAVE_KEYS, "mw_list": ([int], [1, 2, 3, 4])},
 }
 
-_COMMAND_KEYS = {
-    "evolve": _EVOLVE_KEYS,
-    "solitary": _WAVE_KEYS,
-    "verify": {"experiments": ([_EXPERIMENT_KEYS], _REQUIRED)},
-}
-
 
 def _resolve(table: dict, cfg, where: str = "") -> dict:
     """`cfg` with every key of `table` type-checked or defaulted, in table
@@ -256,11 +251,10 @@ def _initial_state(spec: dict, grid: SpectralGrid):
     return state_from_nodal(grid, zeta, u)
 
 
-def _solve_summary(termination: str, trace) -> dict:
-    """A solve ends at its first non-finite residual, so such a last row means "diverged"."""
+def _solve_summary(trace) -> dict:
     last = trace.residuals[-1]
     return {
-        "termination": termination if math.isfinite(last) else "diverged",
+        "termination": trace.termination,
         "iterations": trace.iterations_used,
         "last_residual": last if math.isfinite(last) else None,
         "extrapolations": dict(trace.extrapolations),
@@ -271,7 +265,7 @@ def _solve_summary(termination: str, trace) -> dict:
 # evolve and solitary
 # ----------------------------------------------------------------------------
 
-def cmd_evolve(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[int, dict]:
+def cmd_evolve(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     params, grid = _model(cfg), _grid(cfg)
     config = EvolutionConfig(
         t_end=cfg["t_end"],
@@ -280,40 +274,39 @@ def cmd_evolve(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[
         cfl_guard=cfg["cfl_guard"],
     )
     initial = _initial_state(cfg["initial"], grid)
-    writer = SnapshotWriter(out_dir, grid, params)
+    writer = SnapshotWriter(out, grid, params)
     try:
         record = evolve(params, grid, initial, config, sink=writer.write)
     except BaseException:
-        # a failed run keeps the snapshots it took, with their manifest when
+        # a failed run keeps the snapshots it took, with their index when
         # that can be written; the run's own error is the one reported
         with contextlib.suppress(OSError):
-            files += writer.close()
+            writer.close()
         raise
-    files += writer.close()
+    writer.close()
     if not quiet:
-        print(f"evolve: wrote {len(files)} files to {out_dir}")
+        print(f"evolve: wrote {len(out.files)} files to {out.path}")
     return EXIT_OK, {"snapshots": len(record.times)}
 
 
-def cmd_solitary(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[int, dict]:
+def cmd_solitary(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     params, grid, config = _wave_problem(cfg)
     wave, trace = cycled_solve(params, grid, config)
-    write_wave_csv(os.path.join(out_dir, "wave.csv"), grid, wave)
-    write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
-    files += ["wave.csv", "trace.csv"]
+    out.write("wave.csv", write_wave_csv, grid, wave)
+    out.write("trace.csv", write_trace_csv, trace)
     if not quiet:
         print(
             f"solitary: converged in {trace.iterations_used} iterations "
             f"(residual {trace.residuals[-1]:.3e})"
         )
-    return EXIT_OK, _solve_summary("converged", trace)
+    return EXIT_OK, _solve_summary(trace)
 
 
 # ----------------------------------------------------------------------------
 # verify
 # ----------------------------------------------------------------------------
 
-def _verify_convergence(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list[str]]:
+def _verify_convergence(block: dict, out: OutputDir, tag: str) -> tuple[bool, dict]:
     report = convergence_study(
         _model(block),
         gaussian_state(block["amplitude"], block["width"]),
@@ -323,8 +316,7 @@ def _verify_convergence(block: dict, out_dir: str, tag: str) -> tuple[bool, dict
         half_length=block["l"],
     )
     ok = report.is_spectral(block["min_ratio"])
-    name = f"convergence_report{tag}.csv"
-    write_csv(os.path.join(out_dir, name), ["N", "error", "rate"],
+    out.write(f"convergence_report{tag}.csv", write_csv, ["N", "error", "rate"],
               [report.resolutions, report.errors, [math.nan] + report.observed_rates])
     detail = {
         "resolutions": report.resolutions,
@@ -334,17 +326,16 @@ def _verify_convergence(block: dict, out_dir: str, tag: str) -> tuple[bool, dict
         "min_ratio": block["min_ratio"],
         "spectral": ok,
     }
-    return ok, detail, [name]
+    return ok, detail
 
 
-def _verify_roundtrip(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list[str]]:
+def _verify_roundtrip(block: dict, out: OutputDir, tag: str) -> tuple[bool, dict]:
     params, grid, config = _wave_problem(block)
     wave, _ = cycled_solve(params, grid, config)
     deviation = traveling_wave_roundtrip(
         params, grid, wave, config.speed, block["t_end"], block["dt"]
     )
     ok = deviation <= block["threshold"]
-    name = f"roundtrip{tag}.json"
     detail = {
         "deviation": deviation,
         "threshold": block["threshold"],
@@ -352,8 +343,8 @@ def _verify_roundtrip(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, 
         "dt": block["dt"],
         "wave": {key: block[key] for key in _WAVE_KEYS},
     }
-    write_json(os.path.join(out_dir, name), detail | {"pass": ok})
-    return ok, detail, [name]
+    out.write(f"roundtrip{tag}.json", write_json, detail | {"pass": ok})
+    return ok, detail
 
 
 def _fit_record(fit: DecayFit) -> dict:
@@ -361,7 +352,7 @@ def _fit_record(fit: DecayFit) -> dict:
             "window": list(fit.window), "n_points": fit.n_points}
 
 
-def _verify_decay(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list[str]]:
+def _verify_decay(block: dict, out: OutputDir, tag: str) -> tuple[bool, dict]:
     params, grid, config = _wave_problem(block)
     wave, _ = cycled_solve(params, grid, config)
     zeta, _ = state_to_nodal(grid, wave)
@@ -378,9 +369,9 @@ def _verify_decay(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list
             "algebraic": {"rate": fit_alg.fitted_rate, "quality": fit_alg.fit_quality},
             "min_quality": block["min_quality"],
         }
-        write_json(os.path.join(out_dir, name),
-                   _fit_record(fit_exp) | {"algebraic_quality": fit_alg.fit_quality, "pass": ok})
-        return ok, detail, [name]
+        out.write(name, write_json,
+                  _fit_record(fit_exp) | {"algebraic_quality": fit_alg.fit_quality, "pass": ok})
+        return ok, detail
     fit = decay_fit(grid, zeta, model)
     detail = {"model": model, "rate": fit.fitted_rate, "quality": fit.fit_quality}
     if model == ALGEBRAIC:
@@ -389,8 +380,8 @@ def _verify_decay(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list
     else:
         ok = fit.fit_quality >= block["min_quality"]
         detail["min_quality"] = block["min_quality"]
-    write_json(os.path.join(out_dir, name), _fit_record(fit) | {"pass": ok})
-    return ok, detail, [name]
+    out.write(name, write_json, _fit_record(fit) | {"pass": ok})
+    return ok, detail
 
 
 def _accel_ordering_ok(counts: dict[int, int]) -> bool:
@@ -411,26 +402,22 @@ def _accel_ordering_ok(counts: dict[int, int]) -> bool:
     return True
 
 
-def _verify_accel(block: dict, out_dir: str, tag: str) -> tuple[bool, dict, list[str]]:
+def _verify_accel(block: dict, out: OutputDir, tag: str) -> tuple[bool, dict]:
     params, grid, config = _wave_problem(block)
     rows = acceleration_benchmark(params, grid, config, block["mw_list"])
-    name = f"acceleration_table{tag}.csv"
-    files = [name]
     columns = ("mw", "iterations", "seconds", "status")
-    write_csv(os.path.join(out_dir, name), columns,
+    out.write(f"acceleration_table{tag}.csv", write_csv, columns,
               [[getattr(r, column) for r in rows] for column in columns])
     for row in rows:
         if row.trace is not None:
-            trace_name = f"trace_mw{row.mw}{tag}.csv"
-            write_trace_csv(os.path.join(out_dir, trace_name), row.trace)
-            files.append(trace_name)
+            out.write(f"trace_mw{row.mw}{tag}.csv", write_trace_csv, row.trace)
     converged = {r.mw: r.iterations for r in rows if r.status == "converged"}
     ok = len(converged) == len(rows) and _accel_ordering_ok(converged)
     detail = {
         "iterations": {str(r.mw): r.iterations for r in rows},
         "status": {str(r.mw): r.status for r in rows},
     }
-    return ok, detail, files
+    return ok, detail
 
 
 _EXPERIMENTS = {
@@ -441,7 +428,7 @@ _EXPERIMENTS = {
 }
 
 
-def cmd_verify(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[int, dict]:
+def cmd_verify(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     results = []
     seen: dict[str, int] = {}
     try:
@@ -450,22 +437,21 @@ def cmd_verify(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[
             seen[kind] = seen.get(kind, 0) + 1
             tag = "" if seen[kind] == 1 else f"_{seen[kind]}"
             try:
-                ok, detail, emitted = _EXPERIMENTS[kind](block, out_dir, tag)
+                ok, detail = _EXPERIMENTS[kind](block, out, tag)
             except IlwboError as err:
                 # solver-level failures fail the experiment, not the command
-                ok, detail, emitted = False, {"error": str(err)}, []
-            except ValueError as err:
-                # a value the library rejects ends the command (exit 2)
+                ok, detail = False, {"error": str(err)}
+            except (OSError, ValueError) as err:
+                # a value the library rejects, or a report that cannot be
+                # written, ends the command (exit 2)
                 results.append({"kind": kind, "pass": False, "detail": {"error": str(err)}})
                 raise
             results.append({"kind": kind, "pass": ok, "detail": detail})
-            files.extend(emitted)
             if not quiet:
                 print(f"verify[{kind}]: {'PASS' if ok else 'FAIL'}")
     finally:  # the verdicts of the blocks that ran are kept, also on an error
         all_pass = all(r["pass"] for r in results)
-        write_json(os.path.join(out_dir, "summary.json"), {"experiments": results, "all_pass": all_pass})
-        files.append("summary.json")
+        out.write("summary.json", write_json, {"experiments": results, "all_pass": all_pass})
     return (EXIT_OK if all_pass else EXIT_VERIFY_FAILED), {"all_pass": all_pass}
 
 
@@ -473,10 +459,13 @@ def cmd_verify(cfg: dict, out_dir: str, quiet: bool, files: list[str]) -> tuple[
 # entry point
 # ----------------------------------------------------------------------------
 
+# command -> (handler, key table, help)
 _COMMANDS = {
-    "evolve": cmd_evolve,
-    "solitary": cmd_solitary,
-    "verify": cmd_verify,
+    "evolve": (cmd_evolve, _EVOLVE_KEYS, "time-step the periodic initial-value problem"),
+    "solitary": (cmd_solitary, _WAVE_KEYS,
+                 "generate a solitary wave by accelerated fixed-point iteration"),
+    "verify": (cmd_verify, {"experiments": ([_EXPERIMENT_KEYS], _REQUIRED)},
+               "run verification experiments against their thresholds"),
 }
 
 
@@ -489,11 +478,7 @@ def _parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("evolve", "time-step the periodic initial-value problem"),
-        ("solitary", "generate a solitary wave by accelerated fixed-point iteration"),
-        ("verify", "run verification experiments against their thresholds"),
-    ):
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(
             name,
             help=help_text,
@@ -512,20 +497,23 @@ def main(argv=None) -> int:
     """Run one command; the only place where outcomes become exit codes.
 
     Every outcome, a configuration error included, leaves a manifest.json
-    listing each file the run wrote: commands append to `files` as they write.
+    listing each file the run wrote: every output goes through one
+    `OutputDir`, which lists a file once it is complete.
     """
     args = _parser().parse_args(argv)
     started = time.perf_counter()
+    out = OutputDir(args.out)
+    handler, keys, _ = _COMMANDS[args.command]
 
-    config, files, extra, error = None, [], {}, None
+    config, extra, error = None, {}, None
     try:
         if args.threads == 0 or args.threads < -1:
             raise ConfigError(f"--threads must be -1 (all cores) or at least 1, got {args.threads}")
         set_fft_workers(args.threads)
         with open(args.config) as handle:
             config = json.load(handle)
-        config = _resolve(_COMMAND_KEYS[args.command], config)
-        code, extra = _COMMANDS[args.command](config, args.out, args.quiet, files)
+        config = _resolve(keys, config)
+        code, extra = handler(config, out, args.quiet)
     except (ConfigError, OSError, ValueError) as err:
         # ValueError: a value the library rejects, such as a dt beyond the
         # step-size guard or resolutions spanning less than 4x
@@ -536,10 +524,9 @@ def main(argv=None) -> int:
         extra = {"failing_time": err.time, "error": str(err)}
     except NonConvergenceError as err:
         code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"
-        extra = _solve_summary("not-converged", err.trace)
+        extra = _solve_summary(err.trace)
         with contextlib.suppress(OSError):  # an unwritable --out is reported below
-            write_trace_csv(os.path.join(args.out, "trace.csv"), err.trace)
-            files.append("trace.csv")
+            out.write("trace.csv", write_trace_csv, err.trace)
     except DenominatorCollapseError as err:
         code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"
         extra = {"termination": "denominator-collapse", "error": str(err)}
@@ -553,7 +540,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "version": __version__,
         "config": config,
-        "outputs": files,
+        "outputs": out.files,
         "exit_status": code,
         "wall_time_seconds": time.perf_counter() - started,
     }

@@ -281,13 +281,13 @@ def acceleration_benchmark(
     rows = []
     for mw in mw_list:
         t0 = time.perf_counter()
-        trace, status = None, "converged"
         try:
             _, trace = cycled_solve(params, grid, replace(base_config, mw=int(mw)))
+            status = trace.termination
         except NonConvergenceError as err:
-            trace, status = err.trace, "not-converged"
+            trace, status = err.trace, err.trace.termination
         except SingularModeError as err:
-            status = f"singular-mode ktilde={err.ktilde:.6g}"
+            trace, status = None, f"singular-mode ktilde={err.ktilde:.6g}"
         rows.append(
             AccelRow(
                 mw=int(mw),

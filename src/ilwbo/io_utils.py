@@ -1,9 +1,11 @@
-"""File emission helpers: atomic writes, CSV/JSON formats.
+"""File emission helpers: atomic writes, CSV/JSON formats, the output directory.
 
-All floating-point values are written with the shortest round-trip decimal
-representation (Python repr), so reloading a CSV reproduces the exact binary
-values and identical runs produce byte-identical files.  A column of `str` is
-written as given: the snapshot writer formats its nodes once and `t` once per file.
+An `OutputDir` lists each file once its atomic rename has succeeded, so it
+names exactly the complete files a run left behind.  All floating-point values
+are written with the shortest round-trip decimal representation (Python repr),
+so reloading a CSV reproduces the exact binary values and identical runs
+produce byte-identical files.  A column of `str` is written as given: the
+snapshot writer formats its nodes once and `t` once per file.
 """
 
 from __future__ import annotations
@@ -105,59 +107,67 @@ def write_trace_csv(path: str, trace: IterationTrace) -> None:
     )
 
 
+class OutputDir:
+    """A run's output directory and the files written into it, in write order."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.files: list[str] = []
+
+    def write(self, name: str, writer, *args) -> None:
+        """`writer(path/name, *args)`; `name` is listed once the writer has returned."""
+        writer(os.path.join(self.path, name), *args)
+        self.files.append(name)
+
+
 class SnapshotWriter:
-    """Writes each state it is given as one t,x,zeta,u CSV, at once and
-    atomically; `close` writes the manifest naming them all.
+    """Writes each state it is given as one t,x,zeta,u CSV into `out`, at once
+    and atomically; `close` writes the index naming them all.
 
     The node column is formatted once, when the writer is built, and `t` once
     per file, so each snapshot formats only its zeta and u values.
 
     The caller owns the writer: pass `write` as `evolve`'s sink so no state is
     held, and call `close` also when the run fails, so the files written so
-    far keep their manifest.  A writer that was given no state writes nothing.
+    far keep their index.  A writer that was given no state writes nothing.
     """
 
-    def __init__(self, out_dir: str, grid: SpectralGrid, params):
-        self.out_dir, self.grid, self.params = out_dir, grid, params
+    def __init__(self, out: OutputDir, grid: SpectralGrid, params):
+        self.out, self.grid, self.params = out, grid, params
         self._nodes = _format_column(grid.nodes)
         self.times: list[float] = []
-        self.files: list[str] = []
+        self.files: list[str] = []  # the snapshots, for the index
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)
         name = f"snapshot_{len(self.files):04d}.csv"
-        write_csv(
-            os.path.join(self.out_dir, name),
-            ["t", "x", "zeta", "u"],
-            [[fmt(t)] * self.grid.n_modes, self._nodes, zeta, u],
-        )
+        self.out.write(name, write_csv, ["t", "x", "zeta", "u"],
+                       [[fmt(t)] * self.grid.n_modes, self._nodes, zeta, u])
         self.times.append(t)
         self.files.append(name)
 
-    def close(self) -> list[str]:
-        """Write the manifest; return the snapshot files and the manifest's name."""
+    def close(self) -> None:
+        """Write the index of the snapshots written so far."""
         if not self.files:
-            return []
-        manifest = "snapshots_manifest.json"
-        write_json(
-            os.path.join(self.out_dir, manifest),
-            {
-                "files": self.files,
-                "times": [float(t) for t in self.times],
-                "grid": {"half_length": self.grid.half_length, "n_modes": self.grid.n_modes},
-                "params": {
-                    "gamma": self.params.gamma,
-                    "alpha": self.params.alpha,
-                    "regime": self.params.regime,
-                },
+            return
+        self.out.write("snapshots_manifest.json", write_json, {
+            "files": self.files,
+            "times": [float(t) for t in self.times],
+            "grid": {"half_length": self.grid.half_length, "n_modes": self.grid.n_modes},
+            "params": {
+                "gamma": self.params.gamma,
+                "alpha": self.params.alpha,
+                "regime": self.params.regime,
             },
-        )
-        return self.files + [manifest]
+        })
 
 
 def write_snapshots(out_dir: str, grid: SpectralGrid, params, record) -> list[str]:
-    """One t,x,zeta,u CSV per held snapshot of `record` plus a manifest naming them all."""
-    writer = SnapshotWriter(out_dir, grid, params)
+    """One t,x,zeta,u CSV per held snapshot of `record` plus an index naming
+    them all; returns the names written."""
+    out = OutputDir(out_dir)
+    writer = SnapshotWriter(out, grid, params)
     for t, state in zip(record.times, record.states):
         writer.write(t, state)
-    return writer.close()
+    writer.close()
+    return out.files

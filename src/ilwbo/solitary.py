@@ -60,7 +60,7 @@ class SolitaryConfig:
 
     def __post_init__(self):
         if self.speed == 0.0:
-            raise ValueError("speed must be nonzero")
+            raise ValueError("speed c must be nonzero")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -94,6 +94,13 @@ class IterationTrace:
     iterations_used: int = 0
     extrapolations: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(("accepted", "rejected", "skipped"), 0))
+
+    @property
+    def termination(self) -> str:
+        """`converged`, `diverged` (stopped at a non-finite residual) or `not-converged`."""
+        if self.converged:
+            return "converged"
+        return "not-converged" if np.isfinite(self.residuals[-1]) else "diverged"
 
     def append(self, residual: float, m: float, phase: str, inner: int) -> None:
         self.residuals.append(float(residual))

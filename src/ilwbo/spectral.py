@@ -92,13 +92,13 @@ class SpectralGrid:
 
     def __post_init__(self):
         if not self.half_length > 0:
-            raise ValueError(f"half_length must be positive, got {self.half_length}")
+            raise ValueError(f"half_length l must be positive, got {self.half_length}")
         if not np.isfinite(2.0 * self.half_length):
             raise ValueError(f"half_length l={self.half_length} is too large: the period 2l "
                              "is not finite")
         n = self.n_modes
         if n < 8 or n % 2 != 0:
-            raise ValueError(f"n_modes must be even and >= 8, got {n}")
+            raise ValueError(f"n_modes N must be even and >= 8, got {n}")
 
     @property
     def node_spacing(self) -> float:

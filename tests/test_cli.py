@@ -445,7 +445,52 @@ class TestOutcomes:
         code, out_dir = run_cli(tmp_path, "evolve",
                                 dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1))
         assert code == 3
-        assert read_manifest(out_dir)["failing_time"] == pytest.approx(1.1)
+        manifest = read_manifest(out_dir)
+        assert manifest["failing_time"] == pytest.approx(1.1)
+        assert manifest["outputs"] == [f"snapshot_{i:04d}.csv" for i in range(11)]
+        assert listed_outputs_are_on_disk(out_dir)
+
+    def test_failed_solitary_write_lists_the_wave_written_before_it(self, tmp_path):
+        (tmp_path / "out" / "trace.csv").mkdir(parents=True)
+        cfg = json.loads((CONFIGS / "solitary_bo.json").read_text())
+        code, out_dir = run_cli(tmp_path, "solitary", cfg)
+        assert code == 2
+        assert read_manifest(out_dir)["outputs"] == ["wave.csv"]
+        assert (out_dir / "wave.csv").is_file()
+
+    def test_failed_report_write_fails_its_block_and_lists_the_reports_before_it(self, tmp_path):
+        block = {"kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.57, "l": 16.0, "N": 64, "max_iter": 50, "mw_list": [1, 2]}
+        (tmp_path / "out" / "trace_mw2.csv").mkdir(parents=True)
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        assert code == 2
+        assert read_manifest(out_dir)["outputs"] == [
+            "acceleration_table.csv", "trace_mw1.csv", "summary.json"]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["all_pass"] is False
+        [failed] = summary["experiments"]
+        assert failed["pass"] is False and "trace_mw2.csv" in failed["detail"]["error"]
+
+    def test_diverging_solve_is_labelled_alike_by_solitary_and_accel(self, tmp_path):
+        wave = dict(SOLITARY_CFG, l=64.0, seed_amplitude=1e300)
+        code, out_dir = run_cli(tmp_path, "solitary", wave, out="solitary")
+        assert code == 4
+        assert read_manifest(out_dir)["termination"] == "diverged"
+        block = dict(wave, kind="accel", mw_list=[1, 2])
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]}, out="verify")
+        assert code == 6
+        [result] = json.loads((out_dir / "summary.json").read_text())["experiments"]
+        assert result["detail"]["status"] == {"1": "diverged", "2": "diverged"}
+        with open(out_dir / "acceleration_table.csv") as handle:
+            assert [row["status"] for row in csv.DictReader(handle)] == ["diverged"] * 2
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("l", -1.0, "half_length l"), ("N", 7, "n_modes N"), ("c", 0.0, "speed c")])
+    def test_library_range_error_names_the_config_key(self, tmp_path, capsys, key, value, name):
+        code, out_dir = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, **{key: value}))
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert read_manifest(out_dir)["exit_status"] == 2
 
     @pytest.mark.parametrize("command, cfg", [
         pytest.param("evolve", dict(EVOLVE_CFG, initial={
@@ -834,5 +879,6 @@ def test_perturbed_configs_exit_with_a_documented_code(case, change, threads, ou
             with open(out) as handle:
                 assert handle.read() == "keep"
         else:
-            with open(os.path.join(out, "manifest.json")) as handle:
-                assert json.load(handle)["exit_status"] == code
+            out_dir = pathlib.Path(out)
+            assert read_manifest(out_dir)["exit_status"] == code
+            assert listed_outputs_are_on_disk(out_dir)

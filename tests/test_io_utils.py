@@ -11,6 +11,7 @@ from ilwbo.evolution import EvolutionConfig, EvolutionRecord, evolve
 from ilwbo.harness import sech2_state
 from ilwbo.io_utils import (
     CSV_BLOCK_ROWS,
+    OutputDir,
     SnapshotWriter,
     write_csv,
     write_snapshots,
@@ -101,7 +102,7 @@ class TestReportWriters:
         assert grid.n_modes > 2 * CSV_BLOCK_ROWS
         state = sech2_state(0.2, 0.8)(grid)
         times = [0.0, 0.1 + 0.2, 3, np.float64(1e-5)]
-        writer = SnapshotWriter(str(tmp_path), grid, params)
+        writer = SnapshotWriter(OutputDir(str(tmp_path)), grid, params)
         for t in times:
             writer.write(t, state)
         writer.close()
@@ -139,9 +140,11 @@ class TestReportWriters:
         config = EvolutionConfig(t_end=0.33, dt=0.05, record_every=3)  # a short last step
         held = evolve(params, grid, initial, config)
         write_snapshots(str(tmp_path / "held"), grid, params, held)
-        writer = SnapshotWriter(str(tmp_path / "streamed"), grid, params)
+        out = OutputDir(str(tmp_path / "streamed"))
+        writer = SnapshotWriter(out, grid, params)
         streamed = evolve(params, grid, initial, config, sink=writer.write)
-        files = writer.close()
+        writer.close()
+        files = out.files
         assert streamed.states == []
         assert streamed.times == held.times and held.times[-1] == 0.33
         assert len(held.states) == 4
