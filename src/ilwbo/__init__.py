@@ -18,8 +18,6 @@ __version__ = "0.1.0"
 
 from .accel import cycled_solve, mpe_coefficients, mpe_extrapolate
 from .errors import (
-    DegenerateSumError,
-    DenominatorCollapseError,
     IlwboError,
     NonConvergenceError,
     SingularModeError,
@@ -81,7 +79,6 @@ __all__ = [
     "ConvergenceReport", "DecayFit", "AccelRow",
     "convergence_study", "traveling_wave_roundtrip", "decay_fit",
     "acceleration_benchmark",
-    "IlwboError", "SingularModeError", "DenominatorCollapseError",
-    "NonConvergenceError", "DegenerateSumError", "StepFailureError",
-    "WindowUnderflowError",
+    "IlwboError", "SingularModeError", "NonConvergenceError",
+    "StepFailureError", "WindowUnderflowError",
 ]

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSumError, NonConvergenceError
+from .errors import NonConvergenceError
 from .solitary import (
     IterationTrace,
     SolitaryConfig,
@@ -56,8 +56,8 @@ def mpe_coefficients(window: Sequence[np.ndarray]) -> np.ndarray:
     gamma = (0, ..., 0, 1): the sequence has already converged and the last
     combined iterate is returned unchanged.  Rank-deficient difference
     matrices are handled by the minimum-norm least-squares solution; a
-    vanishing coefficient sum raises DegenerateSumError so the caller can
-    skip the extrapolation for this cycle.
+    vanishing coefficient sum gives nan weights, and the caller skips the
+    extrapolation for this cycle.
     """
     if len(window) < 2:
         raise ValueError("window must hold at least two iterates")
@@ -73,10 +73,7 @@ def mpe_coefficients(window: Sequence[np.ndarray]) -> np.ndarray:
     c = np.append(c_free, 1.0)
     total = c.sum()
     if abs(total) < SUM_FLOOR * np.max(np.abs(c)):
-        raise DegenerateSumError(
-            f"coefficient sum {total:.3e} is negligible against max |c| "
-            f"{np.max(np.abs(c)):.3e}"
-        )
+        return np.full_like(c, np.nan)
     return c / total
 
 
@@ -85,8 +82,9 @@ def mpe_extrapolate(window: Sequence[np.ndarray], gammas: np.ndarray) -> np.ndar
     gammas = np.asarray(gammas, dtype=float)
     if len(gammas) > len(window):
         raise ValueError("more coefficients than window iterates")
-    # c / sum(c) rounds each gamma, so the sum misses 1 by about eps * sum|gamma|
-    if abs(gammas.sum() - 1.0) > 1e-12 * max(1.0, np.abs(gammas).sum()):
+    # c / sum(c) rounds each gamma, so the sum misses 1 by about eps * sum|gamma|;
+    # written as `not <=` so that nan weights (a degenerate sum) fail it too
+    if not abs(gammas.sum() - 1.0) <= 1e-12 * max(1.0, np.abs(gammas).sum()):
         raise ValueError(f"coefficients must sum to 1, got {gammas.sum()!r}")
     out = gammas[0] * window[0]
     for g, z in zip(gammas[1:], window[1:]):
@@ -107,9 +105,10 @@ def cycled_solve(
     fixed-point solves only (extrapolations are a few small least-squares
     problems and essentially free).  Every fixed-point solve is evaluated, so
     a run stopped by the cap records max_iter + 1 plain rows, the seed's included.
-    A non-finite residual (divergence) also raises NonConvergenceError, with
-    that row last.  The iteration runs on the half spectrum of `seed`, and
-    the returned wave wraps the last iterate.
+    A non-finite residual (divergence) or a nan stabilizing factor (collapsed
+    denominator) also raises NonConvergenceError, with that row last.  The
+    iteration runs on the half spectrum of `seed`, and the returned wave wraps
+    the last iterate.
     """
     c = config.speed
     z = seed.half if seed is not None else seed_profile(params, grid, config)
@@ -124,9 +123,10 @@ def cycled_solve(
         fx, mx, res_x = evaluate_iterate(params, grid, c, x)
         trace.append(res_x, mx, phase, solves)
         trace.iterations_used = solves
-        trace.converged = res_x <= config.tol
-        if not math.isfinite(res_x):
+        # before the tolerance: a collapse at a tiny iterate is no solution
+        if not math.isfinite(res_x) or math.isnan(mx):
             raise NonConvergenceError(trace)
+        trace.converged = res_x <= config.tol
         return fx, mx, res_x
 
     # a diverging iterate overflows on its way to a non-finite residual
@@ -145,11 +145,11 @@ def cycled_solve(
                 window.append(z)
             if trace.converged or config.mw == 1:
                 continue
-            try:
-                x = mpe_extrapolate(window, mpe_coefficients(window))
-            except DegenerateSumError:
+            gammas = mpe_coefficients(window)
+            if np.isnan(gammas).any():
                 trace.extrapolations["skipped"] += 1
                 continue  # keep iterating from the last plain iterate
+            x = mpe_extrapolate(window, gammas)
             fx, mx, res_x = evaluate(x, "extrapolated")
             if res_x <= RESIDUAL_GUARD * res:
                 trace.extrapolations["accepted"] += 1

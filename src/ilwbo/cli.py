@@ -15,7 +15,8 @@ Exit codes:
   0  success (verify: all experiments passed)
   2  configuration error (message names the offending key)
   3  numerical failure during evolve (failing time in the manifest)
-  4  solitary iteration did not converge (trace written when the cap was hit)
+  4  solitary iteration did not converge: cap reached, diverged or denominator
+     collapsed (trace.csv written in each case)
   5  singular per-mode matrix (offending wavenumber reported)
   6  verify: at least one experiment failed its threshold
 """
@@ -35,13 +36,7 @@ import numpy as np
 
 from . import __version__
 from .accel import cycled_solve
-from .errors import (
-    DenominatorCollapseError,
-    IlwboError,
-    NonConvergenceError,
-    SingularModeError,
-    StepFailureError,
-)
+from .errors import IlwboError, NonConvergenceError, SingularModeError, StepFailureError
 from .evolution import EvolutionConfig, evolve
 from .harness import (
     ALGEBRAIC,
@@ -169,7 +164,9 @@ _EXPERIMENT_KEYS = {
         "rate_target": (float, 2.0),
         "rate_tol": (float, 0.3),
     },
-    "accel": {**_WAVE_KEYS, "mw_list": ([int], [1, 2, 3, 4])},
+    # no "mw": each width of mw_list sets its own
+    "accel": {k: v for k, v in _WAVE_KEYS.items() if k != "mw"}
+             | {"mw_list": ([int], [1, 2, 3, 4])},
 }
 
 
@@ -224,7 +221,7 @@ def _wave_problem(cfg: dict) -> tuple[ModelParams, SpectralGrid, SolitaryConfig]
         speed=cfg["c"],
         tol=cfg["tol"],
         max_iter=cfg["max_iter"],
-        mw=cfg["mw"],
+        mw=cfg.get("mw", 1),  # an accel block has none
         seed_amplitude=cfg["seed_amplitude"],
         seed_width=cfg["seed_width"],
     )
@@ -428,6 +425,12 @@ _EXPERIMENTS = {
 }
 
 
+def _write_summary(out: OutputDir, results: list) -> bool:
+    all_pass = all(r["pass"] for r in results)
+    out.write("summary.json", write_json, {"experiments": results, "all_pass": all_pass})
+    return all_pass
+
+
 def cmd_verify(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     results = []
     seen: dict[str, int] = {}
@@ -449,9 +452,13 @@ def cmd_verify(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
             results.append({"kind": kind, "pass": ok, "detail": detail})
             if not quiet:
                 print(f"verify[{kind}]: {'PASS' if ok else 'FAIL'}")
-    finally:  # the verdicts of the blocks that ran are kept, also on an error
-        all_pass = all(r["pass"] for r in results)
-        out.write("summary.json", write_json, {"experiments": results, "all_pass": all_pass})
+    except BaseException:
+        # the verdicts of the blocks that ran are kept, and the error that
+        # ended the run stays the one reported if that write fails too
+        with contextlib.suppress(OSError):
+            _write_summary(out, results)
+        raise
+    all_pass = _write_summary(out, results)
     return (EXIT_OK if all_pass else EXIT_VERIFY_FAILED), {"all_pass": all_pass}
 
 
@@ -527,9 +534,6 @@ def main(argv=None) -> int:
         extra = _solve_summary(err.trace)
         with contextlib.suppress(OSError):  # an unwritable --out is reported below
             out.write("trace.csv", write_trace_csv, err.trace)
-    except DenominatorCollapseError as err:
-        code, error = EXIT_NOT_CONVERGED, f"{args.command}: {err}"
-        extra = {"termination": "denominator-collapse", "error": str(err)}
     except SingularModeError as err:
         code, error = EXIT_SINGULAR, f"{args.command}: {err}"
         extra = {"termination": "singular-mode", "ktilde": err.ktilde, "det": err.det}

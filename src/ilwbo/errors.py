@@ -21,24 +21,16 @@ class SingularModeError(IlwboError):
         )
 
 
-class DenominatorCollapseError(IlwboError):
-    """The stabilizing-factor denominator vanished for a degenerate iterate."""
-
-
 class NonConvergenceError(IlwboError):
-    """Iteration cap reached before the residual tolerance."""
+    """A solve stopped short of the tolerance; `trace.termination` says why
+    (`not-converged`, `diverged` or `denominator-collapse`), its last row where."""
 
     def __init__(self, trace):
         self.trace = trace
-        last = trace.residuals[-1] if trace.residuals else float("nan")
         super().__init__(
-            f"no convergence after {trace.iterations_used} iterations "
-            f"(last residual {last:.3e})"
+            f"{trace.termination} after {trace.iterations_used} iterations "
+            f"(last residual {trace.residuals[-1]:.3e})"
         )
-
-
-class DegenerateSumError(IlwboError):
-    """Extrapolation coefficients sum to (numerically) zero; skip this cycle."""
 
 
 class StepFailureError(IlwboError):

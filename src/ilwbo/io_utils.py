@@ -35,17 +35,21 @@ def fmt(value) -> str:
 @contextmanager
 def _atomic_open(path: str):
     """Text handle on a temp file renamed to `path` once the block succeeds,
-    so readers never observe a partial file."""
+    so readers never observe a partial file.  An OSError names `path`, not
+    the temp file, so a failed write reads the same in every run."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise type(err)(err.errno, err.strerror, path) from err
         raise
 
 

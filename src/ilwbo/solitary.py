@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DenominatorCollapseError, SingularModeError
+from .errors import SingularModeError
 from .spectral import (
     ModelParams,
     SpectralGrid,
@@ -97,10 +97,13 @@ class IterationTrace:
 
     @property
     def termination(self) -> str:
-        """`converged`, `diverged` (stopped at a non-finite residual) or `not-converged`."""
+        """`converged`, `diverged` (stopped at a non-finite residual),
+        `denominator-collapse` (stopped at a nan m) or `not-converged`."""
         if self.converged:
             return "converged"
-        return "not-converged" if np.isfinite(self.residuals[-1]) else "diverged"
+        if not np.isfinite(self.residuals[-1]):
+            return "diverged"
+        return "denominator-collapse" if np.isnan(self.m_factors[-1]) else "not-converged"
 
     def append(self, residual: float, m: float, phase: str, inner: int) -> None:
         self.residuals.append(float(residual))
@@ -165,17 +168,14 @@ def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig
 def evaluate_iterate(
     params: ModelParams, grid: SpectralGrid, c: float, z: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
-    """F(Z), the stabilizing factor m, and the residual RES at iterate Z."""
+    """F(Z), the stabilizing factor m, and the residual RES at iterate Z;
+    m is nan where <F(Z), Z> is negligible against ||Z||^2."""
     sz = apply_S(params, grid, c, z)
     fz = nonlinearity_F(params, grid, z)
     num = nodal_inner(grid, sz, z)
     den = nodal_inner(grid, fz, z)
     norm2 = nodal_inner(grid, z, z)
-    if abs(den) < DENOMINATOR_FLOOR * norm2:
-        raise DenominatorCollapseError(
-            f"<F(Z), Z> = {den:.3e} is negligible against ||Z||^2 = {norm2:.3e}"
-        )
-    m = num / den
+    m = np.nan if abs(den) < DENOMINATOR_FLOOR * norm2 else num / den
     res = nodal_norm(grid, sz - fz)
     return fz, m, res
 

@@ -49,10 +49,6 @@ import scipy.fft
 ILW = "ilw"
 BO = "bo"
 
-# coth branch switches: series below, asymptote above (coth(20) - 1 < 1e-17)
-_COTH_SERIES_CUT = 1e-8
-_COTH_ASYMPTOTE_CUT = 20.0
-
 _fft_workers = 1
 
 
@@ -162,16 +158,9 @@ def symbol_g(params: ModelParams, k) -> np.ndarray:
     scale = params.alpha / params.gamma
     if params.regime == BO:
         return scale * ak
-    # ILW: |k| coth|k| with the removable singularity at 0 and the large-|k|
-    # asymptote handled explicitly to avoid 0/0 and overflow.
-    out = np.empty_like(ak)
-    small = ak < _COTH_SERIES_CUT
-    large = ak > _COTH_ASYMPTOTE_CUT
-    mid = ~(small | large)
-    out[small] = 1.0 + ak[small] ** 2 / 3.0
-    out[large] = ak[large]
-    out[mid] = ak[mid] / np.tanh(ak[mid])
-    return scale * out
+    # ILW: |k| coth|k|, with its removable singularity at 0 set to 1; tanh
+    # rounds to 1 far out and to its argument near 0, so no series is needed
+    return scale * np.divide(ak, np.tanh(ak), out=np.ones_like(ak), where=ak > 0)
 
 
 def symbol_T(params: ModelParams, k) -> np.ndarray:

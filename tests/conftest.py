@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ilwbo import (
     cycled_solve,
 )
 from ilwbo.accel import RESIDUAL_GUARD, SUM_FLOOR, mpe_extrapolate
-from ilwbo.errors import DegenerateSumError, DenominatorCollapseError, NonConvergenceError
+from ilwbo.errors import NonConvergenceError
 from ilwbo.solitary import (
     DENOMINATOR_FLOOR,
     IterationTrace,
@@ -297,10 +298,10 @@ def reference_evaluate_iterate(params, grid, c, z):
     sz = np.stack((s11 * z[0] + s12 * z[1], s21 * z[0] + s22 * z[1]))
     fz = full_state(nonlinearity_F(params, grid, z[:, : grid.n_modes // 2 + 1]))
     num, den = reference_inner(grid, sz, z), reference_inner(grid, fz, z)
-    if abs(den) < DENOMINATOR_FLOOR * reference_inner(grid, z, z):
-        raise DenominatorCollapseError("<F(Z), Z> is negligible")
+    collapsed = abs(den) < DENOMINATOR_FLOOR * reference_inner(grid, z, z)
     d = sz - fz
-    return fz, num / den, float(np.sqrt(max(reference_inner(grid, d, d), 0.0)))
+    return (fz, math.nan if collapsed else num / den,
+            float(np.sqrt(max(reference_inner(grid, d, d), 0.0))))
 
 
 def reference_petviashvili_step(params, grid, c, fz, m):
@@ -320,7 +321,7 @@ def reference_mpe_coefficients(window):
     c_free, *_ = np.linalg.lstsq(np.stack(diffs[:-1], axis=1), -diffs[-1], rcond=None)
     c = np.append(c_free, 1.0)
     if abs(c.sum()) < SUM_FLOOR * np.max(np.abs(c)):
-        raise DegenerateSumError("coefficient sum is negligible")
+        return np.full(q + 1, math.nan)
     return c / c.sum()
 
 
@@ -331,37 +332,37 @@ def reference_cycled_solve(params, grid, config):
     z = full_state(seed_profile(params, grid, config))
     trace = IterationTrace()
     solves = 0
+
+    def converged(res, m, phase):
+        trace.append(res, m, phase, solves)
+        trace.iterations_used = solves
+        if math.isnan(m):  # a collapsed denominator ends the solve
+            raise NonConvergenceError(trace)
+        trace.converged = res <= config.tol
+        return trace.converged
+
     fz, m, res = reference_evaluate_iterate(params, grid, c, z)
-    trace.append(res, m, "plain", solves)
-    if res <= config.tol:
-        trace.converged = True
+    if converged(res, m, "plain"):
         return z, trace
     while True:
         window = [z]
         for _ in range(config.mw):
             if solves >= config.max_iter:
-                trace.iterations_used = solves
                 raise NonConvergenceError(trace)
             z = reference_petviashvili_step(params, grid, c, fz, m)
             solves += 1
             fz, m, res = reference_evaluate_iterate(params, grid, c, z)
-            trace.append(res, m, "plain", solves)
-            if res <= config.tol:
-                trace.converged = True
-                trace.iterations_used = solves
+            if converged(res, m, "plain"):
                 return z, trace
             window.append(z)
         if config.mw == 1:
             continue
-        try:
-            x = mpe_extrapolate(window, reference_mpe_coefficients(window))
-        except DegenerateSumError:
+        gammas = reference_mpe_coefficients(window)
+        if np.isnan(gammas).any():
             continue
+        x = mpe_extrapolate(window, gammas)
         fx, mx, res_x = reference_evaluate_iterate(params, grid, c, x)
-        trace.append(res_x, mx, "extrapolated", solves)
-        if res_x <= config.tol:
-            trace.converged = True
-            trace.iterations_used = solves
+        if converged(res_x, mx, "extrapolated"):
             return x, trace
         if res_x <= RESIDUAL_GUARD * res:
             z, fz, m, res = x, fx, mx, res_x

@@ -40,6 +40,9 @@ def invocation(workload, key):
     ("evolve-compute", "N1024/0"),
     ("evolve-compute", "N16384/0"),
     ("verify-desk", "desk0-convergence/0"),
+    ("verify-desk", "desk2-decay/0"),
+    ("verify-desk", "desk3-decay/0"),
+    ("solitary-sweep", "bo-c0.600-mw2"),
 ])
 def test_output_matches_benchmark_reference(tmp_path, workload, key):
     inv = invocation(workload, key)

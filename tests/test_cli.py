@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from ilwbo import ILW, EvolutionConfig, ModelParams, SolitaryConfig, SpectralGrid, accel, cli, io_utils
 from ilwbo.cli import main
-from ilwbo.errors import DegenerateSumError, DenominatorCollapseError
 from ilwbo.evolution import max_stable_dt
 from ilwbo.spectral import symbol_g
 
@@ -362,6 +361,10 @@ DIVERGING_EVOLVE = dict(EVOLVE_CFG, l=16.0, dt=0.1, initial={
     "kind": "gaussian", "amplitude": 50.0, "width": 1.0})
 
 
+ACCEL_BLOCK = {"kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+               "c": 0.57, "l": 16.0, "N": 64, "max_iter": 50, "mw_list": [1, 2]}
+
+
 ROUNDTRIP_BLOCK = {
     "kind": "roundtrip", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
     "c": 0.57, "l": 32.0, "N": 256, "t_end": 0.1, "dt": 0.01,
@@ -459,10 +462,8 @@ class TestOutcomes:
         assert (out_dir / "wave.csv").is_file()
 
     def test_failed_report_write_fails_its_block_and_lists_the_reports_before_it(self, tmp_path):
-        block = {"kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
-                 "c": 0.57, "l": 16.0, "N": 64, "max_iter": 50, "mw_list": [1, 2]}
         (tmp_path / "out" / "trace_mw2.csv").mkdir(parents=True)
-        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [ACCEL_BLOCK]})
         assert code == 2
         assert read_manifest(out_dir)["outputs"] == [
             "acceleration_table.csv", "trace_mw1.csv", "summary.json"]
@@ -470,6 +471,39 @@ class TestOutcomes:
         assert summary["all_pass"] is False
         [failed] = summary["experiments"]
         assert failed["pass"] is False and "trace_mw2.csv" in failed["detail"]["error"]
+
+    def test_a_failed_write_reads_the_same_in_every_run(self, tmp_path):
+        # the error names the report, not the temp file its write went through
+        (tmp_path / "out" / "trace_mw2.csv").mkdir(parents=True)
+        summaries = []
+        for _ in range(2):
+            code, out_dir = run_cli(tmp_path, "verify", {"experiments": [ACCEL_BLOCK]})
+            assert code == 2
+            summaries.append((out_dir / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        error = json.loads(summaries[0])["experiments"][0]["detail"]["error"]
+        assert error.endswith("trace_mw2.csv'") and ".tmp" not in error
+
+    def test_unwritable_summary_does_not_replace_the_block_error(self, tmp_path, capsys):
+        (tmp_path / "out" / "summary.json").mkdir(parents=True)
+        cfg = {"experiments": [dict(CONVERGENCE_BLOCK, dt=5.0)]}
+        code, out_dir = run_cli(tmp_path, "verify", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dt=5.0" in err and "summary.json" not in err
+        manifest = read_manifest(out_dir)
+        assert "dt=5.0" in manifest["error"]
+        assert manifest["outputs"] == []
+
+    def test_accel_block_has_no_mw_key(self, tmp_path):
+        # each width of mw_list sets its own mw, so a block's mw is dropped
+        code, plain = run_cli(tmp_path, "verify", {"experiments": [ACCEL_BLOCK]}, out="plain")
+        code_mw, with_mw = run_cli(tmp_path, "verify", {"experiments": [dict(ACCEL_BLOCK, mw=0)]},
+                                   out="mw")
+        assert code_mw == code != 2
+        assert read_manifest(with_mw)["config"] == read_manifest(plain)["config"]
+        assert "mw" not in read_manifest(with_mw)["config"]["experiments"][0]
+        assert (with_mw / "summary.json").read_bytes() == (plain / "summary.json").read_bytes()
 
     def test_diverging_solve_is_labelled_alike_by_solitary_and_accel(self, tmp_path):
         wave = dict(SOLITARY_CFG, l=64.0, seed_amplitude=1e300)
@@ -633,7 +667,7 @@ class TestOutcomes:
 
     def test_degenerate_sums_are_counted_as_skipped(self, tmp_path, monkeypatch):
         def degenerate(window):
-            raise DegenerateSumError("coefficient sum vanished")
+            return np.full(len(window) - 1, np.nan)  # the weights of a vanished sum
 
         monkeypatch.setattr(accel, "mpe_coefficients", degenerate)
         code, out_dir = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, mw=2))
@@ -670,16 +704,36 @@ class TestOutcomes:
         assert read_manifest(out_dir)["exit_status"] == 2
         assert "norm underflows to 0: seed_amplitude is too small" in capsys.readouterr().err
 
-    def test_denominator_collapse_exits_four(self, tmp_path, monkeypatch):
-        def collapse(*args, **kwargs):
-            raise DenominatorCollapseError("<F(Z), Z> vanished")
-
-        monkeypatch.setattr(cli, "cycled_solve", collapse)
-        code, out_dir = run_cli(tmp_path, "solitary", SOLITARY_CFG)
+    def test_collapsed_denominator_exits_four_with_its_trace(self, tmp_path, capsys):
+        # <F(Z), Z> ~ 1e-450 underflows to 0, while the residual ~ 1e-150 is
+        # below tol: the collapse must end the solve before it counts as converged
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(SOLITARY_CFG, seed_amplitude=1e-150)))
+        out_dir = tmp_path / "out"
+        code = main(["solitary", "--config", str(cfg_path), "--out", str(out_dir)])
         assert code == 4
+        assert "solitary: denominator-collapse after 0 iterations" in capsys.readouterr().err
         manifest = read_manifest(out_dir)
         assert manifest["exit_status"] == 4
         assert manifest["termination"] == "denominator-collapse"
+        assert manifest["iterations"] == 0
+        assert manifest["outputs"] == ["trace.csv"]
+        [row] = trace_rows(out_dir)
+        assert math.isnan(float(row["m_factor"]))
+        assert float(row["residual"]) == manifest["last_residual"] < SOLITARY_CFG["tol"]
+
+    def test_collapsed_denominator_is_a_row_of_the_accel_table(self, tmp_path):
+        cfg = {"experiments": [dict(ACCEL_BLOCK, seed_amplitude=1e-150)]}
+        code, out_dir = run_cli(tmp_path, "verify", cfg)
+        assert code == 6
+        assert read_manifest(out_dir)["outputs"] == [
+            "acceleration_table.csv", "trace_mw1.csv", "trace_mw2.csv", "summary.json"]
+        [result] = json.loads((out_dir / "summary.json").read_text())["experiments"]
+        assert result["detail"]["status"] == {"1": "denominator-collapse",
+                                              "2": "denominator-collapse"}
+        with open(out_dir / "acceleration_table.csv") as handle:
+            assert [row["status"] for row in csv.DictReader(handle)] == \
+                ["denominator-collapse"] * 2
 
     def test_bad_decay_model_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys):
         solves = []
@@ -806,7 +860,7 @@ def _key_paths(cfg, prefix=()):
 CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
 DROP = object()
 PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x",
-                 1e300, -1e300, 1e-300, -1e-300]
+                 1e300, -1e300, 1e-300, -1e-300, 1e-150]
 # Never a large count: a rejected value starts no thread, and -1 at most one per core.
 THREADS = ["1", "-1", "0", "-100"]
 
@@ -844,7 +898,8 @@ def _perturbed(name, path, change):
        threads=st.sampled_from(THREADS), out_is_file=st.booleans())
 def test_perturbed_configs_exit_with_a_documented_code(case, change, threads, out_is_file):
     """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
-    value, a string or a magnitude of 1e+-300, run with any of `THREADS` and
+    value, a string, a magnitude of 1e+-300 or 1e-150 (where a seed's
+    stabilizing-factor denominator underflows), run with any of `THREADS` and
     with `--out` a fresh directory or a file: the CLI never raises, exits 1,
     warns or hangs, and leaves a manifest unless `--out` is a file, which it
     then says in one line, with a non-zero code."""

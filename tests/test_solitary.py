@@ -7,11 +7,7 @@ import pytest
 
 from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair
 from ilwbo.accel import cycled_solve
-from ilwbo.errors import (
-    DenominatorCollapseError,
-    NonConvergenceError,
-    SingularModeError,
-)
+from ilwbo.errors import NonConvergenceError, SingularModeError
 from ilwbo.solitary import (
     apply_S,
     evaluate_iterate,
@@ -20,6 +16,7 @@ from ilwbo.solitary import (
     solve_S,
 )
 from ilwbo.spectral import (
+    nodal_norm,
     state_from_nodal,
     state_to_nodal,
     symbol_g,
@@ -247,8 +244,11 @@ class TestPetviashvili:
         zeta_hat[1] = 0.5
         zeta_hat[-1] = 0.5
         z = state_of(zeta_hat, np.zeros(32, dtype=complex))
-        with pytest.raises(DenominatorCollapseError):
-            evaluate_iterate(ILW_P, grid, 0.52, z.half)
+        fz, m, res = evaluate_iterate(ILW_P, grid, 0.52, z.half)
+        assert np.isnan(m)
+        # F(Z) and the residual are computed as for any iterate
+        assert not fz.any()
+        assert res == nodal_norm(grid, apply_S(ILW_P, grid, 0.52, z.half)) > 0
 
     def test_zero_seed_rejected(self, ilw_params):
         grid = SpectralGrid(8.0, 32)
