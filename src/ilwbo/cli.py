@@ -1,9 +1,9 @@
 """Command-line entry point: evolve, solitary-wave generation, verification.
 
 Usage:
-    ilwbo evolve   --config cfg.json [--out DIR] [--threads N] [--quiet]
-    ilwbo solitary --config cfg.json [--out DIR] [--threads N] [--quiet]
-    ilwbo verify   --config cfg.json [--out DIR] [--threads N] [--quiet]
+    ilwbo evolve   --config cfg.json [--out DIR] [--quiet]
+    ilwbo solitary --config cfg.json [--out DIR] [--quiet]
+    ilwbo verify   --config cfg.json [--out DIR] [--quiet]
 
 Configs are JSON (exact schemas in the README).  Each config is resolved once
 against the key tables below, which hold every key's type and default.  Every
@@ -64,7 +64,6 @@ from .spectral import (
     ILW,
     ModelParams,
     SpectralGrid,
-    set_fft_workers,
     state_from_nodal,
     state_to_nodal,
 )
@@ -194,7 +193,10 @@ def _value(kind, value, name: str):
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"config key '{name}' must be a non-empty list")
-        return [_value(kind[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
+        items = [_value(kind[0], v, f"{name}[{i}]") for i, v in enumerate(value)]
+        if kind[0] is int and len(set(items)) < len(items):
+            raise ConfigError(f"config key '{name}' must not repeat a value, got {value}")
+        return items
     if isinstance(kind, tuple):
         if isinstance(value, str) and value.lower() in kind:
             return value.lower()
@@ -249,11 +251,10 @@ def _initial_state(spec: dict, grid: SpectralGrid):
 
 
 def _solve_summary(trace) -> dict:
-    last = trace.residuals[-1]
     return {
         "termination": trace.termination,
         "iterations": trace.iterations_used,
-        "last_residual": last if math.isfinite(last) else None,
+        "last_residual": trace.residuals[-1],
         "extrapolations": dict(trace.extrapolations),
     }
 
@@ -273,7 +274,7 @@ def cmd_evolve(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     initial = _initial_state(cfg["initial"], grid)
     writer = SnapshotWriter(out, grid, params)
     try:
-        record = evolve(params, grid, initial, config, sink=writer.write)
+        evolve(params, grid, initial, config, sink=writer.write)
     except BaseException:
         # a failed run keeps the snapshots it took, with their index when
         # that can be written; the run's own error is the one reported
@@ -283,7 +284,7 @@ def cmd_evolve(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     writer.close()
     if not quiet:
         print(f"evolve: wrote {len(out.files)} files to {out.path}")
-    return EXIT_OK, {"snapshots": len(record.times)}
+    return EXIT_OK, {"snapshots": len(writer.times)}
 
 
 def cmd_solitary(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
@@ -494,8 +495,6 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--config", required=True, help="path to the JSON config file")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        p.add_argument("--threads", type=int, default=-1,
-                       help="FFT worker threads, -1 (all, the default) or at least 1")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -514,9 +513,6 @@ def main(argv=None) -> int:
 
     config, extra, error = None, {}, None
     try:
-        if args.threads == 0 or args.threads < -1:
-            raise ConfigError(f"--threads must be -1 (all cores) or at least 1, got {args.threads}")
-        set_fft_workers(args.threads)
         with open(args.config) as handle:
             config = json.load(handle)
         config = _resolve(keys, config)

@@ -61,8 +61,7 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionRecord:
-    """Snapshots at the output stride plus per-step zero-mode audit trail;
-    `states` is empty when `evolve` handed the snapshots to a sink."""
+    """Snapshots and a per-step k = 0 trail, for perfbench's ladder and the tests."""
 
     times: list[float]
     states: list[StatePair]
@@ -105,7 +104,7 @@ def _rk4(params: ModelParams, grid: SpectralGrid, y: np.ndarray, dt: float) -> n
 
 
 def semidiscrete_rhs(params: ModelParams, grid: SpectralGrid, state: StatePair) -> StatePair:
-    """Time derivative (d/dt zeta_hat, d/dt u_hat) of a state."""
+    """d/dt (zeta_hat, u_hat) of a state, for perfbench's ladder and the tests."""
     return StatePair(_rhs(params, grid, state.half))
 
 
@@ -126,7 +125,7 @@ def max_stable_dt(params: ModelParams, grid: SpectralGrid, cfl_guard: float = 0.
 
 
 def step(params: ModelParams, grid: SpectralGrid, state: StatePair, dt: float) -> StatePair:
-    """One explicit RK4 step of a state."""
+    """One explicit RK4 step of a state, for perfbench's ladder and the tests."""
     return StatePair(_rk4(params, grid, state.half, dt))
 
 
@@ -136,15 +135,13 @@ def evolve(
     initial: StatePair,
     config: EvolutionConfig,
     sink: Callable[[float, StatePair], None] | None = None,
-) -> EvolutionRecord:
-    """March the semidiscrete system to t_end, recording snapshots.
+) -> StatePair:
+    """March the semidiscrete system to t_end and return the final state.
 
-    Snapshots are taken every `record_every` steps (plus the initial and
-    final states) and stored, or, given a `sink`, handed to `sink(t, state)`
-    and not stored, so that the run holds O(N) memory whatever its snapshot
-    count.  The k = 0 coefficients are stored at every step so mean
-    conservation can be audited at full resolution.  A failing step raises
-    StepFailureError with the time it would have ended at.
+    Given a `sink`, each snapshot (every `record_every` steps, plus the
+    initial and final states) is handed to `sink(t, state)` and not stored,
+    so the run holds O(N) memory whatever its snapshot count.  A failing step
+    raises StepFailureError with the time it would have ended at.
     """
     dt_max = max_stable_dt(params, grid, config.cfl_guard)
     if abs(config.dt) > dt_max * (1.0 + 1e-12):
@@ -160,11 +157,8 @@ def evolve(
     n_steps = n_full + (1 if remainder else 0)
 
     y, t = initial.half, 0.0
-    times, states = [0.0], []
-    take = sink if sink is not None else lambda _, state: states.append(state)
-    take(0.0, initial)
-    step_times, zm_zeta, zm_u = [0.0], [y[0, 0]], [y[1, 0]]
-
+    if sink is not None:
+        sink(0.0, initial)
     for i in range(1, n_steps + 1):
         h = config.dt if i <= n_full else remainder
         try:
@@ -172,13 +166,6 @@ def evolve(
         except StepFailureError as err:
             raise StepFailureError(str(err), time=t + h) from err
         t = i * config.dt if i <= n_full else config.t_end
-        step_times.append(t)
-        zm_zeta.append(y[0, 0])
-        zm_u.append(y[1, 0])
-        if i % config.record_every == 0 or i == n_steps:
-            times.append(t)
-            take(t, StatePair(y))
-
-    return EvolutionRecord(times, states, np.array(step_times),
-                           np.array(zm_zeta, dtype=complex), np.array(zm_u, dtype=complex))
-
+        if sink is not None and (i % config.record_every == 0 or i == n_steps):
+            sink(t, StatePair(y))
+    return StatePair(y)

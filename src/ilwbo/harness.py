@@ -155,9 +155,7 @@ def convergence_study(
 
     def terminal(n: int, dt_run: float) -> tuple[SpectralGrid, StatePair]:
         grid = SpectralGrid(half_length, n)
-        cfg = EvolutionConfig(t_end=t_end, dt=dt_run, record_every=10 ** 9)
-        rec = evolve(params, grid, initial(grid), cfg)
-        return grid, rec.states[-1]
+        return grid, evolve(params, grid, initial(grid), EvolutionConfig(t_end=t_end, dt=dt_run))
 
     ref_grid, ref_state = terminal(2 * res[-1], dt)
     errors = []
@@ -199,9 +197,8 @@ def traveling_wave_roundtrip(
     """
     if t_end == 0.0:
         return 0.0
-    cfg = EvolutionConfig(t_end=t_end, dt=dt, record_every=10 ** 9)
-    rec = evolve(params, grid, wave, cfg)
-    back = translate_state(grid, rec.states[-1], -c * t_end)
+    final = evolve(params, grid, wave, EvolutionConfig(t_end=t_end, dt=dt))
+    back = translate_state(grid, final, -c * t_end)
     return l2_norm(grid, back.half - wave.half) / l2_norm(grid, wave.half)
 
 

@@ -11,6 +11,7 @@ snapshot writer formats its nodes once and `t` once per file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -76,9 +77,18 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> 
             handle.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
+def _finite(obj):
+    """`obj` with each nan or infinity made None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_finite, obj))
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json(path: str, obj) -> None:
     with _atomic_open(path) as handle:
-        handle.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        handle.write(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ----------------------------------------------------------------------------
@@ -92,6 +102,9 @@ def write_wave_csv(path: str, grid: SpectralGrid, state: StatePair) -> None:
 
 def read_profile_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read an x, zeta, u CSV produced by `write_wave_csv` (or compatible)."""
+    with open(path) as handle:
+        if not any(line.strip() for line in handle):
+            raise ValueError("profile CSV has no header line")
     data = np.genfromtxt(path, delimiter=",", names=True)
     for col in ("x", "zeta", "u"):
         if col not in (data.dtype.names or ()):
@@ -167,8 +180,8 @@ class SnapshotWriter:
 
 
 def write_snapshots(out_dir: str, grid: SpectralGrid, params, record) -> list[str]:
-    """One t,x,zeta,u CSV per held snapshot of `record` plus an index naming
-    them all; returns the names written."""
+    """One t,x,zeta,u CSV per snapshot of `record` plus their index; returns the
+    names written.  For perfbench's ladder and the tests: `evolve` holds no record."""
     out = OutputDir(out_dir)
     writer = SnapshotWriter(out, grid, params)
     for t, state in zip(record.times, record.states):

@@ -53,7 +53,7 @@ _fft_workers = 1
 
 
 def set_fft_workers(n: int) -> None:
-    """Set the worker count passed to the FFT backend (-1 means all cores)."""
+    """Set the FFT worker count (-1: all cores); only perfbench's ladder and the tests do."""
     global _fft_workers
     _fft_workers = int(n)
 
@@ -131,7 +131,7 @@ class StatePair:
 
     @cached_property
     def _full(self) -> np.ndarray:
-        # the full-length arrays, with c[-k] = conj(c[k]) mirrored in
+        # the full-length views, for perfbench's ladder and the tests: c[-k] = conj(c[k])
         h = self.half.shape[1] - 1
         full = np.empty((2, 2 * h), dtype=complex)
         full[:, : h + 1] = self.half

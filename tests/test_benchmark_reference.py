@@ -3,9 +3,9 @@
 Runs a few of the benchmark's invocations through `cli.main` and judges each
 output with the benchmark's own checks against `perfbench/reference.json`,
 so a change that moves a shipped number past its tolerance fails here, not
-first in a benchmark run.  It also runs each kernel of the `--trace 1` layer
-ladder once, so a library change that breaks the ladder's calls fails here
-too.  The perfbench files are only read.
+first in a benchmark run.  It also runs each kernel and each layer rung of
+the `--trace 1` ladder once, so a library change that breaks the ladder's
+calls fails here too.  The perfbench files are only read.
 """
 
 import json
@@ -64,3 +64,12 @@ def test_layer_ladder_kernels_run(tmp_path):
     out = {}
     ladder._io_rung(tmp_path, out)
     assert out["io_utils.snapshot_ms.N4096"] > 0
+    # the harness, accel and io_utils rungs, which set and restore the FFT workers
+    desk = json.loads((PERFBENCH.parent / "configs" / "verify_desk.json").read_text())
+    workers = ladder.spectral._fft_workers
+    rungs = ladder.layer_rungs(desk, tmp_path)
+    assert ladder.spectral._fft_workers == workers
+    assert sorted(rungs) == sorted([
+        "harness.convergence_study_s", "harness.roundtrip_s", "harness.decay_fit_s",
+        "accel.cycled_solve_s", "io_utils.snapshot_ms.N4096"])
+    assert all(value > 0 for value in rungs.values())

@@ -19,7 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilwbo import ILW, EvolutionConfig, ModelParams, SolitaryConfig, SpectralGrid, accel, cli, io_utils
+from ilwbo import (
+    ILW,
+    EvolutionConfig,
+    ModelParams,
+    SolitaryConfig,
+    SpectralGrid,
+    accel,
+    cli,
+    io_utils,
+    spectral,
+)
 from ilwbo.cli import main
 from ilwbo.evolution import max_stable_dt
 from ilwbo.spectral import symbol_g
@@ -157,6 +167,20 @@ class TestEvolveCommand:
         assert "initial.path" in error and "non-finite" in error
         assert capsys.readouterr().err == error + "\n"  # no RuntimeWarning either
         assert not list(out_dir.glob("snapshot*"))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_from_file_without_a_header_is_config_error(self, tmp_path, capsys, text):
+        profile = tmp_path / "profile.csv"
+        profile.write_text(text)
+        cfg = dict(EVOLVE_CFG, initial={"kind": "from-file", "path": str(profile)})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert [str(w.message) for w in caught] == []
+        assert code == 2
+        error = read_manifest(out_dir)["error"]
+        assert "initial.path" in error and "no header line" in error
+        assert capsys.readouterr().err == error + "\n"
 
 
 def singular_speed():
@@ -688,6 +712,28 @@ class TestOutcomes:
         assert "experiments[0].mw_list" in capsys.readouterr().err
         assert read_manifest(out_dir)["exit_status"] == 2
 
+    @pytest.mark.parametrize("block, key", [
+        (dict(ACCEL_BLOCK, mw_list=[2, 2]), "mw_list"),
+        (dict(CONVERGENCE_BLOCK, resolutions=[32, 32, 128]), "resolutions"),
+    ], ids=["mw_list", "resolutions"])
+    def test_repeated_value_in_an_int_list(self, tmp_path, capsys, block, key):
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        assert code == 2
+        assert f"'experiments[0].{key}' must not repeat a value" in capsys.readouterr().err
+        assert read_manifest(out_dir)["outputs"] == []
+
+    def test_zero_amplitude_convergence_writes_strict_json(self, tmp_path):
+        # every error is 0, so the rates are nan: null in summary.json
+        def strict(constant):
+            raise AssertionError(f"{constant} is not strict JSON")
+
+        block = dict(CONVERGENCE_BLOCK, amplitude=0.0)
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        assert code == 6
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=strict)
+        assert summary["experiments"][0]["detail"]["rates"] == [None, None]
+        json.loads((out_dir / "manifest.json").read_text(), parse_constant=strict)
+
     def test_solitary_nan_speed(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, "solitary", dict(SOLITARY_CFG, c=math.nan))
         assert code == 2
@@ -792,19 +838,14 @@ class TestOutcomes:
         assert code == 2
         assert read_manifest(tmp_path / "out")["config"] is None
 
-    @pytest.mark.parametrize("threads", ["0", "-2", "-100"])
-    def test_threads_other_than_all_or_a_positive_count(self, tmp_path, capsys, threads):
-        # rejected before the command runs, so no worker is ever started
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(SOLITARY_CFG))
-        code = main(["solitary", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
-                     "--threads", threads, "--quiet"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--threads" in err and f"got {threads}" in err
-        manifest = read_manifest(tmp_path / "out")
-        assert manifest["exit_status"] == 2 and manifest["outputs"] == []
-        assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+    def test_main_leaves_the_fft_worker_count_as_it_found_it(self, tmp_path, capsys):
+        # no --threads flag: a run writes no process-global state
+        before = spectral._fft_workers
+        code, _ = run_cli(tmp_path, "solitary", SOLITARY_CFG)
+        assert code == 0 and spectral._fft_workers == before
+        with pytest.raises(SystemExit):
+            main(["solitary", "--help"])
+        assert "--threads" not in capsys.readouterr().out
 
 
 def test_cli_defaults_match_library_defaults():
@@ -861,8 +902,6 @@ CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
 DROP = object()
 PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x",
                  1e300, -1e300, 1e-300, -1e-300, 1e-150]
-# Never a large count: a rejected value starts no thread, and -1 at most one per core.
-THREADS = ["1", "-1", "0", "-100"]
 
 # Every shrunk run takes well under a second; a run past this limit is a hang.
 CASE_SECONDS = 20
@@ -895,14 +934,14 @@ def _perturbed(name, path, change):
 
 @settings(max_examples=240)
 @given(case=st.sampled_from(CASES), change=st.sampled_from(PERTURBATIONS),
-       threads=st.sampled_from(THREADS), out_is_file=st.booleans())
-def test_perturbed_configs_exit_with_a_documented_code(case, change, threads, out_is_file):
+       out_is_file=st.booleans())
+def test_perturbed_configs_exit_with_a_documented_code(case, change, out_is_file):
     """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
     value, a string, a magnitude of 1e+-300 or 1e-150 (where a seed's
-    stabilizing-factor denominator underflows), run with any of `THREADS` and
-    with `--out` a fresh directory or a file: the CLI never raises, exits 1,
-    warns or hangs, and leaves a manifest unless `--out` is a file, which it
-    then says in one line, with a non-zero code."""
+    stabilizing-factor denominator underflows), run with `--out` a fresh
+    directory or a file: the CLI never raises, exits 1, warns or hangs, and
+    leaves a manifest unless `--out` is a file, which it then says in one
+    line, with a non-zero code."""
     name, path = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "config.json")
@@ -919,15 +958,12 @@ def test_perturbed_configs_exit_with_a_documented_code(case, change, threads, ou
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stderr(stderr):
                 warnings.simplefilter("always")
-                code = main([SHIPPED[name], "--config", cfg_path, "--out", out,
-                             "--threads", threads, "--quiet"])
+                code = main([SHIPPED[name], "--config", cfg_path, "--out", out, "--quiet"])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert [str(w.message) for w in caught] == []
         assert code in (0, 2, 3, 4, 5, 6)
-        if threads in ("0", "-100"):
-            assert code == 2 and "--threads" in stderr.getvalue()
         if out_is_file:
             assert code != 0
             assert stderr.getvalue().count("cannot write the manifest") == 1

@@ -24,6 +24,7 @@ from ilwbo.spectral import (
 )
 
 from conftest import (
+    Snapshots,
     brute_force_product,
     full_arrays,
     full_l2_norm,
@@ -168,40 +169,47 @@ class TestEvolve:
         y0 = sech2_state(0.3, 0.8)(grid)
         y = full_arrays(y0)
         dt = 0.0625
-        rec = evolve(params, grid, y0, EvolutionConfig(t_end=50 * dt, dt=dt, record_every=25))
-        assert len(rec.step_times) == 51 and rec.times == [0.0, 25 * dt, 50 * dt]
+        snaps = Snapshots()
+        final = evolve(params, grid, y0, EvolutionConfig(t_end=50 * dt, dt=dt, record_every=25),
+                       sink=snaps)
+        assert snaps.times == [0.0, 25 * dt, 50 * dt]
+        assert np.array_equal(final.half, snaps.states[-1].half)
         for i in range(50):
             y = reference_step(params, grid, y, dt)
             if i == 24:
                 halfway = y
-        for got, want in zip(rec.states[1:], (halfway, y)):
+        for got, want in zip(snaps.states[1:], (halfway, y)):
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got.zeta_hat - want[0])) <= 1e-13 * scale
             assert np.max(np.abs(got.u_hat - want[1])) <= 1e-13 * scale
 
     def test_zero_initial(self):
         grid = SpectralGrid(4.0, 32)
-        rec = evolve(BO_P, grid, zero_state(grid), EvolutionConfig(t_end=0.5, dt=0.01))
-        assert all(state_l2_norm(grid, s) == 0.0 for s in rec.states)
+        snaps = Snapshots()
+        final = evolve(BO_P, grid, zero_state(grid), EvolutionConfig(t_end=0.5, dt=0.01),
+                       sink=snaps)
+        assert all(state_l2_norm(grid, s) == 0.0 for s in snaps.states + [final])
 
     def test_mean_conservation_is_exact(self):
         # the k=0 right-hand side is identically zero, so the zero modes are
         # bitwise constant along the march
         grid = SpectralGrid(16.0, 64)
-        rec = evolve(
+        snaps = Snapshots()
+        evolve(
             ILW_P, grid, gaussian_state(0.2, 1.5)(grid),
-            EvolutionConfig(t_end=1.0, dt=0.02, record_every=10),
+            EvolutionConfig(t_end=1.0, dt=0.02, record_every=1), sink=snaps,
         )
-        assert zero_mode_drift(rec) == 0.0
+        assert len(snaps.states) == 51 and zero_mode_drift(snaps.states) == 0.0
 
     def test_reality_throughout(self):
         grid = SpectralGrid(16.0, 64)
-        rec = evolve(
+        snaps = Snapshots()
+        evolve(
             BO_P, grid, gaussian_state(0.3, 1.5)(grid),
-            EvolutionConfig(t_end=1.0, dt=0.02, record_every=5),
+            EvolutionConfig(t_end=1.0, dt=0.02, record_every=5), sink=snaps,
         )
         worst = 0.0
-        for s in rec.states:
+        for s in snaps.states:
             worst = max(worst, np.max(np.abs(to_nodal(grid, s.zeta_hat).imag)))
             worst = max(worst, np.max(np.abs(to_nodal(grid, s.u_hat).imag)))
         assert worst < 1e-10
@@ -209,9 +217,10 @@ class TestEvolve:
     def test_first_snapshot_is_initial(self):
         grid = SpectralGrid(4.0, 32)
         y0 = gaussian_state(0.1, 0.5)(grid)
-        rec = evolve(ILW_P, grid, y0, EvolutionConfig(t_end=0.1, dt=0.01))
-        assert rec.times[0] == 0.0
-        assert l2_norm(grid, rec.states[0].half - y0.half) < 1e-15
+        snaps = Snapshots()
+        evolve(ILW_P, grid, y0, EvolutionConfig(t_end=0.1, dt=0.01), sink=snaps)
+        assert snaps.times[0] == 0.0
+        assert l2_norm(grid, snaps.states[0].half - y0.half) < 1e-15
 
     def test_time_reversal(self):
         # RK4 is not time-symmetric; the forward-backward error is O(dt^4)
@@ -259,9 +268,7 @@ class TestEvolve:
         end = sol.y[:, -1]
         reference = [hermitian_symmetrize_reference(end[i:i + n] + 1j * end[i + n:i + 2*n])
                      for i in (0, 2 * n)]
-        rec = evolve(BO_P, grid, y0, EvolutionConfig(t_end=t_end, dt=1e-3,
-                                                     record_every=10 ** 9))
-        got = rec.states[-1]
+        got = evolve(BO_P, grid, y0, EvolutionConfig(t_end=t_end, dt=1e-3))
         err = (full_l2_norm(grid, got.zeta_hat - reference[0])
                + full_l2_norm(grid, got.u_hat - reference[1]))
         assert err < 1e-11
@@ -273,9 +280,8 @@ class TestEvolve:
         terminal = {}
         for n in (32, 64, 128, 256):
             grid = SpectralGrid(16.0, n)
-            rec = evolve(params, grid, gaussian_state(0.1, 1.2)(grid),
-                         EvolutionConfig(t_end=t_end, dt=dt, record_every=10 ** 9))
-            terminal[n] = (grid, rec.states[-1])
+            terminal[n] = (grid, evolve(params, grid, gaussian_state(0.1, 1.2)(grid),
+                                        EvolutionConfig(t_end=t_end, dt=dt)))
         diffs = []
         for n in (32, 64, 128):
             ga, a = terminal[n]

@@ -20,6 +20,7 @@ from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
 from ilwbo.spectral import projected_product, quadratic_terms, state_from_nodal
 
 from conftest import (
+    Snapshots,
     full_state,
     hermitian_symmetrize_reference,
     state_from_nodal_reference,
@@ -106,9 +107,10 @@ def test_step_and_evolve_keep_state_hermitian():
     grid = SpectralGrid(8.0, 64)
     y0 = gaussian_state(0.4, 1.0)(grid)
     assert_state_exactly_hermitian(step(ILW_P, grid, y0, 0.05), step(BO_P, grid, y0, 0.05))
-    rec = evolve(BO_P, grid, y0, EvolutionConfig(t_end=1.0, dt=0.05, record_every=4))
-    assert len(rec.states) == 6
-    assert_state_exactly_hermitian(*rec.states)
+    snaps = Snapshots()
+    final = evolve(BO_P, grid, y0, EvolutionConfig(t_end=1.0, dt=0.05, record_every=4), sink=snaps)
+    assert len(snaps.states) == 6
+    assert_state_exactly_hermitian(*snaps.states, final)
 
 
 def test_solver_iterates_stay_hermitian():

@@ -1,6 +1,8 @@
-"""Tests for the CSV writers: the streamed column writer must produce the
-same bytes as the row-by-row writer it replaced."""
+"""Tests for the CSV writers, whose streamed column writer must produce the
+same bytes as the row-by-row writer it replaced, and for the JSON writer."""
 
+import json
+import math
 import os
 
 import numpy as np
@@ -14,9 +16,12 @@ from ilwbo.io_utils import (
     OutputDir,
     SnapshotWriter,
     write_csv,
+    write_json,
     write_snapshots,
 )
 from ilwbo.spectral import state_to_nodal
+
+from conftest import Snapshots
 
 
 def _fmt(value) -> str:
@@ -78,6 +83,19 @@ class TestWriteCsv:
         assert not os.listdir(tmp_path)
 
 
+class TestWriteJson:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        # and finite values as json.dumps writes them, so the output is strict JSON
+        path = tmp_path / "out.json"
+        write_json(str(path), {"rates": [math.nan, np.float64(math.inf), 0.1 + 0.2],
+                               "fit": {"window": (-math.inf, np.float64(1e-300))},
+                               "n": 3, "ok": True, "s": "nan", "none": None})
+        expected = {"rates": [None, None, 0.1 + 0.2], "fit": {"window": [None, 1e-300]},
+                    "n": 3, "ok": True, "s": "nan", "none": None}
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True,
+                                              allow_nan=False) + "\n"
+
+
 class TestReportWriters:
     def test_snapshots_match_row_writer(self, tmp_path):
         params = ModelParams(0.8, 1.2, BO)
@@ -134,21 +152,25 @@ class TestReportWriters:
         assert 2 * n * k <= len(formatted) <= n + k * (2 * n + 1)
 
     def test_streamed_snapshots_match_the_held_record(self, tmp_path):
+        # the writer's files against write_snapshots over a record held from
+        # the same run's snapshots
         params = ModelParams(0.8, 1.2, BO)
         grid = SpectralGrid(16.0, 256)
         initial = sech2_state(0.2, 0.8)(grid)
         config = EvolutionConfig(t_end=0.33, dt=0.05, record_every=3)  # a short last step
-        held = evolve(params, grid, initial, config)
+        snaps = Snapshots()
+        final = evolve(params, grid, initial, config, sink=snaps)
+        held = EvolutionRecord(snaps.times, snaps.states, np.zeros(4), np.zeros(4, complex),
+                               np.zeros(4, complex))
         write_snapshots(str(tmp_path / "held"), grid, params, held)
         out = OutputDir(str(tmp_path / "streamed"))
         writer = SnapshotWriter(out, grid, params)
         streamed = evolve(params, grid, initial, config, sink=writer.write)
         writer.close()
         files = out.files
-        assert streamed.states == []
-        assert streamed.times == held.times and held.times[-1] == 0.33
-        assert len(held.states) == 4
-        assert np.array_equal(streamed.zero_mode_zeta, held.zero_mode_zeta)
+        assert writer.times == snaps.times and snaps.times[-1] == 0.33
+        assert len(snaps.states) == 4
+        assert np.array_equal(streamed.half, final.half)
         assert sorted(os.listdir(tmp_path / "streamed")) == sorted(files)
         for name in files:
             assert read_bytes(tmp_path / "streamed" / name) == read_bytes(tmp_path / "held" / name)
