@@ -6,19 +6,20 @@ Usage:
     ilwbo verify   --config cfg.json [--out DIR] [--quiet]
 
 Configs are JSON (exact schemas in the README).  Each config is resolved once
-against the key tables below, which hold every key's type and default.  Every
+against the key tables below, which hold every key's type and default; the
+solver keys take theirs from `SolitaryConfig` and `EvolutionConfig`.  Every
 run writes a manifest.json with the command name, the resolved configuration
 (which can be fed back as a config file to reproduce the run), the list of
 emitted files, the exit status and the wall time.
 
 Exit codes:
   0  success (verify: all experiments passed)
-  2  configuration error (message names the offending key)
+  2  configuration error (naming the offending key) or a grid too large to allocate
   3  numerical failure during evolve (failing time in the manifest)
   4  solitary iteration did not converge: cap reached, diverged or denominator
      collapsed (trace.csv written in each case)
   5  singular per-mode matrix (offending wavenumber reported)
-  6  verify: at least one experiment failed its threshold
+  6  verify: at least one experiment failed (its threshold, its solve or its fit)
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -99,19 +101,25 @@ _MODEL_KEYS = {
 
 _GRID_KEYS = {"l": (float, _REQUIRED), "N": (int, _REQUIRED)}
 
+
+def _library_keys(config_class, *names: str) -> dict:
+    """Table entries for fields of a library dataclass, with its defaults."""
+    fields = {f.name: f.default for f in dataclasses.fields(config_class)}
+    return {name: (type(fields[name]), fields[name]) for name in names}
+
+
+def _library_config(config_class, cfg: dict, **given):
+    """`config_class` from `given` and the keys of `cfg` that name its fields;
+    a field that `cfg` lacks keeps its default."""
+    names = {f.name for f in dataclasses.fields(config_class)}
+    return config_class(**{k: v for k, v in cfg.items() if k in names}, **given)
+
+
 _WAVE_KEYS = {
     **_MODEL_KEYS,
     **_GRID_KEYS,
     "c": (float, _REQUIRED),
-    "tol": (float, 1e-10),
-    "max_iter": (int, 500),
-    "mw": (int, 1),
-    "seed_amplitude": (float, -0.4),
-    # Not SolitaryConfig's 1.2, and neither side can move without changing
-    # results: at 1.2 the desk's accel counts go from 101/39/36/34 to
-    # 104/43/33/32, and at 0.5 the library fails acceptance check c01 (the
-    # ILW c = 0.52 residual is no longer monotone after its transient).
-    "seed_width": (float, 0.5),
+    **_library_keys(SolitaryConfig, "tol", "max_iter", "mw", "seed_amplitude", "seed_width"),
 }
 
 
@@ -135,7 +143,7 @@ _EVOLVE_KEYS = {
     "t_end": (float, _REQUIRED),
     "dt": (float, _REQUIRED),
     "record_every": (int, _default_record_every),
-    "cfl_guard": (float, 0.5),
+    **_library_keys(EvolutionConfig, "cfl_guard"),
     "initial": (_INITIAL_KEYS, _REQUIRED),
 }
 
@@ -219,15 +227,7 @@ def _grid(cfg: dict) -> SpectralGrid:
 
 
 def _wave_problem(cfg: dict) -> tuple[ModelParams, SpectralGrid, SolitaryConfig]:
-    config = SolitaryConfig(
-        speed=cfg["c"],
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        mw=cfg.get("mw", 1),  # an accel block has none
-        seed_amplitude=cfg["seed_amplitude"],
-        seed_width=cfg["seed_width"],
-    )
-    return _model(cfg), _grid(cfg), config
+    return _model(cfg), _grid(cfg), _library_config(SolitaryConfig, cfg, speed=cfg["c"])
 
 
 def _initial_state(spec: dict, grid: SpectralGrid):
@@ -265,12 +265,7 @@ def _solve_summary(trace) -> dict:
 
 def cmd_evolve(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     params, grid = _model(cfg), _grid(cfg)
-    config = EvolutionConfig(
-        t_end=cfg["t_end"],
-        dt=cfg["dt"],
-        record_every=cfg["record_every"],
-        cfl_guard=cfg["cfl_guard"],
-    )
+    config = _library_config(EvolutionConfig, cfg)
     initial = _initial_state(cfg["initial"], grid)
     writer = SnapshotWriter(out, grid, params)
     try:
@@ -445,9 +440,9 @@ def cmd_verify(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
             except IlwboError as err:
                 # solver-level failures fail the experiment, not the command
                 ok, detail = False, {"error": str(err)}
-            except (OSError, ValueError) as err:
-                # a value the library rejects, or a report that cannot be
-                # written, ends the command (exit 2)
+            except (OSError, ValueError, MemoryError) as err:
+                # a value the library rejects, a report that cannot be
+                # written or a grid too large to allocate ends the command (exit 2)
                 results.append({"kind": kind, "pass": False, "detail": {"error": str(err)}})
                 raise
             results.append({"kind": kind, "pass": ok, "detail": detail})
@@ -517,9 +512,10 @@ def main(argv=None) -> int:
             config = json.load(handle)
         config = _resolve(keys, config)
         code, extra = handler(config, out, args.quiet)
-    except (ConfigError, OSError, ValueError) as err:
+    except (ConfigError, OSError, ValueError, MemoryError) as err:
         # ValueError: a value the library rejects, such as a dt beyond the
-        # step-size guard or resolutions spanning less than 4x
+        # step-size guard or resolutions spanning less than 4x; MemoryError:
+        # a grid too large to allocate
         code, error = EXIT_CONFIG, f"config error: {err}"
         extra = {"error": error}
     except StepFailureError as err:

@@ -42,4 +42,4 @@ class StepFailureError(IlwboError):
 
 
 class WindowUnderflowError(IlwboError):
-    """Tail amplitude is below rounding noise on the requested fit window."""
+    """No tail to fit: no decay below 1/e of the peak, or a tail below rounding noise."""

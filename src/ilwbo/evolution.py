@@ -120,7 +120,7 @@ def linear_speed_bound(params: ModelParams, grid: SpectralGrid) -> float:
     return float(np.max(np.sqrt((1.0 - params.gamma) * j / params.gamma)))
 
 
-def max_stable_dt(params: ModelParams, grid: SpectralGrid, cfl_guard: float = 0.5) -> float:
+def max_stable_dt(params: ModelParams, grid: SpectralGrid, cfl_guard: float) -> float:
     return cfl_guard * grid.node_spacing / linear_speed_bound(params, grid)
 
 

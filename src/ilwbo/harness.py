@@ -53,7 +53,7 @@ class ConvergenceReport:
     observed_rates: list[float]
     probe_delta: float
 
-    def is_spectral(self, min_ratio: float = 16.0) -> bool:
+    def is_spectral(self, min_ratio: float) -> bool:
         """True when every successive error ratio meets `min_ratio`."""
         e = np.asarray(self.errors)
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is nan: not spectral
@@ -210,7 +210,7 @@ def crest_scale_of(grid: SpectralGrid, profile: np.ndarray) -> float:
         raise ValueError("profile is identically zero")
     right = (grid.nodes > 0) & (profile < peak / np.e)
     if not right.any():
-        raise ValueError("profile does not decay below 1/e of its peak")
+        raise WindowUnderflowError("profile does not decay below 1/e of its peak")
     return float(grid.nodes[right][0])
 
 

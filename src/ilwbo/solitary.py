@@ -56,7 +56,7 @@ class SolitaryConfig:
     max_iter: int = 500
     mw: int = 1
     seed_amplitude: float = -0.4
-    seed_width: float = 1.2
+    seed_width: float = 0.5
 
     def __post_init__(self):
         if self.speed == 0.0:

@@ -59,7 +59,7 @@ def wave_grid():
 @pytest.fixture(scope="session")
 def ilw_wave(ilw_params, wave_grid):
     """Converged ILW demonstration wave (c=0.52) plus its trace."""
-    config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=500, mw=1)
+    config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=500, mw=1, seed_width=1.2)
     wave, trace = cycled_solve(ilw_params, wave_grid, config)
     return config, wave, trace
 
@@ -67,7 +67,7 @@ def ilw_wave(ilw_params, wave_grid):
 @pytest.fixture(scope="session")
 def bo_wave(bo_params, wave_grid):
     """Converged B-O demonstration wave (c=0.57) plus its trace."""
-    config = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=500, mw=1)
+    config = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=500, mw=1, seed_width=1.2)
     wave, trace = cycled_solve(bo_params, wave_grid, config)
     return config, wave, trace
 
@@ -76,7 +76,7 @@ def bo_wave(bo_params, wave_grid):
 def ilw_smooth_wave(ilw_params):
     """A speed inside the smooth ILW family (c=0.40), on a fast grid."""
     grid = SpectralGrid(half_length=32.0, n_modes=512)
-    config = SolitaryConfig(speed=0.40, tol=1e-10, max_iter=500, mw=1)
+    config = SolitaryConfig(speed=0.40, tol=1e-10, max_iter=500, mw=1, seed_width=1.2)
     wave, trace = cycled_solve(ilw_params, grid, config)
     return grid, config, wave, trace
 

@@ -152,13 +152,13 @@ class TestCycledSolve:
         for params, c in ((ilw_params, 0.52), (bo_params, 0.57)):
             counts = {}
             for mw in (1, 2):
-                config = SolitaryConfig(speed=c, tol=1e-10, max_iter=500, mw=mw)
+                config = SolitaryConfig(speed=c, tol=1e-10, max_iter=500, mw=mw, seed_width=1.2)
                 _, trace = cycled_solve(params, wave_grid, config)
                 counts[mw] = trace.iterations_used
             assert counts[2] < counts[1]
 
     def test_trace_phases_and_counts(self, bo_params, wave_grid):
-        config = SolitaryConfig(speed=0.57, tol=1e-8, max_iter=300, mw=3)
+        config = SolitaryConfig(speed=0.57, tol=1e-8, max_iter=300, mw=3, seed_width=1.2)
         _, trace = cycled_solve(bo_params, wave_grid, config)
         assert trace.converged
         assert set(trace.phases) <= {"plain", "extrapolated"}
@@ -176,7 +176,7 @@ class TestCycledSolve:
         tol = 1e-10
         profiles = {}
         for mw in (1, 2, 3, 4):
-            config = SolitaryConfig(speed=0.57, tol=tol, max_iter=500, mw=mw)
+            config = SolitaryConfig(speed=0.57, tol=tol, max_iter=500, mw=mw, seed_width=1.2)
             wave, trace = cycled_solve(bo_params, wave_grid, config)
             assert trace.converged
             profiles[mw] = state_to_nodal(wave_grid, wave)[0]
@@ -189,7 +189,7 @@ class TestCycledSolve:
 
     def test_guarded_cycling_never_ends_worse(self, ilw_params, wave_grid):
         # converged result must beat every plain iterate seen along the way
-        config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=500, mw=4)
+        config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=500, mw=4, seed_width=1.2)
         wave, trace = cycled_solve(ilw_params, wave_grid, config)
         final = residual_norm(ilw_params, wave_grid, config.speed, wave)
         plain_res = [r for r, ph in zip(trace.residuals, trace.phases) if ph == "plain"]
@@ -213,7 +213,7 @@ class TestMatchesFullLengthOracle:
     @pytest.mark.parametrize("params, c", [(ModelParams(0.8, 1.2, BO), 0.57),
                                            (ModelParams(0.8, 1.2, ILW), 0.40)])
     def test_mpe_coefficients_on_petviashvili_windows(self, wave_grid, params, c):
-        config = SolitaryConfig(speed=c)
+        config = SolitaryConfig(speed=c, seed_width=1.2)
         window = [seed_profile(params, wave_grid, config)]
         for _ in range(5):
             fz, m, _ = evaluate_iterate(params, wave_grid, c, window[-1])

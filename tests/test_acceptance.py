@@ -66,7 +66,7 @@ class TestAcceptance:
         iterations, residual monotone after at most a 10-iteration transient,
         in under a minute."""
         t0 = time.perf_counter()
-        config = SolitaryConfig(speed=0.52, tol=TOL, max_iter=500, mw=1)
+        config = SolitaryConfig(speed=0.52, tol=TOL, max_iter=500, mw=1, seed_width=1.2)
         _, trace = cycled_solve(ilw_params, wave_grid, config)
         elapsed = time.perf_counter() - t0
         ok = (
@@ -81,7 +81,7 @@ class TestAcceptance:
     def test_c02_bo_solitary_convergence(self, bo_params, wave_grid):
         """B-O, c=0.57: same protocol and caps."""
         t0 = time.perf_counter()
-        config = SolitaryConfig(speed=0.57, tol=TOL, max_iter=500, mw=1)
+        config = SolitaryConfig(speed=0.57, tol=TOL, max_iter=500, mw=1, seed_width=1.2)
         _, trace = cycled_solve(bo_params, wave_grid, config)
         elapsed = time.perf_counter() - t0
         ok = (
@@ -100,7 +100,7 @@ class TestAcceptance:
         claim is anchored), with ties allowed only among mw >= 2."""
         tables = {}
         for name, params, c in (("ilw", ilw_params, 0.52), ("bo", bo_params, 0.57)):
-            base = SolitaryConfig(speed=c, tol=TOL, max_iter=500, mw=1)
+            base = SolitaryConfig(speed=c, tol=TOL, max_iter=500, mw=1, seed_width=1.2)
             rows = acceleration_benchmark(params, wave_grid, base, [1, 2, 3, 4])
             assert all(r.status == "converged" for r in rows)
             tables[name] = {r.mw: r.iterations for r in rows}
@@ -184,7 +184,7 @@ class TestAcceptance:
         (l=256) where the window reaches x ~ 115 while periodic-image
         contamination stays near the 10% level."""
         grid = SpectralGrid(256.0, 4096)
-        config = SolitaryConfig(speed=0.57, tol=TOL, max_iter=800, mw=2)
+        config = SolitaryConfig(speed=0.57, tol=TOL, max_iter=800, mw=2, seed_width=1.2)
         wave, trace = cycled_solve(bo_params, grid, config)
         assert trace.converged
         zeta, _ = state_to_nodal(grid, wave)

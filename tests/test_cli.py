@@ -3,7 +3,6 @@
 import contextlib
 import csv
 import dataclasses
-import inspect
 import io
 import json
 import math
@@ -31,7 +30,6 @@ from ilwbo import (
     spectral,
 )
 from ilwbo.cli import main
-from ilwbo.evolution import max_stable_dt
 from ilwbo.spectral import symbol_g
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -574,6 +572,38 @@ class TestOutcomes:
         assert first["pass"] is True and first["detail"]["spectral"] is True
         assert failed["pass"] is False and "dt=5.0" in failed["detail"]["error"]
 
+    @pytest.mark.parametrize("command, cfg", [
+        pytest.param("solitary", dict(SOLITARY_CFG, N=2**59), id="solitary"),
+        pytest.param("evolve", dict(EVOLVE_CFG, N=2**59), id="evolve"),
+        pytest.param("verify", {"experiments": [CONVERGENCE_BLOCK, dict(ROUNDTRIP_BLOCK, N=2**59)]},
+                     id="verify"),
+    ])
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys, command, cfg):
+        # 4 EiB exceeds any address space, so the request fails without allocating
+        code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate") and "Traceback" not in err
+        assert read_manifest(out_dir)["exit_status"] == 2
+        if command == "verify":
+            first, failed = json.loads((out_dir / "summary.json").read_text())["experiments"]
+            assert first["pass"] is True
+            assert failed["pass"] is False and "allocate" in failed["detail"]["error"]
+
+    def test_decay_block_without_a_tail_fails_and_later_blocks_run(self, tmp_path, capsys):
+        # the B-O wave at l = 4 never falls below 1/e of its peak
+        decay = {"kind": "decay", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.57, "l": 4.0, "N": 64}
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [decay, CONVERGENCE_BLOCK]})
+        assert code == 6
+        assert "config error" not in capsys.readouterr().err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        failed, later = summary["experiments"]
+        assert failed == {"kind": "decay", "pass": False,
+                          "detail": {"error": "profile does not decay below 1/e of its peak"}}
+        assert later["kind"] == "convergence" and later["pass"] is True
+        assert read_manifest(out_dir)["outputs"] == ["convergence_report.csv", "summary.json"]
+
     def test_verify_dt_beyond_step_guard(self, tmp_path, capsys):
         code, out_dir = run_cli(tmp_path, "verify", {"experiments": [dict(CONVERGENCE_BLOCK, dt=0.5)]})
         assert code == 2
@@ -848,17 +878,21 @@ class TestOutcomes:
         assert "--threads" not in capsys.readouterr().out
 
 
-def test_cli_defaults_match_library_defaults():
-    """Each default the CLI shares with a library dataclass is the same value."""
-    library = {f.name: f.default for f in dataclasses.fields(SolitaryConfig)}
-    for key in ("tol", "max_iter", "mw", "seed_amplitude"):
-        assert cli._WAVE_KEYS[key][1] == library[key], key
-    evolution = {f.name: f.default for f in dataclasses.fields(EvolutionConfig)}
-    guard = inspect.signature(max_stable_dt).parameters["cfl_guard"].default
-    assert cli._EVOLVE_KEYS["cfl_guard"][1] == evolution["cfl_guard"] == guard
-    # the one known difference: moving either side changes shipped results
-    assert cli._WAVE_KEYS["seed_width"][1] == 0.5
-    assert library["seed_width"] == 1.2
+def test_cli_solver_defaults_are_the_library_defaults():
+    """A minimal solitary and evolve config resolve each solver key the CLI
+    shares with a library dataclass to that dataclass's default."""
+    library = {f.name: f.default for config_class in (SolitaryConfig, EvolutionConfig)
+               for f in dataclasses.fields(config_class)}
+    assert library["seed_width"] == 0.5
+    minimal = {
+        "solitary": {k: SOLITARY_CFG[k] for k in ("regime", "gamma", "alpha", "c", "l", "N")},
+        "evolve": {k: v for k, v in EVOLVE_CFG.items() if k != "record_every"},
+    }
+    resolved = {}
+    for command, cfg in minimal.items():
+        resolved |= cli._resolve(cli._COMMANDS[command][1], cfg)
+    for key in ("tol", "max_iter", "mw", "seed_amplitude", "seed_width", "cfl_guard"):
+        assert resolved[key] == library[key] and type(resolved[key]) is type(library[key]), key
 
 
 # Shipped configs shrunk to N <= 64, at most 200 steps and max_iter <= 20, so
@@ -901,7 +935,7 @@ def _key_paths(cfg, prefix=()):
 CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
 DROP = object()
 PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x",
-                 1e300, -1e300, 1e-300, -1e-300, 1e-150]
+                 1e300, -1e300, 1e-300, -1e-300, 1e-150, 2**59]
 
 # Every shrunk run takes well under a second; a run past this limit is a hang.
 CASE_SECONDS = 20
@@ -938,10 +972,11 @@ def _perturbed(name, path, change):
 def test_perturbed_configs_exit_with_a_documented_code(case, change, out_is_file):
     """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
     value, a string, a magnitude of 1e+-300 or 1e-150 (where a seed's
-    stabilizing-factor denominator underflows), run with `--out` a fresh
-    directory or a file: the CLI never raises, exits 1, warns or hangs, and
-    leaves a manifest unless `--out` is a file, which it then says in one
-    line, with a non-zero code."""
+    stabilizing-factor denominator underflows) or the int 2**59 (as `N`, a
+    grid too large to allocate), run with `--out` a fresh directory or a
+    file: the CLI never raises, exits 1, warns or hangs, and leaves a
+    manifest unless `--out` is a file, which it then says in one line, with
+    a non-zero code."""
     name, path = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "config.json")

@@ -101,7 +101,7 @@ class TestConvergenceStudy:
                                    t_end=0.1, dt=0.05, half_length=16.0)
         assert report.errors == [0.0, 0.0, 0.0]
         assert all(np.isnan(r) for r in report.observed_rates)
-        assert not report.is_spectral()
+        assert not report.is_spectral(16.0)
 
 
 class TestInitialData:
@@ -163,6 +163,12 @@ class TestDecayFit:
         with pytest.raises(WindowUnderflowError, match="above 1e-07 in"):
             decay_fit(grid, np.exp(-grid.nodes ** 2), "exponential")
 
+    def test_profile_without_a_tail(self):
+        # a flat profile never falls below 1/e of its peak
+        grid = SpectralGrid(10.0, 64)
+        with pytest.raises(WindowUnderflowError, match="1/e"):
+            decay_fit(grid, np.ones(64), "exponential")
+
     def test_model_validation(self):
         grid = SpectralGrid(10.0, 64)
         with pytest.raises(ValueError, match="model"):
@@ -195,13 +201,13 @@ class TestDecayFit:
 class TestAccelerationBenchmark:
     def test_mw1_column_is_plain_count(self, bo_params, wave_grid, bo_wave):
         _, _, trace = bo_wave
-        base = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=500, mw=1)
+        base = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=500, mw=1, seed_width=1.2)
         rows = acceleration_benchmark(bo_params, wave_grid, base, [1])
         assert rows[0].status == "converged"
         assert rows[0].iterations == trace.iterations_used
 
     def test_failures_recorded_not_raised(self, bo_params, wave_grid):
-        base = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=3, mw=1)
+        base = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=3, mw=1, seed_width=1.2)
         rows = acceleration_benchmark(bo_params, wave_grid, base, [1, 2])
         assert all(r.status == "not-converged" for r in rows)
         assert all(r.iterations == 3 for r in rows)

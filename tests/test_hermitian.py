@@ -115,7 +115,7 @@ def test_step_and_evolve_keep_state_hermitian():
 
 def test_solver_iterates_stay_hermitian():
     grid = SpectralGrid(32.0, 256)
-    config = SolitaryConfig(speed=0.57, tol=1e-9, max_iter=200, mw=3)
+    config = SolitaryConfig(speed=0.57, tol=1e-9, max_iter=200, mw=3, seed_width=1.2)
     z = seed_profile(BO_P, grid, config)
     window = [z]
     for _ in range(config.mw):

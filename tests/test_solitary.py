@@ -229,7 +229,7 @@ class TestPetviashvili:
             assert abs(trace.m_factors[-1] - 1.0) <= 1e-6
 
     def test_nonconvergence_trace_has_cap_rows(self, ilw_params, wave_grid):
-        config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=5, mw=1)
+        config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=5, mw=1, seed_width=1.2)
         with pytest.raises(NonConvergenceError) as excinfo:
             cycled_solve(ilw_params, wave_grid, config)
         trace = excinfo.value.trace
