@@ -250,6 +250,15 @@ def _initial_state(spec: dict, grid: SpectralGrid):
     return state_from_nodal(grid, zeta, u)
 
 
+@contextlib.contextmanager
+def _allocating(key: str):
+    """A MemoryError, a grid too large to allocate, as a config error naming `key`."""
+    try:
+        yield
+    except MemoryError as err:
+        raise ConfigError(f"config key '{key}' asks for a grid too large to allocate ({err})") from err
+
+
 def _solve_summary(trace) -> dict:
     return {
         "termination": trace.termination,
@@ -267,7 +276,7 @@ def cmd_evolve(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     params, grid = _model(cfg), _grid(cfg)
     config = _library_config(EvolutionConfig, cfg)
     initial = _initial_state(cfg["initial"], grid)
-    writer = SnapshotWriter(out, grid, params)
+    writer = SnapshotWriter(out, grid, params, config.snapshots)
     try:
         evolve(params, grid, initial, config, sink=writer.write)
     except BaseException:
@@ -431,16 +440,18 @@ def cmd_verify(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     results = []
     seen: dict[str, int] = {}
     try:
-        for block in cfg["experiments"]:
+        for i, block in enumerate(cfg["experiments"]):
             kind = block["kind"]
             seen[kind] = seen.get(kind, 0) + 1
             tag = "" if seen[kind] == 1 else f"_{seen[kind]}"
+            grid_key = "resolutions" if kind == "convergence" else "N"
             try:
-                ok, detail = _EXPERIMENTS[kind](block, out, tag)
+                with _allocating(f"experiments[{i}].{grid_key}"):
+                    ok, detail = _EXPERIMENTS[kind](block, out, tag)
             except IlwboError as err:
                 # solver-level failures fail the experiment, not the command
                 ok, detail = False, {"error": str(err)}
-            except (OSError, ValueError, MemoryError) as err:
+            except (ConfigError, OSError, ValueError) as err:
                 # a value the library rejects, a report that cannot be
                 # written or a grid too large to allocate ends the command (exit 2)
                 results.append({"kind": kind, "pass": False, "detail": {"error": str(err)}})
@@ -511,11 +522,11 @@ def main(argv=None) -> int:
         with open(args.config) as handle:
             config = json.load(handle)
         config = _resolve(keys, config)
-        code, extra = handler(config, out, args.quiet)
-    except (ConfigError, OSError, ValueError, MemoryError) as err:
+        with _allocating("N"):  # verify names each block's key itself
+            code, extra = handler(config, out, args.quiet)
+    except (ConfigError, OSError, ValueError) as err:
         # ValueError: a value the library rejects, such as a dt beyond the
-        # step-size guard or resolutions spanning less than 4x; MemoryError:
-        # a grid too large to allocate
+        # step-size guard or resolutions spanning less than 4x
         code, error = EXIT_CONFIG, f"config error: {err}"
         extra = {"error": error}
     except StepFailureError as err:

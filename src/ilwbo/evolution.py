@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import StepFailureError
 from .spectral import (
+    TABLE_CACHE_SIZE,
     ModelParams,
     SpectralGrid,
     StatePair,
@@ -58,6 +59,23 @@ class EvolutionConfig:
         if self.cfl_guard <= 0:
             raise ValueError(f"cfl_guard must be positive, got {self.cfl_guard}")
 
+    @property
+    def steps(self) -> tuple[int, float]:
+        """The number of full steps of dt, and the shorter last step (0.0 if none)."""
+        n_full = int(np.floor(self.t_end / self.dt + 1e-12))
+        remainder = self.t_end - n_full * self.dt
+        if remainder < 1e-12 * max(self.dt, 1.0):
+            remainder = 0.0
+        return n_full, remainder
+
+    @property
+    def snapshots(self) -> int:
+        """The number of states `evolve` hands its sink: the initial one, then
+        one every record_every steps and the last."""
+        n_full, remainder = self.steps
+        n_steps = n_full + (1 if remainder else 0)
+        return 1 + -(-n_steps // self.record_every)
+
 
 @dataclass
 class EvolutionRecord:
@@ -70,7 +88,7 @@ class EvolutionRecord:
     zero_mode_u: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _rhs_tables(params: ModelParams, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectrum multipliers: d/dt y = linear * y[::-1] + quadratic * products."""
     h = grid.n_modes // 2
@@ -150,10 +168,7 @@ def evolve(
             f"{config.cfl_guard} * h / c_lin = {dt_max:.6g}"
         )
 
-    n_full = int(np.floor(config.t_end / config.dt + 1e-12))
-    remainder = config.t_end - n_full * config.dt
-    if remainder < 1e-12 * max(config.dt, 1.0):
-        remainder = 0.0
+    n_full, remainder = config.steps
     n_steps = n_full + (1 if remainder else 0)
 
     y, t = initial.half, 0.0

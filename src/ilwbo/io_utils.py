@@ -1,7 +1,8 @@
 """File emission helpers: atomic writes, CSV/JSON formats, the output directory.
 
 An `OutputDir` lists each file once its atomic rename has succeeded, so it
-names exactly the complete files a run left behind.  All floating-point values
+names exactly the complete files a run left behind, also when a large run's
+snapshots are written by worker processes.  All floating-point values
 are written with the shortest round-trip decimal representation (Python repr),
 so reloading a CSV reproduces the exact binary values and identical runs
 produce byte-identical files.  A column of `str` is written as given: the
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+from collections import deque
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -35,19 +36,18 @@ def fmt(value) -> str:
 
 @contextmanager
 def _atomic_open(path: str):
-    """Text handle on a temp file renamed to `path` once the block succeeds,
+    """Text handle on `path`.tmp, renamed to `path` once the block succeeds,
     so readers never observe a partial file.  An OSError names `path`, not
-    the temp file, so a failed write reads the same in every run."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = None
+    the temp file, so a failed write reads the same in every run.  The temp
+    name is fixed, so writing `path` again replaces what a killed writer left."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = path + ".tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
+        with open(tmp, "w") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException as err:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.isfile(tmp):
             os.unlink(tmp)
         if isinstance(err, OSError):
             raise type(err)(err.errno, err.strerror, path) from err
@@ -137,46 +137,150 @@ class OutputDir:
         self.files.append(name)
 
 
+# A run formats its snapshots on forked worker processes when the snapshots
+# after the first hold at least this many zeta and u values, (snapshots - 1) *
+# 2N.  Starting and stopping a 2-worker pool costs about 15-19 ms and
+# formatting a value about 1 us, so the pool breaks even near 20 000 values;
+# the margin keeps runs whose gain would be small next to the spread of their
+# run time in-process.
+POOL_MIN_VALUES = 200_000
+
+# Snapshots in flight per worker: enough to keep each worker busy, few enough
+# that the fields held for them stay O(N).
+JOBS_PER_WORKER = 2
+
+SNAPSHOT_HEADER = ["t", "x", "zeta", "u"]
+
+_worker_nodes: list[str] = []  # a pool worker's formatted node column
+
+
+def _set_worker_nodes(nodes: list[str]) -> None:
+    _worker_nodes[:] = nodes
+
+
+def _write_snapshot(path: str, t: str, zeta: np.ndarray, u: np.ndarray) -> None:
+    """A pool worker's job: one snapshot CSV, with the nodes of its initializer."""
+    write_csv(path, SNAPSHOT_HEADER, [[t] * len(zeta), _worker_nodes, zeta, u])
+
+
+def _pool_workers(n_values: int) -> int:
+    """The worker processes to format `n_values` snapshot values on: one per
+    CPU this process may run on, or 0 (format in-process) when the values are
+    too few, fork is not available or only one CPU is."""
+    if n_values < POOL_MIN_VALUES or not hasattr(os, "sched_getaffinity"):
+        return 0
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if cpus >= 2 and "fork" in multiprocessing.get_all_start_methods() else 0
+
+
 class SnapshotWriter:
-    """Writes each state it is given as one t,x,zeta,u CSV into `out`, at once
-    and atomically; `close` writes the index naming them all.
+    """Writes each state it is given as one t,x,zeta,u CSV into `out`,
+    atomically; `close` writes the index naming them all.
 
     The node column is formatted once, when the writer is built, and `t` once
-    per file, so each snapshot formats only its zeta and u values.
+    per file, so each snapshot formats only its zeta and u values.  When the
+    `expected` snapshots hold enough values, worker processes forked from this
+    one format and write them, the same bytes, while the caller goes on; each
+    file is listed in `out` once its worker has finished, in the order taken.
+    A worker's OSError is raised by the next `write` or by `close`; if the
+    pool breaks, the snapshots it held are written here instead.
 
     The caller owns the writer: pass `write` as `evolve`'s sink so no state is
     held, and call `close` also when the run fails, so the files written so
     far keep their index.  A writer that was given no state writes nothing.
     """
 
-    def __init__(self, out: OutputDir, grid: SpectralGrid, params):
+    def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 0):
         self.out, self.grid, self.params = out, grid, params
         self._nodes = _format_column(grid.nodes)
         self.times: list[float] = []
-        self.files: list[str] = []  # the snapshots, for the index
+        self.files: list[str] = []  # the snapshots listed, for the index
+        self._taken = 0
+        self._jobs: deque = deque()  # (name, t, zeta, u, future or None), oldest first
+        workers = _pool_workers((expected - 1) * 2 * grid.n_modes)
+        self._max_jobs = JOBS_PER_WORKER * workers
+        self._pool = None
+        if workers:
+            # fork, not spawn: a spawned worker imports numpy and this package
+            # again (about 0.4 s), which would cost more than the pool saves
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                             initializer=_set_worker_nodes,
+                                             initargs=(self._nodes,))
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)
-        name = f"snapshot_{len(self.files):04d}.csv"
-        self.out.write(name, write_csv, ["t", "x", "zeta", "u"],
-                       [[fmt(t)] * self.grid.n_modes, self._nodes, zeta, u])
-        self.times.append(t)
-        self.files.append(name)
+        name = f"snapshot_{self._taken:04d}.csv"
+        self._taken += 1
+        future = None
+        if self._pool is not None:
+            from concurrent.futures.process import BrokenProcessPool
+
+            try:
+                future = self._pool.submit(_write_snapshot, os.path.join(self.out.path, name),
+                                           fmt(t), zeta, u)
+            except BrokenProcessPool:
+                self._stop_pool()
+        self._jobs.append((name, t, zeta, u, future))
+        self._finish(self._max_jobs if self._pool is not None else 0)
+
+    def _finish(self, keep: int) -> None:
+        """List the snapshots that are done, oldest first, and wait for (or
+        write) the oldest until at most `keep` are left."""
+        # a job has no future only after the pool has stopped, when keep is 0
+        while self._jobs and (len(self._jobs) > keep or self._jobs[0][4].done()):
+            name, t, zeta, u, future = self._jobs.popleft()
+            if future is None or not self._listed(name, future):
+                self.out.write(name, write_csv, SNAPSHOT_HEADER,
+                               [[fmt(t)] * self.grid.n_modes, self._nodes, zeta, u])
+            self.times.append(t)
+            self.files.append(name)
+
+    def _listed(self, name: str, future) -> bool:
+        """List `name` once its worker has written it; False if the pool broke."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            self.out.write(name, lambda _path: future.result())
+        except BrokenProcessPool:
+            self._stop_pool()
+            return False
+        return True
+
+    def _stop_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def close(self) -> None:
-        """Write the index of the snapshots written so far."""
-        if not self.files:
-            return
-        self.out.write("snapshots_manifest.json", write_json, {
-            "files": self.files,
-            "times": [float(t) for t in self.times],
-            "grid": {"half_length": self.grid.half_length, "n_modes": self.grid.n_modes},
-            "params": {
-                "gamma": self.params.gamma,
-                "alpha": self.params.alpha,
-                "regime": self.params.regime,
-            },
-        })
+        """Wait for the snapshots in flight, stop the pool and write the index of
+        the snapshots listed; then raise the first write error met meanwhile."""
+        error = None
+        try:
+            while self._jobs:
+                try:
+                    self._finish(0)
+                except OSError as err:
+                    error = error or err
+        finally:
+            self._stop_pool()
+        if self.files:
+            self.out.write("snapshots_manifest.json", write_json, {
+                "files": self.files,
+                "times": [float(t) for t in self.times],
+                "grid": {"half_length": self.grid.half_length, "n_modes": self.grid.n_modes},
+                "params": {
+                    "gamma": self.params.gamma,
+                    "alpha": self.params.alpha,
+                    "regime": self.params.regime,
+                },
+            })
+        if error is not None:
+            raise error
 
 
 def write_snapshots(out_dir: str, grid: SpectralGrid, params, record) -> list[str]:

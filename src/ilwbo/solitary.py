@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import SingularModeError
 from .spectral import (
+    TABLE_CACHE_SIZE,
     ModelParams,
     SpectralGrid,
     nodal_inner,
@@ -112,7 +113,7 @@ class IterationTrace:
         self.inner_steps.append(int(inner))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
     """Half-spectrum tables of S (S z = diag * z + off * z[::-1]) and of 1/det S,
     with the singularity check; g is even, so k = 0..N/2 holds every |k|.

@@ -49,6 +49,11 @@ import scipy.fft
 ILW = "ilw"
 BO = "bo"
 
+# Entries kept by each per-problem table cache (the RK4 multipliers, the
+# solver's S tables): a run uses one or two at a time, and a sweep over many
+# problems in one process must not keep a table for each.
+TABLE_CACHE_SIZE = 8
+
 _fft_workers = 1
 
 
@@ -95,6 +100,9 @@ class SpectralGrid:
         n = self.n_modes
         if n < 8 or n % 2 != 0:
             raise ValueError(f"n_modes N must be even and >= 8, got {n}")
+        # numpy raises ValueError, not MemoryError, for an array it cannot address
+        if 16 * n > np.iinfo(np.intp).max:
+            raise MemoryError(f"n_modes N={n} is too large to allocate a complex array")
 
     @property
     def node_spacing(self) -> float:

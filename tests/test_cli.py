@@ -423,9 +423,105 @@ def evolve_peak_bytes(tmp_path, record_every):
 
 
 def test_evolve_memory_does_not_grow_with_the_snapshot_count(tmp_path):
-    # snapshots are written as they are taken, so 101 of them cost what 11 do
-    run_cli(tmp_path, "evolve", dict(SNAPSHOT_EVOLVE, t_end=0.0625), out="warm-up")
+    # snapshots are written as they are taken, so 101 of them cost what 11 do;
+    # the warm-up's 33 snapshots start the worker pool, whose one-time imports
+    # are then not charged to the 101-snapshot run
+    warm_up = dict(SNAPSHOT_EVOLVE, t_end=2.0, record_every=1)
+    assert 32 * 2 * warm_up["N"] >= io_utils.POOL_MIN_VALUES
+    run_cli(tmp_path, "evolve", warm_up, out="warm-up")
     assert evolve_peak_bytes(tmp_path, 1) <= 1.5 * evolve_peak_bytes(tmp_path, 10)
+
+
+# An evolve whose 21 snapshots are each taken one step apart.
+POOLED_EVOLVE = dict(EVOLVE_CFG, N=256, record_every=1)
+
+_WRITE_SNAPSHOT = io_utils._write_snapshot
+
+
+def _exit_on_the_third_snapshot(path, *args):
+    """A pool job whose worker dies, as a killed one would, at snapshot 2."""
+    if path.endswith("snapshot_0002.csv"):
+        os._exit(1)
+    _WRITE_SNAPSHOT(path, *args)
+
+
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """Every evolve formats its snapshots on worker processes, as large runs
+    do; yields the worker count chosen for each writer."""
+    if not io_utils._pool_workers(io_utils.POOL_MIN_VALUES):
+        pytest.skip("the snapshot pool needs fork and at least 2 CPUs")
+    choose, chosen = io_utils._pool_workers, []
+
+    def recording(n_values):
+        chosen.append(choose(n_values))
+        return chosen[-1]
+
+    monkeypatch.setattr(io_utils, "POOL_MIN_VALUES", 0)
+    monkeypatch.setattr(io_utils, "_pool_workers", recording)
+    return chosen
+
+
+def same_outputs(a, b):
+    """Both runs wrote the same files, byte for byte, and the same manifest
+    apart from its wall time."""
+    manifests = [read_manifest(d) for d in (a, b)]
+    for manifest in manifests:
+        del manifest["wall_time_seconds"]
+    names = manifests[0]["outputs"]
+    return (manifests[0] == manifests[1] and sorted(os.listdir(a)) == sorted(os.listdir(b))
+            and all((a / n).read_bytes() == (b / n).read_bytes() for n in names))
+
+
+class TestSnapshotPool:
+    """The pool path against the in-process path of the same runs."""
+
+    def test_writes_the_same_files_and_index(self, tmp_path, pool_workers):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_utils, "_pool_workers", lambda n_values: 0)
+            assert run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="in-process")[0] == 0
+        code, pooled = run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="pooled")
+        assert code == 0 and pool_workers[-1] >= 2
+        assert len(read_manifest(pooled)["outputs"]) == 22
+        assert same_outputs(tmp_path / "in-process", pooled)
+
+    def test_worker_write_error_exits_2_naming_the_file(self, tmp_path, capsys, pool_workers):
+        blocked = tmp_path / "out" / "snapshot_0003.csv"
+        blocked.mkdir(parents=True)
+        code, out_dir = run_cli(tmp_path, "evolve", POOLED_EVOLVE)
+        assert code == 2 and pool_workers[-1] >= 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.rstrip().endswith("snapshot_0003.csv'")
+        assert "Traceback" not in err
+        outputs = read_manifest(out_dir)["outputs"]
+        assert outputs[:3] == [f"snapshot_{i:04d}.csv" for i in range(3)]
+        assert "snapshot_0003.csv" not in outputs and outputs[-1] == "snapshots_manifest.json"
+        index = json.loads((out_dir / "snapshots_manifest.json").read_text())
+        assert index["files"] == outputs[:-1]
+        assert not list(out_dir.glob("*.tmp"))
+        blocked.rmdir()
+        assert listed_outputs_are_on_disk(out_dir)
+
+    def test_step_failure_keeps_the_earlier_snapshots_and_index(self, tmp_path, pool_workers):
+        cfg = dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_utils, "_pool_workers", lambda n_values: 0)
+            assert run_cli(tmp_path, "evolve", cfg, out="in-process")[0] == 3
+        code, pooled = run_cli(tmp_path, "evolve", cfg, out="pooled")
+        assert code == 3 and pool_workers[-1] >= 2
+        assert len(read_manifest(pooled)["outputs"]) == 12
+        assert same_outputs(tmp_path / "in-process", pooled)
+        assert listed_outputs_are_on_disk(pooled)
+
+    def test_a_worker_that_dies_falls_back_to_writing_in_process(self, tmp_path, monkeypatch,
+                                                                 pool_workers):
+        code, _ = run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="whole")
+        assert code == 0
+        monkeypatch.setattr(io_utils, "_write_snapshot", _exit_on_the_third_snapshot)
+        code, out_dir = run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="broken")
+        assert code == 0 and pool_workers[-1] >= 2
+        assert same_outputs(tmp_path / "whole", out_dir)
+        assert not list(out_dir.glob("*.tmp"))
 
 
 class TestOutcomes:
@@ -572,23 +668,32 @@ class TestOutcomes:
         assert first["pass"] is True and first["detail"]["spectral"] is True
         assert failed["pass"] is False and "dt=5.0" in failed["detail"]["error"]
 
-    @pytest.mark.parametrize("command, cfg", [
-        pytest.param("solitary", dict(SOLITARY_CFG, N=2**59), id="solitary"),
-        pytest.param("evolve", dict(EVOLVE_CFG, N=2**59), id="evolve"),
+    @pytest.mark.parametrize("command, cfg, key", [
+        pytest.param("solitary", dict(SOLITARY_CFG, N=2**59), "N", id="solitary"),
+        pytest.param("evolve", dict(EVOLVE_CFG, N=2**59), "N", id="evolve"),
         pytest.param("verify", {"experiments": [CONVERGENCE_BLOCK, dict(ROUNDTRIP_BLOCK, N=2**59)]},
-                     id="verify"),
+                     "experiments[1].N", id="verify"),
+        pytest.param("verify", {"experiments": [CONVERGENCE_BLOCK, dict(
+            CONVERGENCE_BLOCK, resolutions=[32, 2**58])]},
+                     "experiments[1].resolutions", id="verify-convergence"),
+        # past the largest array numpy can address, where it raises ValueError
+        pytest.param("evolve", dict(EVOLVE_CFG, N=2**60), "N", id="evolve-unaddressable"),
+        pytest.param("verify", {"experiments": [CONVERGENCE_BLOCK, dict(
+            CONVERGENCE_BLOCK, resolutions=[32, 2**59])]},
+                     "experiments[1].resolutions", id="verify-convergence-unaddressable"),
     ])
-    def test_grid_too_large_to_allocate(self, tmp_path, capsys, command, cfg):
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys, command, cfg, key):
         # 4 EiB exceeds any address space, so the request fails without allocating
         code, out_dir = run_cli(tmp_path, command, cfg)
         assert code == 2
+        message = f"config key '{key}' asks for a grid too large to allocate"
         err = capsys.readouterr().err
-        assert err.startswith("config error: Unable to allocate") and "Traceback" not in err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
         assert read_manifest(out_dir)["exit_status"] == 2
         if command == "verify":
             first, failed = json.loads((out_dir / "summary.json").read_text())["experiments"]
             assert first["pass"] is True
-            assert failed["pass"] is False and "allocate" in failed["detail"]["error"]
+            assert failed["pass"] is False and failed["detail"]["error"].startswith(message)
 
     def test_decay_block_without_a_tail_fails_and_later_blocks_run(self, tmp_path, capsys):
         # the B-O wave at l = 4 never falls below 1/e of its peak

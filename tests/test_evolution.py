@@ -17,6 +17,7 @@ from ilwbo.evolution import (
 )
 from ilwbo.harness import gaussian_state, sech2_state, state_l2_distance
 from ilwbo.spectral import (
+    TABLE_CACHE_SIZE,
     l2_norm,
     symbol_J,
     symbol_T,
@@ -58,6 +59,13 @@ def dense_rhs_oracle(params, grid, state):
 
 
 class TestSemidiscreteRhs:
+    def test_a_parameter_sweep_keeps_a_bounded_table_cache(self):
+        grid = SpectralGrid(8.0, 16)
+        evolution._rhs_tables.cache_clear()
+        for gamma in np.linspace(0.5, 0.9, TABLE_CACHE_SIZE + 3):
+            semidiscrete_rhs(ModelParams(float(gamma), 1.2, ILW), grid, zero_state(grid))
+        assert evolution._rhs_tables.cache_info().currsize == TABLE_CACHE_SIZE
+
     def test_zero_state(self):
         grid = SpectralGrid(2.0, 16)
         out = semidiscrete_rhs(ILW_P, grid, zero_state(grid))
@@ -318,6 +326,16 @@ class TestEvolve:
 
 
 class TestEvolutionConfig:
+    @pytest.mark.parametrize("t_end, dt, record_every", [
+        (0.0, 0.1, 1), (0.3, 0.1, 1), (0.3, 0.1, 2), (0.33, 0.05, 3), (0.35, 0.05, 7),
+        (0.2, 0.01, 10**6)])
+    def test_snapshots_counts_the_states_evolve_hands_its_sink(self, t_end, dt, record_every):
+        grid = SpectralGrid(8.0, 16)
+        config = EvolutionConfig(t_end=t_end, dt=dt, record_every=record_every)
+        snaps = Snapshots()
+        evolve(BO_P, grid, sech2_state(0.1, 1.0)(grid), config, sink=snaps)
+        assert config.snapshots == len(snaps.times)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="dt"):
             EvolutionConfig(t_end=1.0, dt=0.0)
