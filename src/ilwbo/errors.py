@@ -34,7 +34,9 @@ class NonConvergenceError(IlwboError):
 
 
 class StepFailureError(IlwboError):
-    """A time step produced non-finite values; `time` is where that step would have ended."""
+    """The evolver met non-finite values: "non-finite coefficients in the
+    state" for an initial state, "time step produced non-finite values" for a
+    step's result.  `time` is where the failing (or first) step would have ended."""
 
     def __init__(self, message: str, time: float | None = None):
         self.time = time

@@ -14,6 +14,14 @@ the real pair, the array a `StatePair` holds.  The linear part has purely
 imaginary per-mode eigenvalues +-i*ktilde*sqrt((1-gamma) J(ktilde)/gamma),
 i.e. it is transport-like, so an explicit method with dt proportional to h
 is adequate.
+
+`evolve` builds one `Stepper` per run: the multiplier tables are read and
+the stage buffers allocated once, each stage takes its products from one
+`spectral.ProductKernel` (whose output phase and -N/2 slot are folded into
+the quadratic table), and the stages are combined in place in the order of
+the textbook formula, so every result is the same to the bit.  The initial
+state is checked once, then each step's result: a non-finite stage always
+leaves a non-finite result.
 """
 
 from __future__ import annotations
@@ -28,10 +36,10 @@ from .errors import StepFailureError
 from .spectral import (
     TABLE_CACHE_SIZE,
     ModelParams,
+    ProductKernel,
     SpectralGrid,
     StatePair,
     derivative_symbol,
-    quadratic_terms,
     symbol_J,
     symbol_T,
 )
@@ -90,40 +98,65 @@ class EvolutionRecord:
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _rhs_tables(params: ModelParams, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum multipliers: d/dt y = linear * y[::-1] + quadratic * products."""
+    """Half-spectrum multipliers: d/dt y = linear * y[::-1] + quadratic * products,
+    with `products` the raw output of a `ProductKernel`: the quadratic table
+    holds its output phase (-1)^k, and is zero at the -N/2 slot as the
+    derivative symbol is."""
     h = grid.n_modes // 2
     ik = derivative_symbol(grid)[: h + 1]
     k = grid.wavenumbers[: h + 1]
     g = params.gamma
     linear = np.stack((-(1.0 / g) * symbol_J(params, k) * ik, -(1.0 - g) * ik))
     quadratic = np.stack(((1.0 / g) * symbol_T(params, k) * ik, (1.0 / (2.0 * g)) * ik))
+    quadratic *= grid._phase[: h + 1]
     return linear, quadratic
 
 
-def _rhs(params: ModelParams, grid: SpectralGrid, y: np.ndarray) -> np.ndarray:
+class Stepper:
+    """Classical RK4 for one problem on stage buffers (k1..k4 and the stage
+    input) allocated once; it checks each step's result, not its input."""
+
+    def __init__(self, params: ModelParams, grid: SpectralGrid):
+        self._linear, self._quadratic = _rhs_tables(params, grid)
+        self._product = ProductKernel(grid)
+        self._k = np.empty((4,) + self._linear.shape, dtype=complex)
+        self._stage = np.empty_like(self._linear)
+
+    def rhs(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """d/dt y into `out`."""
+        np.multiply(self._linear, y[::-1], out=out)
+        products = self._product(y)
+        np.multiply(self._quadratic, products, out=products)
+        return np.add(out, products, out=out)
+
+    def __call__(self, y: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+        """One step from `y` (left alone) into `out`."""
+        (k1, k2, k3, k4), stage = self._k, self._stage
+        # a diverging run overflows before the finite check catches it; the
+        # typed error below is the contract, so keep numpy quiet about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.rhs(y, k1)
+            self.rhs(np.add(y, np.multiply(0.5 * dt, k1, out=stage), out=stage), k2)
+            self.rhs(np.add(y, np.multiply(0.5 * dt, k2, out=stage), out=stage), k3)
+            self.rhs(np.add(y, np.multiply(dt, k3, out=stage), out=stage), k4)
+            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            out = np.add(y, np.multiply(dt / 6.0, k1, out=k1), out=out)
+        if not np.isfinite(out).all():
+            raise StepFailureError("time step produced non-finite values")
+        return out
+
+
+def _check_finite(y: np.ndarray, time: float | None = None) -> None:
     if not np.isfinite(y).all():
-        raise StepFailureError("non-finite coefficients in the state")
-    linear, quadratic = _rhs_tables(params, grid)
-    return linear * y[::-1] + quadratic * quadratic_terms(grid, y)
-
-
-def _rk4(params: ModelParams, grid: SpectralGrid, y: np.ndarray, dt: float) -> np.ndarray:
-    # a diverging run overflows before the finite check catches it; the typed
-    # error below is the contract, so keep numpy quiet about the overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rhs(params, grid, y)
-        k2 = _rhs(params, grid, y + (0.5 * dt) * k1)
-        k3 = _rhs(params, grid, y + (0.5 * dt) * k2)
-        k4 = _rhs(params, grid, y + dt * k3)
-        out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise StepFailureError("time step produced non-finite values")
-    return out
+        raise StepFailureError("non-finite coefficients in the state", time=time)
 
 
 def semidiscrete_rhs(params: ModelParams, grid: SpectralGrid, state: StatePair) -> StatePair:
     """d/dt (zeta_hat, u_hat) of a state, for perfbench's ladder and the tests."""
-    return StatePair(_rhs(params, grid, state.half))
+    _check_finite(state.half)
+    return StatePair(Stepper(params, grid).rhs(state.half, np.empty_like(state.half)))
 
 
 def linear_speed_bound(params: ModelParams, grid: SpectralGrid) -> float:
@@ -144,7 +177,8 @@ def max_stable_dt(params: ModelParams, grid: SpectralGrid, cfl_guard: float) -> 
 
 def step(params: ModelParams, grid: SpectralGrid, state: StatePair, dt: float) -> StatePair:
     """One explicit RK4 step of a state, for perfbench's ladder and the tests."""
-    return StatePair(_rk4(params, grid, state.half, dt))
+    _check_finite(state.half)
+    return StatePair(Stepper(params, grid)(state.half, dt, np.empty_like(state.half)))
 
 
 def evolve(
@@ -171,16 +205,21 @@ def evolve(
     n_full, remainder = config.steps
     n_steps = n_full + (1 if remainder else 0)
 
+    stepper = Stepper(params, grid)
+    # the steps alternate between these two arrays; the sink gets copies
+    states = np.empty((2, 2, grid.n_modes // 2 + 1), dtype=complex)
     y, t = initial.half, 0.0
     if sink is not None:
         sink(0.0, initial)
+    if n_steps:
+        _check_finite(y, time=config.dt if n_full else remainder)
     for i in range(1, n_steps + 1):
         h = config.dt if i <= n_full else remainder
         try:
-            y = _rk4(params, grid, y, h)
+            y = stepper(y, h, out=states[i % 2])
         except StepFailureError as err:
             raise StepFailureError(str(err), time=t + h) from err
         t = i * config.dt if i <= n_full else config.t_end
         if sink is not None and (i % config.record_every == 0 or i == n_steps):
-            sink(t, StatePair(y))
+            sink(t, StatePair(y.copy()))
     return StatePair(y)

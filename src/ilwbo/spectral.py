@@ -26,9 +26,13 @@ Conventions used throughout the package
   state.
 * The evolver and the Petviashvili/MPE solver step that same array.  The
   solver's ``nodal_inner`` is the weighted Parseval sum over it (weight 1 at
-  ``k = 0`` and ``-N/2``, 2 elsewhere).  ``quadratic_terms`` splits the real
-  ``-N/2`` input coefficient in halves between ``-N/2`` and ``+N/2`` and
-  leaves the ``-N/2`` output slot zero.
+  ``k = 0`` and ``-N/2``, 2 elsewhere).  Both take their quadratic products
+  from ``ProductKernel``, the one dealiased-product kernel of the half
+  spectrum: it owns a grid's zero-padded buffer and splits the real ``-N/2``
+  input coefficient in halves between ``-N/2`` and ``+N/2``.  The solver
+  calls it through ``quadratic_terms``, which allocates a kernel per call
+  and leaves the ``-N/2`` output slot zero; the evolver keeps one kernel per
+  run.
 
 The two model regimes differ only in the nonlocal symbol ``g``:
 ``g(k) = (alpha/gamma) * |k| * coth|k|`` for the finite-lower-depth (ILW)
@@ -291,28 +295,50 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
     return out
 
 
+class ProductKernel:
+    """The alias-free products (zeta u, u^2) of one grid's real pair, on the
+    zero-padded half spectrum of the >= 3N/2 grid that the kernel owns.
+
+    A call writes the rows of `half` times `input_phase` ((-1)^k, halved at
+    -N/2, which splits that coefficient between -N/2 and +N/2) into the
+    buffer, takes one batched irfft, forms both products in place and one
+    batched rfft back.  It returns modes 0..N/2 of that spectrum, a view the
+    caller may overwrite, without the output phase (-1)^k and with a -N/2
+    slot outside the band: `quadratic_terms` applies the one and zeroes the
+    other, and the evolver folds both into its multiplier table.
+    """
+
+    def __init__(self, grid: SpectralGrid):
+        h = grid.n_modes // 2
+        self.size = _padded_size(grid.n_modes)
+        self.input_phase = grid._phase[: h + 1].copy()
+        self.input_phase[h] *= 0.5
+        self._padded = np.zeros((2, self.size // 2 + 1), dtype=complex)
+
+    def __call__(self, half: np.ndarray) -> np.ndarray:
+        h = self.input_phase.shape[0] - 1
+        np.multiply(self.input_phase, half, out=self._padded[:, : h + 1])
+        # irfft leaves its input alone, so the zero padding persists
+        values = scipy.fft.irfft(self._padded, self.size, norm="forward", workers=_fft_workers)
+        values[0] *= values[1]
+        values[1] *= values[1]
+        full = scipy.fft.rfft(values, norm="forward", overwrite_x=True, workers=_fft_workers)
+        return full[:, : h + 1]
+
+
 def quadratic_terms(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
     """Half spectra of (P_N(zeta u), P_N(u^2)) for the real fields whose half
     spectra (see `StatePair`) are the rows of `half`.
 
-    One batched irfft puts both fields on the padded grid and one batched
-    rfft brings both products back.  The -N/2 input coefficient is split in
-    halves between -N/2 and +N/2, which at every k != 0 is the Hermitian part
-    of `projected_product`; the -N/2 output slot stays zero.
+    A fresh `ProductKernel` does the work.  The -N/2 input coefficient is
+    split in halves between -N/2 and +N/2, which at every k != 0 is the
+    Hermitian part of `projected_product`; the -N/2 output slot stays zero.
     """
-    n = grid.n_modes
-    h = n // 2
+    h = grid.n_modes // 2
     if half.shape != (2, h + 1):
         raise ValueError("half spectra do not match the grid")
-    m, phase = _padded_size(n), grid._phase
-    fine = np.zeros((2, m // 2 + 1), dtype=complex)
-    np.multiply(phase[: h + 1], half, out=fine[:, : h + 1])
-    fine[:, h] *= 0.5  # the -N/2 coefficient, split between -N/2 and +N/2
-    values = scipy.fft.irfft(fine, m, norm="forward", overwrite_x=True, workers=_fft_workers)
-    values[0] *= values[1]
-    values[1] *= values[1]
-    full = scipy.fft.rfft(values, norm="forward", overwrite_x=True, workers=_fft_workers)
-    out = phase[: h + 1] * full[:, : h + 1]
+    out = ProductKernel(grid)(half)
+    out *= grid._phase[: h + 1]
     out[:, h] = 0.0
     return out
 

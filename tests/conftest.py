@@ -27,6 +27,7 @@ from ilwbo.spectral import (
     derivative_symbol,
     nodal_norm,
     projected_product,
+    quadratic_terms,
     symbol_g,
     symbol_J,
     symbol_T,
@@ -281,6 +282,30 @@ def reference_step(params, grid, y, dt):
     k2 = reference_rhs(params, grid, y + (0.5 * dt) * k1)
     k3 = reference_rhs(params, grid, y + (0.5 * dt) * k2)
     k4 = reference_rhs(params, grid, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def half_spectrum_rhs(params, grid, y):
+    """The right-hand side of a (2, N/2+1) half spectrum from unfolded
+    multipliers and `quadratic_terms`, one fresh array per operation: an
+    oracle for the evolver's stepper, which folds the product's output phase
+    into its table and works on stage buffers."""
+    h = grid.n_modes // 2
+    ik = derivative_symbol(grid)[: h + 1]
+    k = grid.wavenumbers[: h + 1]
+    g = params.gamma
+    linear = np.stack((-(1.0 / g) * symbol_J(params, k) * ik, -(1.0 - g) * ik))
+    quadratic = np.stack(((1.0 / g) * symbol_T(params, k) * ik, (1.0 / (2.0 * g)) * ik))
+    return linear * y[::-1] + quadratic * quadratic_terms(grid, y)
+
+
+def half_spectrum_step(params, grid, y, dt):
+    """Classical RK4 on a half spectrum, stage by stage in the stepper's
+    order of operations, so its result is the stepper's bit for bit."""
+    k1 = half_spectrum_rhs(params, grid, y)
+    k2 = half_spectrum_rhs(params, grid, y + (0.5 * dt) * k1)
+    k3 = half_spectrum_rhs(params, grid, y + (0.5 * dt) * k2)
+    k4 = half_spectrum_rhs(params, grid, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -554,6 +554,18 @@ class TestOutcomes:
         assert len(manifest["outputs"]) == 12
         assert listed_outputs_are_on_disk(out_dir)
 
+    def test_overflowing_evolve_exits_3_at_the_failing_step(self, tmp_path):
+        # the state overflows within the first step; the stepper checks each
+        # step's result, so the message names the step, not a stage's input
+        cfg = dict(EVOLVE_CFG, t_end=1.0, initial={
+            "kind": "gaussian", "amplitude": 1e200, "width": 1.2})
+        code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert code == 3
+        manifest = read_manifest(out_dir)
+        assert manifest["failing_time"] == 0.01
+        assert manifest["error"] == "time step produced non-finite values"
+        assert manifest["outputs"] == ["snapshot_0000.csv", "snapshots_manifest.json"]
+
     def test_unwritable_snapshot_index_does_not_hide_a_step_failure(self, tmp_path, monkeypatch):
         write_json = io_utils.write_json
 

@@ -29,6 +29,8 @@ from conftest import (
     brute_force_product,
     full_arrays,
     full_l2_norm,
+    half_spectrum_rhs,
+    half_spectrum_step,
     hermitian_symmetrize_reference,
     linear_mode_matrix,
     random_hermitian,
@@ -124,10 +126,14 @@ class TestStep:
         # 2x2 linear matrix, and one RK4 step must match expm to O(dt^5)
         grid = SpectralGrid(4.0, 32)
 
-        def no_products(g, half):
-            return np.zeros_like(half)
+        class NoProducts:
+            def __init__(self, grid):
+                pass
 
-        monkeypatch.setattr(evolution, "quadratic_terms", no_products)
+            def __call__(self, half):
+                return np.zeros_like(half)
+
+        monkeypatch.setattr(evolution, "ProductKernel", NoProducts)
         rng = np.random.default_rng(2)
         state = state_of(random_hermitian(grid, rng), random_hermitian(grid, rng))
         errs = []
@@ -323,6 +329,80 @@ class TestEvolve:
         got = linear_speed_bound(BO_P, grid)
         j0 = symbol_J(BO_P, np.array([0.0]))[0]
         assert got == pytest.approx(np.sqrt((1 - 0.8) * j0 / 0.8), rel=1e-12)
+
+
+class TestStepper:
+    @pytest.mark.parametrize("params", [ILW_P, BO_P], ids=["ilw", "bo"])
+    @pytest.mark.parametrize("n", [32, 1024])
+    @pytest.mark.parametrize("t_end", [0.5, 0.53], ids=["full-steps", "short-last-step"])
+    def test_evolve_is_the_looped_half_spectrum_oracle_bit_for_bit(self, params, n, t_end):
+        grid = SpectralGrid(n * 0.125 / 2, n)
+        y0 = sech2_state(0.3, 0.8)(grid)
+        config = EvolutionConfig(t_end=t_end, dt=0.05, record_every=3)
+        n_full, remainder = config.steps
+        n_steps = n_full + (1 if remainder else 0)
+        assert (remainder > 0) == (t_end == 0.53)
+        snaps = Snapshots()
+        final = evolve(params, grid, y0, config, sink=snaps)
+        y, want = y0.half, [y0.half]
+        for i in range(1, n_steps + 1):
+            y = half_spectrum_step(params, grid, y, config.dt if i <= n_full else remainder)
+            if i % config.record_every == 0 or i == n_steps:
+                want.append(y)
+        assert len(snaps.states) == len(want) == config.snapshots
+        for got, expected in zip(snaps.states, want):
+            assert np.array_equal(got.half, expected)
+        assert np.array_equal(final.half, want[-1])
+
+    def test_step_and_rhs_wrappers_are_the_oracle_bit_for_bit(self):
+        grid = SpectralGrid(4.0, 64)
+        y0 = gaussian_state(0.3, 1.0)(grid)
+        assert np.array_equal(step(BO_P, grid, y0, 0.05).half,
+                              half_spectrum_step(BO_P, grid, y0.half, 0.05))
+        assert np.array_equal(semidiscrete_rhs(BO_P, grid, y0).half,
+                              half_spectrum_rhs(BO_P, grid, y0.half))
+
+    def test_sink_states_keep_their_values_after_the_run(self):
+        # the steps alternate between two buffers; a state handed to the sink
+        # must not be one of them, or later steps would overwrite it
+        grid = SpectralGrid(8.0, 64)
+        y0 = gaussian_state(0.3, 1.0)(grid)
+        before = y0.half.copy()
+        kept, copies = [], []
+
+        def sink(t, state):
+            kept.append(state)
+            copies.append(state.half.copy())
+
+        final = evolve(ILW_P, grid, y0, EvolutionConfig(t_end=0.5, dt=0.05, record_every=1),
+                       sink=sink)
+        assert len(kept) == 11
+        for state, copy in zip(kept, copies):
+            assert np.array_equal(state.half, copy)
+        assert np.array_equal(y0.half, before)
+        assert np.array_equal(final.half, copies[-1])
+        assert not any(np.shares_memory(a.half, b.half)
+                       for i, a in enumerate(kept) for b in kept[i + 1:])
+
+    def test_nan_initial_state_fails_before_the_first_step(self):
+        grid = SpectralGrid(4.0, 32)
+        zeta_hat, u_hat = np.zeros((2, 32), dtype=complex)
+        zeta_hat[3] = np.nan
+        bad = state_of(zeta_hat, u_hat)
+        with pytest.raises(StepFailureError, match="^non-finite coefficients in the state$") as info:
+            evolve(BO_P, grid, bad, EvolutionConfig(t_end=0.1, dt=0.01))
+        assert info.value.time == 0.01
+        for call in (lambda: step(BO_P, grid, bad, 0.01),
+                     lambda: semidiscrete_rhs(BO_P, grid, bad)):
+            with pytest.raises(StepFailureError, match="^non-finite coefficients in the state$"):
+                call()
+
+    def test_overflowing_step_fails_with_its_end_time(self):
+        grid = SpectralGrid(8.0, 64)
+        y0 = gaussian_state(1e200, 1.2)(grid)
+        with pytest.raises(StepFailureError, match="^time step produced non-finite values$") as info:
+            evolve(BO_P, grid, y0, EvolutionConfig(t_end=1.0, dt=0.01))
+        assert info.value.time == 0.01
 
 
 class TestEvolutionConfig:
