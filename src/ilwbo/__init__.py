@@ -44,9 +44,7 @@ from .harness import (
 from .solitary import (
     IterationTrace,
     SolitaryConfig,
-    nonlinearity_F,
     seed_profile,
-    solve_S,
 )
 from .spectral import (
     BO,
@@ -73,8 +71,7 @@ __all__ = [
     "quadratic_terms", "set_fft_workers",
     "EvolutionConfig", "EvolutionRecord", "semidiscrete_rhs", "step", "evolve",
     "linear_speed_bound",
-    "SolitaryConfig", "IterationTrace", "solve_S",
-    "nonlinearity_F", "seed_profile",
+    "SolitaryConfig", "IterationTrace", "seed_profile",
     "mpe_coefficients", "mpe_extrapolate", "cycled_solve",
     "ConvergenceReport", "DecayFit", "AccelRow",
     "convergence_study", "traveling_wave_roundtrip", "decay_fit",

@@ -31,13 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonConvergenceError
-from .solitary import (
-    IterationTrace,
-    SolitaryConfig,
-    evaluate_iterate,
-    petviashvili_step,
-    seed_profile,
-)
+from .solitary import IterationTrace, SolitaryConfig, Workspace, seed_profile
 from .spectral import ModelParams, SpectralGrid, StatePair, nodal_norm
 
 # Accept an extrapolated point only if it does not worsen the residual.
@@ -47,8 +41,10 @@ RESIDUAL_GUARD = 1.0
 SUM_FLOOR = 1e-12
 
 
-def mpe_coefficients(window: Sequence[np.ndarray]) -> np.ndarray:
-    """Affine weights gamma_0..gamma_q for a window of q+2 half-spectrum iterates.
+def mpe_coefficients(window: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Affine weights gamma_0..gamma_q for a window of q+2 half-spectrum
+    iterates: a sequence, or one (q+2, 2, N/2+1) array, which is differenced
+    in place of a stacked copy.
 
     The least squares are taken in the nodal norm: each difference, as real
     numbers, scaled by the root of its Parseval weight (see `nodal_inner`).
@@ -61,7 +57,7 @@ def mpe_coefficients(window: Sequence[np.ndarray]) -> np.ndarray:
     """
     if len(window) < 2:
         raise ValueError("window must hold at least two iterates")
-    diffs = np.diff(np.stack(window), axis=0)
+    diffs = np.diff(window, axis=0)
     q = len(diffs) - 1  # extrapolation order
     if not diffs.any():
         return np.eye(q + 1)[-1]
@@ -106,9 +102,13 @@ def cycled_solve(
     problems and essentially free).  Every fixed-point solve is evaluated, so
     a run stopped by the cap records max_iter + 1 plain rows, the seed's included.
     A non-finite residual (divergence) or a nan stabilizing factor (collapsed
-    denominator) also raises NonConvergenceError, with that row last.  The
-    iteration runs on the half spectrum of `seed`, and the returned wave wraps
-    the last iterate.
+    denominator) also raises NonConvergenceError, with that row last.
+
+    The iteration runs on the half spectrum of `seed` (left unchanged) through
+    one `solitary.Workspace`: each cycle's plain iterates are written into
+    one (mw+1, 2, N/2+1) window allocated per solve, F(Z) alternates between
+    two buffers, and the returned wave is a copy of the last iterate that
+    owns its memory.
     """
     c = config.speed
     z = seed.half if seed is not None else seed_profile(params, grid, config)
@@ -116,33 +116,36 @@ def cycled_solve(
         raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
                          if seed is None else "seed iterate must be nonzero")
 
+    window = np.empty((config.mw + 1,) + z.shape, dtype=complex)
+    fz, fx = np.empty_like(window[0]), np.empty_like(window[0])
     trace = IterationTrace()
     solves = 0
 
-    def evaluate(x: np.ndarray, phase: str):
-        fx, mx, res_x = evaluate_iterate(params, grid, c, x)
+    def evaluate(x: np.ndarray, f: np.ndarray, phase: str):
+        mx, res_x = workspace.evaluate(x, f)
         trace.append(res_x, mx, phase, solves)
         trace.iterations_used = solves
         # before the tolerance: a collapse at a tiny iterate is no solution
         if not math.isfinite(res_x) or math.isnan(mx):
             raise NonConvergenceError(trace)
         trace.converged = res_x <= config.tol
-        return fx, mx, res_x
+        return mx, res_x
 
-    # a diverging iterate overflows on its way to a non-finite residual
+    # a diverging iterate overflows on its way to a non-finite residual, as
+    # do the S tables of an extreme gamma such as 1e-300
     with np.errstate(over="ignore", invalid="ignore"):
-        fz, m, res = evaluate(z, "plain")
+        workspace = Workspace(params, grid, c)
+        m, res = evaluate(z, fz, "plain")
         while not trace.converged:
-            window = [z]
-            for _ in range(config.mw):
+            window[0] = z
+            for j in range(1, config.mw + 1):
                 if solves >= config.max_iter:
                     raise NonConvergenceError(trace)
-                z = petviashvili_step(params, grid, c, fz, m)
+                z = workspace.step(fz, m, out=window[j])
                 solves += 1
-                fz, m, res = evaluate(z, "plain")
+                m, res = evaluate(z, fz, "plain")
                 if trace.converged:
                     break
-                window.append(z)
             if trace.converged or config.mw == 1:
                 continue
             gammas = mpe_coefficients(window)
@@ -150,10 +153,11 @@ def cycled_solve(
                 trace.extrapolations["skipped"] += 1
                 continue  # keep iterating from the last plain iterate
             x = mpe_extrapolate(window, gammas)
-            fx, mx, res_x = evaluate(x, "extrapolated")
+            mx, res_x = evaluate(x, fx, "extrapolated")
             if res_x <= RESIDUAL_GUARD * res:
                 trace.extrapolations["accepted"] += 1
-                z, fz, m, res = x, fx, mx, res_x
+                z, m, res = x, mx, res_x
+                fz, fx = fx, fz
             else:  # restart the cycle from the last plain iterate
                 trace.extrapolations["rejected"] += 1
-    return StatePair(z), trace
+    return StatePair(z.copy()), trace

@@ -20,10 +20,17 @@ in the same nodal norm and stops once RES <= tol.  Iterates are (2, N/2+1)
 half spectra (the `half` of a `spectral.StatePair`), over which the 2N-value
 nodal inner product is a Parseval sum: each mode weighted 2 for its conjugate
 partner, k = 0 and -N/2 weighted 1 (`spectral.nodal_inner`).
+
+`Workspace` is the one implementation of S, S^{-1} and F.  `cycled_solve`
+builds one per solve: it reads the S tables once, keeps one product kernel
+and writes every operation into buffers allocated with it, in the order of
+the formulas above, so each iterate is the same to the bit as from fresh
+arrays.  `evaluate_iterate` and `petviashvili_step` build one per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,10 +40,10 @@ from .errors import SingularModeError
 from .spectral import (
     TABLE_CACHE_SIZE,
     ModelParams,
+    ProductKernel,
     SpectralGrid,
     nodal_inner,
     nodal_norm,
-    quadratic_terms,
     state_from_nodal,
     symbol_g,
 )
@@ -60,6 +67,9 @@ class SolitaryConfig:
     seed_width: float = 0.5
 
     def __post_init__(self):
+        for name in ("speed", "tol", "seed_amplitude", "seed_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.speed == 0.0:
             raise ValueError("speed c must be nonzero")
         if self.tol <= 0:
@@ -137,22 +147,6 @@ def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
     return tuple(np.array(t, dtype=complex) for t in ((s11, s22), (s12, s21), 1.0 / det))
 
 
-def apply_S(params: ModelParams, grid: SpectralGrid, c: float, z: np.ndarray) -> np.ndarray:
-    diag, off, _ = _S_tables(params, grid, c)
-    return diag * z + off * z[::-1]
-
-
-def solve_S(params: ModelParams, grid: SpectralGrid, c: float, rhs: np.ndarray) -> np.ndarray:
-    """Apply S(ktilde)^{-1} mode by mode (closed-form 2x2 inversion)."""
-    diag, off, inv_det = _S_tables(params, grid, c)
-    return (diag[::-1] * rhs - off * rhs[::-1]) * inv_det
-
-
-def nonlinearity_F(params: ModelParams, grid: SpectralGrid, z: np.ndarray) -> np.ndarray:
-    """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the evolver."""
-    return quadratic_terms(grid, z) * np.array([[1.0 / params.gamma], [0.5 / params.gamma]])
-
-
 def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig) -> np.ndarray:
     """Initial iterate: zeta = A sech^2(lambda x), u = (1-gamma) zeta / c.
 
@@ -166,23 +160,79 @@ def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig
     return state_from_nodal(grid, zeta, u).half
 
 
+class Workspace:
+    """One solve's S, S^{-1} and F on buffers allocated once, as
+    `evolution.Stepper` is for the evolver.
+
+    It reads the S tables once, keeps one `ProductKernel` and folds the
+    kernel's output phase (-1)^k into the factors (1/gamma, 0.5/gamma) of F
+    (exact: +-1 * f = +-f).  Each method writes into the `out` it is given
+    with the operations, in their order, of the formulas in the module
+    docstring, so every iterate, residual and m is the same to the bit as
+    from fresh arrays.  `out` must not alias the input.
+    """
+
+    def __init__(self, params: ModelParams, grid: SpectralGrid, c: float):
+        self._grid = grid
+        self._diag, self._off, self._inv_det = _S_tables(params, grid, c)
+        self._diag_reversed = self._diag[::-1].copy()
+        self._product = ProductKernel(grid)
+        phase = grid._phase[: grid.n_modes // 2 + 1]
+        factors = np.array([[1.0 / params.gamma], [0.5 / params.gamma]])
+        self._f_table = (phase * factors).astype(complex)
+        self._work = np.empty_like(self._diag)
+        self._scratch = np.empty_like(self._diag)
+
+    def apply_S(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """S z = diag * z + off * z[::-1]."""
+        np.multiply(self._diag, z, out=out)
+        return np.add(out, np.multiply(self._off, z[::-1], out=self._scratch), out=out)
+
+    def solve_S(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """S^{-1} rhs, mode by mode (closed-form 2x2 inversion)."""
+        np.multiply(self._diag_reversed, rhs, out=out)
+        np.subtract(out, np.multiply(self._off, rhs[::-1], out=self._scratch), out=out)
+        return np.multiply(out, self._inv_det, out=out)
+
+    def F(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the
+        evolver; the -N/2 slot is zero."""
+        np.multiply(self._product(z), self._f_table, out=out)
+        out[:, -1] = 0.0  # a zero in the table could leave -0 or nan here
+        return out
+
+    def evaluate(self, z: np.ndarray, fz: np.ndarray) -> tuple[float, float]:
+        """The stabilizing factor m and the residual RES at iterate Z, with
+        F(Z) written into `fz`; m is nan where <F(Z), Z> is negligible
+        against ||Z||^2."""
+        grid = self._grid
+        sz = self.apply_S(z, self._work)
+        self.F(z, fz)
+        num = nodal_inner(grid, sz, z)
+        den = nodal_inner(grid, fz, z)
+        norm2 = nodal_inner(grid, z, z)
+        m = np.nan if abs(den) < DENOMINATOR_FLOOR * norm2 else num / den
+        return m, nodal_norm(grid, np.subtract(sz, fz, out=sz))
+
+    def step(self, fz: np.ndarray, m: float, out: np.ndarray) -> np.ndarray:
+        """Solve S Z_next = m^2 F(Z) into `out`; the exponent 2 is fixed by
+        the quadratic nonlinearity."""
+        return self.solve_S(np.multiply(m * m, fz, out=self._work), out)
+
+
 def evaluate_iterate(
     params: ModelParams, grid: SpectralGrid, c: float, z: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
-    """F(Z), the stabilizing factor m, and the residual RES at iterate Z;
-    m is nan where <F(Z), Z> is negligible against ||Z||^2."""
-    sz = apply_S(params, grid, c, z)
-    fz = nonlinearity_F(params, grid, z)
-    num = nodal_inner(grid, sz, z)
-    den = nodal_inner(grid, fz, z)
-    norm2 = nodal_inner(grid, z, z)
-    m = np.nan if abs(den) < DENOMINATOR_FLOOR * norm2 else num / den
-    res = nodal_norm(grid, sz - fz)
+    """F(Z), m and RES at iterate Z on a fresh `Workspace`, for perfbench's
+    ladder and the tests."""
+    fz = np.empty_like(z)
+    m, res = Workspace(params, grid, c).evaluate(z, fz)
     return fz, m, res
 
 
 def petviashvili_step(
     params: ModelParams, grid: SpectralGrid, c: float, fz: np.ndarray, m: float
 ) -> np.ndarray:
-    """Solve S Z_next = m^2 F(Z); the exponent 2 is fixed by the quadratic nonlinearity."""
-    return solve_S(params, grid, c, (m * m) * fz)
+    """Z_next from F(Z) and m on a fresh `Workspace`, for perfbench's ladder
+    and the tests."""
+    return Workspace(params, grid, c).step(fz, m, np.empty_like(fz))

@@ -29,10 +29,11 @@ Conventions used throughout the package
   ``k = 0`` and ``-N/2``, 2 elsewhere).  Both take their quadratic products
   from ``ProductKernel``, the one dealiased-product kernel of the half
   spectrum: it owns a grid's zero-padded buffer and splits the real ``-N/2``
-  input coefficient in halves between ``-N/2`` and ``+N/2``.  The solver
-  calls it through ``quadratic_terms``, which allocates a kernel per call
-  and leaves the ``-N/2`` output slot zero; the evolver keeps one kernel per
-  run.
+  input coefficient in halves between ``-N/2`` and ``+N/2``.  The evolver
+  keeps one kernel per run and the solver one per solve, each folding the
+  output phase into its own table; ``quadratic_terms``, which only the
+  tests call, allocates a kernel per call and leaves the ``-N/2`` output
+  slot zero.
 
 The two model regimes differ only in the nonlocal symbol ``g``:
 ``g(k) = (alpha/gamma) * |k| * coth|k|`` for the finite-lower-depth (ILW)
@@ -305,7 +306,9 @@ class ProductKernel:
     batched rfft back.  It returns modes 0..N/2 of that spectrum, a view the
     caller may overwrite, without the output phase (-1)^k and with a -N/2
     slot outside the band: `quadratic_terms` applies the one and zeroes the
-    other, and the evolver folds both into its multiplier table.
+    other, the evolver folds both into its multiplier table, and the
+    solver's `Workspace` folds the phase into the factors of F and zeroes
+    the slot.
     """
 
     def __init__(self, grid: SpectralGrid):

@@ -12,6 +12,7 @@ from ilwbo import (
     SolitaryConfig,
     SpectralGrid,
     StatePair,
+    accel,
     cycled_solve,
 )
 from ilwbo.accel import RESIDUAL_GUARD, SUM_FLOOR, mpe_extrapolate
@@ -19,12 +20,12 @@ from ilwbo.errors import NonConvergenceError
 from ilwbo.solitary import (
     DENOMINATOR_FLOOR,
     IterationTrace,
-    apply_S,
-    nonlinearity_F,
+    _S_tables,
     seed_profile,
 )
 from ilwbo.spectral import (
     derivative_symbol,
+    nodal_inner,
     nodal_norm,
     projected_product,
     quadratic_terms,
@@ -227,6 +228,89 @@ def assemble_S_mode(params, c, ktilde):
             [1.0 - params.gamma, -c],
         ]
     )
+
+
+# The half-spectrum solver on fresh arrays, one per operation: an oracle for
+# `solitary.Workspace` and `accel.cycled_solve`, which run each solve on
+# buffers allocated once, with the same operations in the same order, so
+# their iterates, residuals and m factors are these to the bit.
+
+def apply_S(params, grid, c, z):
+    diag, off, _ = _S_tables(params, grid, c)
+    return diag * z + off * z[::-1]
+
+
+def solve_S(params, grid, c, rhs):
+    """Apply S(ktilde)^{-1} mode by mode (closed-form 2x2 inversion)."""
+    diag, off, inv_det = _S_tables(params, grid, c)
+    return (diag[::-1] * rhs - off * rhs[::-1]) * inv_det
+
+
+def nonlinearity_F(params, grid, z):
+    """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the evolver."""
+    return quadratic_terms(grid, z) * np.array([[1.0 / params.gamma], [0.5 / params.gamma]])
+
+
+def fresh_evaluate_iterate(params, grid, c, z):
+    sz = apply_S(params, grid, c, z)
+    fz = nonlinearity_F(params, grid, z)
+    num = nodal_inner(grid, sz, z)
+    den = nodal_inner(grid, fz, z)
+    norm2 = nodal_inner(grid, z, z)
+    m = np.nan if abs(den) < DENOMINATOR_FLOOR * norm2 else num / den
+    res = nodal_norm(grid, sz - fz)
+    return fz, m, res
+
+
+def fresh_petviashvili_step(params, grid, c, fz, m):
+    return solve_S(params, grid, c, (m * m) * fz)
+
+
+def fresh_cycled_solve(params, grid, config, seed=None):
+    """The cycling loop on a list window of fresh iterates; the MPE weights
+    come from `accel.mpe_coefficients`, looked up at each call so that a
+    test's monkeypatch reaches both loops."""
+    c = config.speed
+    z = seed.half if seed is not None else seed_profile(params, grid, config)
+    trace = IterationTrace()
+    solves = 0
+
+    def evaluate(x, phase):
+        fx, mx, res_x = fresh_evaluate_iterate(params, grid, c, x)
+        trace.append(res_x, mx, phase, solves)
+        trace.iterations_used = solves
+        if not math.isfinite(res_x) or math.isnan(mx):
+            raise NonConvergenceError(trace)
+        trace.converged = res_x <= config.tol
+        return fx, mx, res_x
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        fz, m, res = evaluate(z, "plain")
+        while not trace.converged:
+            window = [z]
+            for _ in range(config.mw):
+                if solves >= config.max_iter:
+                    raise NonConvergenceError(trace)
+                z = fresh_petviashvili_step(params, grid, c, fz, m)
+                solves += 1
+                fz, m, res = evaluate(z, "plain")
+                if trace.converged:
+                    break
+                window.append(z)
+            if trace.converged or config.mw == 1:
+                continue
+            gammas = accel.mpe_coefficients(window)
+            if np.isnan(gammas).any():
+                trace.extrapolations["skipped"] += 1
+                continue
+            x = mpe_extrapolate(window, gammas)
+            fx, mx, res_x = evaluate(x, "extrapolated")
+            if res_x <= RESIDUAL_GUARD * res:
+                trace.extrapolations["accepted"] += 1
+                z, fz, m, res = x, fx, mx, res_x
+            else:
+                trace.extrapolations["rejected"] += 1
+    return StatePair(z), trace
 
 
 def residual_norm(params, grid, c, state):

@@ -1,14 +1,18 @@
 """Tests for minimal polynomial extrapolation and cycling-mode acceleration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, accel
 from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
+from ilwbo.errors import NonConvergenceError
 from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
 from ilwbo.spectral import state_from_nodal, state_to_nodal
 
 from conftest import (
+    fresh_cycled_solve,
     full_arrays,
     full_state,
     reference_cycled_solve,
@@ -194,6 +198,77 @@ class TestCycledSolve:
         final = residual_norm(ilw_params, wave_grid, config.speed, wave)
         plain_res = [r for r, ph in zip(trace.residuals, trace.phases) if ph == "plain"]
         assert final <= min(plain_res)
+
+
+def assert_same_trace(trace, want):
+    assert trace.residuals == want.residuals
+    assert trace.m_factors == want.m_factors
+    assert trace.phases == want.phases
+    assert trace.inner_steps == want.inner_steps
+    assert trace.extrapolations == want.extrapolations
+    assert (trace.converged, trace.iterations_used) == (want.converged, want.iterations_used)
+
+
+class TestMatchesFreshArrayLoop:
+    """`cycled_solve`, on its workspace and per-solve window, against the
+    fresh-array loop in conftest: the same wave and trace to the bit."""
+
+    @pytest.mark.parametrize("params, c", [(ModelParams(0.8, 1.2, BO), 0.57),
+                                           (ModelParams(0.8, 1.2, ILW), 0.40)])
+    @pytest.mark.parametrize("mw", [1, 2, 4])
+    def test_converged_solve(self, wave_grid, params, c, mw):
+        config = SolitaryConfig(speed=c, mw=mw)
+        wave, trace = cycled_solve(params, wave_grid, config)
+        want, want_trace = fresh_cycled_solve(params, wave_grid, config)
+        assert trace.converged
+        if mw > 1:  # both guard outcomes occur
+            assert trace.extrapolations["accepted"] > 0 and trace.extrapolations["rejected"] > 0
+        assert np.array_equal(wave.half, want.half)
+        assert_same_trace(trace, want_trace)
+
+    @pytest.mark.parametrize("mw", [1, 3])
+    def test_solve_stopped_by_max_iter(self, bo_params, wave_grid, mw):
+        config = SolitaryConfig(speed=0.57, mw=mw, max_iter=7)
+        with pytest.raises(NonConvergenceError) as got:
+            cycled_solve(bo_params, wave_grid, config)
+        with pytest.raises(NonConvergenceError) as want:
+            fresh_cycled_solve(bo_params, wave_grid, config)
+        assert got.value.trace.iterations_used == 7
+        assert_same_trace(got.value.trace, want.value.trace)
+
+    def test_skipped_cycles(self, ilw_params, wave_grid, monkeypatch):
+        monkeypatch.setattr(accel, "mpe_coefficients",
+                            lambda window: np.full(len(window) - 1, np.nan))
+        config = SolitaryConfig(speed=0.40, mw=3)
+        wave, trace = cycled_solve(ilw_params, wave_grid, config)
+        want, want_trace = fresh_cycled_solve(ilw_params, wave_grid, config)
+        assert trace.extrapolations["skipped"] > 0
+        assert np.array_equal(wave.half, want.half)
+        assert_same_trace(trace, want_trace)
+
+    def test_restart_from_a_seed(self, bo_params, wave_grid, bo_wave):
+        config, converged, _ = bo_wave
+        config = replace(config, mw=2)
+        seed = StatePair(0.9 * converged.half)
+        before = seed.half.copy()
+        wave, trace = cycled_solve(bo_params, wave_grid, config, seed=seed)
+        want, want_trace = fresh_cycled_solve(bo_params, wave_grid, config, seed=seed)
+        assert np.array_equal(seed.half, before)
+        assert np.array_equal(wave.half, want.half)
+        assert_same_trace(trace, want_trace)
+
+    def test_the_wave_owns_its_memory(self, bo_params, wave_grid):
+        # a view into the per-solve window would pin mw+1 states
+        config = SolitaryConfig(speed=0.57, mw=4)
+        first, _ = cycled_solve(bo_params, wave_grid, config)
+        second, _ = cycled_solve(bo_params, wave_grid, config)
+        for wave in (first, second):
+            assert wave.half.base is None
+        assert not np.shares_memory(first.half, second.half)
+        # a seed that has converged already comes back as a new array
+        again, trace = cycled_solve(bo_params, wave_grid, config, seed=first)
+        assert trace.iterations_used == 0
+        assert again.half.base is None and not np.shares_memory(again.half, first.half)
 
 
 class TestMatchesFullLengthOracle:

@@ -28,7 +28,6 @@ from ilwbo import (
     decay_fit,
     evolve,
     projected_product,
-    solve_S,
     traveling_wave_roundtrip,
 )
 from ilwbo.accel import mpe_coefficients, mpe_extrapolate
@@ -39,6 +38,7 @@ from conftest import (
     Snapshots,
     brute_force_product,
     random_hermitian,
+    solve_S,
     state_of,
     zero_mode_drift,
     zero_state,

@@ -43,6 +43,8 @@ def invocation(workload, key):
     ("verify-desk", "desk2-decay/0"),
     ("verify-desk", "desk3-decay/0"),
     ("solitary-sweep", "bo-c0.600-mw2"),
+    ("solitary-sweep", "bo-c0.600-mw1"),
+    ("solitary-sweep", "ilw-c0.409-mw1"),
     ("evolve-snapshots", "N4096/0"),
 ])
 def test_output_matches_benchmark_reference(tmp_path, workload, key):

@@ -1,5 +1,6 @@
 """Tests for the traveling-wave fixed-point system and Petviashvili iteration."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,13 +9,7 @@ import pytest
 from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, solitary
 from ilwbo.accel import cycled_solve
 from ilwbo.errors import NonConvergenceError, SingularModeError
-from ilwbo.solitary import (
-    apply_S,
-    evaluate_iterate,
-    nonlinearity_F,
-    seed_profile,
-    solve_S,
-)
+from ilwbo.solitary import Workspace, evaluate_iterate, petviashvili_step, seed_profile
 from ilwbo.spectral import (
     TABLE_CACHE_SIZE,
     nodal_norm,
@@ -25,10 +20,15 @@ from ilwbo.spectral import (
 )
 
 from conftest import (
+    apply_S,
     assemble_S_mode,
     brute_force_product,
+    fresh_evaluate_iterate,
+    fresh_petviashvili_step,
     full_state,
+    nonlinearity_F,
     random_hermitian,
+    solve_S,
     state_of,
     zero_state,
 )
@@ -73,6 +73,13 @@ class TestSolitaryConfig:
         with pytest.raises(ValueError, match="seed_width"):
             SolitaryConfig(speed=0.5, seed_width=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["speed", "tol", "seed_amplitude", "seed_width"])
+    def test_non_finite_values_are_rejected(self, name, value):
+        # tol = nan ran to max_iter and speed = nan ended as "diverged"
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SolitaryConfig(**{"speed": 0.5, name: value})
+
 
 class TestAssembleSMode:
     def test_ilw_zero_mode_entries(self):
@@ -102,6 +109,8 @@ class TestAssembleSMode:
 
 
 class TestSolveS:
+    # apply_S, solve_S and nonlinearity_F are the fresh-array oracle of
+    # conftest; TestWorkspace holds the solver's workspace to them bit for bit
     def test_inverse_composition(self):
         grid = SpectralGrid(8.0, 32)
         rng = np.random.default_rng(4)
@@ -188,6 +197,33 @@ class TestNonlinearity:
         assert np.max(np.abs(out[1] - uu)) < 1e-13
 
 
+class TestWorkspace:
+    """The workspace against the fresh-array functions in conftest, to the bit."""
+
+    @pytest.mark.parametrize("params, c", [(ILW_P, 0.52), (BO_P, 0.57)])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_matches_the_fresh_array_functions(self, params, c, n):
+        grid = SpectralGrid(n / 16.0, n)
+        rng = np.random.default_rng(n)
+        z = random_half(grid, rng, 0.3)
+        workspace = Workspace(params, grid, c)
+        out = np.full_like(z, np.nan)
+        assert np.array_equal(workspace.apply_S(z, out), apply_S(params, grid, c, z))
+        assert np.array_equal(workspace.solve_S(z, out), solve_S(params, grid, c, z))
+        assert np.array_equal(workspace.F(z, out), nonlinearity_F(params, grid, z))
+        fz = np.full_like(z, np.nan)
+        m, res = workspace.evaluate(z, fz)
+        want_fz, want_m, want_res = fresh_evaluate_iterate(params, grid, c, z)
+        assert np.array_equal(fz, want_fz)
+        assert (m, res) == (want_m, want_res)
+        want_step = fresh_petviashvili_step(params, grid, c, want_fz, want_m)
+        assert np.array_equal(workspace.step(fz, m, out), want_step)
+        # the ladder's wrappers build a workspace per call
+        got_fz, got_m, got_res = evaluate_iterate(params, grid, c, z)
+        assert np.array_equal(got_fz, want_fz) and (got_m, got_res) == (want_m, want_res)
+        assert np.array_equal(petviashvili_step(params, grid, c, fz, m), want_step)
+
+
 class TestSeedProfile:
     def test_even_profile_has_real_coefficients(self):
         grid = SpectralGrid(16.0, 128)
@@ -225,8 +261,6 @@ class TestPetviashvili:
     def test_fixed_point_stays(self, bo_params, wave_grid, bo_wave):
         config, wave, _ = bo_wave
         fz, m, _ = evaluate_iterate(bo_params, wave_grid, config.speed, wave.half)
-        from ilwbo.solitary import petviashvili_step
-
         z1 = petviashvili_step(bo_params, wave_grid, config.speed, fz, m)
         diff = StatePair(z1 - wave.half)
         # the wave satisfies the system to RES <= tol, so one update moves it
