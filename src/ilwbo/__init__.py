@@ -53,7 +53,6 @@ from .spectral import (
     SpectralGrid,
     StatePair,
     projected_product,
-    quadratic_terms,
     set_fft_workers,
     symbol_J,
     symbol_T,
@@ -67,8 +66,7 @@ __all__ = [
     "BO", "ILW",
     "ModelParams", "SpectralGrid", "StatePair",
     "symbol_g", "symbol_T", "symbol_J",
-    "to_coefficients", "to_nodal", "projected_product",
-    "quadratic_terms", "set_fft_workers",
+    "to_coefficients", "to_nodal", "projected_product", "set_fft_workers",
     "EvolutionConfig", "EvolutionRecord", "semidiscrete_rhs", "step", "evolve",
     "linear_speed_bound",
     "SolitaryConfig", "IterationTrace", "seed_profile",

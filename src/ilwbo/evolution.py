@@ -16,12 +16,11 @@ i.e. it is transport-like, so an explicit method with dt proportional to h
 is adequate.
 
 `evolve` builds one `Stepper` per run: the multiplier tables are read and
-the stage buffers allocated once, each stage takes its products from one
-`spectral.ProductKernel` (whose output phase and -N/2 slot are folded into
-the quadratic table), and the stages are combined in place in the order of
-the textbook formula, so every result is the same to the bit.  The initial
-state is checked once, then each step's result: a non-finite stage always
-leaves a non-finite result.
+the stage buffers allocated once, each stage takes its factored products
+from one `spectral.ProductKernel` built on the quadratic table, and the
+stages are combined in place in the order of the textbook formula, so every
+result is the same to the bit.  The initial state is checked once, then
+each step's result: a non-finite stage always leaves a non-finite result.
 """
 
 from __future__ import annotations
@@ -55,6 +54,9 @@ class EvolutionConfig:
     cfl_guard: float = 0.5
 
     def __post_init__(self):
+        for name in ("t_end", "dt", "cfl_guard"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
@@ -99,35 +101,33 @@ class EvolutionRecord:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _rhs_tables(params: ModelParams, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectrum multipliers: d/dt y = linear * y[::-1] + quadratic * products,
-    with `products` the raw output of a `ProductKernel`: the quadratic table
-    holds its output phase (-1)^k, and is zero at the -N/2 slot as the
-    derivative symbol is."""
+    with `products` the half spectra of (P_N(zeta u), P_N(u^2)); the
+    `ProductKernel` of a `Stepper` takes the quadratic table as its factors."""
     h = grid.n_modes // 2
     ik = derivative_symbol(grid)[: h + 1]
     k = grid.wavenumbers[: h + 1]
     g = params.gamma
     linear = np.stack((-(1.0 / g) * symbol_J(params, k) * ik, -(1.0 - g) * ik))
     quadratic = np.stack(((1.0 / g) * symbol_T(params, k) * ik, (1.0 / (2.0 * g)) * ik))
-    quadratic *= grid._phase[: h + 1]
     return linear, quadratic
 
 
 class Stepper:
-    """Classical RK4 for one problem on stage buffers (k1..k4 and the stage
-    input) allocated once; it checks each step's result, not its input."""
+    """Classical RK4 for one problem on stage buffers (k1..k4, the stage
+    input and the products) allocated once; it checks each step's result, not
+    its input."""
 
     def __init__(self, params: ModelParams, grid: SpectralGrid):
-        self._linear, self._quadratic = _rhs_tables(params, grid)
-        self._product = ProductKernel(grid)
+        self._linear, quadratic = _rhs_tables(params, grid)
+        self._product = ProductKernel(grid, quadratic)
         self._k = np.empty((4,) + self._linear.shape, dtype=complex)
         self._stage = np.empty_like(self._linear)
+        self._products = np.empty_like(self._linear)
 
     def rhs(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """d/dt y into `out`."""
         np.multiply(self._linear, y[::-1], out=out)
-        products = self._product(y)
-        np.multiply(self._quadratic, products, out=products)
-        return np.add(out, products, out=out)
+        return np.add(out, self._product(y, self._products), out=out)
 
     def __call__(self, y: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
         """One step from `y` (left alone) into `out`."""

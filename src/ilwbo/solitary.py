@@ -164,22 +164,18 @@ class Workspace:
     """One solve's S, S^{-1} and F on buffers allocated once, as
     `evolution.Stepper` is for the evolver.
 
-    It reads the S tables once, keeps one `ProductKernel` and folds the
-    kernel's output phase (-1)^k into the factors (1/gamma, 0.5/gamma) of F
-    (exact: +-1 * f = +-f).  Each method writes into the `out` it is given
-    with the operations, in their order, of the formulas in the module
-    docstring, so every iterate, residual and m is the same to the bit as
-    from fresh arrays.  `out` must not alias the input.
+    It reads the S tables once and keeps one `ProductKernel` built on the
+    factors (1/gamma, 0.5/gamma) of F.  Each method writes into the `out` it
+    is given with the operations, in their order, of the formulas in the
+    module docstring, so every iterate, residual and m is the same to the
+    bit as from fresh arrays.  `out` must not alias the input.
     """
 
     def __init__(self, params: ModelParams, grid: SpectralGrid, c: float):
         self._grid = grid
         self._diag, self._off, self._inv_det = _S_tables(params, grid, c)
         self._diag_reversed = self._diag[::-1].copy()
-        self._product = ProductKernel(grid)
-        phase = grid._phase[: grid.n_modes // 2 + 1]
-        factors = np.array([[1.0 / params.gamma], [0.5 / params.gamma]])
-        self._f_table = (phase * factors).astype(complex)
+        self._product = ProductKernel(grid, [[1.0 / params.gamma], [0.5 / params.gamma]])
         self._work = np.empty_like(self._diag)
         self._scratch = np.empty_like(self._diag)
 
@@ -197,9 +193,7 @@ class Workspace:
     def F(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the
         evolver; the -N/2 slot is zero."""
-        np.multiply(self._product(z), self._f_table, out=out)
-        out[:, -1] = 0.0  # a zero in the table could leave -0 or nan here
-        return out
+        return self._product(z, out)
 
     def evaluate(self, z: np.ndarray, fz: np.ndarray) -> tuple[float, float]:
         """The stabilizing factor m and the residual RES at iterate Z, with

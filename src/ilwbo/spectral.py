@@ -28,12 +28,11 @@ Conventions used throughout the package
   solver's ``nodal_inner`` is the weighted Parseval sum over it (weight 1 at
   ``k = 0`` and ``-N/2``, 2 elsewhere).  Both take their quadratic products
   from ``ProductKernel``, the one dealiased-product kernel of the half
-  spectrum: it owns a grid's zero-padded buffer and splits the real ``-N/2``
-  input coefficient in halves between ``-N/2`` and ``+N/2``.  The evolver
-  keeps one kernel per run and the solver one per solve, each folding the
-  output phase into its own table; ``quadratic_terms``, which only the
-  tests call, allocates a kernel per call and leaves the ``-N/2`` output
-  slot zero.
+  spectrum: it owns a grid's zero-padded buffer, splits the real ``-N/2``
+  input coefficient in halves between ``-N/2`` and ``+N/2``, and writes the
+  finished products, times its caller's factors, with the output phase
+  applied and the ``-N/2`` output slot zero.  The evolver keeps one kernel
+  per run and the solver one per solve.
 
 The two model regimes differ only in the nonlocal symbol ``g``:
 ``g(k) = (alpha/gamma) * |k| * coth|k|`` for the finite-lower-depth (ILW)
@@ -83,8 +82,8 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+        if not 1.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
         if self.regime not in (ILW, BO):
             raise ValueError(f"regime must be '{ILW}' or '{BO}', got {self.regime!r}")
 
@@ -103,6 +102,8 @@ class SpectralGrid:
             raise ValueError(f"half_length l={self.half_length} is too large: the period 2l "
                              "is not finite")
         n = self.n_modes
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_modes N must be an integer, got {n!r}")
         if n < 8 or n % 2 != 0:
             raise ValueError(f"n_modes N must be even and >= 8, got {n}")
         # numpy raises ValueError, not MemoryError, for an array it cannot address
@@ -297,28 +298,30 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
 
 
 class ProductKernel:
-    """The alias-free products (zeta u, u^2) of one grid's real pair, on the
-    zero-padded half spectrum of the >= 3N/2 grid that the kernel owns.
+    """The alias-free products (zeta u, u^2) of one grid's real pair, times
+    per-row factors, on the zero-padded half spectrum of the >= 3N/2 grid
+    that the kernel owns.
 
-    A call writes the rows of `half` times `input_phase` ((-1)^k, halved at
+    The per-row `factors` (scalars or tables over k = 0..N/2) are taken
+    once, with the output phase (-1)^k folded in (exact: +-1 * f = +-f).  A
+    call writes the rows of `half` times `input_phase` ((-1)^k, halved at
     -N/2, which splits that coefficient between -N/2 and +N/2) into the
     buffer, takes one batched irfft, forms both products in place and one
-    batched rfft back.  It returns modes 0..N/2 of that spectrum, a view the
-    caller may overwrite, without the output phase (-1)^k and with a -N/2
-    slot outside the band: `quadratic_terms` applies the one and zeroes the
-    other, the evolver folds both into its multiplier table, and the
-    solver's `Workspace` folds the phase into the factors of F and zeroes
-    the slot.
+    batched rfft back.  It writes modes 0..N/2 of that spectrum times the
+    factors into `out`, with the -N/2 slot, outside the band, set to +0.0,
+    and returns `out`; `half` is left alone.
     """
 
-    def __init__(self, grid: SpectralGrid):
+    def __init__(self, grid: SpectralGrid, factors):
         h = grid.n_modes // 2
         self.size = _padded_size(grid.n_modes)
-        self.input_phase = grid._phase[: h + 1].copy()
+        phase = grid._phase[: h + 1]
+        self.input_phase = phase.copy()
         self.input_phase[h] *= 0.5
+        self.factors = (phase * factors).astype(complex)
         self._padded = np.zeros((2, self.size // 2 + 1), dtype=complex)
 
-    def __call__(self, half: np.ndarray) -> np.ndarray:
+    def __call__(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
         h = self.input_phase.shape[0] - 1
         np.multiply(self.input_phase, half, out=self._padded[:, : h + 1])
         # irfft leaves its input alone, so the zero padding persists
@@ -326,24 +329,9 @@ class ProductKernel:
         values[0] *= values[1]
         values[1] *= values[1]
         full = scipy.fft.rfft(values, norm="forward", overwrite_x=True, workers=_fft_workers)
-        return full[:, : h + 1]
-
-
-def quadratic_terms(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """Half spectra of (P_N(zeta u), P_N(u^2)) for the real fields whose half
-    spectra (see `StatePair`) are the rows of `half`.
-
-    A fresh `ProductKernel` does the work.  The -N/2 input coefficient is
-    split in halves between -N/2 and +N/2, which at every k != 0 is the
-    Hermitian part of `projected_product`; the -N/2 output slot stays zero.
-    """
-    h = grid.n_modes // 2
-    if half.shape != (2, h + 1):
-        raise ValueError("half spectra do not match the grid")
-    out = ProductKernel(grid)(half)
-    out *= grid._phase[: h + 1]
-    out[:, h] = 0.0
-    return out
+        np.multiply(full[:, : h + 1], self.factors, out=out)
+        out[:, h] = 0.0  # a zero factor could leave -0 or nan here
+        return out
 
 
 # ----------------------------------------------------------------------------

@@ -24,11 +24,11 @@ from ilwbo.solitary import (
     seed_profile,
 )
 from ilwbo.spectral import (
+    ProductKernel,
     derivative_symbol,
     nodal_inner,
     nodal_norm,
     projected_product,
-    quadratic_terms,
     symbol_g,
     symbol_J,
     symbol_T,
@@ -38,6 +38,18 @@ from ilwbo.spectral import (
 # Derandomized so that every run of the suite draws the same examples.
 settings.register_profile("ilwbo", derandomize=True, deadline=None)
 settings.load_profile("ilwbo")
+
+
+def quadratic_terms(grid, half):
+    """Half spectra of (P_N(zeta u), P_N(u^2)) for the real fields whose half
+    spectra are the rows of `half`, from a fresh `ProductKernel` with unit
+    factors: the oracle of the kernel's products, which the evolver's and
+    the solver's kernels multiply by their factors."""
+    h = grid.n_modes // 2
+    if half.shape != (2, h + 1):
+        raise ValueError("half spectra do not match the grid")
+    return ProductKernel(grid, 1.0)(half, np.empty((2, h + 1), dtype=complex))
+
 
 # Reference parameter sets used throughout: gamma=0.8, alpha=1.2 with the
 # demonstration speeds c=0.52 (ILW) and c=0.57 (B-O) on the 1024-mode grid.
@@ -372,8 +384,8 @@ def reference_step(params, grid, y, dt):
 def half_spectrum_rhs(params, grid, y):
     """The right-hand side of a (2, N/2+1) half spectrum from unfolded
     multipliers and `quadratic_terms`, one fresh array per operation: an
-    oracle for the evolver's stepper, which folds the product's output phase
-    into its table and works on stage buffers."""
+    oracle for the evolver's stepper, whose kernel takes the quadratic table
+    as its factors and which works on stage buffers."""
     h = grid.n_modes // 2
     ik = derivative_symbol(grid)[: h + 1]
     k = grid.wavenumbers[: h + 1]

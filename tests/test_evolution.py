@@ -1,5 +1,7 @@
 """Tests for the semidiscrete right-hand side and RK4 time stepping."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -127,11 +129,12 @@ class TestStep:
         grid = SpectralGrid(4.0, 32)
 
         class NoProducts:
-            def __init__(self, grid):
+            def __init__(self, grid, factors):
                 pass
 
-            def __call__(self, half):
-                return np.zeros_like(half)
+            def __call__(self, half, out):
+                out[...] = 0.0
+                return out
 
         monkeypatch.setattr(evolution, "ProductKernel", NoProducts)
         rng = np.random.default_rng(2)
@@ -423,3 +426,11 @@ class TestEvolutionConfig:
             EvolutionConfig(t_end=-1.0, dt=0.1)
         with pytest.raises(ValueError, match="record_every"):
             EvolutionConfig(t_end=1.0, dt=0.1, record_every=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["t_end", "dt", "cfl_guard"])
+    def test_non_finite_values_are_rejected(self, name, value):
+        # cfl_guard = nan switched the step-size guard off, and a non-finite
+        # t_end or dt was misreported as a too-small dt
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            EvolutionConfig(**{"t_end": 1.0, "dt": 0.1, name: value})

@@ -5,7 +5,7 @@ A `StatePair` holds the half spectrum, and its full-length `zeta_hat` and
 are real.  `state_from_nodal` forms a real field by `rfft` (and
 `state_to_nodal` reads it by `irfft`); every other operation (real-even and
 odd-imaginary multipliers, the per-mode 2x2 solve, real affine combinations,
-`quadratic_terms`) must keep that exact, bit for bit, so no solver
+the `ProductKernel` products) must keep that exact, bit for bit, so no solver
 re-symmetrizes its state.
 """
 
@@ -17,12 +17,13 @@ from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
 from ilwbo.evolution import EvolutionConfig, evolve, step
 from ilwbo.harness import gaussian_state, sech2_state
 from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
-from ilwbo.spectral import projected_product, quadratic_terms, state_from_nodal
+from ilwbo.spectral import projected_product, state_from_nodal
 
 from conftest import (
     Snapshots,
     full_state,
     hermitian_symmetrize_reference,
+    quadratic_terms,
     state_from_nodal_reference,
     state_of,
 )

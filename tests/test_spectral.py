@@ -1,6 +1,8 @@
 """Tests for the spectral infrastructure: grids, symbols, transforms,
 multipliers and the alias-free product."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,11 @@ from hypothesis import strategies as st
 
 from ilwbo import BO, ILW, ModelParams, SpectralGrid
 from ilwbo.spectral import (
+    ProductKernel,
     derivative_symbol,
     l2_norm,
     nodal_inner,
     projected_product,
-    quadratic_terms,
     state_from_nodal,
     state_to_nodal,
     symbol_J,
@@ -31,6 +33,7 @@ from conftest import (
     full_l2_norm,
     full_state,
     hermitian_symmetrize_reference,
+    quadratic_terms,
     random_hermitian,
     state_l2_norm,
     state_of,
@@ -51,8 +54,9 @@ class TestModelParams:
         with pytest.raises(ValueError, match="gamma"):
             ModelParams(gamma=gamma, alpha=1.2, regime=ILW)
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, math.inf, math.nan])
     def test_alpha_range(self, alpha):
+        # alpha = inf made symbol_J nan at every k
         with pytest.raises(ValueError, match="alpha"):
             ModelParams(gamma=0.8, alpha=alpha, regime=BO)
 
@@ -69,6 +73,16 @@ class TestSpectralGrid:
             SpectralGrid(half_length=1.0, n_modes=4)
         with pytest.raises(ValueError, match="half_length"):
             SpectralGrid(half_length=-1.0, n_modes=16)
+
+    @pytest.mark.parametrize("n", [64.0, 64.5, "64"])
+    def test_mode_count_must_be_an_integer(self, n):
+        # a float N failed only at the first transform, inside scipy
+        with pytest.raises(ValueError, match="n_modes N"):
+            SpectralGrid(half_length=8.0, n_modes=n)
+
+    def test_numpy_integer_mode_count(self):
+        grid = SpectralGrid(half_length=8.0, n_modes=np.int64(64))
+        assert grid == SpectralGrid(half_length=8.0, n_modes=64)
 
     def test_period_must_be_finite(self):
         # 2l overflows, which would make every node non-finite
@@ -330,6 +344,51 @@ class TestQuadraticTerms:
         for shape in ((2, 5), (2, 16), (9,)):
             with pytest.raises(ValueError):
                 quadratic_terms(grid, np.zeros(shape, dtype=complex))
+
+
+class TestProductKernel:
+    """A kernel writes its factors times the products of a kernel with unit
+    factors (`quadratic_terms`), bit for bit, with the -N/2 slot +0.0."""
+
+    @staticmethod
+    def _case(n, kind):
+        grid = SpectralGrid(half_length=3.0, n_modes=n)
+        rng = np.random.default_rng(n)
+        h = n // 2
+        half = state_of(random_hermitian(grid, rng), random_hermitian(grid, rng)).half
+        half[:, h] = rng.standard_normal(2)  # a nonzero -N/2 input coefficient
+        if kind == "scalars":
+            factors = np.array([[2.0], [1.0]])
+        else:  # a complex table, zero at -N/2 as the evolver's is
+            factors = rng.standard_normal((2, h + 1)) + 1j * rng.standard_normal((2, h + 1))
+            factors[:, h] = 0.0
+        return grid, half, factors
+
+    @pytest.mark.parametrize("kind", ["table", "scalars"])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_factors_times_unit_products(self, n, kind):
+        grid, half, factors = self._case(n, kind)
+        out = np.empty_like(half)
+        got = ProductKernel(grid, factors)(half, out)
+        assert got is out
+        # in the kernel's order: with fused multiply-adds a general complex
+        # product can round differently with its operands swapped
+        assert np.array_equal(got, quadratic_terms(grid, half) * factors)
+        edge = got[:, n // 2]
+        assert np.all(edge == 0.0)
+        assert not np.signbit(edge.real).any() and not np.signbit(edge.imag).any()
+
+    @pytest.mark.parametrize("kind", ["table", "scalars"])
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_leaves_input_and_earlier_output_alone(self, n, kind):
+        grid, half, factors = self._case(n, kind)
+        kernel = ProductKernel(grid, factors)
+        before = half.copy()
+        first = kernel(half, np.empty_like(half))
+        kept = first.copy()
+        kernel(2.0 * half, np.empty_like(half))
+        assert np.array_equal(half, before)
+        assert np.array_equal(first, kept)
 
 
 class TestFftWorkers:
