@@ -20,6 +20,9 @@ class SingularModeError(IlwboError):
             "wave speed lies in the discrete linear spectrum"
         )
 
+    def __reduce__(self):
+        return type(self), (self.ktilde, self.det)
+
 
 class NonConvergenceError(IlwboError):
     """A solve stopped short of the tolerance; `trace.termination` says why
@@ -31,6 +34,9 @@ class NonConvergenceError(IlwboError):
             f"{trace.termination} after {trace.iterations_used} iterations "
             f"(last residual {trace.residuals[-1]:.3e})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.trace,)
 
 
 class StepFailureError(IlwboError):

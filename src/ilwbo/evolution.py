@@ -64,6 +64,8 @@ class EvolutionConfig:
         # past 2**53 steps the step count and t = i*dt are no longer exact
         if not self.t_end / self.dt <= 2 ** 53:
             raise ValueError(f"dt={self.dt} is too small: t_end/dt exceeds 2**53")
+        if not isinstance(self.record_every, (int, np.integer)):
+            raise ValueError(f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if self.cfl_guard <= 0:

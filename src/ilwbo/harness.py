@@ -19,6 +19,7 @@ import numpy as np
 from .accel import cycled_solve
 from .errors import NonConvergenceError, SingularModeError, WindowUnderflowError
 from .evolution import EvolutionConfig, evolve
+from .io_utils import fork_pool, fork_workers
 from .solitary import IterationTrace, SolitaryConfig
 from .spectral import (
     ModelParams,
@@ -134,6 +135,58 @@ def state_l2_distance(
     )
 
 
+# The study evolves its runs on forked worker processes when they take at
+# least this many RK4 steps in all.  Starting and stopping a 2-worker pool
+# costs about 20 ms and a step at N <= 256 about 170 us, so the pool breaks
+# even near 250 steps (15 alternating runs at N = 8-32 and 32-128: -6 ms at
+# 150 steps, +4 to +6 ms at 300, +18 ms at 600); the margin keeps studies
+# whose gain would be small next to the spread of their run time in-process.
+STUDY_POOL_MIN_STEPS = 600
+
+
+def _evolve_job(params: ModelParams, grid: SpectralGrid, initial: StatePair,
+                config: EvolutionConfig) -> StatePair:
+    """A pool worker's job: one run of the study.  The pool is handed this
+    function, not `evolve`, so a wrapper put around `evolve` in this module
+    (a counter, a tracer) need not pickle."""
+    return evolve(params, grid, initial, config)
+
+
+def _evolve_all(params: ModelParams, jobs: list) -> list[StatePair]:
+    """The final state of each (grid, initial state, config) job, in job order;
+    the error raised is the first failing job's, as when the jobs run in turn.
+
+    With at least STUDY_POOL_MIN_STEPS steps in all, fork and 2 CPUs, the jobs
+    run on worker processes forked from this one, longest first, and the
+    results are read back in job order; a job whose pool broke runs here.
+    """
+    steps = [n_full + (rest > 0) for n_full, rest in (job[2].steps for job in jobs)]
+    workers = min(fork_workers(), len(jobs)) if sum(steps) >= STUDY_POOL_MIN_STEPS else 0
+    if workers < 2:
+        return [evolve(params, *job) for job in jobs]
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = {}
+    pool = fork_pool(workers)
+    try:
+        try:
+            # longest first, so that the last run to start is a short one
+            for i in sorted(range(len(jobs)), key=lambda i: (steps[i], jobs[i][0].n_modes),
+                            reverse=True):
+                futures[i] = pool.submit(_evolve_job, params, *jobs[i])
+        except BrokenProcessPool:
+            pass  # a worker died: the jobs not submitted run here
+        finals = []
+        for i, job in enumerate(jobs):
+            try:
+                finals.append(futures[i].result() if i in futures else evolve(params, *job))
+            except BrokenProcessPool:  # its worker died: run it here
+                finals.append(evolve(params, *job))
+        return finals
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def convergence_study(
     params: ModelParams,
     initial: Callable[[SpectralGrid], StatePair],
@@ -148,20 +201,34 @@ def convergence_study(
     The time step is shared by all runs; a dt-halving probe at the finest
     resolution reports the temporal error floor so stagnating spatial errors
     can be recognized rather than misread as a convergence failure.
+
+    The runs (reference, each resolution, probe) are independent: with enough
+    steps in all, fork and 2 CPUs they run on forked worker processes (see
+    STUDY_POOL_MIN_STEPS), otherwise one after another here.  Either way the
+    report is the same to the bit, and the error raised is the one the first
+    failing run, in that order, raises.
     """
     res = sorted(int(n) for n in resolutions)
     if not res or res[-1] < 4 * res[0]:
         raise ValueError(f"resolutions {res} must span at least 4x, finest over coarsest")
 
-    def terminal(n: int, dt_run: float) -> tuple[SpectralGrid, StatePair]:
-        grid = SpectralGrid(half_length, n)
-        return grid, evolve(params, grid, initial(grid), EvolutionConfig(t_end=t_end, dt=dt_run))
+    runs = [(2 * res[-1], dt)] + [(n, dt) for n in res] + [(res[-1], dt / 2.0)]
+    jobs, build_error = [], None
+    try:
+        for n, dt_run in runs:
+            grid = SpectralGrid(half_length, n)
+            jobs.append((grid, initial(grid), EvolutionConfig(t_end=t_end, dt=dt_run)))
+    except Exception as err:  # raised after the runs before it, as in run order
+        build_error = err
+    finals = _evolve_all(params, jobs)
+    if build_error is not None:
+        raise build_error
 
-    ref_grid, ref_state = terminal(2 * res[-1], dt)
-    errors = []
-    for n in res:
-        grid_n, state_n = terminal(n, dt)
-        errors.append(state_l2_distance(grid_n, state_n, ref_grid, ref_state))
+    grids = [grid for grid, _, _ in jobs]
+    errors = [
+        state_l2_distance(grids[i], finals[i], grids[0], finals[0])
+        for i in range(1, len(res) + 1)
+    ]
 
     # zero initial data has errors of exactly zero: nan rates, not a crash
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -170,9 +237,7 @@ def convergence_study(
             for i in range(len(errors) - 1)
         ]
 
-    fine_grid, fine_state = grid_n, state_n  # the loop ends at the finest resolution
-    _, fine_state_half = terminal(res[-1], dt / 2.0)
-    probe = state_l2_distance(fine_grid, fine_state, fine_grid, fine_state_half)
+    probe = state_l2_distance(grids[-1], finals[-2], grids[-1], finals[-1])
 
     return ConvergenceReport(
         resolutions=res,

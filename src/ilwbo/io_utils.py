@@ -163,16 +163,35 @@ def _write_snapshot(path: str, t: str, zeta: np.ndarray, u: np.ndarray) -> None:
     write_csv(path, SNAPSHOT_HEADER, [[t] * len(zeta), _worker_nodes, zeta, u])
 
 
-def _pool_workers(n_values: int) -> int:
-    """The worker processes to format `n_values` snapshot values on: one per
-    CPU this process may run on, or 0 (format in-process) when the values are
-    too few, fork is not available or only one CPU is."""
-    if n_values < POOL_MIN_VALUES or not hasattr(os, "sched_getaffinity"):
+def fork_workers() -> int:
+    """The worker processes a pool forked from this process gets: one per CPU
+    this process may run on, or 0 (work in-process) when fork is not available
+    or only one CPU is."""
+    if not hasattr(os, "sched_getaffinity"):
         return 0
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0))
     return cpus if cpus >= 2 and "fork" in multiprocessing.get_all_start_methods() else 0
+
+
+def fork_pool(workers: int, initializer=None, initargs=()):
+    """A `ProcessPoolExecutor` of `workers` processes forked from this one;
+    the caller shuts it down.  Imported here, on first use, so a run that
+    builds no pool does not import multiprocessing."""
+    # fork, not spawn: a spawned worker imports numpy and this package
+    # again (about 0.4 s), which would cost more than the pool saves
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=initializer, initargs=initargs)
+
+
+def _pool_workers(n_values: int) -> int:
+    """The worker processes to format `n_values` snapshot values on, or 0
+    (format in-process) when the values are too few."""
+    return fork_workers() if n_values >= POOL_MIN_VALUES else 0
 
 
 class SnapshotWriter:
@@ -201,16 +220,7 @@ class SnapshotWriter:
         self._jobs: deque = deque()  # (name, t, zeta, u, future or None), oldest first
         workers = _pool_workers((expected - 1) * 2 * grid.n_modes)
         self._max_jobs = JOBS_PER_WORKER * workers
-        self._pool = None
-        if workers:
-            # fork, not spawn: a spawned worker imports numpy and this package
-            # again (about 0.4 s), which would cost more than the pool saves
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                             initializer=_set_worker_nodes,
-                                             initargs=(self._nodes,))
+        self._pool = fork_pool(workers, _set_worker_nodes, (self._nodes,)) if workers else None
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)

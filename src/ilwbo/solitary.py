@@ -74,6 +74,9 @@ class SolitaryConfig:
             raise ValueError("speed c must be nonzero")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        for name in ("max_iter", "mw"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.mw < 1:

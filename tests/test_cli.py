@@ -9,6 +9,8 @@ import math
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -522,6 +524,21 @@ class TestSnapshotPool:
         assert code == 0 and pool_workers[-1] >= 2
         assert same_outputs(tmp_path / "whole", out_dir)
         assert not list(out_dir.glob("*.tmp"))
+
+
+def test_importing_the_cli_imports_no_process_pool():
+    # the snapshot and study pools import their machinery on first use, so a
+    # run that builds no pool does not pay for it; concurrent.futures itself
+    # comes with numpy.testing, which scipy imports
+    probe = ("import sys, ilwbo.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules])")
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestOutcomes:

@@ -427,6 +427,13 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError, match="record_every"):
             EvolutionConfig(t_end=1.0, dt=0.1, record_every=0)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+    def test_non_integral_record_every_is_rejected(self, value):
+        # record_every = 2.5 reported 5.0 snapshots while evolve handed its sink 3
+        with pytest.raises(ValueError, match="^record_every must be an integer"):
+            EvolutionConfig(t_end=1.0, dt=0.1, record_every=value)
+        assert EvolutionConfig(t_end=1.0, dt=0.1, record_every=np.int64(2)).snapshots == 6
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["t_end", "dt", "cfl_guard"])
     def test_non_finite_values_are_rejected(self, name, value):

@@ -1,14 +1,18 @@
 """Tests for the verification harness: refinement studies, round trips,
 tail-decay fits and the acceleration benchmark."""
 
+import json
+import os
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, harness
-from ilwbo.errors import WindowUnderflowError
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, cli, harness
+from ilwbo import io_utils
+from ilwbo.errors import StepFailureError, WindowUnderflowError
 from ilwbo.harness import (
     acceleration_benchmark,
     convergence_study,
@@ -89,6 +93,15 @@ class TestConvergenceStudy:
                           t_end=0.01, dt=0.002, half_length=16.0)
         assert calls == [(256, 0.002), (32, 0.002), (64, 0.002), (128, 0.002), (128, 0.001)]
 
+    def test_a_bad_resolution_is_raised_after_the_runs_before_it(self):
+        # the reference at N = 48 overflows before N = 6 is found to be too small
+        with pytest.raises(StepFailureError, match="non-finite"):
+            convergence_study(BO_P, gaussian_state(1e200, 1.2), [6, 24],
+                              t_end=0.1, dt=0.01, half_length=16.0)
+        with pytest.raises(ValueError, match="n_modes N must be even and >= 8, got 6"):
+            convergence_study(BO_P, gaussian_state(0.1, 1.2), [6, 24],
+                              t_end=0.1, dt=0.01, half_length=16.0)
+
     def test_requires_resolution_spread(self):
         for resolutions in ([32, 64], []):
             with pytest.raises(ValueError, match="resolutions .* 4x"):
@@ -102,6 +115,98 @@ class TestConvergenceStudy:
         assert report.errors == [0.0, 0.0, 0.0]
         assert all(np.isnan(r) for r in report.observed_rates)
         assert not report.is_spectral(16.0)
+
+
+DESK_CONVERGENCE = json.loads(
+    (pathlib.Path(__file__).resolve().parent.parent / "configs" / "verify_desk.json").read_text()
+)["experiments"][0]
+
+_FORK_POOL = harness.fork_pool
+_EVOLVE_JOB = harness._evolve_job
+
+
+@pytest.fixture
+def study_pools(monkeypatch):
+    """Every study runs on worker processes, as long ones do; yields the
+    worker count of each pool built."""
+    if not io_utils.fork_workers():
+        pytest.skip("the study pool needs fork and at least 2 CPUs")
+    built = []
+
+    def recording(workers, *args):
+        built.append(workers)
+        return _FORK_POOL(workers, *args)
+
+    monkeypatch.setattr(harness, "STUDY_POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(harness, "fork_pool", recording)
+    return built
+
+
+def in_process(study, *args, **kwargs):
+    """`study(*args, **kwargs)` with every run evolved in this process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "STUDY_POOL_MIN_STEPS", float("inf"))
+        return study(*args, **kwargs)
+
+
+def _exit_on_n64(params, grid, initial, config):
+    """A pool job whose worker dies, as a killed one would, on the N = 64 run."""
+    if grid.n_modes == 64:
+        os._exit(1)
+    return _EVOLVE_JOB(params, grid, initial, config)
+
+
+def wild_up_to_n64(grid):
+    """Gaussian data of amplitude 20 up to N = 64 and 0.1 on finer grids.  In
+    the study [16, 32, 64] to t = 3 only the reference and the N = 16 run
+    survive: the N = 32 run fails first in run order, at t = 2.93, but the
+    N = 64 runs fail after fewer steps."""
+    return gaussian_state(20.0 if grid.n_modes <= 64 else 0.1, 1.0)(grid)
+
+
+class TestStudyPool:
+    """The pool path of `convergence_study` against its in-process path."""
+
+    def test_desk_block_writes_the_same_report_and_files(self, tmp_path, study_pools,
+                                                         monkeypatch):
+        reports = []
+
+        def recording(*args, **kwargs):
+            reports.append(harness.convergence_study(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "convergence_study", recording)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"experiments": [DESK_CONVERGENCE]}))
+
+        def verify(out):
+            return cli.main(["verify", "--config", str(config), "--out", str(tmp_path / out),
+                             "--quiet"])
+
+        assert in_process(verify, "in-process") == 0 and not study_pools
+        assert verify("pooled") == 0 and study_pools == [min(io_utils.fork_workers(), 5)]
+        assert reports[0] == reports[1]
+        for name in ("convergence_report.csv", "summary.json"):
+            assert (tmp_path / "in-process" / name).read_bytes() == \
+                (tmp_path / "pooled" / name).read_bytes()
+
+    def test_blow_up_raises_the_first_failing_run_in_run_order(self, study_pools):
+        args = (BO_P, wild_up_to_n64, [16, 32, 64])
+        kwargs = dict(t_end=3.0, dt=0.01, half_length=16.0)
+        with pytest.raises(StepFailureError) as want:
+            in_process(convergence_study, *args, **kwargs)
+        with pytest.raises(StepFailureError) as got:
+            convergence_study(*args, **kwargs)
+        assert study_pools and want.value.time == pytest.approx(2.93, abs=1e-9)
+        assert (str(got.value), got.value.time) == (str(want.value), want.value.time)
+
+    def test_a_worker_that_dies_falls_back_to_evolving_in_process(self, study_pools,
+                                                                  monkeypatch):
+        args = (BO_P, gaussian_state(0.1, 1.2), [16, 32, 64])
+        kwargs = dict(t_end=0.2, dt=0.002, half_length=16.0)
+        want = in_process(convergence_study, *args, **kwargs)
+        monkeypatch.setattr(harness, "_evolve_job", _exit_on_n64)
+        assert convergence_study(*args, **kwargs) == want and study_pools
 
 
 class TestInitialData:

@@ -73,6 +73,14 @@ class TestSolitaryConfig:
         with pytest.raises(ValueError, match="seed_width"):
             SolitaryConfig(speed=0.5, seed_width=-1.0)
 
+    @pytest.mark.parametrize("name", ["max_iter", "mw"])
+    def test_non_integral_counts_are_rejected(self, name):
+        # mw = 1.5 reached cycled_solve, which raised a bare TypeError
+        for value in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                SolitaryConfig(**{"speed": 0.57, name: value})
+        assert getattr(SolitaryConfig(**{"speed": 0.57, name: np.int64(2)}), name) == 2
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["speed", "tol", "seed_amplitude", "seed_width"])
     def test_non_finite_values_are_rejected(self, name, value):
