@@ -242,7 +242,7 @@ def _initial_state(spec: dict, grid: SpectralGrid):
             f"config key 'initial.path': file has {len(x)} rows, grid expects "
             f"{grid.n_modes}"
         )
-    if not np.allclose(x, grid.nodes, atol=1e-9 * grid.half_length):
+    if not np.allclose(x, grid.nodes, rtol=0.0, atol=1e-9 * grid.half_length):
         raise ConfigError("config key 'initial.path': x column does not match the grid nodes")
     if not (np.isfinite(zeta).all() and np.isfinite(u).all()):
         raise ConfigError("config key 'initial.path': zeta or u holds a non-finite or "

@@ -26,14 +26,12 @@ each step's result: a non-finite stage always leaves a non-finite result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import StepFailureError
 from .spectral import (
-    TABLE_CACHE_SIZE,
     ModelParams,
     ProductKernel,
     SpectralGrid,
@@ -81,12 +79,16 @@ class EvolutionConfig:
         return n_full, remainder
 
     @property
+    def n_steps(self) -> int:
+        """The number of RK4 steps to t_end, the shorter last step included."""
+        n_full, remainder = self.steps
+        return n_full + (1 if remainder else 0)
+
+    @property
     def snapshots(self) -> int:
         """The number of states `evolve` hands its sink: the initial one, then
         one every record_every steps and the last."""
-        n_full, remainder = self.steps
-        n_steps = n_full + (1 if remainder else 0)
-        return 1 + -(-n_steps // self.record_every)
+        return 1 + -(-self.n_steps // self.record_every)
 
 
 @dataclass
@@ -100,7 +102,6 @@ class EvolutionRecord:
     zero_mode_u: np.ndarray
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _rhs_tables(params: ModelParams, grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
     """Half-spectrum multipliers: d/dt y = linear * y[::-1] + quadratic * products,
     with `products` the half spectra of (P_N(zeta u), P_N(u^2)); the
@@ -205,7 +206,7 @@ def evolve(
         )
 
     n_full, remainder = config.steps
-    n_steps = n_full + (1 if remainder else 0)
+    n_steps = config.n_steps
 
     stepper = Stepper(params, grid)
     # the steps alternate between these two arrays; the sink gets copies

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .accel import cycled_solve
 from .errors import NonConvergenceError, SingularModeError, WindowUnderflowError
 from .evolution import EvolutionConfig, evolve
-from .io_utils import fork_pool, fork_workers
+from .io_utils import ForkJobs, fork_workers
 from .solitary import IterationTrace, SolitaryConfig
 from .spectral import (
     ModelParams,
@@ -158,33 +159,19 @@ def _evolve_all(params: ModelParams, jobs: list) -> list[StatePair]:
 
     With at least STUDY_POOL_MIN_STEPS steps in all, fork and 2 CPUs, the jobs
     run on worker processes forked from this one, longest first, and the
-    results are read back in job order; a job whose pool broke runs here.
+    results are read back in job order; a job no worker ran runs here.
     """
-    steps = [n_full + (rest > 0) for n_full, rest in (job[2].steps for job in jobs)]
-    workers = min(fork_workers(), len(jobs)) if sum(steps) >= STUDY_POOL_MIN_STEPS else 0
-    if workers < 2:
-        return [evolve(params, *job) for job in jobs]
-    from concurrent.futures.process import BrokenProcessPool
-
-    futures = {}
-    pool = fork_pool(workers)
+    steps = [config.n_steps for _, _, config in jobs]
+    runner = ForkJobs(min(fork_workers(), len(jobs)) if sum(steps) >= STUDY_POOL_MIN_STEPS else 0)
     try:
-        try:
-            # longest first, so that the last run to start is a short one
-            for i in sorted(range(len(jobs)), key=lambda i: (steps[i], jobs[i][0].n_modes),
-                            reverse=True):
-                futures[i] = pool.submit(_evolve_job, params, *jobs[i])
-        except BrokenProcessPool:
-            pass  # a worker died: the jobs not submitted run here
-        finals = []
-        for i, job in enumerate(jobs):
-            try:
-                finals.append(futures[i].result() if i in futures else evolve(params, *job))
-            except BrokenProcessPool:  # its worker died: run it here
-                finals.append(evolve(params, *job))
-        return finals
+        # longest first, so that the last run to start is a short one
+        futures = {i: runner.submit(_evolve_job, params, *jobs[i])
+                   for i in sorted(range(len(jobs)), key=lambda i: (steps[i], jobs[i][0].n_modes),
+                                   reverse=True)}
+        return [runner.result(futures[i], partial(evolve, params, *job))
+                for i, job in enumerate(jobs)]
     finally:
-        pool.shutdown(cancel_futures=True)
+        runner.close()
 
 
 def convergence_study(

@@ -175,23 +175,57 @@ def fork_workers() -> int:
     return cpus if cpus >= 2 and "fork" in multiprocessing.get_all_start_methods() else 0
 
 
-def fork_pool(workers: int, initializer=None, initargs=()):
-    """A `ProcessPoolExecutor` of `workers` processes forked from this one;
-    the caller shuts it down.  Imported here, on first use, so a run that
-    builds no pool does not import multiprocessing."""
-    # fork, not spawn: a spawned worker imports numpy and this package
-    # again (about 0.4 s), which would cost more than the pool saves
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+class ForkJobs:
+    """Jobs run on `workers` processes forked from this one, or in-process
+    when fewer than 2 workers are asked for or a worker died and broke the
+    pool; the one place that decides which.  A broken pool is shut down
+    without cancelling, so a future still held reads as broken, not as
+    cancelled.  The pool machinery is imported only when a pool is built.
+    Submit module-level functions: a worker unpickles the job by name.
+    """
 
-    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=initializer, initargs=initargs)
+    def __init__(self, workers: int, initializer=None, initargs=()):
+        self.workers = workers if workers >= 2 else 0
+        self._pool = None
+        if self.workers:
+            # fork, not spawn: a spawned worker imports numpy and this package
+            # again (about 0.4 s), which would cost more than the pool saves
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
+            self._pool = ProcessPoolExecutor(self.workers, multiprocessing.get_context("fork"),
+                                             initializer=initializer, initargs=initargs)
 
-def _pool_workers(n_values: int) -> int:
-    """The worker processes to format `n_values` snapshot values on, or 0
-    (format in-process) when the values are too few."""
-    return fork_workers() if n_values >= POOL_MIN_VALUES else 0
+    def submit(self, fn, *args):
+        """A future of `fn(*args)` on a worker, or None when no pool runs it."""
+        if self._pool is None:
+            return None
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return self._pool.submit(fn, *args)
+        except BrokenProcessPool:
+            self.close(cancel=False)
+            return None
+
+    def result(self, future, local):
+        """The worker's value of `future`, or `local()` when no worker ran the
+        job or its pool broke; a job's own error is raised as it is."""
+        if future is not None:
+            from concurrent.futures.process import BrokenProcessPool
+
+            try:
+                return future.result()
+            except BrokenProcessPool:
+                self.close(cancel=False)
+        return local()
+
+    def close(self, cancel: bool = True) -> None:
+        """Stop the pool once its running jobs are done; the jobs not started
+        are cancelled, unless `cancel` is False."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=cancel)
+            self._pool = None
 
 
 class SnapshotWriter:
@@ -217,54 +251,31 @@ class SnapshotWriter:
         self.times: list[float] = []
         self.files: list[str] = []  # the snapshots listed, for the index
         self._taken = 0
-        self._jobs: deque = deque()  # (name, t, zeta, u, future or None), oldest first
-        workers = _pool_workers((expected - 1) * 2 * grid.n_modes)
-        self._max_jobs = JOBS_PER_WORKER * workers
-        self._pool = fork_pool(workers, _set_worker_nodes, (self._nodes,)) if workers else None
+        self._jobs: deque = deque()  # (name, t, future or None, in-process write), oldest first
+        big = (expected - 1) * 2 * grid.n_modes >= POOL_MIN_VALUES
+        self._runner = ForkJobs(fork_workers() if big else 0, _set_worker_nodes, (self._nodes,))
+        self._max_jobs = JOBS_PER_WORKER * self._runner.workers
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)
         name = f"snapshot_{self._taken:04d}.csv"
         self._taken += 1
-        future = None
-        if self._pool is not None:
-            from concurrent.futures.process import BrokenProcessPool
-
-            try:
-                future = self._pool.submit(_write_snapshot, os.path.join(self.out.path, name),
-                                           fmt(t), zeta, u)
-            except BrokenProcessPool:
-                self._stop_pool()
-        self._jobs.append((name, t, zeta, u, future))
-        self._finish(self._max_jobs if self._pool is not None else 0)
+        path, stamp = os.path.join(self.out.path, name), fmt(t)
+        future = self._runner.submit(_write_snapshot, path, stamp, zeta, u)
+        self._jobs.append((name, t, future, lambda: write_csv(
+            path, SNAPSHOT_HEADER, [[stamp] * len(zeta), self._nodes, zeta, u])))
+        # a job no pool took is written here, after every job before it
+        self._finish(self._max_jobs if future is not None else 0)
 
     def _finish(self, keep: int) -> None:
         """List the snapshots that are done, oldest first, and wait for (or
         write) the oldest until at most `keep` are left."""
-        # a job has no future only after the pool has stopped, when keep is 0
-        while self._jobs and (len(self._jobs) > keep or self._jobs[0][4].done()):
-            name, t, zeta, u, future = self._jobs.popleft()
-            if future is None or not self._listed(name, future):
-                self.out.write(name, write_csv, SNAPSHOT_HEADER,
-                               [[fmt(t)] * self.grid.n_modes, self._nodes, zeta, u])
+        # every job held has a future while keep > 0
+        while self._jobs and (len(self._jobs) > keep or self._jobs[0][2].done()):
+            name, t, future, local = self._jobs.popleft()
+            self.out.write(name, lambda _path: self._runner.result(future, local))
             self.times.append(t)
             self.files.append(name)
-
-    def _listed(self, name: str, future) -> bool:
-        """List `name` once its worker has written it; False if the pool broke."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            self.out.write(name, lambda _path: future.result())
-        except BrokenProcessPool:
-            self._stop_pool()
-            return False
-        return True
-
-    def _stop_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
     def close(self) -> None:
         """Wait for the snapshots in flight, stop the pool and write the index of
@@ -277,7 +288,7 @@ class SnapshotWriter:
                 except OSError as err:
                     error = error or err
         finally:
-            self._stop_pool()
+            self._runner.close()
         if self.files:
             self.out.write("snapshots_manifest.json", write_json, {
                 "files": self.files,

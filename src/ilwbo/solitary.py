@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SingularModeError
 from .spectral import (
-    TABLE_CACHE_SIZE,
     ModelParams,
     ProductKernel,
     SpectralGrid,
@@ -126,7 +124,6 @@ class IterationTrace:
         self.inner_steps.append(int(inner))
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
     """Half-spectrum tables of S (S z = diag * z + off * z[::-1]) and of 1/det S,
     with the singularity check; g is even, so k = 0..N/2 holds every |k|.

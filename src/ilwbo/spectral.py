@@ -53,11 +53,6 @@ import scipy.fft
 ILW = "ilw"
 BO = "bo"
 
-# Entries kept by each per-problem table cache (the RK4 multipliers, the
-# solver's S tables): a run uses one or two at a time, and a sweep over many
-# problems in one process must not keep a table for each.
-TABLE_CACHE_SIZE = 8
-
 _fft_workers = 1
 
 

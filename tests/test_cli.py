@@ -152,6 +152,20 @@ class TestEvolveCommand:
         assert code == 2
         assert "initial.path" in capsys.readouterr().err
 
+    def test_from_file_nodes_off_by_more_than_the_tolerance(self, tmp_path, capsys):
+        # nodes of l = 32.0002 differ from those of l = 32 by up to 2e-4, a
+        # relative 6e-6 that a default rtol of 1e-5 would let through
+        grid = SpectralGrid(32.0002, 256)
+        rows = [f"{x:.17g},{0.1 * np.exp(-x * x):.17g},0.0\n" for x in grid.nodes]
+        profile = tmp_path / "profile.csv"
+        profile.write_text("x,zeta,u\n" + "".join(rows))
+        cfg = dict(EVOLVE_CFG, l=32.0, N=256, initial={"kind": "from-file", "path": str(profile)})
+        code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert code == 2
+        error = read_manifest(out_dir)["error"]
+        assert "initial.path" in error and "x column does not match" in error
+        assert capsys.readouterr().err == error + "\n"
+
     @pytest.mark.parametrize("column", ["zeta", "u"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "abc", ""])
     def test_from_file_bad_value_is_config_error(self, tmp_path, capsys, column, cell):
@@ -447,20 +461,24 @@ def _exit_on_the_third_snapshot(path, *args):
     _WRITE_SNAPSHOT(path, *args)
 
 
+_FORK_JOBS = io_utils.ForkJobs
+
+
 @pytest.fixture
 def pool_workers(monkeypatch):
     """Every evolve formats its snapshots on worker processes, as large runs
-    do; yields the worker count chosen for each writer."""
-    if not io_utils._pool_workers(io_utils.POOL_MIN_VALUES):
+    do; yields the worker count of each writer's runner."""
+    if not io_utils.fork_workers():
         pytest.skip("the snapshot pool needs fork and at least 2 CPUs")
-    choose, chosen = io_utils._pool_workers, []
+    chosen = []
 
-    def recording(n_values):
-        chosen.append(choose(n_values))
-        return chosen[-1]
+    def recording(workers, *args):
+        runner = _FORK_JOBS(workers, *args)
+        chosen.append(runner.workers)
+        return runner
 
     monkeypatch.setattr(io_utils, "POOL_MIN_VALUES", 0)
-    monkeypatch.setattr(io_utils, "_pool_workers", recording)
+    monkeypatch.setattr(io_utils, "ForkJobs", recording)
     return chosen
 
 
@@ -480,7 +498,7 @@ class TestSnapshotPool:
 
     def test_writes_the_same_files_and_index(self, tmp_path, pool_workers):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io_utils, "_pool_workers", lambda n_values: 0)
+            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
             assert run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="in-process")[0] == 0
         code, pooled = run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="pooled")
         assert code == 0 and pool_workers[-1] >= 2
@@ -507,7 +525,7 @@ class TestSnapshotPool:
     def test_step_failure_keeps_the_earlier_snapshots_and_index(self, tmp_path, pool_workers):
         cfg = dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io_utils, "_pool_workers", lambda n_values: 0)
+            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
             assert run_cli(tmp_path, "evolve", cfg, out="in-process")[0] == 3
         code, pooled = run_cli(tmp_path, "evolve", cfg, out="pooled")
         assert code == 3 and pool_workers[-1] >= 2

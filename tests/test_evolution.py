@@ -19,7 +19,6 @@ from ilwbo.evolution import (
 )
 from ilwbo.harness import gaussian_state, sech2_state, state_l2_distance
 from ilwbo.spectral import (
-    TABLE_CACHE_SIZE,
     l2_norm,
     symbol_J,
     symbol_T,
@@ -63,13 +62,6 @@ def dense_rhs_oracle(params, grid, state):
 
 
 class TestSemidiscreteRhs:
-    def test_a_parameter_sweep_keeps_a_bounded_table_cache(self):
-        grid = SpectralGrid(8.0, 16)
-        evolution._rhs_tables.cache_clear()
-        for gamma in np.linspace(0.5, 0.9, TABLE_CACHE_SIZE + 3):
-            semidiscrete_rhs(ModelParams(float(gamma), 1.2, ILW), grid, zero_state(grid))
-        assert evolution._rhs_tables.cache_info().currsize == TABLE_CACHE_SIZE
-
     def test_zero_state(self):
         grid = SpectralGrid(2.0, 16)
         out = semidiscrete_rhs(ILW_P, grid, zero_state(grid))

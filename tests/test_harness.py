@@ -4,6 +4,7 @@ tail-decay fits and the acceleration benchmark."""
 import json
 import os
 import pathlib
+import pickle
 import warnings
 
 import numpy as np
@@ -121,7 +122,7 @@ DESK_CONVERGENCE = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "configs" / "verify_desk.json").read_text()
 )["experiments"][0]
 
-_FORK_POOL = harness.fork_pool
+_FORK_JOBS = harness.ForkJobs
 _EVOLVE_JOB = harness._evolve_job
 
 
@@ -134,11 +135,13 @@ def study_pools(monkeypatch):
     built = []
 
     def recording(workers, *args):
-        built.append(workers)
-        return _FORK_POOL(workers, *args)
+        runner = _FORK_JOBS(workers, *args)
+        if runner.workers:
+            built.append(runner.workers)
+        return runner
 
     monkeypatch.setattr(harness, "STUDY_POOL_MIN_STEPS", 0)
-    monkeypatch.setattr(harness, "fork_pool", recording)
+    monkeypatch.setattr(harness, "ForkJobs", recording)
     return built
 
 
@@ -206,6 +209,21 @@ class TestStudyPool:
         kwargs = dict(t_end=0.2, dt=0.002, half_length=16.0)
         want = in_process(convergence_study, *args, **kwargs)
         monkeypatch.setattr(harness, "_evolve_job", _exit_on_n64)
+        assert convergence_study(*args, **kwargs) == want and study_pools
+
+    def test_a_wrapped_evolve_is_not_sent_to_the_workers(self, study_pools, monkeypatch):
+        # perfbench's tracer puts a closure, which pickle cannot send, at the
+        # name harness.evolve; the pool is handed _evolve_job by name instead
+        args = (BO_P, gaussian_state(0.1, 1.2), [16, 32, 64])
+        kwargs = dict(t_end=0.2, dt=0.002, half_length=16.0)
+        want = in_process(convergence_study, *args, **kwargs)
+
+        def traced(*a, **kw):
+            return evolve(*a, **kw)
+
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(traced)
+        monkeypatch.setattr(harness, "evolve", traced)
         assert convergence_study(*args, **kwargs) == want and study_pools
 
 

@@ -6,12 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, solitary
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair
 from ilwbo.accel import cycled_solve
 from ilwbo.errors import NonConvergenceError, SingularModeError
 from ilwbo.solitary import Workspace, evaluate_iterate, petviashvili_step, seed_profile
 from ilwbo.spectral import (
-    TABLE_CACHE_SIZE,
     nodal_norm,
     state_from_nodal,
     state_to_nodal,
@@ -150,15 +149,6 @@ class TestSolveS:
         oracle = dense_block_solve(params, grid, c, rhs)
         assert np.max(np.abs(mine[0] - oracle[0])) < 1e-10
         assert np.max(np.abs(mine[1] - oracle[1])) < 1e-10
-
-    def test_a_speed_sweep_keeps_a_bounded_table_cache(self):
-        # one table set per speed would keep a sweep's every table
-        grid = SpectralGrid(8.0, 32)
-        z = random_half(grid, np.random.default_rng(5))
-        solitary._S_tables.cache_clear()
-        for c in np.linspace(0.52, 0.6, TABLE_CACHE_SIZE + 3):
-            solve_S(ILW_P, grid, float(c), z)
-        assert solitary._S_tables.cache_info().currsize == TABLE_CACHE_SIZE
 
     def test_singular_speed_detected(self):
         # pick c so that det S vanishes exactly at a chosen grid mode: the
