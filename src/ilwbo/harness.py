@@ -138,10 +138,11 @@ def state_l2_distance(
 
 # The study evolves its runs on forked worker processes when they take at
 # least this many RK4 steps in all.  Starting and stopping a 2-worker pool
-# costs about 20 ms and a step at N <= 256 about 170 us, so the pool breaks
-# even near 250 steps (15 alternating runs at N = 8-32 and 32-128: -6 ms at
-# 150 steps, +4 to +6 ms at 300, +18 ms at 600); the margin keeps studies
-# whose gain would be small next to the spread of their run time in-process.
+# costs about 20 ms and a step at N <= 256 about 60-110 us, so the pool
+# breaks even near 400-500 steps (21 alternating runs at N = 8-32 and
+# 32-128, the pool's gain: -11 and -7 ms at 150 steps, -5 and -2 ms at 300,
+# +2 and +9 ms at 600, +10 and +14 ms at 900); below that, a study's gain
+# would be small next to the spread of its run time in-process.
 STUDY_POOL_MIN_STEPS = 600
 
 

@@ -28,11 +28,13 @@ Conventions used throughout the package
   solver's ``nodal_inner`` is the weighted Parseval sum over it (weight 1 at
   ``k = 0`` and ``-N/2``, 2 elsewhere).  Both take their quadratic products
   from ``ProductKernel``, the one dealiased-product kernel of the half
-  spectrum: it owns a grid's zero-padded buffer, splits the real ``-N/2``
-  input coefficient in halves between ``-N/2`` and ``+N/2``, and writes the
-  finished products, times its caller's factors, with the output phase
-  applied and the ``-N/2`` output slot zero.  The evolver keeps one kernel
-  per run and the solver one per solve.
+  spectrum: it owns a grid's zero-padded, nodal and spectrum buffers, runs
+  its two transforms through the pocketfft routines under ``scipy.fft``
+  straight into them, splits the real ``-N/2`` input coefficient in halves
+  between ``-N/2`` and ``+N/2``, and writes the finished products, times its
+  caller's factors, with the output phase applied and the ``-N/2`` output
+  slot zero.  The evolver keeps one kernel per run and the solver one per
+  solve.  Every other transform goes through public ``scipy.fft``.
 
 The two model regimes differ only in the nonlocal symbol ``g``:
 ``g(k) = (alpha/gamma) * |k| * coth|k|`` for the finite-lower-depth (ILW)
@@ -49,6 +51,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft
+# the routines that scipy.fft's real transforms end in, for ProductKernel only;
+# the tests pin their bits against the public scipy.fft calls
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
+from scipy.fft._pocketfft.helper import _workers as _pocketfft_workers
 
 ILW = "ilw"
 BO = "bo"
@@ -294,38 +300,51 @@ def projected_product(grid: SpectralGrid, f_hat: np.ndarray, g_hat: np.ndarray) 
 
 class ProductKernel:
     """The alias-free products (zeta u, u^2) of one grid's real pair, times
-    per-row factors, on the zero-padded half spectrum of the >= 3N/2 grid
-    that the kernel owns.
+    per-row factors, on the zero-padded half spectrum of the >= 3N/2 grid.
 
     The per-row `factors` (scalars or tables over k = 0..N/2) are taken
-    once, with the output phase (-1)^k folded in (exact: +-1 * f = +-f).  A
-    call writes the rows of `half` times `input_phase` ((-1)^k, halved at
+    once, with the output phase (-1)^k folded in (exact: +-1 * f = +-f).  The
+    kernel owns its padded, nodal and spectrum buffers and calls the
+    pocketfft routines that `scipy.fft.irfft`/`rfft(norm="forward")` end in,
+    with their arguments, straight into them: the same bits without
+    scipy.fft's dispatch and output allocation.  It resolves the
+    `set_fft_workers` count when it is built, as scipy.fft resolves
+    `workers` (-1: every core; 0 raises ValueError).
+
+    A call writes the rows of `half` times `input_phase` ((-1)^k, halved at
     -N/2, which splits that coefficient between -N/2 and +N/2) into the
-    buffer, takes one batched irfft, forms both products in place and one
-    batched rfft back.  It writes modes 0..N/2 of that spectrum times the
-    factors into `out`, with the -N/2 slot, outside the band, set to +0.0,
-    and returns `out`; `half` is left alone.
+    padded buffer, takes one batched inverse transform, forms both products
+    in place and one batched forward transform back.  It writes modes
+    0..N/2 of that spectrum times the factors into `out`, with the -N/2
+    slot, outside the band, set to +0.0, and returns `out`; `half` is left
+    alone.
     """
 
     def __init__(self, grid: SpectralGrid, factors):
-        h = grid.n_modes // 2
+        h = self._h = grid.n_modes // 2
         self.size = _padded_size(grid.n_modes)
         phase = grid._phase[: h + 1]
         self.input_phase = phase.copy()
         self.input_phase[h] *= 0.5
         self.factors = (phase * factors).astype(complex)
+        self._threads = _pocketfft_workers(_fft_workers)
         self._padded = np.zeros((2, self.size // 2 + 1), dtype=complex)
+        self._nodal = np.empty((2, self.size))
+        self._nodal_rows = tuple(self._nodal)
+        self._spectrum = np.empty_like(self._padded)
+        self._padded_band = self._padded[:, : h + 1]
+        self._spectrum_band = self._spectrum[:, : h + 1]
 
     def __call__(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
-        h = self.input_phase.shape[0] - 1
-        np.multiply(self.input_phase, half, out=self._padded[:, : h + 1])
-        # irfft leaves its input alone, so the zero padding persists
-        values = scipy.fft.irfft(self._padded, self.size, norm="forward", workers=_fft_workers)
-        values[0] *= values[1]
-        values[1] *= values[1]
-        full = scipy.fft.rfft(values, norm="forward", overwrite_x=True, workers=_fft_workers)
-        np.multiply(full[:, : h + 1], self.factors, out=out)
-        out[:, h] = 0.0  # a zero factor could leave -0 or nan here
+        np.multiply(self.input_phase, half, out=self._padded_band)
+        # c2r leaves its input alone, so the zero padding persists
+        _pocketfft.c2r(self._padded, (-1,), self.size, False, 0, self._nodal, self._threads)
+        zeta, u = self._nodal_rows
+        zeta *= u
+        u *= u
+        _pocketfft.r2c(self._nodal, (-1,), True, 2, self._spectrum, self._threads)
+        np.multiply(self._spectrum_band, self.factors, out=out)
+        out[:, self._h] = 0.0  # a zero factor could leave -0 or nan here
         return out
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import settings
 
 from ilwbo import (
@@ -25,6 +26,7 @@ from ilwbo.solitary import (
 )
 from ilwbo.spectral import (
     ProductKernel,
+    _padded_size,
     derivative_symbol,
     nodal_inner,
     nodal_norm,
@@ -49,6 +51,29 @@ def quadratic_terms(grid, half):
     if half.shape != (2, h + 1):
         raise ValueError("half spectra do not match the grid")
     return ProductKernel(grid, 1.0)(half, np.empty((2, h + 1), dtype=complex))
+
+
+def product_kernel_reference(grid, half, factors):
+    """`ProductKernel(grid, factors)(half, out)` on fresh arrays, through the
+    public `scipy.fft.irfft`/`rfft(norm="forward")`: the kernel's own
+    arithmetic, step for step, so its direct pocketfft calls must match it
+    bit for bit."""
+    h = grid.n_modes // 2
+    m = _padded_size(grid.n_modes)
+    phase = grid._phase[: h + 1]
+    input_phase = phase.copy()
+    input_phase[h] *= 0.5
+    padded = np.zeros((2, m // 2 + 1), dtype=complex)
+    padded[:, : h + 1] = input_phase * half
+    values = scipy.fft.irfft(padded, m, norm="forward")
+    products = np.stack((values[0] * values[1], values[1] * values[1]))
+    spectrum = scipy.fft.rfft(products, norm="forward")
+    # a named table: numpy multiplies a large temporary operand in place,
+    # which can round a complex product differently in its last bit
+    table = (phase * factors).astype(complex)
+    out = spectrum[:, : h + 1] * table
+    out[:, h] = 0.0
+    return out
 
 
 # Reference parameter sets used throughout: gamma=0.8, alpha=1.2 with the

@@ -2,9 +2,11 @@
 multipliers and the alias-free product."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +35,7 @@ from conftest import (
     full_l2_norm,
     full_state,
     hermitian_symmetrize_reference,
+    product_kernel_reference,
     quadratic_terms,
     random_hermitian,
     state_l2_norm,
@@ -390,6 +393,32 @@ class TestProductKernel:
         assert np.array_equal(half, before)
         assert np.array_equal(first, kept)
 
+    @pytest.mark.parametrize("n", [8, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384])
+    def test_matches_public_scipy_fft_oracle_bitwise(self, n):
+        # every N of the shipped configs and workloads; three calls in a row
+        # on one kernel, so nothing in its own buffers carries between calls
+        grid, _, factors = self._case(n, "table")
+        kernel = ProductKernel(grid, factors)
+        rng = np.random.default_rng(n + 1)
+        h = n // 2
+        results = []
+        for _ in range(3):
+            half = state_of(random_hermitian(grid, rng), random_hermitian(grid, rng)).half
+            half[:, h] = rng.standard_normal(2)
+            before = half.copy()
+            out = np.empty_like(half)
+            got = kernel(half, out)
+            assert got is out
+            want = product_kernel_reference(grid, half, factors)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(half.view(np.uint64), before.view(np.uint64))
+            # the zero padding above the band is still +0.0, bit for bit
+            assert not kernel._padded[:, h + 1:].view(np.uint64).any()
+            results.append((got, got.copy()))
+        # a later call writes no earlier caller's out
+        for got, kept in results:
+            assert np.array_equal(got.view(np.uint64), kept.view(np.uint64))
+
 
 class TestFftWorkers:
     def test_results_agree_across_worker_counts(self):
@@ -407,6 +436,36 @@ class TestFftWorkers:
         finally:
             set_fft_workers(1)
         assert np.max(np.abs(single - many)) < 1e-12
+
+    def test_kernel_resolves_its_worker_count_when_built(self):
+        from ilwbo.spectral import set_fft_workers
+
+        grid = SpectralGrid(half_length=16.0, n_modes=4096)
+        rng = np.random.default_rng(29)
+        half = state_of(random_hermitian(grid, rng), random_hermitian(grid, rng)).half
+        try:
+            set_fft_workers(-1)
+            many = ProductKernel(grid, 1.0)
+        finally:
+            set_fft_workers(1)
+        single = ProductKernel(grid, 1.0)
+        # -1 means every core, as for scipy.fft, and the kernel keeps it
+        assert many._threads == os.cpu_count() and single._threads == 1
+        got, want = many(half, np.empty_like(half)), single(half, np.empty_like(half))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_zero_workers_raise_when_the_kernel_is_built(self):
+        from ilwbo.spectral import set_fft_workers
+
+        grid = SpectralGrid(half_length=3.0, n_modes=32)
+        with pytest.raises(ValueError):
+            scipy.fft.rfft(np.zeros(32), workers=0)
+        try:
+            set_fft_workers(0)
+            with pytest.raises(ValueError):
+                ProductKernel(grid, 1.0)
+        finally:
+            set_fft_workers(1)
 
 
 class TestTranslate:
