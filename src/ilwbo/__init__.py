@@ -24,14 +24,7 @@ from .errors import (
     StepFailureError,
     WindowUnderflowError,
 )
-from .evolution import (
-    EvolutionConfig,
-    EvolutionRecord,
-    evolve,
-    linear_speed_bound,
-    semidiscrete_rhs,
-    step,
-)
+from .evolution import EvolutionConfig, evolve, linear_speed_bound
 from .harness import (
     AccelRow,
     ConvergenceReport,
@@ -52,13 +45,9 @@ from .spectral import (
     ModelParams,
     SpectralGrid,
     StatePair,
-    projected_product,
-    set_fft_workers,
     symbol_J,
     symbol_T,
     symbol_g,
-    to_coefficients,
-    to_nodal,
 )
 
 __all__ = [
@@ -66,9 +55,7 @@ __all__ = [
     "BO", "ILW",
     "ModelParams", "SpectralGrid", "StatePair",
     "symbol_g", "symbol_T", "symbol_J",
-    "to_coefficients", "to_nodal", "projected_product", "set_fft_workers",
-    "EvolutionConfig", "EvolutionRecord", "semidiscrete_rhs", "step", "evolve",
-    "linear_speed_bound",
+    "EvolutionConfig", "evolve", "linear_speed_bound",
     "SolitaryConfig", "IterationTrace", "seed_profile",
     "mpe_coefficients", "mpe_extrapolate", "cycled_solve",
     "ConvergenceReport", "DecayFit", "AccelRow",

@@ -116,7 +116,11 @@ def cycled_solve(
         raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
                          if seed is None else "seed iterate must be nonzero")
 
-    window = np.empty((config.mw + 1,) + z.shape, dtype=complex)
+    try:
+        window = np.empty((config.mw + 1,) + z.shape, dtype=complex)
+    except (MemoryError, ValueError) as err:  # numpy's ValueError: no address space holds it
+        raise ValueError(f"mw={config.mw} asks for an iterate window too large to allocate "
+                         f"({err})") from err
     fz, fx = np.empty_like(window[0]), np.empty_like(window[0])
     trace = IterationTrace()
     solves = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,9 +147,9 @@ STUDY_POOL_MIN_STEPS = 600
 
 def _evolve_job(params: ModelParams, grid: SpectralGrid, initial: StatePair,
                 config: EvolutionConfig) -> StatePair:
-    """A pool worker's job: one run of the study.  The pool is handed this
-    function, not `evolve`, so a wrapper put around `evolve` in this module
-    (a counter, a tracer) need not pickle."""
+    """A study job: one run, on a worker or, when no worker ran it, here.
+    The pool is handed this function, not `evolve`, so a wrapper put around
+    `evolve` in this module (a counter, a tracer) need not pickle."""
     return evolve(params, grid, initial, config)
 
 
@@ -169,7 +168,7 @@ def _evolve_all(params: ModelParams, jobs: list) -> list[StatePair]:
         futures = {i: runner.submit(_evolve_job, params, *jobs[i])
                    for i in sorted(range(len(jobs)), key=lambda i: (steps[i], jobs[i][0].n_modes),
                                    reverse=True)}
-        return [runner.result(futures[i], partial(evolve, params, *job))
+        return [runner.result(futures[i], _evolve_job, params, *job)
                 for i, job in enumerate(jobs)]
     finally:
         runner.close()

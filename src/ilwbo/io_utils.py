@@ -6,7 +6,8 @@ snapshots are written by worker processes.  All floating-point values
 are written with the shortest round-trip decimal representation (Python repr),
 so reloading a CSV reproduces the exact binary values and identical runs
 produce byte-identical files.  A column of `str` is written as given: the
-snapshot writer formats its nodes once and `t` once per file.
+snapshot writer formats its nodes once and `t` once per file.  A pool job
+carries all its inputs, so a worker and this process run the same call.
 """
 
 from __future__ import annotations
@@ -149,18 +150,13 @@ POOL_MIN_VALUES = 200_000
 # that the fields held for them stay O(N).
 JOBS_PER_WORKER = 2
 
-SNAPSHOT_HEADER = ["t", "x", "zeta", "u"]
-
-_worker_nodes: list[str] = []  # a pool worker's formatted node column
+SNAPSHOT_HEADER = ("t", "x", "zeta", "u")
 
 
-def _set_worker_nodes(nodes: list[str]) -> None:
-    _worker_nodes[:] = nodes
-
-
-def _write_snapshot(path: str, t: str, zeta: np.ndarray, u: np.ndarray) -> None:
-    """A pool worker's job: one snapshot CSV, with the nodes of its initializer."""
-    write_csv(path, SNAPSHOT_HEADER, [[t] * len(zeta), _worker_nodes, zeta, u])
+def _write_snapshot(path: str, t: str, nodes: str, zeta: np.ndarray, u: np.ndarray) -> None:
+    """A snapshot job: one CSV, with `t` and the nodes formatted; the nodes are
+    one newline-joined string, which pickles far faster than a list of them."""
+    write_csv(path, SNAPSHOT_HEADER, [[t] * len(zeta), nodes.split("\n"), zeta, u])
 
 
 def fork_workers() -> int:
@@ -181,10 +177,11 @@ class ForkJobs:
     pool; the one place that decides which.  A broken pool is shut down
     without cancelling, so a future still held reads as broken, not as
     cancelled.  The pool machinery is imported only when a pool is built.
-    Submit module-level functions: a worker unpickles the job by name.
+    A job is a module-level function of its arguments alone: a worker
+    unpickles it by name, and `result` runs it here when no worker did.
     """
 
-    def __init__(self, workers: int, initializer=None, initargs=()):
+    def __init__(self, workers: int):
         self.workers = workers if workers >= 2 else 0
         self._pool = None
         if self.workers:
@@ -193,8 +190,7 @@ class ForkJobs:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(self.workers, multiprocessing.get_context("fork"),
-                                             initializer=initializer, initargs=initargs)
+            self._pool = ProcessPoolExecutor(self.workers, multiprocessing.get_context("fork"))
 
     def submit(self, fn, *args):
         """A future of `fn(*args)` on a worker, or None when no pool runs it."""
@@ -208,9 +204,10 @@ class ForkJobs:
             self.close(cancel=False)
             return None
 
-    def result(self, future, local):
-        """The worker's value of `future`, or `local()` when no worker ran the
-        job or its pool broke; a job's own error is raised as it is."""
+    def result(self, future, fn, *args):
+        """The worker's value of `future`, or `fn(*args)`, the job it was
+        submitted as, when no worker ran it or its pool broke; a job's own
+        error is raised as it is."""
         if future is not None:
             from concurrent.futures.process import BrokenProcessPool
 
@@ -218,7 +215,7 @@ class ForkJobs:
                 return future.result()
             except BrokenProcessPool:
                 self.close(cancel=False)
-        return local()
+        return fn(*args)
 
     def close(self, cancel: bool = True) -> None:
         """Stop the pool once its running jobs are done; the jobs not started
@@ -233,12 +230,12 @@ class SnapshotWriter:
     atomically; `close` writes the index naming them all.
 
     The node column is formatted once, when the writer is built, and `t` once
-    per file, so each snapshot formats only its zeta and u values.  When the
-    `expected` snapshots hold enough values, worker processes forked from this
-    one format and write them, the same bytes, while the caller goes on; each
-    file is listed in `out` once its worker has finished, in the order taken.
-    A worker's OSError is raised by the next `write` or by `close`; if the
-    pool breaks, the snapshots it held are written here instead.
+    per file, so each snapshot's `_write_snapshot` job formats only its zeta
+    and u values.  When the `expected` snapshots hold enough values, worker
+    processes forked from this one run the jobs while the caller goes on;
+    otherwise, and for the jobs a broken pool held, the same jobs run here.
+    Each file is listed in `out` once its job is done, in the order taken.
+    A worker's OSError is raised by the next `write` or by `close`.
 
     The caller owns the writer: pass `write` as `evolve`'s sink so no state is
     held, and call `close` also when the run fails, so the files written so
@@ -247,23 +244,22 @@ class SnapshotWriter:
 
     def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 0):
         self.out, self.grid, self.params = out, grid, params
-        self._nodes = _format_column(grid.nodes)
+        self._nodes = "\n".join(_format_column(grid.nodes))
         self.times: list[float] = []
         self.files: list[str] = []  # the snapshots listed, for the index
         self._taken = 0
-        self._jobs: deque = deque()  # (name, t, future or None, in-process write), oldest first
+        self._jobs: deque = deque()  # (name, t, future or None, job arguments), oldest first
         big = (expected - 1) * 2 * grid.n_modes >= POOL_MIN_VALUES
-        self._runner = ForkJobs(fork_workers() if big else 0, _set_worker_nodes, (self._nodes,))
+        self._runner = ForkJobs(fork_workers() if big else 0)
         self._max_jobs = JOBS_PER_WORKER * self._runner.workers
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)
         name = f"snapshot_{self._taken:04d}.csv"
         self._taken += 1
-        path, stamp = os.path.join(self.out.path, name), fmt(t)
-        future = self._runner.submit(_write_snapshot, path, stamp, zeta, u)
-        self._jobs.append((name, t, future, lambda: write_csv(
-            path, SNAPSHOT_HEADER, [[stamp] * len(zeta), self._nodes, zeta, u])))
+        job = (os.path.join(self.out.path, name), fmt(t), self._nodes, zeta, u)
+        future = self._runner.submit(_write_snapshot, *job)
+        self._jobs.append((name, t, future, job))
         # a job no pool took is written here, after every job before it
         self._finish(self._max_jobs if future is not None else 0)
 
@@ -272,8 +268,8 @@ class SnapshotWriter:
         write) the oldest until at most `keep` are left."""
         # every job held has a future while keep > 0
         while self._jobs and (len(self._jobs) > keep or self._jobs[0][2].done()):
-            name, t, future, local = self._jobs.popleft()
-            self.out.write(name, lambda _path: self._runner.result(future, local))
+            name, t, future, job = self._jobs.popleft()
+            self.out.write(name, lambda _path: self._runner.result(future, _write_snapshot, *job))
             self.times.append(t)
             self.files.append(name)
 

@@ -70,6 +70,8 @@ class SolitaryConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.speed == 0.0:
             raise ValueError("speed c must be nonzero")
+        if not math.isfinite(1.0 / float(self.speed)):
+            raise ValueError(f"speed c={self.speed} is too small: 1/c is not finite")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         for name in ("max_iter", "mw"):

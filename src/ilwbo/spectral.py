@@ -83,6 +83,8 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not np.isfinite(1.0 / float(self.gamma)):
+            raise ValueError(f"gamma={self.gamma} is too small: 1/gamma is not finite")
         if not 1.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
         if self.regime not in (ILW, BO):
@@ -110,6 +112,9 @@ class SpectralGrid:
         # numpy raises ValueError, not MemoryError, for an array it cannot address
         if 16 * n > np.iinfo(np.intp).max:
             raise MemoryError(f"n_modes N={n} is too large to allocate a complex array")
+        if not np.isfinite(np.pi / float(self.half_length) * (n // 2)):
+            raise ValueError(f"half_length l={self.half_length} is too small: the largest "
+                             "wavenumber pi*(N/2)/l is not finite")
 
     @property
     def node_spacing(self) -> float:

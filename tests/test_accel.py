@@ -191,6 +191,12 @@ class TestCycledSolve:
             shift = np.argmax(np.abs(other)) - i0
             assert np.max(np.abs(np.roll(other, -shift) - base)) <= 10.0 * tol
 
+    @pytest.mark.parametrize("mw", [2**40, 2**59, 2**70])
+    def test_window_too_large_to_allocate_names_mw(self, bo_params, wave_grid, mw):
+        # numpy raises MemoryError for 2**40 and ValueError past its address space
+        with pytest.raises(ValueError, match=f"^mw={mw} asks for an iterate window too large"):
+            cycled_solve(bo_params, wave_grid, SolitaryConfig(speed=0.57, mw=mw))
+
     def test_guarded_cycling_never_ends_worse(self, ilw_params, wave_grid):
         # converged result must beat every plain iterate seen along the way
         config = SolitaryConfig(speed=0.52, tol=1e-10, max_iter=500, mw=4, seed_width=1.2)

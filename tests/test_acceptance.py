@@ -30,12 +30,11 @@ from ilwbo import (
     cycled_solve,
     decay_fit,
     evolve,
-    projected_product,
     traveling_wave_roundtrip,
 )
 from ilwbo.accel import mpe_coefficients, mpe_extrapolate
 from ilwbo.harness import gaussian_state
-from ilwbo.spectral import state_to_nodal
+from ilwbo.spectral import projected_product, state_to_nodal
 
 from conftest import (
     Snapshots,

@@ -452,13 +452,40 @@ def test_evolve_memory_does_not_grow_with_the_snapshot_count(tmp_path):
 POOLED_EVOLVE = dict(EVOLVE_CFG, N=256, record_every=1)
 
 _WRITE_SNAPSHOT = io_utils._write_snapshot
+_TEST_PID = os.getpid()
 
 
 def _exit_on_the_third_snapshot(path, *args):
-    """A pool job whose worker dies, as a killed one would, at snapshot 2."""
-    if path.endswith("snapshot_0002.csv"):
+    """A pool job whose worker dies, as a killed one would, at snapshot 2;
+    run in this process, it writes the snapshot."""
+    if path.endswith("snapshot_0002.csv") and os.getpid() != _TEST_PID:
         os._exit(1)
     _WRITE_SNAPSHOT(path, *args)
+
+
+def _logged_snapshot(path, *args):
+    """`_write_snapshot`, logging the process that ran it and the file to
+    `<output directory>.jobs`."""
+    with open(os.path.dirname(path) + ".jobs", "a") as log:
+        log.write(f"{os.getpid()} {os.path.basename(path)}\n")
+    _WRITE_SNAPSHOT(path, *args)
+
+
+def snapshot_jobs(out_dir):
+    """The (pid, file) pairs `_logged_snapshot` logged for `out_dir`."""
+    lines = pathlib.Path(f"{out_dir}.jobs").read_text().split()
+    return list(zip(map(int, lines[::2]), lines[1::2]))
+
+
+POOLED_SNAPSHOTS = [f"snapshot_{i:04d}.csv" for i in range(21)]
+
+
+def test_in_process_snapshots_run_the_pool_job(tmp_path, monkeypatch):
+    monkeypatch.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+    monkeypatch.setattr(io_utils, "_write_snapshot", _logged_snapshot)
+    code, out_dir = run_cli(tmp_path, "evolve", POOLED_EVOLVE)
+    assert code == 0
+    assert snapshot_jobs(out_dir) == [(_TEST_PID, name) for name in POOLED_SNAPSHOTS]
 
 
 _FORK_JOBS = io_utils.ForkJobs
@@ -542,6 +569,15 @@ class TestSnapshotPool:
         assert code == 0 and pool_workers[-1] >= 2
         assert same_outputs(tmp_path / "whole", out_dir)
         assert not list(out_dir.glob("*.tmp"))
+
+    def test_workers_run_the_job_the_in_process_path_runs(self, tmp_path, monkeypatch,
+                                                         pool_workers):
+        monkeypatch.setattr(io_utils, "_write_snapshot", _logged_snapshot)
+        code, out_dir = run_cli(tmp_path, "evolve", POOLED_EVOLVE)
+        assert code == 0 and pool_workers[-1] >= 2
+        jobs = snapshot_jobs(out_dir)
+        assert sorted(name for _, name in jobs) == POOLED_SNAPSHOTS
+        assert _TEST_PID not in {pid for pid, _ in jobs}
 
 
 def test_importing_the_cli_imports_no_process_pool():
@@ -809,6 +845,39 @@ class TestOutcomes:
         assert code == 2
         assert "l=1e+308" in capsys.readouterr().err
         assert read_manifest(out_dir)["exit_status"] == 2
+
+    @pytest.mark.parametrize("command, cfg, name", [
+        pytest.param("evolve", dict(EVOLVE_CFG, l=1e-320), "half_length l=1e-320", id="evolve-l"),
+        pytest.param("solitary", dict(SOLITARY_CFG, l=1e-320), "half_length l=1e-320",
+                     id="solitary-l"),
+        pytest.param("evolve", dict(EVOLVE_CFG, gamma=5e-324), "gamma=5e-324", id="evolve-gamma"),
+        pytest.param("solitary", dict(SOLITARY_CFG, c=5e-324), "speed c=5e-324",
+                     id="solitary-c"),
+    ])
+    def test_finite_input_whose_scale_overflows(self, tmp_path, capsys, command, cfg, name):
+        # pi*(N/2)/l, 1/gamma and 1/c are inf: numpy warned, then exit 3 or 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name} is too small")
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    @pytest.mark.parametrize("mw", [2**40, 2**59])
+    @pytest.mark.parametrize("command", ["solitary", "verify"])
+    def test_mpe_window_too_large_to_allocate_names_mw(self, tmp_path, capsys, command, mw):
+        # the window was blamed on N (2**40) or named no key (2**59)
+        cfg = dict(SOLITARY_CFG, mw=mw) if command == "solitary" else {
+            "experiments": [CONVERGENCE_BLOCK, dict(ROUNDTRIP_BLOCK, mw=mw)]}
+        code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        message = f"mw={mw} asks for an iterate window too large to allocate"
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert read_manifest(out_dir)["exit_status"] == 2
+        if command == "verify":
+            first, failed = json.loads((out_dir / "summary.json").read_text())["experiments"]
+            assert first["pass"] is True
+            assert failed["pass"] is False and failed["detail"]["error"].startswith(message)
 
     @pytest.mark.parametrize("command, cfg, want", [
         pytest.param("solitary", SOLITARY_CFG, 2, id="solitary"),
@@ -1087,7 +1156,7 @@ def _key_paths(cfg, prefix=()):
 CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
 DROP = object()
 PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x",
-                 1e300, -1e300, 1e-300, -1e-300, 1e-150, 2**59]
+                 1e300, -1e300, 1e-300, -1e-300, 1e-150, 5e-324, 2**59]
 
 # Every shrunk run takes well under a second; a run past this limit is a hang.
 CASE_SECONDS = 20
@@ -1124,7 +1193,8 @@ def _perturbed(name, path, change):
 def test_perturbed_configs_exit_with_a_documented_code(case, change, out_is_file):
     """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
     value, a string, a magnitude of 1e+-300 or 1e-150 (where a seed's
-    stabilizing-factor denominator underflows) or the int 2**59 (as `N`, a
+    stabilizing-factor denominator underflows), the least subnormal 5e-324
+    (whose reciprocal overflows) or the int 2**59 (as `N`, a
     grid too large to allocate), run with `--out` a fresh directory or a
     file: the CLI never raises, exits 1, warns or hangs, and leaves a
     manifest unless `--out` is a file, which it then says in one line, with

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -152,11 +153,49 @@ def in_process(study, *args, **kwargs):
         return study(*args, **kwargs)
 
 
+_TEST_PID = os.getpid()
+
+
 def _exit_on_n64(params, grid, initial, config):
-    """A pool job whose worker dies, as a killed one would, on the N = 64 run."""
-    if grid.n_modes == 64:
+    """A pool job whose worker dies, as a killed one would, on the N = 64 run;
+    run in this process, it evolves that run."""
+    if grid.n_modes == 64 and os.getpid() != _TEST_PID:
         os._exit(1)
     return _EVOLVE_JOB(params, grid, initial, config)
+
+
+_job_log = None  # the file `_logged_evolve_job` appends to, set before a pool forks
+
+
+def _logged_evolve_job(params, grid, initial, config):
+    """`_evolve_job`, logging the process that ran it and the run's N."""
+    with open(_job_log, "a") as log:
+        log.write(f"{os.getpid()} {grid.n_modes}\n")
+    return _EVOLVE_JOB(params, grid, initial, config)
+
+
+def study_jobs(study, monkeypatch, log, *args, **kwargs):
+    """`study(*args, **kwargs)` with its runs going through `_logged_evolve_job`,
+    and the (pid, N) pairs logged to `log`, in the order run."""
+    monkeypatch.setattr(harness, "_evolve_job", _logged_evolve_job)
+    monkeypatch.setattr(sys.modules[__name__], "_job_log", str(log))
+    result = study(*args, **kwargs)
+    lines = log.read_text().split()
+    return result, list(zip(map(int, lines[::2]), map(int, lines[1::2])))
+
+
+# one study of three resolutions: the reference at 128, then 16, 32, 64 and the probe at 64
+STUDY_ARGS = (BO_P, gaussian_state(0.1, 1.2), [16, 32, 64])
+STUDY_KWARGS = dict(t_end=0.2, dt=0.002, half_length=16.0)
+STUDY_RUNS = [128, 16, 32, 64, 64]
+
+
+def test_in_process_study_runs_are_the_pool_jobs(tmp_path, monkeypatch):
+    want = convergence_study(*STUDY_ARGS, **STUDY_KWARGS)
+    monkeypatch.setattr(harness, "STUDY_POOL_MIN_STEPS", float("inf"))
+    report, jobs = study_jobs(convergence_study, monkeypatch, tmp_path / "jobs",
+                              *STUDY_ARGS, **STUDY_KWARGS)
+    assert jobs == [(_TEST_PID, n) for n in STUDY_RUNS] and report == want
 
 
 def wild_up_to_n64(grid):
@@ -205,11 +244,17 @@ class TestStudyPool:
 
     def test_a_worker_that_dies_falls_back_to_evolving_in_process(self, study_pools,
                                                                   monkeypatch):
-        args = (BO_P, gaussian_state(0.1, 1.2), [16, 32, 64])
-        kwargs = dict(t_end=0.2, dt=0.002, half_length=16.0)
-        want = in_process(convergence_study, *args, **kwargs)
+        want = in_process(convergence_study, *STUDY_ARGS, **STUDY_KWARGS)
         monkeypatch.setattr(harness, "_evolve_job", _exit_on_n64)
-        assert convergence_study(*args, **kwargs) == want and study_pools
+        assert convergence_study(*STUDY_ARGS, **STUDY_KWARGS) == want and study_pools
+
+    def test_workers_run_the_job_the_in_process_path_runs(self, tmp_path, study_pools,
+                                                         monkeypatch):
+        want = in_process(convergence_study, *STUDY_ARGS, **STUDY_KWARGS)
+        report, jobs = study_jobs(convergence_study, monkeypatch, tmp_path / "jobs",
+                                  *STUDY_ARGS, **STUDY_KWARGS)
+        assert study_pools and sorted(n for _, n in jobs) == sorted(STUDY_RUNS)
+        assert _TEST_PID not in {pid for pid, _ in jobs} and report == want
 
     def test_a_wrapped_evolve_is_not_sent_to_the_workers(self, study_pools, monkeypatch):
         # perfbench's tracer puts a closure, which pickle cannot send, at the

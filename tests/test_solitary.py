@@ -72,6 +72,12 @@ class TestSolitaryConfig:
         with pytest.raises(ValueError, match="seed_width"):
             SolitaryConfig(speed=0.5, seed_width=-1.0)
 
+    def test_speed_whose_reciprocal_overflows(self):
+        # 1/c = inf made the seed's u non-finite
+        with pytest.raises(ValueError, match="speed c=-5e-324"):
+            SolitaryConfig(speed=-5e-324)
+        assert SolitaryConfig(speed=1e-300).speed == 1e-300
+
     @pytest.mark.parametrize("name", ["max_iter", "mw"])
     def test_non_integral_counts_are_rejected(self, name):
         # mw = 1.5 reached cycled_solve, which raised a bare TypeError

@@ -63,6 +63,12 @@ class TestModelParams:
         with pytest.raises(ValueError, match="alpha"):
             ModelParams(gamma=0.8, alpha=alpha, regime=BO)
 
+    def test_gamma_whose_reciprocal_overflows(self):
+        # 1/gamma = inf made the evolve tables nan
+        with pytest.raises(ValueError, match="gamma=5e-324"):
+            ModelParams(gamma=5e-324, alpha=1.2, regime=BO)
+        assert ModelParams(gamma=1e-300, alpha=1.2, regime=BO).gamma == 1e-300
+
     def test_regime_name(self):
         with pytest.raises(ValueError, match="regime"):
             ModelParams(gamma=0.8, alpha=1.2, regime="klein-gordon")
@@ -92,6 +98,15 @@ class TestSpectralGrid:
         with pytest.raises(ValueError, match="l=1e"):
             SpectralGrid(half_length=1e308, n_modes=16)
         assert np.isfinite(SpectralGrid(half_length=8e307, n_modes=16).nodes).all()
+
+    def test_largest_wavenumber_must_be_finite(self):
+        # pi/l overflows, which made every wavenumber inf or nan
+        with pytest.raises(ValueError, match="l=1e-320"):
+            SpectralGrid(half_length=1e-320, n_modes=64)
+        with pytest.raises(ValueError, match="l=1e-307"):
+            SpectralGrid(half_length=1e-307, n_modes=2**16)  # pi/l is finite, pi*(N/2)/l is not
+        grid = SpectralGrid(half_length=1e-300, n_modes=64)
+        assert np.isfinite(grid.wavenumbers).all()
 
     @pytest.mark.parametrize("n", [8, 32, 256, 1024])
     def test_node_endpoints_exact(self, n):
