@@ -48,21 +48,17 @@ def mpe_coefficients(window: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
 
     The least squares are taken in the nodal norm: each difference, as real
     numbers, scaled by the root of its Parseval weight (see `nodal_inner`).
-    A stationary window (all differences exactly zero) short-circuits to
-    gamma = (0, ..., 0, 1): the sequence has already converged and the last
-    combined iterate is returned unchanged.  Rank-deficient difference
-    matrices are handled by the minimum-norm least-squares solution; a
-    vanishing coefficient sum gives nan weights, and the caller skips the
-    extrapolation for this cycle.
+    Rank-deficient difference matrices are handled by the minimum-norm
+    least-squares solution.  So a stationary window (all differences exactly
+    zero) gets c_0..c_{q-1} = 0, i.e. gamma = (0, ..., 0, 1): the last
+    combined iterate, unchanged; and a two-iterate window (q = 0, no free
+    coefficient) gets gamma = (1,).  A vanishing coefficient sum gives nan
+    weights, and the caller skips the extrapolation for this cycle.
     """
     if len(window) < 2:
         raise ValueError("window must hold at least two iterates")
     diffs = np.diff(window, axis=0)
     q = len(diffs) - 1  # extrapolation order
-    if not diffs.any():
-        return np.eye(q + 1)[-1]
-    if q == 0:
-        return np.ones(1)
     diffs[..., 1:-1] *= math.sqrt(2.0)
     real = diffs.view(float).reshape(q + 1, -1)
     c_free, *_ = np.linalg.lstsq(real[:-1].T, -real[-1], rcond=None)

@@ -359,31 +359,23 @@ def _verify_decay(block: dict, out: OutputDir, tag: str) -> tuple[bool, dict]:
     wave, _ = cycled_solve(params, grid, config)
     zeta, _ = state_to_nodal(grid, wave)
     model = block["model"]
-    name = f"decay_fit{tag}.json"
-    if model == "compare":
-        fit_exp = decay_fit(grid, zeta, EXPONENTIAL)
-        fit_alg = decay_fit(grid, zeta, ALGEBRAIC)
-        ok = (fit_exp.fit_quality >= block["min_quality"]
-              and fit_exp.fit_quality > fit_alg.fit_quality)
-        detail = {
-            "model": "compare",
-            "exponential": {"rate": fit_exp.fitted_rate, "quality": fit_exp.fit_quality},
-            "algebraic": {"rate": fit_alg.fitted_rate, "quality": fit_alg.fit_quality},
-            "min_quality": block["min_quality"],
-        }
-        out.write(name, write_json,
-                  _fit_record(fit_exp) | {"algebraic_quality": fit_alg.fit_quality, "pass": ok})
-        return ok, detail
-    fit = decay_fit(grid, zeta, model)
+    fit = decay_fit(grid, zeta, ALGEBRAIC if model == ALGEBRAIC else EXPONENTIAL)
+    record = _fit_record(fit)
     detail = {"model": model, "rate": fit.fitted_rate, "quality": fit.fit_quality}
     if model == ALGEBRAIC:
         ok = abs(fit.fitted_rate - block["rate_target"]) <= block["rate_tol"]
-        detail |= {"rate_target": block["rate_target"], "rate_tol": block["rate_tol"]}
+        rule = {"rate_target": block["rate_target"], "rate_tol": block["rate_tol"]}
     else:
         ok = fit.fit_quality >= block["min_quality"]
-        detail["min_quality"] = block["min_quality"]
-    out.write(name, write_json, _fit_record(fit) | {"pass": ok})
-    return ok, detail
+        rule = {"min_quality": block["min_quality"]}
+    if model == "compare":  # the exponential rule, and a closer fit than the algebraic one
+        alg = decay_fit(grid, zeta, ALGEBRAIC)
+        ok = ok and fit.fit_quality > alg.fit_quality
+        record["algebraic_quality"] = alg.fit_quality
+        detail = {"model": model} | {f.model: {"rate": f.fitted_rate, "quality": f.fit_quality}
+                                     for f in (fit, alg)}
+    out.write(f"decay_fit{tag}.json", write_json, record | {"pass": ok})
+    return ok, detail | rule
 
 
 def _accel_ordering_ok(counts: dict[int, int]) -> bool:
@@ -438,12 +430,12 @@ def _write_summary(out: OutputDir, results: list) -> bool:
 
 def cmd_verify(cfg: dict, out: OutputDir, quiet: bool) -> tuple[int, dict]:
     results = []
-    seen: dict[str, int] = {}
     try:
         for i, block in enumerate(cfg["experiments"]):
             kind = block["kind"]
-            seen[kind] = seen.get(kind, 0) + 1
-            tag = "" if seen[kind] == 1 else f"_{seen[kind]}"
+            # each block run before this one has its entry in `results`
+            n = 1 + sum(r["kind"] == kind for r in results)
+            tag = "" if n == 1 else f"_{n}"
             grid_key = "resolutions" if kind == "convergence" else "N"
             try:
                 with _allocating(f"experiments[{i}].{grid_key}"):

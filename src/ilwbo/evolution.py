@@ -199,7 +199,7 @@ def evolve(
     raises StepFailureError with the time it would have ended at.
     """
     dt_max = max_stable_dt(params, grid, config.cfl_guard)
-    if abs(config.dt) > dt_max * (1.0 + 1e-12):
+    if not abs(config.dt) <= dt_max * (1.0 + 1e-12):  # a nan bound fails it too
         raise ValueError(
             f"dt={config.dt} violates the step-size guard "
             f"{config.cfl_guard} * h / c_lin = {dt_max:.6g}"

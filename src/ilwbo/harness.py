@@ -195,6 +195,8 @@ def convergence_study(
     report is the same to the bit, and the error raised is the one the first
     failing run, in that order, raises.
     """
+    if not all(isinstance(n, (int, np.integer)) for n in resolutions):
+        raise ValueError(f"resolutions must be integers, got {list(resolutions)}")
     res = sorted(int(n) for n in resolutions)
     if not res or res[-1] < 4 * res[0]:
         raise ValueError(f"resolutions {res} must span at least 4x, finest over coarsest")
@@ -270,12 +272,11 @@ def decay_fit(
     grid: SpectralGrid,
     profile: np.ndarray,
     model: str,
-    crest_scale: float | None = None,
 ) -> DecayFit:
     """Fit the tail decay of a crest-centered profile on the right half-axis.
 
-    The window starts five crest scales from the origin (the scale defaults
-    to the measured e-folding width of the profile), stops at
+    The window starts five crest scales from the origin (the crest scale is
+    always measured: the e-folding width of the profile), stops at
     OUTER_FRACTION of the half-length, and drops points whose amplitude is
     below the noise floor `max(AMPLITUDE_FLOOR, RELATIVE_FLOOR * peak)`.
     The exponential model fits log|zeta| against x, the algebraic model
@@ -287,11 +288,9 @@ def decay_fit(
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (grid.n_modes,):
         raise ValueError("profile does not match the grid")
-    if crest_scale is None:
-        crest_scale = crest_scale_of(grid, profile)
 
     x = grid.nodes
-    x_lo = 5.0 * crest_scale
+    x_lo = 5.0 * crest_scale_of(grid, profile)
     x_hi = OUTER_FRACTION * grid.half_length
     floor = max(AMPLITUDE_FLOOR, RELATIVE_FLOOR * np.abs(profile).max())
     mask = (x >= x_lo) & (x <= x_hi) & (np.abs(profile) > floor)

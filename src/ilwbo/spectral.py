@@ -87,6 +87,9 @@ class ModelParams:
             raise ValueError(f"gamma={self.gamma} is too small: 1/gamma is not finite")
         if not 1.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha}")
+        if not np.isfinite(float(self.alpha) / float(self.gamma)):
+            raise ValueError(f"alpha={self.alpha} and gamma={self.gamma} give a symbol scale "
+                             "alpha/gamma that is not finite")
         if self.regime not in (ILW, BO):
             raise ValueError(f"regime must be '{ILW}' or '{BO}', got {self.regime!r}")
 
@@ -173,14 +176,16 @@ class StatePair:
 # ----------------------------------------------------------------------------
 
 def symbol_g(params: ModelParams, k) -> np.ndarray:
-    """Nonlocal symbol g(k) of the chosen regime (even, >= 0, nondecreasing in |k|)."""
+    """Nonlocal symbol g(k) of the chosen regime (even, >= 0, nondecreasing in |k|);
+    where (alpha/gamma)|k| overflows, g is its limit +inf: T = 0, J = (alpha-1)/alpha."""
     ak = np.abs(np.asarray(k, dtype=float))
     scale = params.alpha / params.gamma
-    if params.regime == BO:
-        return scale * ak
-    # ILW: |k| coth|k|, with its removable singularity at 0 set to 1; tanh
-    # rounds to 1 far out and to its argument near 0, so no series is needed
-    return scale * np.divide(ak, np.tanh(ak), out=np.ones_like(ak), where=ak > 0)
+    with np.errstate(over="ignore"):
+        if params.regime == BO:
+            return scale * ak
+        # ILW: |k| coth|k|, with its removable singularity at 0 set to 1; tanh
+        # rounds to 1 far out and to its argument near 0, so no series is needed
+        return scale * np.divide(ak, np.tanh(ak), out=np.ones_like(ak), where=ak > 0)
 
 
 def symbol_T(params: ModelParams, k) -> np.ndarray:

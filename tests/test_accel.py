@@ -55,6 +55,22 @@ class TestMpeCoefficients:
         x = mpe_extrapolate(window, gammas)
         assert np.allclose(extract(grid, x, 2), [0.7, -0.2], atol=1e-15)
 
+    @pytest.mark.parametrize("n", [8, 1024])
+    @pytest.mark.parametrize("q", range(6))
+    def test_stationary_window_bytes(self, q, n):
+        # the minimum-norm solution for all-zero differences: exactly
+        # (0, ..., 0, 1), with no negative zero
+        rng = np.random.default_rng(q)
+        same = rng.standard_normal((2, n // 2 + 1)) + 1j * rng.standard_normal((2, n // 2 + 1))
+        window = np.stack([same] * (q + 2))
+        assert mpe_coefficients(window).tobytes() == np.eye(q + 1)[-1].tobytes()
+
+    def test_two_iterate_window(self):
+        # order 0: no free coefficient, so the weight is exactly 1
+        grid = SpectralGrid(1.0, 8)
+        window = [embed(grid, [0.3, 1.0]), embed(grid, [-1.1, 2.0])]
+        assert mpe_coefficients(window).tobytes() == np.ones(1).tobytes()
+
     def test_gammas_sum_to_one_exactly(self):
         grid = SpectralGrid(1.0, 16)
         rng = np.random.default_rng(0)

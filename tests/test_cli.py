@@ -32,7 +32,8 @@ from ilwbo import (
     spectral,
 )
 from ilwbo.cli import main
-from ilwbo.spectral import symbol_g
+from ilwbo.harness import decay_fit
+from ilwbo.spectral import state_to_nodal, symbol_g
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -339,6 +340,64 @@ class TestVerifyCommand:
         assert statuses[:2] == ["not-converged"] * 2
         assert statuses[2].startswith("singular-mode ktilde=")
 
+    def test_decay_blocks_of_each_model(self, tmp_path):
+        # each report and summary detail, as the model's own rule gives it
+        # from the library's fits; the failed fit leaves no report
+        blocks = [DECAY_ILW, DECAY_BO, dict(DECAY_BO, l=4.0, N=64, model="compare"),
+                  dict(DECAY_ILW, model="compare"), dict(DECAY_BO, model="compare"),
+                  dict(DECAY_ILW, N=256, model="compare", min_quality=0.5)]
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": blocks})
+        assert code == 6
+        summary = json.loads((out_dir / "summary.json").read_text())["experiments"]
+        assert [entry["pass"] for entry in summary] == [True, True, False, True, False, False]
+        assert summary[2]["detail"]["error"].startswith("profile does not decay below 1/e")
+        assert not (out_dir / "decay_fit_3.json").exists()
+        for i, (block, entry) in enumerate(zip(blocks, summary)):
+            if i == 2:
+                continue
+            grid = SpectralGrid(block["l"], block["N"])
+            wave, _ = accel.cycled_solve(ModelParams(0.8, 1.2, block["regime"]), grid,
+                                         SolitaryConfig(block["c"], mw=block.get("mw", 1)))
+            zeta = state_to_nodal(grid, wave)[0]
+            fits = {model: decay_fit(grid, zeta, model) for model in ("exponential", "algebraic")}
+            exp, alg = fits["exponential"], fits["algebraic"]
+            min_quality = block.get("min_quality", 0.99)
+            if block["model"] == "algebraic":
+                ok = abs(alg.fitted_rate - 2.0) <= 0.3
+                detail = {"model": "algebraic", "rate": alg.fitted_rate,
+                          "quality": alg.fit_quality, "rate_target": 2.0, "rate_tol": 0.3}
+            elif block["model"] == "exponential":
+                ok = exp.fit_quality >= min_quality
+                detail = {"model": "exponential", "rate": exp.fitted_rate,
+                          "quality": exp.fit_quality, "min_quality": min_quality}
+            else:
+                ok = exp.fit_quality >= min_quality and exp.fit_quality > alg.fit_quality
+                detail = {"model": "compare",
+                          "exponential": {"rate": exp.fitted_rate, "quality": exp.fit_quality},
+                          "algebraic": {"rate": alg.fitted_rate, "quality": alg.fit_quality},
+                          "min_quality": min_quality}
+            assert entry == {"kind": "decay", "pass": ok, "detail": detail}
+            fit = alg if block["model"] == "algebraic" else exp
+            record = {"model": fit.model, "rate": fit.fitted_rate, "quality": fit.fit_quality,
+                      "window": list(fit.window), "n_points": fit.n_points, "pass": ok}
+            if block["model"] == "compare":
+                record["algebraic_quality"] = alg.fit_quality
+            tag = f"_{i + 1}" if i else ""
+            assert json.loads((out_dir / f"decay_fit{tag}.json").read_text()) == record
+
+    def test_repeated_kinds_are_numbered_per_kind(self, tmp_path):
+        blocks = [CONVERGENCE_BLOCK, DECAY_ILW, CONVERGENCE_BLOCK, DECAY_BO,
+                  dict(DECAY_ILW, model="compare")]
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": blocks})
+        assert code == 0
+        assert sorted(read_manifest(out_dir)["outputs"]) == [
+            "convergence_report.csv", "convergence_report_2.csv", "decay_fit.json",
+            "decay_fit_2.json", "decay_fit_3.json", "summary.json"]
+        reports = [json.loads((out_dir / f"decay_fit{tag}.json").read_text())
+                   for tag in ("", "_2", "_3")]
+        assert [r["model"] for r in reports] == ["exponential", "algebraic", "exponential"]
+        assert ["algebraic_quality" in r for r in reports] == [False, False, True]
+
     def test_unknown_experiment_kind(self, tmp_path, capsys):
         cfg = {"experiments": [{"kind": "bisection"}]}
         code, _ = run_cli(tmp_path, "verify", cfg)
@@ -406,6 +465,16 @@ ACCEL_BLOCK = {"kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
 ROUNDTRIP_BLOCK = {
     "kind": "roundtrip", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
     "c": 0.57, "l": 32.0, "N": 256, "t_end": 0.1, "dt": 0.01,
+}
+
+# An ILW wave whose tail is exponential, and a B-O wave whose tail is algebraic.
+DECAY_ILW = {
+    "kind": "decay", "regime": "ilw", "gamma": 0.8, "alpha": 1.2,
+    "c": 0.40, "l": 32.0, "N": 512, "model": "exponential",
+}
+DECAY_BO = {
+    "kind": "decay", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+    "c": 0.57, "l": 128.0, "N": 1024, "mw": 2, "model": "algebraic",
 }
 
 
@@ -861,6 +930,29 @@ class TestOutcomes:
             code, out_dir = run_cli(tmp_path, command, cfg)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"config error: {name} is too small")
+        assert read_manifest(out_dir)["exit_status"] == 2
+
+    @pytest.mark.parametrize("command, cfg, error", [
+        pytest.param("evolve", dict(EVOLVE_CFG, alpha=1e300, gamma=1e-10),
+                     "alpha=1e+300 and gamma=1e-10 give a symbol scale", id="evolve-alpha-gamma"),
+        pytest.param("solitary", dict(SOLITARY_CFG, alpha=1e300, gamma=1e-10),
+                     "alpha=1e+300 and gamma=1e-10 give a symbol scale",
+                     id="solitary-alpha-gamma"),
+        pytest.param("evolve", dict(EVOLVE_CFG, gamma=1e-308),
+                     "dt=0.01 violates the step-size guard", id="evolve-gamma"),
+        pytest.param("evolve", dict(EVOLVE_CFG, l=1e-306, gamma=0.01),
+                     "dt=0.01 violates the step-size guard", id="evolve-l-gamma"),
+    ])
+    def test_symbol_scale_that_overflows(self, tmp_path, capsys, command, cfg, error):
+        # alpha/gamma = inf gave inf*0 at k = 0 (evolve warned and exited 3,
+        # solitary exited 4); a finite scale times |k| warned of an overflow
+        # before the step-size guard
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_dir = run_cli(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {error}") and err.count("\n") == 1
         assert read_manifest(out_dir)["exit_status"] == 2
 
     @pytest.mark.parametrize("mw", [2**40, 2**59])

@@ -306,6 +306,14 @@ class TestEvolve:
             evolve(ILW_P, grid, gaussian_state(0.1, 1.0)(grid),
                    EvolutionConfig(t_end=1.0, dt=2.0 * dt_max))
 
+    def test_nan_step_bound_fails_the_guard(self, monkeypatch):
+        # `dt > nan` is False: a nan bound once let the run start
+        grid = SpectralGrid(16.0, 64)
+        monkeypatch.setattr(evolution, "max_stable_dt", lambda *args: math.nan)
+        with pytest.raises(ValueError, match="step-size guard"):
+            evolve(ILW_P, grid, gaussian_state(0.1, 1.0)(grid),
+                   EvolutionConfig(t_end=0.1, dt=0.01))
+
     def test_step_failure_carries_time(self):
         grid = SpectralGrid(4.0, 32)
         zeta_hat, u_hat = np.zeros((2, 32), dtype=complex)

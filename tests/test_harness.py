@@ -323,7 +323,7 @@ class TestDecayFit:
         grid = SpectralGrid(20.0, 256)
         profile = 1e-15 * np.exp(-np.abs(grid.nodes))
         with pytest.raises(WindowUnderflowError):
-            decay_fit(grid, profile, "exponential", crest_scale=1.0)
+            decay_fit(grid, profile, "exponential")
 
     def test_window_underflow_names_the_applied_floor(self):
         # a unit peak sets the relative floor, 1e-7, above the absolute 1e-11
@@ -340,7 +340,7 @@ class TestDecayFit:
     def test_model_validation(self):
         grid = SpectralGrid(10.0, 64)
         with pytest.raises(ValueError, match="model"):
-            decay_fit(grid, np.ones(64), "polynomial", crest_scale=1.0)
+            decay_fit(grid, np.ones(64), "polynomial")
 
     def test_crest_scale_measurement(self):
         grid = SpectralGrid(20.0, 512)

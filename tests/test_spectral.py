@@ -3,6 +3,8 @@ multipliers and the alias-free product."""
 
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +71,12 @@ class TestModelParams:
             ModelParams(gamma=5e-324, alpha=1.2, regime=BO)
         assert ModelParams(gamma=1e-300, alpha=1.2, regime=BO).gamma == 1e-300
 
+    @pytest.mark.parametrize("alpha, gamma", [(1e300, 1e-10), (1e300, 1e-300), (2.0, 1e-308)])
+    def test_symbol_scale_must_be_finite(self, alpha, gamma):
+        # alpha/gamma = inf made g nan at k = 0 (inf * 0)
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha} and gamma={gamma}")):
+            ModelParams(gamma=gamma, alpha=alpha, regime=BO)
+
     def test_regime_name(self):
         with pytest.raises(ValueError, match="regime"):
             ModelParams(gamma=0.8, alpha=1.2, regime="klein-gordon")
@@ -133,6 +141,18 @@ class TestSymbols:
     def test_ilw_large_k_asymptote(self):
         val = float(symbol_g(ILW_P, 50.0))
         assert val == pytest.approx(1.5 * 50.0, rel=1e-10)
+
+    @pytest.mark.parametrize("regime", [ILW, BO])
+    def test_overflowing_symbol_is_its_limit(self, regime):
+        # a finite alpha/gamma times a large |k| overflows quietly to g's
+        # limit +inf, where T = 0 and J = (alpha-1)/alpha exactly
+        params = ModelParams(gamma=1e-300, alpha=1.2, regime=regime)
+        k = np.array([0.0, 1.0, 1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, t, j = symbol_g(params, k), symbol_T(params, k), symbol_J(params, k)
+        assert np.isfinite(g[:2]).all() and g[2] == np.inf
+        assert t[2] == 0.0 and j[2] == (1.2 - 1.0) / 1.2
 
     def test_symbol_T_at_zero(self):
         assert symbol_T(ILW_P, 0.0) == pytest.approx(0.4, abs=1e-15)
