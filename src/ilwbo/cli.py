@@ -14,7 +14,8 @@ emitted files, the exit status and the wall time.
 
 Exit codes:
   0  success (verify: all experiments passed)
-  2  configuration error (naming the offending key) or a grid too large to allocate
+  2  configuration error (naming the offending key), a grid too large to
+     allocate, or an output file that cannot be written (naming it)
   3  numerical failure during evolve (failing time in the manifest)
   4  solitary iteration did not converge: cap reached, diverged or denominator
      collapsed (trace.csv written in each case)
@@ -53,6 +54,7 @@ from .harness import (
 )
 from .io_utils import (
     OutputDir,
+    OutputError,
     SnapshotWriter,
     read_profile_csv,
     write_csv,
@@ -519,7 +521,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as err:
         # ValueError: a value the library rejects, such as a dt beyond the
         # step-size guard or resolutions spanning less than 4x
-        code, error = EXIT_CONFIG, f"config error: {err}"
+        kind = "output" if isinstance(err, OutputError) else "config"
+        code, error = EXIT_CONFIG, f"{kind} error: {err}"
         extra = {"error": error}
     except StepFailureError as err:
         code, error = EXIT_NUMERICAL, f"{args.command}: {err}"

@@ -2,12 +2,14 @@
 
 An `OutputDir` lists each file once its atomic rename has succeeded, so it
 names exactly the complete files a run left behind, also when a large run's
-snapshots are written by worker processes.  All floating-point values
-are written with the shortest round-trip decimal representation (Python repr),
-so reloading a CSV reproduces the exact binary values and identical runs
-produce byte-identical files.  A column of `str` is written as given: the
-snapshot writer formats its nodes once and `t` once per file.  A pool job
-carries all its inputs, so a worker and this process run the same call.
+snapshots are written by worker processes.  A file that cannot be written
+raises an `OutputError`.  Every floating-point number in a CSV is written as
+the bytes of its Python repr, the shortest round-trip decimal, so reloading a
+CSV reproduces the exact binary values and identical runs produce
+byte-identical files.  The numpy kernel of `_shortest` makes those bytes for
+a whole float array at once; `tests/test_io_utils.py::TestReprBytes` pins
+them against repr.  A pool job carries all its inputs, so a worker and this
+process run the same call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .solitary import IterationTrace
 from .spectral import SpectralGrid, StatePair, state_to_nodal
 
 # Rows formatted per write: enough to amortise the calls, few enough that the
-# strings of one block stay small next to the arrays being written.
+# byte matrices of one block stay small next to the arrays being written.
 CSV_BLOCK_ROWS = 2048
 
 
@@ -35,47 +37,72 @@ def fmt(value) -> str:
     return str(value)
 
 
+class OutputError(OSError):
+    """An output file could not be written; it names that file."""
+
+
 @contextmanager
 def _atomic_open(path: str):
-    """Text handle on `path`.tmp, renamed to `path` once the block succeeds,
-    so readers never observe a partial file.  An OSError names `path`, not
-    the temp file, so a failed write reads the same in every run.  The temp
-    name is fixed, so writing `path` again replaces what a killed writer left."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    """Binary handle on `path`.tmp, renamed to `path` once the block succeeds,
+    so readers never observe a partial file.  An OSError is raised as an
+    OutputError naming `path`, not the temp file, so a failed write reads the
+    same in every run.  The temp name is fixed, so writing `path` again
+    replaces what a killed writer left."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as handle:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(tmp, "wb") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException as err:
         if os.path.isfile(tmp):
             os.unlink(tmp)
         if isinstance(err, OSError):
-            raise type(err)(err.errno, err.strerror, path) from err
+            raise OutputError(err.errno, err.strerror, path) from err
         raise
 
 
-def _format_column(values) -> list[str]:
-    """`fmt` of each value; float arrays go through repr of Python floats, and
-    values that are all `str` are returned as given."""
+def _repr_bytes(values: np.ndarray) -> np.ndarray:
+    """repr's bytes for each value of a float array, one NUL-padded uint8
+    row per value.  The kernel is imported on the first call, so that
+    importing the package does not build its tables."""
+    from ._shortest import repr_bytes
+
+    return repr_bytes(values)
+
+
+def _column_bytes(values) -> np.ndarray:
+    """The `fmt` bytes of each value as a row of a uint8 matrix, NUL-padded:
+    a float array through _repr_bytes, a 2-d uint8 array as the rows it
+    already is, any other column value by value."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return list(map(repr, values.tolist()))
-    if set(map(type, values)) == {str}:
-        return list(values)
-    return list(map(fmt, values))
+        return _repr_bytes(values)
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        return values
+    text = np.array([fmt(value).encode() for value in values], dtype="S")
+    return text.view(np.uint8).reshape(len(text), -1)
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """One CSV line per row of the equal-length `columns` (arrays or lists),
-    formatted and written CSV_BLOCK_ROWS rows at a time."""
+    """One CSV line per row of the equal-length `columns` (arrays, lists, or
+    2-d uint8 arrays of rows formatted already), written CSV_BLOCK_ROWS rows
+    at a time: each block is one byte matrix, written without its NUL pads."""
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError("CSV columns differ in length")
     with _atomic_open(path) as handle:
-        handle.write(",".join(header) + "\n")
+        handle.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = [_format_column(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
-            handle.write("\n".join(map(",".join, zip(*block))) + "\n")
+            fields = [_column_bytes(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
+            buffer = bytearray(len(fields[0]) * sum(f.shape[1] + 1 for f in fields))
+            block = np.frombuffer(buffer, np.uint8).reshape(len(fields[0]), -1)
+            end = 0
+            for field in fields:
+                block[:, end:end + field.shape[1]] = field
+                end += field.shape[1] + 1
+                block[:, end - 1] = ord(",")
+            block[:, -1] = ord("\n")
+            handle.write(buffer.translate(None, b"\0"))
 
 
 def _finite(obj):
@@ -89,7 +116,8 @@ def _finite(obj):
 
 def write_json(path: str, obj) -> None:
     with _atomic_open(path) as handle:
-        handle.write(json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
+        handle.write((json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+                      + "\n").encode())
 
 
 # ----------------------------------------------------------------------------
@@ -140,9 +168,11 @@ class OutputDir:
 
 # A run formats its snapshots on forked worker processes when the snapshots
 # after the first hold at least this many zeta and u values, (snapshots - 1) *
-# 2N.  Starting and stopping a 2-worker pool costs about 15-19 ms and
-# formatting a value about 1 us, so the pool breaks even near 20 000 values;
-# the margin keeps runs whose gain would be small next to the spread of their
+# 2N.  In-process a snapshot costs about 0.4 us per zeta and u value to
+# format and write, and starting and stopping a 2-worker pool about 6 ms, so
+# the pool breaks even near 100 000 values: N = 4096 runs on 2 cores took 42
+# ms in-process and 41 ms pooled at 98 304 values, 79 and 68 ms at 196 608.
+# The margin keeps runs whose gain would be small next to the spread of their
 # run time in-process.
 POOL_MIN_VALUES = 200_000
 
@@ -153,10 +183,20 @@ JOBS_PER_WORKER = 2
 SNAPSHOT_HEADER = ("t", "x", "zeta", "u")
 
 
-def _write_snapshot(path: str, t: str, nodes: str, zeta: np.ndarray, u: np.ndarray) -> None:
-    """A snapshot job: one CSV, with `t` and the nodes formatted; the nodes are
-    one newline-joined string, which pickles far faster than a list of them."""
-    write_csv(path, SNAPSHOT_HEADER, [[t] * len(zeta), nodes.split("\n"), zeta, u])
+def _write_snapshot(path: str, t: str, nodes: np.ndarray, zeta: np.ndarray, u: np.ndarray) -> None:
+    """A snapshot job: one CSV, with `t` formatted and the nodes as the byte
+    matrix `SnapshotWriter` formats once."""
+    t_bytes = np.frombuffer(t.encode(), np.uint8)
+    write_csv(path, SNAPSHOT_HEADER,
+              [np.broadcast_to(t_bytes, (len(zeta), len(t_bytes))), nodes, zeta, u])
+
+
+def _node_bytes(nodes: np.ndarray) -> np.ndarray:
+    """A job: the node column as a byte matrix without the columns no node
+    uses, formatted CSV_BLOCK_ROWS nodes at a time as write_csv's blocks are."""
+    rows = np.concatenate([_repr_bytes(nodes[i:i + CSV_BLOCK_ROWS])
+                           for i in range(0, len(nodes), CSV_BLOCK_ROWS)])
+    return rows[:, rows.any(axis=0)]
 
 
 def fork_workers() -> int:
@@ -229,10 +269,11 @@ class SnapshotWriter:
     """Writes each state it is given as one t,x,zeta,u CSV into `out`,
     atomically; `close` writes the index naming them all.
 
-    The node column is formatted once, when the writer is built, and `t` once
-    per file, so each snapshot's `_write_snapshot` job formats only its zeta
-    and u values.  When the `expected` snapshots hold enough values, worker
-    processes forked from this one run the jobs while the caller goes on;
+    The node column is formatted once, by a `_node_bytes` job when the writer
+    is built, and `t` once per file, so each snapshot's `_write_snapshot` job
+    formats only its zeta and u values.  When the `expected` snapshots hold
+    enough values, worker processes forked from this one run the jobs while
+    the caller goes on, and this process never loads the float kernel;
     otherwise, and for the jobs a broken pool held, the same jobs run here.
     Each file is listed in `out` once its job is done, in the order taken.
     A worker's OSError is raised by the next `write` or by `close`.
@@ -244,7 +285,6 @@ class SnapshotWriter:
 
     def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 0):
         self.out, self.grid, self.params = out, grid, params
-        self._nodes = "\n".join(_format_column(grid.nodes))
         self.times: list[float] = []
         self.files: list[str] = []  # the snapshots listed, for the index
         self._taken = 0
@@ -252,6 +292,12 @@ class SnapshotWriter:
         big = (expected - 1) * 2 * grid.n_modes >= POOL_MIN_VALUES
         self._runner = ForkJobs(fork_workers() if big else 0)
         self._max_jobs = JOBS_PER_WORKER * self._runner.workers
+        try:
+            future = self._runner.submit(_node_bytes, grid.nodes)
+            self._nodes = self._runner.result(future, _node_bytes, grid.nodes)
+        except BaseException:
+            self._runner.close()  # no caller holds the writer yet to close it
+            raise
 
     def write(self, t: float, state: StatePair) -> None:
         zeta, u = state_to_nodal(self.grid, state)

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -196,6 +197,45 @@ class TestEvolveCommand:
         error = read_manifest(out_dir)["error"]
         assert "initial.path" in error and "no header line" in error
         assert capsys.readouterr().err == error + "\n"
+
+    def test_last_full_step_and_the_remainder_step_are_stamped_apart(self, tmp_path):
+        # t_end = 0.035, dt = 0.01: three full steps, then one of 0.005;
+        # record_every = 3 divides the full steps, so a snapshot lands on
+        # the last full step, at 3 dt, and the final one at t_end
+        cfg = dict(EVOLVE_CFG, t_end=0.035, dt=0.01, record_every=3)
+        code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert code == 0
+        index = json.loads((out_dir / "snapshots_manifest.json").read_text())
+        assert index["times"] == [0.0, 3 * 0.01, 0.035]
+        for name, t in zip(index["files"], index["times"]):
+            rows = list(csv.DictReader((out_dir / name).read_text().splitlines()))
+            assert {row["t"] for row in rows} == {repr(t)}
+
+    @pytest.mark.parametrize("t_end, dt, expected", [
+        pytest.param(1.0, 0.01, 10, id="t_end-1"),
+        pytest.param(0.5, 0.01, 5, id="t_end-below-1"),
+        pytest.param(0.05, 0.1, 1, id="dt-above-t_end"),
+        pytest.param(1.0, 0.0, 1, id="dt-0"),
+        pytest.param(0.0, 0.1, 1, id="t_end-0"),
+    ])
+    def test_default_record_every(self, t_end, dt, expected):
+        # about ten snapshots a run, and a step count that is not positive
+        # resolves without dividing by it (the library then rejects dt = 0)
+        assert cli._default_record_every({"t_end": t_end, "dt": dt}) == expected
+
+    @pytest.mark.parametrize("t_end, dt, snapshots", [(1.0, 0.01, 11), (0.005, 0.01, 2)])
+    def test_default_record_every_in_a_run(self, tmp_path, t_end, dt, snapshots):
+        cfg = {k: v for k, v in dict(EVOLVE_CFG, t_end=t_end, dt=dt).items() if k != "record_every"}
+        code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        manifest = read_manifest(out_dir)
+        assert code == 0 and manifest["snapshots"] == snapshots
+        assert manifest["config"]["record_every"] == (10 if snapshots == 11 else 1)
+
+    def test_zero_dt_without_record_every_is_a_config_error(self, tmp_path, capsys):
+        cfg = {k: v for k, v in dict(EVOLVE_CFG, dt=0.0).items() if k != "record_every"}
+        code, _ = run_cli(tmp_path, "evolve", cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 def singular_speed():
@@ -607,7 +647,7 @@ class TestSnapshotPool:
         code, out_dir = run_cli(tmp_path, "evolve", POOLED_EVOLVE)
         assert code == 2 and pool_workers[-1] >= 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.rstrip().endswith("snapshot_0003.csv'")
+        assert err.startswith("output error:") and err.rstrip().endswith("snapshot_0003.csv'")
         assert "Traceback" not in err
         outputs = read_manifest(out_dir)["outputs"]
         assert outputs[:3] == [f"snapshot_{i:04d}.csv" for i in range(3)]
@@ -722,6 +762,38 @@ class TestOutcomes:
         assert manifest["failing_time"] == pytest.approx(1.1)
         assert manifest["outputs"] == [f"snapshot_{i:04d}.csv" for i in range(11)]
         assert listed_outputs_are_on_disk(out_dir)
+
+    def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
+        # in-process: a directory stands where wave.csv goes
+        (tmp_path / "out" / "wave.csv").mkdir(parents=True)
+        cfg = json.loads((CONFIGS / "solitary_bo.json").read_text())
+        code, out_dir = run_cli(tmp_path, "solitary", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: [Errno") and err.rstrip().endswith("wave.csv'")
+        assert err.count("\n") == 1
+        manifest = read_manifest(out_dir)
+        assert manifest["error"] == err.rstrip() and manifest["outputs"] == []
+        assert not list(out_dir.glob("*.tmp"))
+
+    def test_file_size_limit_is_an_output_error(self, tmp_path):
+        # a child run whose files may not grow past 20 kB: the first snapshot
+        # fails with EFBIG, the small manifest is still written
+        resource = pytest.importorskip("resource")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(EVOLVE_CFG, N=1024, l=64.0)))
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "ilwbo.cli", "evolve", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (20_000, 20_000)),
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith(f"output error: [Errno {errno.EFBIG}]")
+        assert done.stderr.rstrip().endswith("snapshot_0000.csv'")
+        assert read_manifest(tmp_path / "out")["error"] == done.stderr.rstrip()
 
     def test_failed_solitary_write_lists_the_wave_written_before_it(self, tmp_path):
         (tmp_path / "out" / "trace.csv").mkdir(parents=True)

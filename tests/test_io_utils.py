@@ -4,11 +4,17 @@ same bytes as the row-by-row writer it replaced, and for the JSON writer."""
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilwbo import BO, ModelParams, SpectralGrid, io_utils
+from ilwbo._shortest import repr_bytes
 from ilwbo.evolution import EvolutionConfig, EvolutionRecord, evolve
 from ilwbo.harness import sech2_state
 from ilwbo.io_utils import (
@@ -83,6 +89,78 @@ class TestWriteCsv:
         assert not os.listdir(tmp_path)
 
 
+def repr_text(values):
+    """The kernel's rows for `values`, one per line, with the NUL pads
+    dropped; formatted in blocks of CSV_BLOCK_ROWS, as write_csv does."""
+    newlines = np.full((CSV_BLOCK_ROWS, 1), ord("\n"), np.uint8)
+    blocks = []
+    for i in range(0, len(values), CSV_BLOCK_ROWS):
+        rows = repr_bytes(values[i:i + CSV_BLOCK_ROWS])
+        blocks.append(np.hstack([rows, newlines[:len(rows)]]).tobytes().translate(None, b"\0"))
+    return b"".join(blocks).decode()[:-1]
+
+
+def repr_lines(values):
+    return "\n".join(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def first_difference(values):
+    got = repr_text(values).split("\n")
+    return next(((x, g) for x, g in zip(values, got) if repr(float(x)) != g), None)
+
+
+class TestReprBytes:
+    """The kernel writes repr's bytes for every double."""
+
+    def test_random_bit_patterns(self):
+        # a million doubles spread over every exponent, both signs, and
+        # about one in 1024 a nan, an infinity or a subnormal
+        bits = np.random.default_rng(20).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64,
+                                                  endpoint=False)
+        values = bits.view(np.float64)
+        assert repr_text(values) == repr_lines(values), first_difference(values)
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        values = np.concatenate([twos, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                                 np.nextafter(twos, 0), np.nextafter(twos, np.inf)])
+        values = np.concatenate([values, -values])
+        assert repr_text(values) == repr_lines(values), first_difference(values)
+
+    def test_integers_zeros_subnormals_and_non_finite_values(self):
+        integers = np.concatenate([np.arange(0, 20_000), 2.0 ** 53 + np.arange(-2000, 2000),
+                                   2.0 ** 50 + np.arange(-400, 400) / 4])  # .25 and .75 are ties
+        subnormals = np.ldexp(np.arange(1, 1000, 7.0), -1074)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.225073858507201e-308,
+                    2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-4, 1e-5]
+        values = np.concatenate([integers, subnormals, specials])
+        values = np.concatenate([values, -values])
+        assert repr_text(values) == repr_lines(values), first_difference(values)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+    def test_any_floats(self, values):
+        assert repr_text(np.array(values)) == repr_lines(values)
+
+    def test_float32_and_strided_arrays(self):
+        values = np.random.default_rng(3).standard_normal(101).astype(np.float32)
+        assert repr_text(values[::3]) == repr_lines(values[::3])
+
+    def test_the_kernel_is_loaded_by_the_first_csv_write(self, tmp_path):
+        # its tables take milliseconds to build: a run pays for them when it
+        # writes a CSV, not when it imports the package
+        code = ("import sys, numpy, ilwbo.cli, ilwbo.io_utils as io\n"
+                "assert 'ilwbo._shortest' not in sys.modules\n"
+                f"io.write_csv({str(tmp_path / 'a.csv')!r}, ['x'], [numpy.ones(3)])\n"
+                "assert 'ilwbo._shortest' in sys.modules\n")
+        src = str(pathlib.Path(io_utils.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+        assert (tmp_path / "a.csv").read_text() == "x\n1.0\n1.0\n1.0\n"
+
+
 class TestWriteJson:
     def test_non_finite_floats_are_written_as_null(self, tmp_path):
         # and finite values as json.dumps writes them, so the output is strict JSON
@@ -135,12 +213,18 @@ class TestReportWriters:
         # k snapshots of an N-node grid: N node values, then per file 2N
         # field values and one t (a writer that formats every cell takes 4kN)
         formatted = []
+        kernel, fmt = io_utils._repr_bytes, io_utils.fmt
 
-        def counting_repr(value):
+        def counting_repr_bytes(values):
+            formatted.extend(values)
+            return kernel(values)
+
+        def counting_fmt(value):
             formatted.append(value)
-            return repr(value)
+            return fmt(value)
 
-        monkeypatch.setattr(io_utils, "repr", counting_repr, raising=False)
+        monkeypatch.setattr(io_utils, "_repr_bytes", counting_repr_bytes)
+        monkeypatch.setattr(io_utils, "fmt", counting_fmt)
         params = ModelParams(0.8, 1.2, BO)
         grid = SpectralGrid(16.0, 256)
         state = sech2_state(0.2, 0.8)(grid)
@@ -149,7 +233,13 @@ class TestReportWriters:
                                  np.zeros(3, complex))
         write_snapshots(str(tmp_path), grid, params, record)
         n, k = grid.n_modes, len(times)
-        assert 2 * n * k <= len(formatted) <= n + k * (2 * n + 1)
+        assert len(formatted) <= n + k * (2 * n + 1)
+        zeta, u = state_to_nodal(grid, state)
+        for i, t in enumerate(times):
+            oracle = tmp_path / f"oracle_{i}.csv"
+            row_writer(str(oracle), ["t", "x", "zeta", "u"],
+                       zip([t] * grid.n_modes, grid.nodes, zeta, u))
+            assert read_bytes(tmp_path / f"snapshot_{i:04d}.csv") == read_bytes(oracle)
 
     def test_streamed_snapshots_match_the_held_record(self, tmp_path):
         # the writer's files against write_snapshots over a record held from

@@ -1,9 +1,14 @@
 """The package keeps no mutable module state: no `global` statement and no
-module-level list or set, checked on the source of every module."""
+module-level list or set, checked on the source of every module, and no
+module-level numpy array that can be written, checked on each module as
+imported."""
 
 import ast
+import importlib
 import pathlib
+import types
 
+import numpy as np
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ilwbo"
@@ -48,6 +53,12 @@ def mutable_containers(tree):
     return found
 
 
+def writeable_arrays(module):
+    """The names a module binds to a numpy array that can be written."""
+    return [name for name, value in vars(module).items()
+            if isinstance(value, np.ndarray) and value.flags.writeable]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_global_statement(path):
     tree = ast.parse(path.read_text())
@@ -67,3 +78,16 @@ def test_the_checks_see_what_they_look_for():
     assert mutable_containers(tree) == ["a", "b", "__all__"]
     assert global_statements(tree) == ["f", "g"]
     assert len(MODULES) >= 9
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_writeable_module_level_array(path):
+    name = "ilwbo" if path.stem == "__init__" else f"ilwbo.{path.stem}"
+    assert writeable_arrays(importlib.import_module(name)) == []
+
+
+def test_the_array_check_sees_a_writeable_array():
+    snippet = types.ModuleType("snippet")
+    exec("import numpy as np\nfrozen = np.zeros(3)\nfrozen.setflags(write=False)\n"
+         "view = frozen[1:]\nopen_table = np.ones(2)\nrows = [np.ones(2)]\n", vars(snippet))
+    assert writeable_arrays(snippet) == ["open_table"]

@@ -455,6 +455,27 @@ class TestProductKernel:
             assert np.array_equal(got.view(np.uint64), kept.view(np.uint64))
 
 
+class TestProductKernelIsExact:
+    """At N = 2 mod 4, (3N + 1) // 2 is odd: the padded grid must round it up
+    to stay alias-free.  The oracle is a direct sum, not the kernel's sizes."""
+
+    @pytest.mark.parametrize("n", [10, 14, 18])
+    def test_truncated_convolution(self, n):
+        h = n // 2
+        rng = np.random.default_rng(n)
+        half = rng.standard_normal((2, h + 1)) + 1j * rng.standard_normal((2, h + 1))
+        half[:, [0, h]] = half[:, [0, h]].real
+        # modes -N/2..N/2 of each real field, the -N/2 coefficient split in
+        # halves between -N/2 and N/2, as the kernel reads it
+        full = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
+        full[:, [0, 2 * h]] = half[:, [h]] / 2
+        exact = np.stack([np.convolve(full[0], full[1]), np.convolve(full[1], full[1])])
+        exact = exact[:, 2 * h: 3 * h]  # the sums for k = 0..N/2-1
+        out = ProductKernel(SpectralGrid(2.0, n), 1.0)(half, np.empty((2, h + 1), dtype=complex))
+        assert np.max(np.abs(out[:, :h] - exact)) < 1e-13
+        assert np.all(out[:, h] == 0.0)
+
+
 class TestFftWorkers:
     def test_results_agree_across_worker_counts(self):
         from ilwbo.spectral import set_fft_workers
