@@ -168,27 +168,44 @@ class OutputDir:
 
 # A run formats its snapshots on forked worker processes when the snapshots
 # after the first hold at least this many zeta and u values, (snapshots - 1) *
-# 2N.  In-process a snapshot costs about 0.4 us per zeta and u value to
-# format and write, and starting and stopping a 2-worker pool about 6 ms, so
-# the pool breaks even near 100 000 values: N = 4096 runs on 2 cores took 42
-# ms in-process and 41 ms pooled at 98 304 values, 79 and 68 ms at 196 608.
-# The margin keeps runs whose gain would be small next to the spread of their
-# run time in-process.
+# 2N.  In-process a snapshot costs about 0.3 us per zeta and u value to
+# transform, format and write, and starting and stopping a 2-worker pool
+# about 6 ms, so the pool breaks even between 50 000 and 100 000 values: N =
+# 4096 runs on 2 cores took 21-22 ms in-process and 23 ms pooled at 49 152
+# values, 38-39 and 34-36 ms at 98 304, 71-73 and 54-55 ms at 196 608.  The
+# margin keeps runs whose gain would be small next to the spread of their run
+# time in-process.
 POOL_MIN_VALUES = 200_000
 
-# Snapshots in flight per worker: enough to keep each worker busy, few enough
-# that the fields held for them stay O(N).
-JOBS_PER_WORKER = 2
+# Snapshots per pool job, and jobs in flight per worker.  Each job costs this
+# process one pickling and one dispatch, so a job of several snapshots leaves
+# it more time to step; but the writer holds the half spectra, 16 (N + 2)
+# bytes each, of up to JOBS_PER_WORKER * workers + 1 jobs.  Against one job
+# per snapshot, `perfbench/run.py --workload evolve-snapshots` on 2 cores
+# (N = 4096, 6 to 10 alternating pairs) read wall_s -11 to -13% and peak RSS
+# +0.3 to +0.5 MB at 3 snapshots x 1 job, -10% and +0.3 MB at 2 x 2, -11%
+# and +0.9 MB at 4 x 1, and -15% and +1.4 MB at 4 x 2.
+SNAPSHOTS_PER_JOB = 3
+JOBS_PER_WORKER = 1
 
 SNAPSHOT_HEADER = ("t", "x", "zeta", "u")
 
 
 def _write_snapshot(path: str, t: str, nodes: np.ndarray, zeta: np.ndarray, u: np.ndarray) -> None:
-    """A snapshot job: one CSV, with `t` formatted and the nodes as the byte
-    matrix `SnapshotWriter` formats once."""
+    """One CSV, with `t` formatted and the nodes as the byte matrix
+    `SnapshotWriter` formats once."""
     t_bytes = np.frombuffer(t.encode(), np.uint8)
     write_csv(path, SNAPSHOT_HEADER,
               [np.broadcast_to(t_bytes, (len(zeta), len(t_bytes))), nodes, zeta, u])
+
+
+def _write_snapshots(grid: SpectralGrid, nodes: np.ndarray, paths: Sequence[str],
+                     times: Sequence[str], halves: Sequence[np.ndarray]) -> None:
+    """A snapshot job: for each path, the CSV of the state whose half spectrum
+    is `halves[i]` at the formatted time `times[i]`, in order, stopping at the
+    first error; the node byte matrix comes once for the whole batch."""
+    for path, t, half in zip(paths, times, halves):
+        _write_snapshot(path, t, nodes, *state_to_nodal(grid, StatePair(half)))
 
 
 def _node_bytes(nodes: np.ndarray) -> np.ndarray:
@@ -270,17 +287,20 @@ class SnapshotWriter:
     atomically; `close` writes the index naming them all.
 
     The node column is formatted once, by a `_node_bytes` job when the writer
-    is built, and `t` once per file, so each snapshot's `_write_snapshot` job
-    formats only its zeta and u values.  When the `expected` snapshots hold
-    enough values, worker processes forked from this one run the jobs while
-    the caller goes on, and this process never loads the float kernel;
-    otherwise, and for the jobs a broken pool held, the same jobs run here.
-    Each file is listed in `out` once its job is done, in the order taken.
-    A worker's OSError is raised by the next `write` or by `close`.
+    is built, and `t` once per file.  When the `expected` snapshots hold
+    enough values, worker processes forked from this one run the
+    `_write_snapshots` jobs, SNAPSHOTS_PER_JOB snapshots each, while the
+    caller goes on, and this process never loads the float kernel; the writer
+    holds each state's half spectrum, which the caller must not change, until
+    its job is done.  Otherwise each snapshot's job runs here as it is taken,
+    and so do the jobs a broken pool held.  Each file is listed in `out` once
+    its job is done, in the order taken; of a job that failed, the files
+    before the one it failed on.  A worker's OSError is raised by a later
+    `write` or by `close`.
 
-    The caller owns the writer: pass `write` as `evolve`'s sink so no state is
-    held, and call `close` also when the run fails, so the files written so
-    far keep their index.  A writer that was given no state writes nothing.
+    The caller owns the writer: pass `write` as `evolve`'s sink, and call
+    `close` also when the run fails, so the snapshots taken so far are written
+    and keep their index.  A writer that was given no state writes nothing.
     """
 
     def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 0):
@@ -288,9 +308,16 @@ class SnapshotWriter:
         self.times: list[float] = []
         self.files: list[str] = []  # the snapshots listed, for the index
         self._taken = 0
-        self._jobs: deque = deque()  # (name, t, future or None, job arguments), oldest first
+        self._batch: list[tuple] = []  # (path, t, half) of the snapshots not yet sent
+        self._jobs: deque = deque()  # (times, future or None, job arguments), oldest first
         big = (expected - 1) * 2 * grid.n_modes >= POOL_MIN_VALUES
         self._runner = ForkJobs(fork_workers() if big else 0)
+        self._batch_size = SNAPSHOTS_PER_JOB if self._runner.workers else 1
+        # a grid in use pickles its cached tables, 8N bytes each, so the jobs
+        # sent to workers get a fresh grid (90 B), which this process never
+        # uses; a job run here uses the caller's
+        self._job_grid = SpectralGrid(grid.half_length, grid.n_modes) if self._runner.workers \
+            else grid
         self._max_jobs = JOBS_PER_WORKER * self._runner.workers
         try:
             future = self._runner.submit(_node_bytes, grid.nodes)
@@ -300,32 +327,52 @@ class SnapshotWriter:
             raise
 
     def write(self, t: float, state: StatePair) -> None:
-        zeta, u = state_to_nodal(self.grid, state)
-        name = f"snapshot_{self._taken:04d}.csv"
+        path = os.path.join(self.out.path, f"snapshot_{self._taken:04d}.csv")
         self._taken += 1
-        job = (os.path.join(self.out.path, name), fmt(t), self._nodes, zeta, u)
-        future = self._runner.submit(_write_snapshot, *job)
-        self._jobs.append((name, t, future, job))
+        self._batch.append((path, t, state.half))
+        if len(self._batch) == self._batch_size:
+            self._send()
+
+    def _send(self) -> None:
+        """Hand the snapshots not yet sent to the runner as one job."""
+        paths, times, halves = zip(*self._batch)
+        self._batch = []
+        job = (self._job_grid, self._nodes, paths, [fmt(t) for t in times], halves)
+        future = self._runner.submit(_write_snapshots, *job)
+        self._jobs.append((times, future, job))
         # a job no pool took is written here, after every job before it
         self._finish(self._max_jobs if future is not None else 0)
 
     def _finish(self, keep: int) -> None:
-        """List the snapshots that are done, oldest first, and wait for (or
-        write) the oldest until at most `keep` are left."""
+        """List the snapshots of the jobs that are done, oldest first, and wait
+        for (or run) the oldest job until at most `keep` are left."""
         # every job held has a future while keep > 0
-        while self._jobs and (len(self._jobs) > keep or self._jobs[0][2].done()):
-            name, t, future, job = self._jobs.popleft()
-            self.out.write(name, lambda _path: self._runner.result(future, _write_snapshot, *job))
-            self.times.append(t)
-            self.files.append(name)
+        while self._jobs and (len(self._jobs) > keep or self._jobs[0][1].done()):
+            times, future, job = self._jobs.popleft()
+            paths = job[2]
+            written = 0
+            try:
+                self._runner.result(future, _write_snapshots, *job)
+                written = len(paths)
+            except OutputError as err:
+                written = paths.index(err.filename)  # the files before it are complete
+                raise
+            finally:
+                names = [os.path.basename(path) for path in paths[:written]]
+                self.out.files.extend(names)
+                self.files.extend(names)
+                self.times.extend(times[:written])
 
     def close(self) -> None:
-        """Wait for the snapshots in flight, stop the pool and write the index of
-        the snapshots listed; then raise the first write error met meanwhile."""
+        """Send the snapshots not yet sent, wait for the jobs in flight, stop
+        the pool and write the index of the snapshots listed; then raise the
+        first write error met meanwhile."""
         error = None
         try:
-            while self._jobs:
+            while self._batch or self._jobs:
                 try:
+                    if self._batch:
+                        self._send()
                     self._finish(0)
                 except OSError as err:
                     error = error or err

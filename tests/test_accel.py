@@ -121,6 +121,17 @@ class TestMpeCoefficients:
         gammas = mpe_coefficients(window)
         assert gammas.shape == (2,) and np.isnan(gammas).all()
 
+    def test_degenerate_sum_of_large_coefficients(self):
+        # c = (1000, -1001 + 1e-11, 1): the sum, about 1e-11, is below
+        # SUM_FLOOR * max|c| (about 1e-9), though above SUM_FLOOR / max|c|
+        grid = SpectralGrid(1.0, 8)
+        steps = [[1.0, 0.0], [0.0, 1.0], [-1000.0, 1001.0 - 1e-11]]
+        window = [embed(grid, [0.0, 0.0])]
+        for step in steps:
+            window.append(window[-1] + embed(grid, step))
+        gammas = mpe_coefficients(window)
+        assert gammas.shape == (3,) and np.isnan(gammas).all()
+
     def test_window_too_short(self):
         grid = SpectralGrid(1.0, 8)
         with pytest.raises(ValueError):

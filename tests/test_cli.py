@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
@@ -22,11 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilwbo import (
+    BO,
     ILW,
     EvolutionConfig,
     ModelParams,
     SolitaryConfig,
     SpectralGrid,
+    StatePair,
     accel,
     cli,
     io_utils,
@@ -34,7 +37,7 @@ from ilwbo import (
 )
 from ilwbo.cli import main
 from ilwbo.harness import decay_fit
-from ilwbo.spectral import state_to_nodal, symbol_g
+from ilwbo.spectral import state_from_nodal, state_to_nodal, symbol_g
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -688,6 +691,87 @@ class TestSnapshotPool:
         assert sorted(name for _, name in jobs) == POOLED_SNAPSHOTS
         assert _TEST_PID not in {pid for pid, _ in jobs}
 
+    def test_write_error_inside_a_batch_lists_the_files_before_it(self, tmp_path, capsys,
+                                                                  pool_workers):
+        # the second snapshot of the second job (snapshot_0005.csv in jobs of
+        # four) is blocked: that job writes the one before it, then stops
+        per_job = io_utils.SNAPSHOTS_PER_JOB
+        assert per_job >= 3  # a file before the blocked one in its job, and one after
+        blocked = per_job + 1
+        name = f"snapshot_{blocked:04d}.csv"
+        for out in ("in-process", "pooled"):
+            (tmp_path / out / name).mkdir(parents=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+            assert run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="in-process")[0] == 2
+        capsys.readouterr()
+        code, pooled = run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="pooled")
+        assert code == 2 and pool_workers[-1] >= 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.rstrip().endswith(f"{name}'")
+        before = POOLED_SNAPSHOTS[:blocked]
+        assert read_manifest(tmp_path / "in-process")["outputs"] == before + [
+            "snapshots_manifest.json"]
+        outputs = read_manifest(pooled)["outputs"]
+        assert outputs[:blocked] == before and outputs[-1] == "snapshots_manifest.json"
+        assert json.loads((pooled / "snapshots_manifest.json").read_text())["files"] == \
+            outputs[:-1]
+        assert name not in outputs
+        rest_of_its_job = set(POOLED_SNAPSHOTS[blocked + 1:2 * per_job])
+        assert rest_of_its_job and not rest_of_its_job & (set(outputs) | set(os.listdir(pooled)))
+        assert not list(pooled.glob("*.tmp"))
+        # the later jobs already sent are written, and listed once complete
+        (pooled / name).rmdir()
+        assert listed_outputs_are_on_disk(pooled)
+
+    def test_step_failure_inside_a_batch_keeps_the_snapshots_not_yet_sent(self, tmp_path,
+                                                                         pool_workers):
+        # the step to t = 1.1 fails after 11 snapshots, so the last job's
+        # batch is not full: `close` sends it, and the index names it
+        cfg = dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1)
+        assert 11 % io_utils.SNAPSHOTS_PER_JOB
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+            assert run_cli(tmp_path, "evolve", cfg, out="in-process")[0] == 3
+        code, pooled = run_cli(tmp_path, "evolve", cfg, out="pooled")
+        assert code == 3 and pool_workers[-1] >= 2
+        names = [f"snapshot_{i:04d}.csv" for i in range(11)]
+        index = json.loads((pooled / "snapshots_manifest.json").read_text())
+        assert index["files"] == names
+        assert index["times"] == [0.0] + [i * 0.1 for i in range(1, 11)]
+        assert read_manifest(pooled)["outputs"] == names + ["snapshots_manifest.json"]
+        assert same_outputs(tmp_path / "in-process", pooled)
+        assert listed_outputs_are_on_disk(pooled)
+
+    def test_a_job_sends_its_spectra_and_one_node_matrix(self, tmp_path, monkeypatch,
+                                                         pool_workers):
+        # per snapshot a half spectrum, 16 (N + 2) bytes, and at most 1 kB for
+        # its path, time and pickle framing; not a grid in use, which pickles
+        # its cached tables (8 N bytes each), nor a node matrix per snapshot
+        sent = []
+        submit = _FORK_JOBS.submit
+
+        def recording(runner, fn, *args):
+            sent.append((fn, args))
+            return submit(runner, fn, *args)
+
+        monkeypatch.setattr(_FORK_JOBS, "submit", recording)
+        params = ModelParams(0.8, 1.2, BO)
+        grid = SpectralGrid(16.0, 1024)
+        state = state_from_nodal(grid, np.exp(-grid.nodes ** 2), np.zeros(grid.n_modes))
+        per_snapshot = 16 * (grid.n_modes + 2) + 1024
+        assert len(pickle.dumps(grid)) > per_snapshot  # in use: its tables are cached
+        writer = io_utils.SnapshotWriter(io_utils.OutputDir(str(tmp_path)), grid, params, 99)
+        for i in range(io_utils.SNAPSHOTS_PER_JOB + 1):
+            writer.write(0.25 * i, StatePair(state.half.copy()))
+        writer.close()
+        assert pool_workers[-1] >= 2
+        jobs = [args for fn, args in sent if fn is io_utils._write_snapshots]
+        assert [len(args[2]) for args in jobs] == [io_utils.SNAPSHOTS_PER_JOB, 1]
+        nodes = len(pickle.dumps(io_utils._node_bytes(grid.nodes)))
+        for args in jobs:
+            assert len(pickle.dumps(args)) < nodes + len(args[2]) * per_snapshot
+
 
 def test_importing_the_cli_imports_no_process_pool():
     # the snapshot and study pools import their machinery on first use, so a
@@ -1220,6 +1304,17 @@ class TestOutcomes:
         assert code == code_b
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
         assert read_manifest(out_b)["config"] == config
+
+    def test_convergence_block_defaults(self, tmp_path):
+        # the resolved block in the manifest: each key left out takes its
+        # documented default
+        block = {k: CONVERGENCE_BLOCK[k] for k in ("kind", "regime", "gamma", "alpha")}
+        block |= {"resolutions": [16, 32, 64], "dt": 0.01}
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        resolved = read_manifest(out_dir)["config"]["experiments"][0]
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)  # ran; its verdict is not the point
+        assert {k: resolved[k] for k in ("l", "t_end", "amplitude", "width", "min_ratio")} == {
+            "l": 16.0, "t_end": 1.0, "amplitude": 0.1, "width": 1.2, "min_ratio": 16.0}
 
     @pytest.mark.parametrize("command, text", [
         pytest.param("evolve", "{not json", id="invalid-json"),

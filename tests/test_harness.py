@@ -313,6 +313,20 @@ class TestDecayFit:
         assert fit.fitted_rate == pytest.approx(2.0, rel=0.05)
         assert fit.fit_quality > 0.999
 
+    def test_window_whose_log_profile_varies_by_less_than_one(self):
+        # an exact exponential tail over a short window: its log spans about
+        # 0.35, so its total sum of squares is well below 1, and the fit is
+        # still exact
+        grid = SpectralGrid(12.0, 2048)
+        profile = np.exp(-np.abs(grid.nodes))
+        fit = decay_fit(grid, profile, "exponential")
+        window = (grid.nodes >= fit.window[0]) & (grid.nodes <= fit.window[1])
+        logs = np.log(profile[window])
+        assert fit.n_points == window.sum() >= 8
+        assert np.sum((logs - logs.mean()) ** 2) < 0.5
+        assert fit.fitted_rate == pytest.approx(1.0, rel=1e-9)
+        assert fit.fit_quality > 0.999
+
     def test_algebraic_rate(self):
         grid = SpectralGrid(40.0, 1024)
         profile = 1.0 / (1.0 + grid.nodes ** 2) ** 2
