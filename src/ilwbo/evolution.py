@@ -195,8 +195,9 @@ def evolve(
 
     Given a `sink`, each snapshot (every `record_every` steps, plus the
     initial and final states) is handed to `sink(t, state)` and not stored,
-    so the run holds O(N) memory whatever its snapshot count.  A failing step
-    raises StepFailureError with the time it would have ended at.
+    so the run holds O(N) memory whatever its snapshot count.  A non-finite
+    initial state, checked before any sink call, or step raises
+    StepFailureError with the time that step would have ended at, 0.0 at t_end 0.
     """
     dt_max = max_stable_dt(params, grid, config.cfl_guard)
     if not abs(config.dt) <= dt_max * (1.0 + 1e-12):  # a nan bound fails it too
@@ -212,10 +213,9 @@ def evolve(
     # the steps alternate between these two arrays; the sink gets copies
     states = np.empty((2, 2, grid.n_modes // 2 + 1), dtype=complex)
     y, t = initial.half, 0.0
+    _check_finite(y, time=config.dt if n_full else remainder)
     if sink is not None:
         sink(0.0, initial)
-    if n_steps:
-        _check_finite(y, time=config.dt if n_full else remainder)
     for i in range(1, n_steps + 1):
         h = config.dt if i <= n_full else remainder
         try:

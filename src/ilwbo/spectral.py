@@ -96,7 +96,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Periodic grid on [-l, l) with N nodes and N Fourier modes."""
+    """Periodic grid on [-l, l) with N nodes and N Fourier modes; it pickles as (l, N)."""
 
     half_length: float
     n_modes: int
@@ -118,6 +118,9 @@ class SpectralGrid:
         if not np.isfinite(np.pi / float(self.half_length) * (n // 2)):
             raise ValueError(f"half_length l={self.half_length} is too small: the largest "
                              "wavenumber pi*(N/2)/l is not finite")
+
+    def __reduce__(self):
+        return type(self), (self.half_length, self.n_modes)
 
     @property
     def node_spacing(self) -> float:
@@ -232,7 +235,8 @@ def state_from_nodal(grid: SpectralGrid, zeta: np.ndarray, u: np.ndarray) -> Sta
     """The state of the real nodal fields (zeta, u): one batched rfft."""
     h = grid.n_modes // 2
     half = scipy.fft.rfft(np.stack((zeta, u)), norm="forward", workers=_fft_workers)
-    return StatePair(grid._phase[: h + 1] * half)
+    with np.errstate(invalid="ignore"):  # an overflowed sum: inf * (1 + 0j) = inf + nan j
+        return StatePair(grid._phase[: h + 1] * half)
 
 
 def state_to_nodal(grid: SpectralGrid, state: StatePair) -> tuple[np.ndarray, np.ndarray]:

@@ -170,6 +170,17 @@ class TestMpeExtrapolate:
             assert extract(grid, x, 1)[0] == pytest.approx(1.0, rel=1e-6)
         assert missed > 0
 
+    def test_a_sum_that_misses_1_by_exactly_the_bound_is_accepted(self):
+        # the bound is inclusive: these weights miss 1 by 1e-12 * sum|gamma|
+        # to the last bit (y was searched for that)
+        grid = SpectralGrid(1.0, 8)
+        window = [embed(grid, [1.0]), embed(grid, [1.0]), embed(grid, [1.0])]
+        y = float.fromhex("0x1.0008bd41a259cp+0")
+        gammas = np.array([float.fromhex("0x1.00000000034c8p+0"), y, -y])
+        assert abs(gammas.sum() - 1.0) == 1e-12 * np.abs(gammas).sum()
+        x = mpe_extrapolate(window, gammas)
+        assert extract(grid, x, 1)[0] == pytest.approx(1.0, abs=1e-11)
+
     def test_rejects_non_affine_weights(self):
         grid = SpectralGrid(1.0, 8)
         window = [embed(grid, [1.0]), embed(grid, [2.0])]

@@ -171,6 +171,16 @@ class TestEvolveCommand:
         assert "initial.path" in error and "x column does not match" in error
         assert capsys.readouterr().err == error + "\n"
 
+    @pytest.mark.parametrize("offset, code", [(0.5e-9, 0), (1.5e-9, 2)])
+    def test_from_file_nodes_match_to_1e_9_l(self, tmp_path, offset, code):
+        grid = SpectralGrid(32.0, 64)
+        rows = [f"{x!r},{0.1 * math.exp(-x * x)!r},0.0\n"
+                for x in (grid.nodes + offset * grid.half_length).tolist()]
+        profile = tmp_path / "profile.csv"
+        profile.write_text("x,zeta,u\n" + "".join(rows))
+        cfg = dict(EVOLVE_CFG, l=32.0, N=64, initial={"kind": "from-file", "path": str(profile)})
+        assert run_cli(tmp_path, "evolve", cfg)[0] == code
+
     @pytest.mark.parametrize("column", ["zeta", "u"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "abc", ""])
     def test_from_file_bad_value_is_config_error(self, tmp_path, capsys, column, cell):
@@ -746,8 +756,8 @@ class TestSnapshotPool:
     def test_a_job_sends_its_spectra_and_one_node_matrix(self, tmp_path, monkeypatch,
                                                          pool_workers):
         # per snapshot a half spectrum, 16 (N + 2) bytes, and at most 1 kB for
-        # its path, time and pickle framing; not a grid in use, which pickles
-        # its cached tables (8 N bytes each), nor a node matrix per snapshot
+        # its path, time and pickle framing; the run's own grid, which pickles
+        # as (l, N) though it is in use, and not a node matrix per snapshot
         sent = []
         submit = _FORK_JOBS.submit
 
@@ -760,7 +770,7 @@ class TestSnapshotPool:
         grid = SpectralGrid(16.0, 1024)
         state = state_from_nodal(grid, np.exp(-grid.nodes ** 2), np.zeros(grid.n_modes))
         per_snapshot = 16 * (grid.n_modes + 2) + 1024
-        assert len(pickle.dumps(grid)) > per_snapshot  # in use: its tables are cached
+        assert len(pickle.dumps(grid)) < 128  # in use, its tables cached: not pickled
         writer = io_utils.SnapshotWriter(io_utils.OutputDir(str(tmp_path)), grid, params, 99)
         for i in range(io_utils.SNAPSHOTS_PER_JOB + 1):
             writer.write(0.25 * i, StatePair(state.half.copy()))
@@ -770,6 +780,7 @@ class TestSnapshotPool:
         assert [len(args[2]) for args in jobs] == [io_utils.SNAPSHOTS_PER_JOB, 1]
         nodes = len(pickle.dumps(io_utils._node_bytes(grid.nodes)))
         for args in jobs:
+            assert args[0] is grid
             assert len(pickle.dumps(args)) < nodes + len(args[2]) * per_snapshot
 
 
@@ -829,6 +840,24 @@ class TestOutcomes:
         assert manifest["failing_time"] == 0.01
         assert manifest["error"] == "time step produced non-finite values"
         assert manifest["outputs"] == ["snapshot_0000.csv", "snapshots_manifest.json"]
+
+    @pytest.mark.parametrize("t_end, failing_time", [(0.0, 0.0), (0.2, 0.01)])
+    @pytest.mark.parametrize("amplitude", [sys.float_info.max, -sys.float_info.max])
+    def test_non_finite_initial_state_exits_3_before_any_snapshot(self, tmp_path, t_end,
+                                                                  failing_time, amplitude):
+        # the largest double is finite, but the transform of its Gaussian
+        # overflows: the state is checked before the first snapshot is taken
+        cfg = dict(EVOLVE_CFG, t_end=t_end, initial=dict(EVOLVE_CFG["initial"],
+                                                         amplitude=amplitude))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_dir = run_cli(tmp_path, "evolve", cfg)
+        assert code == 3
+        manifest = read_manifest(out_dir)
+        assert manifest["failing_time"] == failing_time
+        assert manifest["error"] == "non-finite coefficients in the state"
+        assert manifest["outputs"] == []
+        assert listed_outputs_are_on_disk(out_dir)
 
     def test_unwritable_snapshot_index_does_not_hide_a_step_failure(self, tmp_path, monkeypatch):
         write_json = io_utils.write_json
@@ -1316,6 +1345,26 @@ class TestOutcomes:
         assert {k: resolved[k] for k in ("l", "t_end", "amplitude", "width", "min_ratio")} == {
             "l": 16.0, "t_end": 1.0, "amplitude": 0.1, "width": 1.2, "min_ratio": 16.0}
 
+    def test_convergence_block_default_resolutions(self, tmp_path):
+        block = {k: CONVERGENCE_BLOCK[k] for k in ("kind", "regime", "gamma", "alpha")}
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block | {"dt": 0.01}]})
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)  # ran; its verdict is not the point
+        assert read_manifest(out_dir)["config"]["experiments"][0]["resolutions"] == [32, 64, 128]
+
+    @pytest.mark.parametrize("block, key, bound", [
+        pytest.param(DECAY_BO, "rate", {"rate_tol": 0.0}, id="rate_tol"),
+        pytest.param(DECAY_ILW, "quality", {}, id="min_quality"),
+    ])
+    def test_decay_fit_passes_at_exactly_its_bound(self, tmp_path, block, key, bound):
+        # a rate within rate_tol of rate_target, or a quality of at least
+        # min_quality, passes with the bound included
+        _, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]}, out="fit")
+        value = json.loads((out_dir / "decay_fit.json").read_text())[key]
+        exact = dict(block, **bound, **{"rate_target" if key == "rate" else "min_quality": value})
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [exact]}, out="exact")
+        assert code == cli.EXIT_OK
+        assert json.loads((out_dir / "decay_fit.json").read_text())["pass"] is True
+
     @pytest.mark.parametrize("command, text", [
         pytest.param("evolve", "{not json", id="invalid-json"),
         pytest.param("evolve", "[1, 2]", id="not-an-object"),
@@ -1356,6 +1405,26 @@ class TestOutcomes:
         with pytest.raises(SystemExit):
             main(["solitary", "--help"])
         assert "--threads" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["evolve", "--help"]])
+def test_help_ends_with_the_exit_codes(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    codes = cli.__doc__.partition("Exit codes:")[2].strip()
+    assert codes.startswith("0  success") and "\n  6  verify:" in codes
+    assert capsys.readouterr().out.rstrip().endswith("exit codes:\n  " + codes)
+
+
+@pytest.mark.parametrize("counts, ok", [
+    ({1: 10, 2: 7, 3: 4}, True),  # a later drop as large as the first
+    ({1: 10, 2: 7, 3: 3}, False),  # a later drop larger than the first
+    ({1: 10, 2: 7, 3: 7}, True),  # a tie among mw >= 2
+    ({1: 10, 2: 10, 3: 9}, False),  # no drop at 1 -> 2
+    ({1: 10, 2: 7, 3: 8}, False),  # a count that rises
+])
+def test_accel_ordering_rule(counts, ok):
+    assert cli._accel_ordering_ok(counts) is ok
 
 
 def test_cli_solver_defaults_are_the_library_defaults():
@@ -1415,7 +1484,8 @@ def _key_paths(cfg, prefix=()):
 CASES = [(name, path) for name in SHIPPED for path in _key_paths(_shrunk(name))]
 DROP = object()
 PERTURBATIONS = [DROP, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, 0, "negative", "x",
-                 1e300, -1e300, 1e-300, -1e-300, 1e-150, 5e-324, 2**59]
+                 1e300, -1e300, 1e-300, -1e-300, 1e-150, 5e-324, 2**59,
+                 sys.float_info.max, -sys.float_info.max]
 
 # Every shrunk run takes well under a second; a run past this limit is a hang.
 CASE_SECONDS = 20
@@ -1446,18 +1516,11 @@ def _perturbed(name, path, change):
     return cfg
 
 
-@settings(max_examples=240)
-@given(case=st.sampled_from(CASES), change=st.sampled_from(PERTURBATIONS),
-       out_is_file=st.booleans())
-def test_perturbed_configs_exit_with_a_documented_code(case, change, out_is_file):
-    """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
-    value, a string, a magnitude of 1e+-300 or 1e-150 (where a seed's
-    stabilizing-factor denominator underflows), the least subnormal 5e-324
-    (whose reciprocal overflows) or the int 2**59 (as `N`, a
-    grid too large to allocate), run with `--out` a fresh directory or a
-    file: the CLI never raises, exits 1, warns or hangs, and leaves a
-    manifest unless `--out` is a file, which it then says in one line, with
-    a non-zero code."""
+def _run_case(case, change, out_is_file):
+    """Run one perturbed config under the CASE_SECONDS alarm and check that
+    the CLI warns of nothing and exits with a documented code, leaving a
+    manifest that lists only files on disk, or, when `--out` is a file, that
+    it says so in one line with a non-zero code and leaves the file alone."""
     name, path = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "config.json")
@@ -1489,3 +1552,28 @@ def test_perturbed_configs_exit_with_a_documented_code(case, change, out_is_file
             out_dir = pathlib.Path(out)
             assert read_manifest(out_dir)["exit_status"] == code
             assert listed_outputs_are_on_disk(out_dir)
+
+
+@settings(max_examples=240)
+@given(case=st.sampled_from(CASES), change=st.sampled_from(PERTURBATIONS),
+       out_is_file=st.booleans())
+def test_perturbed_configs_exit_with_a_documented_code(case, change, out_is_file):
+    """One key dropped or replaced by a wrong type, NaN, +-inf, 0, a negative
+    value, a string, a magnitude of 1e+-300 or 1e-150 (where a seed's
+    stabilizing-factor denominator underflows), the least subnormal 5e-324
+    (whose reciprocal overflows) or the int 2**59 (as `N`, a
+    grid too large to allocate), run with `--out` a fresh directory or a
+    file: the CLI never raises, exits 1, warns or hangs, and leaves a
+    manifest unless `--out` is a file, which it then says in one line, with
+    a non-zero code."""
+    _run_case(case, change, out_is_file)
+
+
+@pytest.mark.parametrize("change", [sys.float_info.max, -sys.float_info.max],
+                         ids=["max", "-max"])
+@pytest.mark.parametrize("case", CASES, ids=["/".join(map(str, (name,) + path))
+                                             for name, path in CASES])
+def test_largest_double_in_each_key_exits_with_a_documented_code(case, change):
+    """Each key of each shipped config set to +-sys.float_info.max, which the
+    hypothesis sweep above samples only in part."""
+    _run_case(case, change, out_is_file=False)

@@ -400,6 +400,19 @@ class TestStepper:
             with pytest.raises(StepFailureError, match="^non-finite coefficients in the state$"):
                 call()
 
+    @pytest.mark.parametrize("t_end, time", [(0.0, 0.0), (0.005, 0.005), (0.1, 0.01)])
+    def test_non_finite_initial_state_never_reaches_the_sink(self, t_end, time):
+        # with no step (t_end 0) too: the time given is then 0.0
+        grid = SpectralGrid(4.0, 32)
+        zeta_hat, u_hat = np.zeros((2, 32), dtype=complex)
+        zeta_hat[3] = np.inf
+        taken = []
+        with pytest.raises(StepFailureError, match="^non-finite coefficients in the state$") as info:
+            evolve(BO_P, grid, state_of(zeta_hat, u_hat), EvolutionConfig(t_end=t_end, dt=0.01),
+                   sink=lambda t, state: taken.append(t))
+        assert info.value.time == time
+        assert taken == []
+
     def test_overflowing_step_fails_with_its_end_time(self):
         grid = SpectralGrid(8.0, 64)
         y0 = gaussian_state(1e200, 1.2)(grid)

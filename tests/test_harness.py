@@ -6,6 +6,7 @@ import os
 import pathlib
 import pickle
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from ilwbo.spectral import (
     l2_norm,
     state_from_nodal,
     state_to_nodal,
+    symbol_g,
     translate_state,
 )
 
@@ -327,6 +329,33 @@ class TestDecayFit:
         assert fit.fitted_rate == pytest.approx(1.0, rel=1e-9)
         assert fit.fit_quality > 0.999
 
+    def test_flat_window_has_quality_zero(self):
+        # log|profile| is 0 over the whole window: no variance to explain
+        grid = SpectralGrid(16.0, 128)
+        profile = np.where(grid.nodes == 0.0, 10.0, 1.0)
+        fit = decay_fit(grid, profile, "exponential")
+        assert fit.n_points >= harness.MIN_FIT_POINTS
+        assert fit.fit_quality == 0.0
+        assert fit.fitted_rate == 0.0
+
+    def test_window_of_exactly_the_fewest_points(self):
+        # the tail above the floor is cut to its first n window points
+        grid = SpectralGrid(32.0, 256)
+        full = np.exp(-np.abs(grid.nodes))
+        window = (grid.nodes >= decay_fit(grid, full, "exponential").window[0]) & (
+            grid.nodes <= harness.OUTER_FRACTION * grid.half_length)
+        first = np.flatnonzero(window)
+        for n in (harness.MIN_FIT_POINTS, harness.MIN_FIT_POINTS - 1):
+            profile = full.copy()
+            profile[first[n:]] = 0.0
+            if n < harness.MIN_FIT_POINTS:
+                with pytest.raises(WindowUnderflowError, match=f"only {n} tail points"):
+                    decay_fit(grid, profile, "exponential")
+            else:
+                fit = decay_fit(grid, profile, "exponential")
+                assert fit.n_points == n
+                assert fit.fitted_rate == pytest.approx(1.0, rel=1e-9)
+
     def test_algebraic_rate(self):
         grid = SpectralGrid(40.0, 1024)
         profile = 1.0 / (1.0 + grid.nodes ** 2) ** 2
@@ -361,6 +390,14 @@ class TestDecayFit:
         profile = 0.5 * np.exp(-((grid.nodes / 2.0) ** 2))
         assert crest_scale_of(grid, profile) == pytest.approx(2.0, rel=0.05)
 
+    def test_crest_scale_is_the_first_node_strictly_below_peak_over_e(self):
+        grid = SpectralGrid(10.0, 64)
+        right = np.flatnonzero(grid.nodes > 0)
+        profile = np.zeros(64)
+        profile[grid.nodes == 0] = 1.0
+        profile[right[0]] = 1.0 / np.e  # on the level, not below it
+        assert crest_scale_of(grid, profile) == grid.nodes[right[1]]
+
     def test_ilw_wave_rate_matches_dispersion_root(self, ilw_params, ilw_smooth_wave):
         # the fitted exponential rate of a resolved wave must agree with the
         # root of the linearized far-field balance
@@ -393,6 +430,24 @@ class TestAccelerationBenchmark:
         rows = acceleration_benchmark(bo_params, wave_grid, base, [1, 2])
         assert all(r.status == "not-converged" for r in rows)
         assert all(r.iterations == 3 for r in rows)
+
+
+    def test_each_row_times_its_own_solve(self, bo_params, wave_grid):
+        base = SolitaryConfig(speed=0.57, tol=1e-10, max_iter=3, mw=1, seed_width=1.2)
+        began = time.perf_counter()
+        rows = acceleration_benchmark(bo_params, wave_grid, base, [1, 2])
+        elapsed = time.perf_counter() - began
+        assert 0.0 < sum(row.seconds for row in rows) <= elapsed
+
+    def test_singular_speed_is_a_row_of_minus_one_iterations(self):
+        # det S vanishes at mode 5: no solve runs, so there is no count
+        grid = SpectralGrid(64.0, 64)
+        g = float(symbol_g(ILW_P, grid.wavenumbers[5]))
+        beta = (1.2 - 1.0) / 1.2
+        c_sing = np.sqrt((0.2 / 0.8) * (1 + beta * g) / (1 + g))
+        rows = acceleration_benchmark(ILW_P, grid, SolitaryConfig(speed=c_sing), [1])
+        assert rows[0].status.startswith("singular-mode ktilde=")
+        assert rows[0].iterations == -1 and rows[0].trace is None
 
 
 class TestStateDistance:

@@ -3,17 +3,19 @@ same bytes as the row-by-row writer it replaced, and for the JSON writer."""
 
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilwbo import BO, ModelParams, SpectralGrid, io_utils
+from ilwbo import BO, ModelParams, SpectralGrid, _shortest, io_utils
 from ilwbo._shortest import repr_bytes
 from ilwbo.evolution import EvolutionConfig, EvolutionRecord, evolve
 from ilwbo.harness import sech2_state
@@ -143,6 +145,26 @@ class TestReprBytes:
     def test_any_floats(self, values):
         assert repr_text(np.array(values)) == repr_lines(values)
 
+    def test_two_significant_digits_in_exponent_notation(self):
+        # repr writes "1.5e+20": the point follows the first of two digits
+        values = np.array([float(f"{m}e{e}") for m in (1.5, 2.5, 9.9)
+                           for e in (-300, -100, -20, -5, 17, 22, 100, 300)])
+        values = np.concatenate([values, -values])
+        assert repr_text(values) == repr_lines(values), first_difference(values)
+
+    def test_g_table_is_its_definition(self):
+        # g = floor(10^-k 2^-r) + 1 for k = _K_MIN.._K_MAX, with r the power
+        # of two that puts 10^-k 2^-r in [2^125, 2^126), in exact arithmetic
+        table = _shortest._G
+        ks = range(_shortest._K_MIN, _shortest._K_MAX + 1)
+        assert table.shape == (6, len(ks))
+        for i, k in enumerate(ks):
+            x = Fraction(10) ** -k
+            t = x.numerator.bit_length() - x.denominator.bit_length()
+            t -= x < Fraction(2) ** t  # now 2^t <= x < 2^(t + 1)
+            g = math.floor(x * Fraction(2) ** (125 - t)) + 1
+            assert int(table[0, i]) << 63 | int(table[1, i]) == g, k
+
     def test_float32_and_strided_arrays(self):
         values = np.random.default_rng(3).standard_normal(101).astype(np.float32)
         assert repr_text(values[::3]) == repr_lines(values[::3])
@@ -264,3 +286,23 @@ class TestReportWriters:
         assert sorted(os.listdir(tmp_path / "streamed")) == sorted(files)
         for name in files:
             assert read_bytes(tmp_path / "streamed" / name) == read_bytes(tmp_path / "held" / name)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool forks its workers")
+@pytest.mark.parametrize("cpus, workers", [(1, 0), (2, 2), (3, 3)])
+def test_fork_workers_is_one_per_cpu_from_two(monkeypatch, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert io_utils.fork_workers() == workers
+
+
+def test_the_snapshot_pool_starts_at_pool_min_values(tmp_path, monkeypatch):
+    # (snapshots - 1) * 2N values: 10 * 2 * 64 = 1280 at 11 snapshots
+    fork_jobs, asked = io_utils.ForkJobs, []
+    monkeypatch.setattr(io_utils, "fork_workers", lambda: 2)
+    monkeypatch.setattr(io_utils, "ForkJobs", lambda workers: asked.append(workers) or fork_jobs(0))
+    monkeypatch.setattr(io_utils, "POOL_MIN_VALUES", 1280)
+    grid, params = SpectralGrid(16.0, 64), ModelParams(0.8, 1.2, BO)
+    for expected in (10, 11):
+        SnapshotWriter(OutputDir(str(tmp_path)), grid, params, expected).close()
+    assert asked == [0, 2]

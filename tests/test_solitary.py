@@ -72,6 +72,11 @@ class TestSolitaryConfig:
         with pytest.raises(ValueError, match="seed_width"):
             SolitaryConfig(speed=0.5, seed_width=-1.0)
 
+    def test_one_iteration_is_the_least_cap(self):
+        assert SolitaryConfig(speed=0.5, max_iter=1).max_iter == 1
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            SolitaryConfig(speed=0.5, max_iter=0)
+
     def test_speed_whose_reciprocal_overflows(self):
         # 1/c = inf made the seed's u non-finite
         with pytest.raises(ValueError, match="speed c=-5e-324"):

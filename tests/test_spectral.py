@@ -3,7 +3,11 @@ multipliers and the alias-free product."""
 
 import math
 import os
+import pathlib
+import pickle
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +16,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilwbo import BO, ILW, ModelParams, SpectralGrid
+from ilwbo import BO, ILW, ModelParams, SpectralGrid, spectral
 from ilwbo.spectral import (
     ProductKernel,
     derivative_symbol,
@@ -115,6 +119,31 @@ class TestSpectralGrid:
             SpectralGrid(half_length=1e-307, n_modes=2**16)  # pi/l is finite, pi*(N/2)/l is not
         grid = SpectralGrid(half_length=1e-300, n_modes=64)
         assert np.isfinite(grid.wavenumbers).all()
+
+    def test_a_grid_in_use_pickles_as_its_two_fields(self):
+        grid = SpectralGrid(half_length=8.0, n_modes=64)
+        tables = (grid.nodes, grid.wavenumbers, grid._phase)
+        loaded = pickle.loads(pickle.dumps(grid))
+        assert loaded == grid
+        # the tables are not carried over, but rebuilt, to the bit, where used
+        assert not {"nodes", "mode_numbers", "wavenumbers", "_phase"} & set(vars(loaded))
+        for table, rebuilt in zip(tables, (loaded.nodes, loaded.wavenumbers, loaded._phase)):
+            assert table.dtype == rebuilt.dtype and table.tobytes() == rebuilt.tobytes()
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(3, 15)])
+    def test_pickle_is_the_same_whether_or_not_the_tables_are_cached(self, n):
+        grid = SpectralGrid(half_length=8.0, n_modes=n)
+        fresh = pickle.dumps(grid)
+        assert len(grid.nodes) == len(grid.wavenumbers) == len(grid._phase) == n  # in use
+        assert pickle.dumps(grid) == fresh
+        assert len(fresh) < 128
+
+    def test_the_size_guard_stops_at_the_largest_addressable_complex_array(self):
+        # 16 N bytes: at N = 2**59 they overflow intp; below, numpy itself
+        # raises MemoryError for an array it cannot allocate
+        with pytest.raises(MemoryError, match="n_modes N=576460752303423488 is too large"):
+            SpectralGrid(half_length=1.0, n_modes=2 ** 59)
+        assert SpectralGrid(half_length=1.0, n_modes=2 ** 59 - 2).n_modes == 2 ** 59 - 2
 
     @pytest.mark.parametrize("n", [8, 32, 256, 1024])
     def test_node_endpoints_exact(self, n):
@@ -283,6 +312,13 @@ class TestMultipliers:
 
 
 class TestProjectedProduct:
+    def test_either_factor_off_the_grid_is_rejected(self):
+        grid = SpectralGrid(half_length=2.0, n_modes=16)
+        good, short = np.zeros(16, dtype=complex), np.zeros(8, dtype=complex)
+        for f, g in ((good, short), (short, good)):
+            with pytest.raises(ValueError, match="do not match the grid"):
+                projected_product(grid, f, g)
+
     def test_single_mode_placement(self):
         grid = SpectralGrid(half_length=2.0, n_modes=16)
         f = np.zeros(16, dtype=complex)
@@ -492,6 +528,15 @@ class TestFftWorkers:
         finally:
             set_fft_workers(1)
         assert np.max(np.abs(single - many)) < 1e-12
+
+    def test_a_process_starts_with_one_worker(self):
+        probe = "import ilwbo.spectral as s; print(s._fft_workers)"
+        src = str(pathlib.Path(spectral.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+            "PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.strip() == "1"
 
     def test_kernel_resolves_its_worker_count_when_built(self):
         from ilwbo.spectral import set_fft_workers
