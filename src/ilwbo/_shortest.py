@@ -68,10 +68,10 @@ def _templates() -> np.ndarray:
     p, fixed = place - 3, place < _FIXED
     col = np.arange(_STRIDE)
     j_int, j_lead, j_frac = col - _INT, col - _LEAD, col - _FRAC
-    ones = (col == _SIGN) | (j_int >= 0) & (j_int < 16) & np.where(fixed, j_int < p, j_int == 0)
+    ones = (col == _SIGN) | (j_int >= 0) & np.where(fixed, j_int < p, j_int == 0)
     ones = ones | (j_frac >= 0) & (j_frac < n) & (j_frac >= np.where(fixed, p, 1))
     ones = ones | ~fixed & (col >= _EXP) & (col < WIDTH) & ((col != _EXP + 1) | (place > _FIXED))
-    zero = (col == _ZERO) & fixed & (p <= 0) | (j_lead >= 0) & (j_lead < 3) & fixed & (j_lead < -p)
+    zero = (col == _ZERO) & fixed & (p <= 0) | (j_lead >= 0) & fixed & (j_lead < -p)
     zero = zero | (col == _TAIL) & fixed & (n <= p)
     dot = (col == _DOT) & (fixed | (n > 1))
     chars = np.where(ones, 0xFF, np.where(zero, ord("0"), np.where(dot, ord("."), 0)))

@@ -26,8 +26,10 @@ import numpy as np
 from .solitary import IterationTrace
 from .spectral import SpectralGrid, StatePair, state_to_nodal
 
-# Rows formatted per write.  Unblocked, `evolve-compute` ran 1.7% faster but
-# peaked at 72.0-72.3 MB of RSS, against 66.8-67.0 MB (2 cores, 3 pairs).
+# Rows formatted per write.  With a block's float columns in one kernel call,
+# `perfbench/run.py --workload evolve-compute` on 2 cores (3 rounds) read
+# wall_s 0.255 s and peak RSS 67.5-67.7 MB at 2048 rows, 0.251 s and
+# 69.2-69.4 MB at 4096, and 0.261 s and 74.9-75.1 MB unblocked.
 CSV_BLOCK_ROWS = 2048
 
 
@@ -71,16 +73,25 @@ def _repr_bytes(values: np.ndarray) -> np.ndarray:
     return repr_bytes(values)
 
 
-def _column_bytes(values) -> np.ndarray:
-    """The `fmt` bytes of each value as a row of a uint8 matrix, NUL-padded:
-    a float array through _repr_bytes, a 2-d uint8 array as the rows it
-    already is, any other column value by value."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return _repr_bytes(values)
-    if isinstance(values, np.ndarray) and values.ndim == 2:
-        return values
-    text = np.array([fmt(value).encode() for value in values], dtype="S")
-    return text.view(np.uint8).reshape(len(text), -1)
+def _block_bytes(parts: list) -> list[np.ndarray]:
+    """The `fmt` bytes of each value of a block's equal-length column `parts`,
+    one NUL-padded uint8 matrix per column: the float arrays all through one
+    _repr_bytes call over their concatenation, since a call costs about 100 us
+    whatever its length; a 2-d uint8 array as the rows it already is; any
+    other column value by value."""
+    is_float = [isinstance(part, np.ndarray) and part.dtype.kind == "f" for part in parts]
+    floats = [part for part, flag in zip(parts, is_float) if flag]
+    rows = iter(np.split(_repr_bytes(np.concatenate(floats)), len(floats)) if floats else ())
+    fields = []
+    for part, flag in zip(parts, is_float):
+        if flag:
+            fields.append(next(rows))
+        elif isinstance(part, np.ndarray) and part.ndim == 2:
+            fields.append(part)
+        else:
+            text = np.array([fmt(value).encode() for value in part], dtype="S")
+            fields.append(text.view(np.uint8).reshape(len(text), -1))
+    return fields
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
@@ -93,7 +104,7 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> 
     with _atomic_open(path) as handle:
         handle.write((",".join(header) + "\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            fields = [_column_bytes(col[start:start + CSV_BLOCK_ROWS]) for col in columns]
+            fields = _block_bytes([col[start:start + CSV_BLOCK_ROWS] for col in columns])
             buffer = bytearray(len(fields[0]) * sum(f.shape[1] + 1 for f in fields))
             block = np.frombuffer(buffer, np.uint8).reshape(len(fields[0]), -1)
             end = 0
@@ -168,25 +179,27 @@ class OutputDir:
 
 # A run formats its snapshots on forked worker processes when the snapshots
 # after the first hold at least this many zeta and u values, (snapshots - 1) *
-# 2N.  In-process a snapshot costs about 0.3 us per zeta and u value to
-# transform, format and write, and starting and stopping a 2-worker pool
-# about 6 ms, so the pool breaks even between 50 000 and 100 000 values: N =
-# 4096 runs on 2 cores took 21-22 ms in-process and 23 ms pooled at 49 152
-# values, 38-39 and 34-36 ms at 98 304, 71-73 and 54-55 ms at 196 608.  The
-# margin keeps runs whose gain would be small next to the spread of their run
-# time in-process.
+# 2N.  In-process a snapshot costs about 0.32 us per zeta and u value to
+# transform, format and write (2.65 ms at N = 4096), and starting and
+# stopping a 2-worker pool about 6 ms, so the pool breaks even between 50 000
+# and 100 000 values: N = 4096 runs on 2 cores took 21 ms in-process and 24 ms
+# pooled at 49 152 values, 36 and 30 ms at 98 304, 71 and 46 ms at 196 608
+# (medians of 5).  The margin keeps runs whose gain would be small next to
+# the spread of their run time in-process.
 POOL_MIN_VALUES = 200_000
 
 # Snapshots per pool job, and jobs in flight per worker.  Each job costs this
 # process one pickling and one dispatch, so a job of several snapshots leaves
-# it more time to step; but the writer holds the half spectra, 16 (N + 2)
-# bytes each, of up to JOBS_PER_WORKER * workers + 1 jobs.  Against one job
-# per snapshot, `perfbench/run.py --workload evolve-snapshots` on 2 cores
-# (N = 4096, 6 to 10 alternating pairs) read wall_s -11 to -13% and peak RSS
-# +0.3 to +0.5 MB at 3 snapshots x 1 job, -10% and +0.3 MB at 2 x 2, -11%
-# and +0.9 MB at 4 x 1, and -15% and +1.4 MB at 4 x 2.
+# it more time to step; but the writer, and the pool until a job's result is
+# back, hold the half spectra, 16 (N + 2) bytes each, of up to
+# JOBS_PER_WORKER * workers + 1 jobs.  `perfbench/run.py --workload
+# evolve-snapshots` on 2 cores (N = 4096, 4 rounds) read median wall_s 0.353 s
+# and peak RSS 63.1-63.3 MB at 3 snapshots x 2 jobs, 0.392 s at 3 x 1,
+# 0.384 s at 2 x 2, and 0.363 s and 63.7-64.1 MB at 4 x 2.  The second job
+# pays only on workers that keep their heap and format a block in one kernel
+# call: without those two, 3 x 2 read 0.397 s against 0.403 s at 3 x 1.
 SNAPSHOTS_PER_JOB = 3
-JOBS_PER_WORKER = 1
+JOBS_PER_WORKER = 2
 
 SNAPSHOT_HEADER = ("t", "x", "zeta", "u")
 
@@ -228,6 +241,48 @@ def fork_workers() -> int:
     return cpus if cpus >= 2 and "fork" in multiprocessing.get_all_start_methods() else 0
 
 
+# glibc's mallopt parameters, and prctl's option that names a signal the
+# calling process gets when its parent dies
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_PR_SET_PDEATHSIG = 1
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+def _init_worker(parent: int) -> None:
+    """Each pool worker runs this once, after its fork from `parent`.
+
+    It asks Linux for SIGTERM when the thread that forked it ends (prctl's
+    PR_SET_PDEATHSIG, through ctypes), so that a parent killed by SIGKILL
+    leaves no worker behind, and it exits at once if `parent` has died
+    already.  Where glibc is the C library, it raises glibc's mmap threshold
+    to 32 MiB and its trim threshold to 64 MiB, so that the float kernel's
+    arrays are reused from the worker's heap, not mapped and faulted in
+    again on every call; both are set, since setting either one turns off
+    glibc's dynamic threshold.  A call the C library lacks is skipped and a
+    failed one ignored: this never raises.  The parent's allocator is not
+    touched."""
+    import ctypes
+    import signal
+
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        libc = None
+    if hasattr(libc, "prctl"):
+        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+    if os.getppid() != parent:
+        os._exit(0)
+    if libc is not None and _glibc():
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 class ForkJobs:
     """Jobs run on `workers` processes forked from this one, or in-process
     when fewer than 2 workers are asked for or a worker died and broke the
@@ -236,6 +291,8 @@ class ForkJobs:
     cancelled.  The pool machinery is imported only when a pool is built.
     A job is a module-level function of its arguments alone: a worker
     unpickles it by name, and `result` runs it here when no worker did.
+    Each worker first runs `_init_worker`, which ties its life to this
+    process and keeps its heap between jobs.
     """
 
     def __init__(self, workers: int):
@@ -247,7 +304,8 @@ class ForkJobs:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = ProcessPoolExecutor(self.workers, multiprocessing.get_context("fork"))
+            self._pool = ProcessPoolExecutor(self.workers, multiprocessing.get_context("fork"),
+                                             initializer=_init_worker, initargs=(os.getpid(),))
 
     def submit(self, fn, *args):
         """A future of `fn(*args)` on a worker, or None when no pool runs it."""

@@ -71,8 +71,8 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      'out[rows, :WIDTH] = np.array(text, dtype=f"S{WIDTH}").view(np.uint8).reshape(-2, WIDTH)'):
         "numpy's reshape takes any negative size as the one inferred dimension",
     ("io_utils.py",
-     "return text.view(np.uint8).reshape(len(text), -1)",
-     "return text.view(np.uint8).reshape(len(text), -2)"):
+     "fields.append(text.view(np.uint8).reshape(len(text), -1))",
+     "fields.append(text.view(np.uint8).reshape(len(text), -2))"):
         "numpy's reshape takes any negative size as the one inferred dimension",
     ("io_utils.py",
      "block = np.frombuffer(buffer, np.uint8).reshape(len(fields[0]), -1)",
@@ -92,15 +92,6 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      'n_steps = cfg["t_end"] / cfg["dt"] if positive else 2.0'):
         "every placeholder step count below 20 resolves to record_every 1",
     ("_shortest.py",
-     "ones = (col == _SIGN) | (j_int >= 0) & (j_int < 16) & np.where(fixed, j_int < p, j_int == 0)",
-     "ones = (col == _SIGN) | (j_int >= 0) & (j_int <= 16) & np.where(fixed, j_int < p, j_int == 0)"):
-        "a redundant term: a fixed place has p <= 16, so j_int < p bounds j_int, and an "
-        "exponent place keeps j_int == 0 only",
-    ("_shortest.py",
-     "zero = (col == _ZERO) & fixed & (p <= 0) | (j_lead >= 0) & (j_lead < 3) & fixed & (j_lead < -p)",
-     "zero = (col == _ZERO) & fixed & (p <= 0) | (j_lead >= 0) & (j_lead <= 3) & fixed & (j_lead < -p)"):
-        "a redundant term: a fixed place has p >= -3, so j_lead < -p bounds j_lead",
-    ("_shortest.py",
      "_FIXED = 20  # point places p = -3..16 (0.d0 d1 ... x 10^p) written without an exponent",
      "_FIXED = 21  # point places p = -3..16 (0.d0 d1 ... x 10^p) written without an exponent"):
         "it adds a template row per digit count that no value uses: _place_tables sends "
@@ -113,6 +104,25 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "self._runner = ForkJobs(fork_workers() if big else 0)",
      "self._runner = ForkJobs(fork_workers() if big else 1)"):
         "ForkJobs runs in-process when asked for fewer than 2 workers",
+    ("io_utils.py",
+     "JOBS_PER_WORKER = 2",
+     "JOBS_PER_WORKER = 3"):
+        "the writer keeps one job more in flight per worker: the same files, written and "
+        "listed in the same order",
+    ("_shortest.py",
+     "zero = bits << 1 == 0",
+     "zero = bits << 1 == 1"):
+        "no value is a zero then, so a zero takes the subnormal path through repr, which "
+        "writes the same 0.0 or -0.0",
+    ("_shortest.py",
+     "symmetric = (t != 0) | (biased == 1)",
+     "symmetric = (t != 0) | (biased == 2)"):
+        "it moves only +-2^-1022 and +-2^-1021, whose digits are the same from either "
+        "interval; TestReprBytes writes all four",
+    ("_shortest.py",
+     "p = np.arange(-400, 400)",
+     "p = np.arange(-400, 401)"):
+        "it adds a table entry for p = 400, which no double reaches: p is at most 309",
     ("solitary.py",
      "i = int(np.argmin(np.abs(det) - floor))",
      "i = int(np.argmin(np.abs(det) + floor))"):

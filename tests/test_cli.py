@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -336,6 +337,14 @@ class TestVerifyCommand:
         assert payload["pass"] is True
         assert payload["deviation"] <= 1e-6
 
+    def test_roundtrip_threshold_defaults_to_1e_6(self, tmp_path):
+        block = {"kind": "roundtrip", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.57, "l": 64.0, "N": 512, "tol": 1e-10, "max_iter": 500,
+                 "t_end": 0.5, "dt": 0.01}
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        assert code == 0
+        assert read_manifest(out_dir)["config"]["experiments"][0]["threshold"] == 1e-6
+
     def test_accel_experiment_and_trace_files(self, tmp_path):
         cfg = {"experiments": [{
             "kind": "accel", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
@@ -491,6 +500,12 @@ class TestConfigHandling:
         code = main(["evolve", "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_manifest_wall_time_is_the_run_time(self, tmp_path):
+        started = time.perf_counter()
+        code, out_dir = run_cli(tmp_path, "evolve", EVOLVE_CFG)
+        elapsed = time.perf_counter() - started
+        assert code == 0 and 0.0 < read_manifest(out_dir)["wall_time_seconds"] <= elapsed
 
     def test_manifest_lists_every_output(self, tmp_path):
         code, out_dir = run_cli(tmp_path, "evolve", EVOLVE_CFG)
@@ -797,6 +812,66 @@ def test_importing_the_cli_imports_no_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as handle:
+            return [int(child) for child in handle.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def _start_time(pid):
+    """The start time of process `pid` while it runs; None once it is gone or
+    a zombie, which no reaper may collect in a container."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return None if fields[0] in "ZX" else fields[19]
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="finds the workers through Linux's /proc children lists")
+def test_a_sigkilled_run_leaves_no_worker_alive(tmp_path):
+    # SIGKILL runs no cleanup in the parent: each snapshot worker asked for
+    # SIGTERM on its parent's death when it started
+    if not io_utils.fork_workers():
+        pytest.skip("the snapshot pool needs fork and at least 2 CPUs")
+    cfg = tmp_path / "config.json"
+    # 101 snapshots of N = 4096, far past POOL_MIN_VALUES; 10 000 steps
+    cfg.write_text(json.dumps(dict(EVOLVE_CFG, N=4096, l=64.0, t_end=100.0, record_every=100)))
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "ilwbo.cli", "evolve", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"), "--quiet"],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    workers = {}
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            for pid in _children(proc.pid):
+                workers.setdefault(pid, _start_time(pid))
+            time.sleep(0.01)
+        assert len(workers) >= 2 and proc.poll() is None
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2
+        alive = list(workers)
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = [pid for pid, start in workers.items() if _start_time(pid) == start]
+        assert alive == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid, start in workers.items():
+            if start is not None and _start_time(pid) == start:
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestOutcomes:

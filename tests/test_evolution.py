@@ -440,6 +440,12 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError, match="record_every"):
             EvolutionConfig(t_end=1.0, dt=0.1, record_every=0)
 
+    def test_a_remainder_below_1e_12_dt_takes_no_step(self):
+        # the tolerance is relative to dt once dt exceeds 1: 2e-12 past
+        # three steps of 4 is no fourth step, 1e-11 past them is
+        assert EvolutionConfig(t_end=12.0 + 2e-12, dt=4.0).n_steps == 3
+        assert EvolutionConfig(t_end=12.0 + 1e-11, dt=4.0).n_steps == 4
+
     @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
     def test_non_integral_record_every_is_rejected(self, value):
         # record_every = 2.5 reported 5.0 snapshots while evolve handed its sink 3

@@ -6,8 +6,10 @@ import math
 import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +86,44 @@ class TestWriteCsv:
         write_csv(str(tmp_path / "new.csv"), header, columns)
         row_writer(str(tmp_path / "old.csv"), header, zip(*columns))
         assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+
+    def test_float_columns_apart_match_row_writer(self, tmp_path):
+        # the float columns are formatted together and split back: columns
+        # between them and of other kinds keep their place
+        n = 2 * CSV_BLOCK_ROWS + 37
+        rng = np.random.default_rng(5)
+        floats = awkward_floats(rng, n)
+        ints = [int(v) for v in rng.integers(-1000, 1000, n)]
+        pairs = rng.standard_normal((n, 2))
+        t_bytes = np.frombuffer(b"0.25", np.uint8)
+        words = [("plain", "extrapolated")[i % 2] for i in range(n)]
+        columns = [floats, ints, pairs[:, 1], np.broadcast_to(t_bytes, (n, len(t_bytes))), words]
+        header = ["x", "i", "y", "t", "phase"]
+        write_csv(str(tmp_path / "new.csv"), header, columns)
+        rows = zip(floats, ints, pairs[:, 1], ["0.25"] * n, words)
+        row_writer(str(tmp_path / "old.csv"), header, rows)
+        assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+
+    def test_one_kernel_call_per_block(self, tmp_path, monkeypatch):
+        # a call costs about 100 us whatever its length, so a block's float
+        # columns share one
+        calls = []
+        kernel = io_utils._repr_bytes
+        monkeypatch.setattr(io_utils, "_repr_bytes", lambda values: calls.append(len(values))
+                            or kernel(values))
+        grid = SpectralGrid(16.0, 256)
+        nodes = io_utils._node_bytes(grid.nodes)
+        zeta, u = state_to_nodal(grid, sech2_state(0.2, 0.8)(grid))
+        calls.clear()
+        io_utils._write_snapshot(str(tmp_path / "snapshot.csv"), "0.5", nodes, zeta, u)
+        assert calls == [2 * 256]
+        calls.clear()
+        n = 2 * CSV_BLOCK_ROWS + 37
+        columns = list(np.random.default_rng(2).standard_normal((3, n)))
+        write_csv(str(tmp_path / "table.csv"), ["a", "b", "c"], columns)
+        assert calls == [3 * CSV_BLOCK_ROWS, 3 * CSV_BLOCK_ROWS, 3 * 37]
+        row_writer(str(tmp_path / "old.csv"), ["a", "b", "c"], zip(*columns))
+        assert read_bytes(tmp_path / "table.csv") == read_bytes(tmp_path / "old.csv")
 
     def test_columns_of_unequal_length(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
@@ -263,6 +303,18 @@ class TestReportWriters:
                        zip([t] * grid.n_modes, grid.nodes, zeta, u))
             assert read_bytes(tmp_path / f"snapshot_{i:04d}.csv") == read_bytes(oracle)
 
+    def test_in_process_each_snapshot_is_written_when_taken(self, tmp_path):
+        # no pool: a write error is raised by the write that took the state
+        grid, params = SpectralGrid(16.0, 64), ModelParams(0.8, 1.2, BO)
+        out = OutputDir(str(tmp_path))
+        writer = SnapshotWriter(out, grid, params)
+        state = sech2_state(0.2, 0.8)(grid)
+        for i in range(3):
+            writer.write(0.5 * i, state)
+            assert out.files == [f"snapshot_{j:04d}.csv" for j in range(i + 1)]
+            assert (tmp_path / out.files[-1]).is_file()
+        writer.close()
+
     def test_streamed_snapshots_match_the_held_record(self, tmp_path):
         # the writer's files against write_snapshots over a record held from
         # the same run's snapshots
@@ -306,3 +358,111 @@ def test_the_snapshot_pool_starts_at_pool_min_values(tmp_path, monkeypatch):
     for expected in (10, 11):
         SnapshotWriter(OutputDir(str(tmp_path)), grid, params, expected).close()
     assert asked == [0, 2]
+
+
+class FakeLibc:
+    """A C library that records the calls made on it; mallopt returns 0,
+    glibc's failure value."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def prctl(self, *args):
+        self.calls.append(("prctl", *args))
+        return 0
+
+    def mallopt(self, *args):
+        self.calls.append(("mallopt", *args))
+        return 0
+
+
+class WorkerExited(Exception):
+    pass
+
+
+class TestInitWorker:
+    """The pool workers' initializer, run here on a recording C library."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import ctypes
+
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(calls))
+        return calls
+
+    def test_dies_with_its_parent_and_keeps_its_heap_under_glibc(self, calls, monkeypatch):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        io_utils._init_worker(os.getppid())
+        assert calls == [("prctl", 1, signal.SIGTERM), ("mallopt", -3, 32 << 20),
+                         ("mallopt", -1, 64 << 20)]
+
+    @pytest.mark.parametrize("error", [None, ValueError, OSError, AttributeError])
+    def test_leaves_the_allocator_alone_without_glibc(self, calls, monkeypatch, error):
+        # os.confstr names no glibc version: it returns None, the name is
+        # unknown to the C library, or the platform has no os.confstr
+        def confstr(name):
+            if error is not None:
+                raise error(name)
+
+        if error is AttributeError:
+            monkeypatch.delattr(os, "confstr")
+        else:
+            monkeypatch.setattr(os, "confstr", confstr)
+        io_utils._init_worker(os.getppid())
+        assert calls == [("prctl", 1, signal.SIGTERM)]
+
+    def test_without_a_c_library_it_does_nothing(self, monkeypatch):
+        import ctypes
+
+        def missing(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        io_utils._init_worker(os.getppid())
+
+    def test_exits_when_its_parent_has_died_already(self, calls, monkeypatch):
+        # a parent that died before prctl was asked sends no signal
+        def exit_(code):
+            raise WorkerExited(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+        with pytest.raises(WorkerExited) as exited:
+            io_utils._init_worker(os.getppid() + 1)
+        assert exited.value.args == (0,)
+        assert calls == [("prctl", 1, signal.SIGTERM)]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
+                    or not io_utils._glibc(), reason="a forked worker under glibc")
+def test_a_pool_worker_keeps_its_heap(tmp_path):
+    # in a fresh process glibc trims a worker's heap between the float
+    # kernel's calls and faults it in again: about 3800 minor faults for 5
+    # calls on 8192 values with glibc's default thresholds
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from ilwbo import io_utils
+        from ilwbo._shortest import repr_bytes
+
+        def job(n):
+            values = np.random.default_rng(0).standard_normal(n)
+            repr_bytes(values)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                repr_bytes(values)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        runner = io_utils.ForkJobs(2)
+        future = runner.submit(job, 8192)
+        assert future is not None
+        print(runner.result(future, job, 8192))
+        runner.close()
+    """)
+    src = str(pathlib.Path(io_utils.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env, timeout=60)
+    assert int(done.stdout) < 50

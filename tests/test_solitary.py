@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair
+from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, solitary
 from ilwbo.accel import cycled_solve
 from ilwbo.errors import NonConvergenceError, SingularModeError
 from ilwbo.solitary import Workspace, evaluate_iterate, petviashvili_step, seed_profile
@@ -71,6 +71,8 @@ class TestSolitaryConfig:
             SolitaryConfig(speed=0.5, seed_amplitude=0.0)
         with pytest.raises(ValueError, match="seed_width"):
             SolitaryConfig(speed=0.5, seed_width=-1.0)
+        with pytest.raises(ValueError, match="seed_width"):
+            SolitaryConfig(speed=0.5, seed_width=0.0)
 
     def test_one_iteration_is_the_least_cap(self):
         assert SolitaryConfig(speed=0.5, max_iter=1).max_iter == 1
@@ -231,6 +233,25 @@ class TestWorkspace:
         got_fz, got_m, got_res = evaluate_iterate(params, grid, c, z)
         assert np.array_equal(got_fz, want_fz) and (got_m, got_res) == (want_m, want_res)
         assert np.array_equal(petviashvili_step(params, grid, c, fz, m), want_step)
+
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_m_is_nan_only_strictly_below_the_denominator_floor(self, monkeypatch, below):
+        # ||Z||^2 = 1, <S Z, Z> = 2 and <F(Z), Z> exactly DENOMINATOR_FLOOR
+        # still divide; one ulp less is negligible
+        grid = SpectralGrid(4.0, 64)
+        z = random_half(grid, np.random.default_rng(1), 0.3)
+        fz = np.empty_like(z)
+        workspace = Workspace(BO_P, grid, 0.57)
+        floor = solitary.DENOMINATOR_FLOOR
+        den = np.nextafter(floor, 0.0) if below else floor
+
+        def inner(grid, a, b):
+            return 1.0 if a is b else den if a is fz else 2.0
+
+        monkeypatch.setattr(solitary, "nodal_inner", inner)
+        m = workspace.evaluate(z, fz)[0]
+        assert math.isnan(m) if below else m == 2.0 / floor
 
 
 class TestSeedProfile:

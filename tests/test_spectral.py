@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ilwbo import BO, ILW, ModelParams, SpectralGrid, spectral
 from ilwbo.spectral import (
     ProductKernel,
+    _padded_size,
     derivative_symbol,
     l2_norm,
     nodal_inner,
@@ -510,6 +511,12 @@ class TestProductKernelIsExact:
         out = ProductKernel(SpectralGrid(2.0, n), 1.0)(half, np.empty((2, h + 1), dtype=complex))
         assert np.max(np.abs(out[:, :h] - exact)) < 1e-13
         assert np.all(out[:, h] == 0.0)
+
+
+    def test_the_padded_grid_is_the_least_even_size_of_3n_over_2(self):
+        # an odd size is as exact, but moves the last bits of every product
+        # at N = 2 mod 4, and so the bytes a run writes
+        assert [_padded_size(n) for n in (8, 10, 14, 16, 18, 1024)] == [12, 16, 22, 24, 28, 1536]
 
 
 class TestFftWorkers:
