@@ -8,8 +8,9 @@ the bytes of its Python repr, the shortest round-trip decimal, so reloading a
 CSV reproduces the exact binary values and identical runs produce
 byte-identical files.  The numpy kernel of `_shortest` makes those bytes for
 a whole float array at once; `tests/test_io_utils.py::TestReprBytes` pins
-them against repr.  A pool job carries all its inputs, so a worker and this
-process run the same call.
+them against repr.  A snapshot writer formats its node column here before
+its pool forks, so the workers inherit the loaded kernel.  A pool job
+carries all its inputs, so a worker and this process run the same call.
 """
 
 from __future__ import annotations
@@ -180,12 +181,13 @@ class OutputDir:
 # A run formats its snapshots on forked worker processes when the snapshots
 # after the first hold at least this many zeta and u values, (snapshots - 1) *
 # 2N.  In-process a snapshot costs about 0.32 us per zeta and u value to
-# transform, format and write (2.65 ms at N = 4096), and starting and
-# stopping a 2-worker pool about 6 ms, so the pool breaks even between 50 000
-# and 100 000 values: N = 4096 runs on 2 cores took 21 ms in-process and 24 ms
-# pooled at 49 152 values, 36 and 30 ms at 98 304, 71 and 46 ms at 196 608
-# (medians of 5).  The margin keeps runs whose gain would be small next to
-# the spread of their run time in-process.
+# transform, format and write (2.6 ms at N = 4096), and starting and stopping
+# a 2-worker pool about 5 ms, so the pool breaks even between 25 000 and
+# 50 000 values: N = 4096 runs on 2 cores took 15 ms in-process and 17 ms
+# pooled at 24 576 values, 24 and 20-23 ms at 49 152, 43-45 and 29-30 ms at
+# 98 304, 83-84 and 48-51 ms at 196 608 (medians of 5, two rounds).  The
+# margin keeps runs whose gain would be small next to the spread of their
+# run time in-process.
 POOL_MIN_VALUES = 200_000
 
 # Snapshots per pool job, and jobs in flight per worker.  Each job costs this
@@ -193,9 +195,9 @@ POOL_MIN_VALUES = 200_000
 # it more time to step; but the writer, and the pool until a job's result is
 # back, hold the half spectra, 16 (N + 2) bytes each, of up to
 # JOBS_PER_WORKER * workers + 1 jobs.  `perfbench/run.py --workload
-# evolve-snapshots` on 2 cores (N = 4096, 4 rounds) read median wall_s 0.353 s
-# and peak RSS 63.1-63.3 MB at 3 snapshots x 2 jobs, 0.392 s at 3 x 1,
-# 0.384 s at 2 x 2, and 0.363 s and 63.7-64.1 MB at 4 x 2.  The second job
+# evolve-snapshots` on 2 cores (N = 4096, 4 rounds) read median wall_s 0.343 s
+# and peak RSS 63.9-64.1 MB at 3 snapshots x 2 jobs, 0.366 s at 3 x 1,
+# 0.375 s at 2 x 2, and 0.341 s and 64.5-64.7 MB at 4 x 2.  The second job
 # pays only on workers that keep their heap and format a block in one kernel
 # call: without those two, 3 x 2 read 0.397 s against 0.403 s at 3 x 1.
 SNAPSHOTS_PER_JOB = 3
@@ -222,8 +224,8 @@ def _write_snapshots(grid: SpectralGrid, nodes: np.ndarray, paths: Sequence[str]
 
 
 def _node_bytes(nodes: np.ndarray) -> np.ndarray:
-    """A job: the node column as a byte matrix without the columns no node
-    uses, formatted CSV_BLOCK_ROWS nodes at a time as write_csv's blocks are."""
+    """The node column as a byte matrix without the columns no node uses,
+    formatted CSV_BLOCK_ROWS nodes at a time as write_csv's blocks are."""
     rows = np.concatenate([_repr_bytes(nodes[i:i + CSV_BLOCK_ROWS])
                            for i in range(0, len(nodes), CSV_BLOCK_ROWS)])
     return rows[:, rows.any(axis=0)]
@@ -344,17 +346,17 @@ class SnapshotWriter:
     """Writes each state it is given as one t,x,zeta,u CSV into `out`,
     atomically; `close` writes the index naming them all.
 
-    The node column is formatted once, by a `_node_bytes` job when the writer
-    is built, and `t` once per file.  When the `expected` snapshots hold
-    enough values, worker processes forked from this one run the
-    `_write_snapshots` jobs, SNAPSHOTS_PER_JOB snapshots each, while the
-    caller goes on, and this process never loads the float kernel; the writer
-    holds each state's half spectrum, which the caller must not change, until
-    its job is done.  Otherwise each snapshot's job runs here as it is taken,
-    and so do the jobs a broken pool held.  Each file is listed in `out` once
-    its job is done, in the order taken; of a job that failed, the files
-    before the one it failed on.  A worker's OSError is raised by a later
-    `write` or by `close`.
+    The node column is formatted once, here, when the writer is built, and
+    `t` once per file.  When the `expected` snapshots hold enough values,
+    worker processes forked from this one at the first job, so that they
+    inherit the loaded float kernel, run the `_write_snapshots` jobs,
+    SNAPSHOTS_PER_JOB snapshots each, while the caller goes on; the writer
+    holds each state's half spectrum, which the caller must not change,
+    until its job is done.  Otherwise each snapshot's job runs here as it is
+    taken, and so do the jobs a broken pool held.  Each file is listed in
+    `out` once its job is done, in the order taken; of a job that failed,
+    the files before the one it failed on.  A worker's OSError is raised by
+    a later `write` or by `close`.
 
     The caller owns the writer: pass `write` as `evolve`'s sink, which gets
     only checked states, and call `close` also when the run fails, so the
@@ -369,16 +371,11 @@ class SnapshotWriter:
         self._taken = 0
         self._batch: list[tuple] = []  # (path, t, half) of the snapshots not yet sent
         self._jobs: deque = deque()  # (times, future or None, job arguments), oldest first
+        self._nodes = _node_bytes(grid.nodes)
         big = (expected - 1) * 2 * grid.n_modes >= POOL_MIN_VALUES
         self._runner = ForkJobs(fork_workers() if big else 0)
         self._batch_size = SNAPSHOTS_PER_JOB if self._runner.workers else 1
         self._max_jobs = JOBS_PER_WORKER * self._runner.workers
-        try:
-            future = self._runner.submit(_node_bytes, grid.nodes)
-            self._nodes = self._runner.result(future, _node_bytes, grid.nodes)
-        except BaseException:
-            self._runner.close()  # no caller holds the writer yet to close it
-            raise
 
     def write(self, t: float, state: StatePair) -> None:
         path = os.path.join(self.out.path, f"snapshot_{self._taken:04d}.csv")

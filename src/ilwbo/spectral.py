@@ -279,10 +279,12 @@ def translate_state(grid: SpectralGrid, state: StatePair, shift: float) -> State
 # ----------------------------------------------------------------------------
 
 def _padded_size(n: int) -> int:
-    # >= 3n/2 and even: removes every alias from quadratic products of
-    # modes in -n/2..n/2-1 that could land back in the retained band.  Both
-    # sizes are even, so a retained mode sits at an index of the same parity
-    # on either grid and the grid's (-1)^k phase serves both ways.
+    # >= 3n/2: removes every alias from quadratic products of modes in
+    # -n/2..n/2-1 that could land back in the retained band.  The (-1)^k
+    # phase comes from the origin at -l and holds at any size.  The size is
+    # even only to keep the bytes: an odd one is as exact but moves the last
+    # bits of every product at n = 2 (mod 4), so
+    # test_the_padded_grid_is_the_least_even_size_of_3n_over_2 pins it.
     m = (3 * n + 1) // 2
     return m + (m % 2)
 

@@ -791,7 +791,8 @@ class TestSnapshotPool:
             writer.write(0.25 * i, StatePair(state.half.copy()))
         writer.close()
         assert pool_workers[-1] >= 2
-        jobs = [args for fn, args in sent if fn is io_utils._write_snapshots]
+        assert all(fn is io_utils._write_snapshots for fn, _ in sent)  # no set-up job
+        jobs = [args for _, args in sent]
         assert [len(args[2]) for args in jobs] == [io_utils.SNAPSHOTS_PER_JOB, 1]
         nodes = len(pickle.dumps(io_utils._node_bytes(grid.nodes)))
         for args in jobs:
@@ -833,20 +834,35 @@ def _start_time(pid):
     return None if fields[0] in "ZX" else fields[19]
 
 
+# Runs that take a pool and outlast the test's wait for its workers: 101
+# snapshots of N = 4096, far past POOL_MIN_VALUES, in 10 000 steps; and a
+# convergence study of five runs of 10 000 steps or more, far past
+# STUDY_POOL_MIN_STEPS
+_POOLED_RUNS = {
+    "snapshot-pool": ("evolve", dict(EVOLVE_CFG, N=4096, l=64.0, t_end=100.0,
+                                     record_every=100)),
+    "study-pool": ("verify", {"experiments": [dict(kind="convergence", regime="bo", gamma=0.8,
+                                                   alpha=1.2, t_end=20.0)]}),
+}
+
+
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
                     reason="finds the workers through Linux's /proc children lists")
-def test_a_sigkilled_run_leaves_no_worker_alive(tmp_path):
-    # SIGKILL runs no cleanup in the parent: each snapshot worker asked for
-    # SIGTERM on its parent's death when it started
+@pytest.mark.parametrize("pool", sorted(_POOLED_RUNS))
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_a_sigkilled_run_leaves_no_worker_alive(tmp_path, pool, sig):
+    # the signal goes to the parent alone, and SIGKILL runs no cleanup
+    # there: each pool worker asked for SIGTERM on its parent's death when
+    # it started
     if not io_utils.fork_workers():
-        pytest.skip("the snapshot pool needs fork and at least 2 CPUs")
+        pytest.skip("the pools need fork and at least 2 CPUs")
+    command, config = _POOLED_RUNS[pool]
     cfg = tmp_path / "config.json"
-    # 101 snapshots of N = 4096, far past POOL_MIN_VALUES; 10 000 steps
-    cfg.write_text(json.dumps(dict(EVOLVE_CFG, N=4096, l=64.0, t_end=100.0, record_every=100)))
+    cfg.write_text(json.dumps(config))
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-m", "ilwbo.cli", "evolve", "--config", str(cfg),
+    proc = subprocess.Popen([sys.executable, "-m", "ilwbo.cli", command, "--config", str(cfg),
                              "--out", str(tmp_path / "out"), "--quiet"],
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
     workers = {}
@@ -857,8 +873,8 @@ def test_a_sigkilled_run_leaves_no_worker_alive(tmp_path):
                 workers.setdefault(pid, _start_time(pid))
             time.sleep(0.01)
         assert len(workers) >= 2 and proc.poll() is None
-        proc.kill()
-        proc.wait()
+        proc.send_signal(sig)
+        assert proc.wait() == -sig
         deadline = time.monotonic() + 2
         alive = list(workers)
         while alive and time.monotonic() < deadline:
