@@ -21,6 +21,15 @@ only if it does not increase the residual; otherwise the cycle continues from
 the last plain iterate, so cycling can never do worse than the plain
 iteration (a looser 10x acceptance window lets occasional bad extrapolations
 through during the nonlinear transient and measurably slows convergence).
+
+A cycling solve (mw >= 2) also stops once its residual has stopped falling:
+past the end of a solitary-wave family the leading Ritz value of the
+extrapolation sits on the unit circle and the residual on a plateau, which no
+number of further cycles leaves.  The anchor is the residual of the last row
+that fell below 1/STALL_FACTOR of the anchor before it (the seed's row
+first); at the end of a cycle, STALL_SOLVES fixed-point solves past the
+anchor's stop the solve as `stalled`.  The plain iteration (mw = 1) is
+exempt: it can sit on a plateau for over 100 solves and then converge.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ from .spectral import ModelParams, SpectralGrid, StatePair, nodal_norm
 
 # Accept an extrapolated point only if it does not worsen the residual.
 RESIDUAL_GUARD = 1.0
+
+# The stall rule (see above).  The longest such plateau of a converging solve
+# on the benchmark's sweep, the desk, the configs and the tests is 28 solves.
+STALL_SOLVES = 60
+STALL_FACTOR = 10.0
 
 # |sum(c)| below this (relative to max |c|) makes the gammas meaningless.
 SUM_FLOOR = 1e-12
@@ -98,7 +112,9 @@ def cycled_solve(
     problems and essentially free).  Every fixed-point solve is evaluated, so
     a run stopped by the cap records max_iter + 1 plain rows, the seed's included.
     A non-finite residual (divergence) or a nan stabilizing factor (collapsed
-    denominator) also raises NonConvergenceError, with that row last.
+    denominator) also raises NonConvergenceError, with that row last, as
+    does a stall (see the module docstring), with `trace.stall` set.  Each
+    cycle's MPE weights are kept in `trace.mpe_weights`.
 
     The iteration runs on the half spectrum of `seed` (left unchanged) through
     one `solitary.Workspace`: each cycle's plain iterates are written into
@@ -120,14 +136,19 @@ def cycled_solve(
     fz, fx = np.empty_like(window[0]), np.empty_like(window[0])
     trace = IterationTrace()
     solves = 0
+    anchor_solve, anchor_res, best_res = 0, math.inf, math.inf
 
     def evaluate(x: np.ndarray, f: np.ndarray, phase: str):
+        nonlocal anchor_solve, anchor_res, best_res
         mx, res_x = workspace.evaluate(x, f)
         trace.append(res_x, mx, phase, solves)
         trace.iterations_used = solves
         # before the tolerance: a collapse at a tiny iterate is no solution
         if not math.isfinite(res_x) or math.isnan(mx):
             raise NonConvergenceError(trace)
+        if res_x < anchor_res / STALL_FACTOR:
+            anchor_solve, anchor_res = solves, res_x
+        best_res = min(best_res, res_x)  # the anchor is below every earlier row
         trace.converged = res_x <= config.tol
         return mx, res_x
 
@@ -137,6 +158,11 @@ def cycled_solve(
         workspace = Workspace(params, grid, c)
         m, res = evaluate(z, fz, "plain")
         while not trace.converged:
+            if config.mw > 1 and solves - anchor_solve >= STALL_SOLVES:
+                trace.stall = {"anchor_solve": anchor_solve, "anchor_residual": anchor_res,
+                               "best_residual": best_res, "stall_solves": STALL_SOLVES,
+                               "stall_factor": STALL_FACTOR}
+                raise NonConvergenceError(trace)
             window[0] = z
             for j in range(1, config.mw + 1):
                 if solves >= config.max_iter:
@@ -149,6 +175,7 @@ def cycled_solve(
             if trace.converged or config.mw == 1:
                 continue
             gammas = mpe_coefficients(window)
+            trace.mpe_weights.append(gammas)
             if np.isnan(gammas).any():
                 trace.extrapolations["skipped"] += 1
                 continue  # keep iterating from the last plain iterate

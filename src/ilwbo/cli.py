@@ -17,8 +17,8 @@ Exit codes:
   2  configuration error (naming the offending key), a grid too large to
      allocate, or an output file that cannot be written (naming it)
   3  numerical failure during evolve (failing time in the manifest)
-  4  solitary iteration did not converge: cap reached, diverged or denominator
-     collapsed (trace.csv written in each case)
+  4  solitary iteration did not converge: cap reached, stalled, diverged or
+     denominator collapsed (trace.csv written in each case)
   5  singular per-mode matrix (offending wavenumber reported)
   6  verify: at least one experiment failed (its threshold, its solve or its fit)
 """
@@ -262,12 +262,15 @@ def _allocating(key: str):
 
 
 def _solve_summary(trace) -> dict:
-    return {
+    summary = {
         "termination": trace.termination,
         "iterations": trace.iterations_used,
         "last_residual": trace.residuals[-1],
         "extrapolations": dict(trace.extrapolations),
     }
+    if trace.stall is not None:
+        summary["stall"] = dict(trace.stall, leading_ritz_modulus=trace.leading_ritz_modulus())
+    return summary
 
 
 # ----------------------------------------------------------------------------

@@ -26,7 +26,8 @@ class SingularModeError(IlwboError):
 
 class NonConvergenceError(IlwboError):
     """A solve stopped short of the tolerance; `trace.termination` says why
-    (`not-converged`, `diverged` or `denominator-collapse`), its last row where."""
+    (`not-converged`, `diverged`, `denominator-collapse` or `stalled`), its
+    last row where."""
 
     def __init__(self, trace):
         self.trace = trace

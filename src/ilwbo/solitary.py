@@ -97,7 +97,9 @@ class IterationTrace:
     residual history can be plotted against either solves or cycles.
     `extrapolations` splits the "extrapolated" rows into those accepted and
     rejected by the residual guard, and counts the cycles skipped for a
-    degenerate coefficient sum, which leave no row.
+    degenerate coefficient sum, which leave no row.  `mpe_weights` holds the
+    MPE weights gamma of each cycle that reached the extrapolation, nan for
+    a skipped one; `stall` holds the numbers that stopped a stalled solve.
     """
 
     residuals: list[float] = field(default_factory=list)
@@ -108,16 +110,29 @@ class IterationTrace:
     iterations_used: int = 0
     extrapolations: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(("accepted", "rejected", "skipped"), 0))
+    mpe_weights: list[np.ndarray] = field(default_factory=list)
+    stall: dict | None = None
 
     @property
     def termination(self) -> str:
         """`converged`, `diverged` (stopped at a non-finite residual),
-        `denominator-collapse` (stopped at a nan m) or `not-converged`."""
+        `denominator-collapse` (stopped at a nan m), `stalled` (stopped on a
+        residual plateau, see `accel`) or `not-converged` (the cap)."""
         if self.converged:
             return "converged"
         if not np.isfinite(self.residuals[-1]):
             return "diverged"
-        return "denominator-collapse" if np.isnan(self.m_factors[-1]) else "not-converged"
+        if np.isnan(self.m_factors[-1]):
+            return "denominator-collapse"
+        return "not-converged" if self.stall is None else "stalled"
+
+    def leading_ritz_modulus(self) -> float:
+        """|lambda| of the largest root of the last cycle's MPE polynomial
+        sum_j gamma_j lambda^j: the leading Ritz value of the iteration's
+        linearization, near 1 on a plateau.  nan with no weights or nan ones."""
+        if not self.mpe_weights or np.isnan(self.mpe_weights[-1]).any():
+            return math.nan
+        return float(np.max(np.abs(np.roots(self.mpe_weights[-1][::-1]))))
 
     def append(self, residual: float, m: float, phase: str, inner: int) -> None:
         self.residuals.append(float(residual))

@@ -16,7 +16,13 @@ from ilwbo import (
     accel,
     cycled_solve,
 )
-from ilwbo.accel import RESIDUAL_GUARD, SUM_FLOOR, mpe_extrapolate
+from ilwbo.accel import (
+    RESIDUAL_GUARD,
+    STALL_FACTOR,
+    STALL_SOLVES,
+    SUM_FLOOR,
+    mpe_extrapolate,
+)
 from ilwbo.errors import NonConvergenceError
 from ilwbo.solitary import (
     DENOMINATOR_FLOOR,
@@ -303,10 +309,28 @@ def fresh_petviashvili_step(params, grid, c, fz, m):
     return solve_S(params, grid, c, (m * m) * fz)
 
 
+def stall_anchor(residuals):
+    """Index of the stall rule's anchor row in a whole residual history: the
+    last row below 1/STALL_FACTOR of the anchor row before it."""
+    anchor = 0
+    for i, res in enumerate(residuals):
+        if res < residuals[anchor] / STALL_FACTOR:
+            anchor = i
+    return anchor
+
+
+def longest_plateau(trace):
+    """The most fixed-point solves that passed since the stall rule's anchor
+    at any row of `trace`."""
+    return max(solves - trace.inner_steps[stall_anchor(trace.residuals[: i + 1])]
+               for i, solves in enumerate(trace.inner_steps))
+
+
 def fresh_cycled_solve(params, grid, config, seed=None):
     """The cycling loop on a list window of fresh iterates; the MPE weights
     come from `accel.mpe_coefficients`, looked up at each call so that a
-    test's monkeypatch reaches both loops."""
+    test's monkeypatch reaches both loops.  The stall rule is read off the
+    whole trace at the start of each cycle."""
     c = config.speed
     z = seed.half if seed is not None else seed_profile(params, grid, config)
     trace = IterationTrace()
@@ -324,6 +348,13 @@ def fresh_cycled_solve(params, grid, config, seed=None):
     with np.errstate(over="ignore", invalid="ignore"):
         fz, m, res = evaluate(z, "plain")
         while not trace.converged:
+            anchor = stall_anchor(trace.residuals)
+            if config.mw > 1 and solves - trace.inner_steps[anchor] >= STALL_SOLVES:
+                trace.stall = {"anchor_solve": trace.inner_steps[anchor],
+                               "anchor_residual": trace.residuals[anchor],
+                               "best_residual": min(trace.residuals[anchor:]),
+                               "stall_solves": STALL_SOLVES, "stall_factor": STALL_FACTOR}
+                raise NonConvergenceError(trace)
             window = [z]
             for _ in range(config.mw):
                 if solves >= config.max_iter:
@@ -337,6 +368,7 @@ def fresh_cycled_solve(params, grid, config, seed=None):
             if trace.converged or config.mw == 1:
                 continue
             gammas = accel.mpe_coefficients(window)
+            trace.mpe_weights.append(gammas)
             if np.isnan(gammas).any():
                 trace.extrapolations["skipped"] += 1
                 continue

@@ -78,6 +78,15 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "block = np.frombuffer(buffer, np.uint8).reshape(len(fields[0]), -1)",
      "block = np.frombuffer(buffer, np.uint8).reshape(len(fields[0]), -2)"):
         "numpy's reshape takes any negative size as the one inferred dimension",
+    ("accel.py",
+     "anchor_solve, anchor_res, best_res = 0, math.inf, math.inf",
+     "anchor_solve, anchor_res, best_res = 1, math.inf, math.inf"):
+        "the seed's row is the first evaluated, and any finite residual is below inf / "
+        "STALL_FACTOR, so it is always the first anchor: the initial anchor_solve is never read",
+    ("accel.py",
+     "real = diffs.view(float).reshape(q + 1, -1)",
+     "real = diffs.view(float).reshape(q + 1, -2)"):
+        "numpy's reshape takes any negative size as the one inferred dimension",
     ("evolution.py",
      "states = np.empty((2, 2, grid.n_modes // 2 + 1), dtype=complex)",
      "states = np.empty((3, 2, grid.n_modes // 2 + 1), dtype=complex)"):
@@ -87,6 +96,10 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "while self._jobs and (len(self._jobs) >= keep or self._jobs[0][1].done()):"):
         "the writer keeps one job fewer in flight: the same files, written and listed in "
         "the same order",
+    ("cli.py",
+     'positive = cfg["t_end"] > 0 and cfg["dt"] > 0',
+     'positive = cfg["t_end"] >= 0 and cfg["dt"] > 0'):
+        "at t_end 0 the step count is 0, not the placeholder 1: both resolve to record_every 1",
     ("cli.py",
      'n_steps = cfg["t_end"] / cfg["dt"] if positive else 1.0',
      'n_steps = cfg["t_end"] / cfg["dt"] if positive else 2.0'):
@@ -123,6 +136,11 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "p = np.arange(-400, 400)",
      "p = np.arange(-400, 401)"):
         "it adds a table entry for p = 400, which no double reaches: p is at most 309",
+    ("io_utils.py",
+     "def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 0):",
+     "def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 1):"):
+        "a writer expecting 0 or 1 snapshots has no values after the first: (expected - 1) "
+        "x 2N stays below POOL_MIN_VALUES either way, so it writes in-process",
     ("solitary.py",
      "i = int(np.argmin(np.abs(det) - floor))",
      "i = int(np.argmin(np.abs(det) + floor))"):

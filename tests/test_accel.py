@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, accel
-from ilwbo.accel import cycled_solve, mpe_coefficients, mpe_extrapolate
+from ilwbo.accel import (
+    STALL_FACTOR,
+    STALL_SOLVES,
+    cycled_solve,
+    mpe_coefficients,
+    mpe_extrapolate,
+)
 from ilwbo.errors import NonConvergenceError
-from ilwbo.solitary import evaluate_iterate, petviashvili_step, seed_profile
+from ilwbo.solitary import IterationTrace, evaluate_iterate, petviashvili_step, seed_profile
 from ilwbo.spectral import state_from_nodal, state_to_nodal
 
 from conftest import (
     fresh_cycled_solve,
     full_arrays,
     full_state,
+    longest_plateau,
     reference_cycled_solve,
     reference_mpe_coefficients,
     residual_norm,
@@ -132,10 +139,44 @@ class TestMpeCoefficients:
         gammas = mpe_coefficients(window)
         assert gammas.shape == (3,) and np.isnan(gammas).all()
 
+    def test_a_sum_just_above_the_floor_is_kept(self):
+        # c = (1000, -1001 + 1.5e-9, 1): |sum| / max|c| is 1.5e-12, above SUM_FLOOR
+        grid = SpectralGrid(1.0, 8)
+        steps = [[1.0, 0.0], [0.0, 1.0], [-1000.0, 1001.0 - 1.5e-9]]
+        window = [embed(grid, [0.0, 0.0])]
+        for step in steps:
+            window.append(window[-1] + embed(grid, step))
+        gammas = mpe_coefficients(window)
+        assert gammas * 1.5e-9 == pytest.approx([1000.0, -1001.0, 1.0], rel=1e-3)
+
     def test_window_too_short(self):
         grid = SpectralGrid(1.0, 8)
         with pytest.raises(ValueError):
             mpe_coefficients([zero_state(grid).half])
+
+
+class TestLeadingRitzModulus:
+    @pytest.mark.parametrize("lam", [-0.95, 0.5, 1.02])
+    def test_one_mode_error(self, lam):
+        # Z_j = Z* + lam^j e: the order-1 weights' root is lam
+        grid = SpectralGrid(1.0, 8)
+        window = [embed(grid, [0.3 + lam**j, -1.0 + 2.0 * lam**j]) for j in range(3)]
+        trace = IterationTrace()
+        trace.mpe_weights.append(mpe_coefficients(window))
+        assert trace.leading_ritz_modulus() == pytest.approx(abs(lam), rel=1e-12)
+
+    def test_largest_root_of_the_last_cycle(self):
+        trace = IterationTrace()
+        # sum_j gamma_j lam^j with roots 0.5 and -0.8, normalized to sum 1
+        c = np.polynomial.polynomial.polyfromroots([0.5, -0.8])
+        trace.mpe_weights += [np.array([0.0, 1.0]), c / c.sum()]
+        assert trace.leading_ritz_modulus() == pytest.approx(0.8, rel=1e-12)
+
+    def test_no_weights_or_a_skipped_cycle(self):
+        trace = IterationTrace()
+        assert np.isnan(trace.leading_ritz_modulus())
+        trace.mpe_weights += [np.array([-1.0, 2.0]), np.full(2, np.nan)]
+        assert np.isnan(trace.leading_ritz_modulus())
 
 
 class TestMpeExtrapolate:
@@ -244,6 +285,61 @@ class TestCycledSolve:
         assert final <= min(plain_res)
 
 
+class ScriptedWorkspace:
+    """A `solitary.Workspace` whose evaluations return m = 1 and the residuals
+    of a script, one per call, and whose steps leave `out` as it is."""
+
+    def __init__(self, residuals):
+        self.residuals = iter(residuals)
+
+    def evaluate(self, z, fz):
+        return 1.0, next(self.residuals)
+
+    def step(self, fz, m, out):
+        return out
+
+
+class TestStallRule:
+    """The rule on scripted residual histories, every cycle skipped, so
+    that row i is the residual after i fixed-point solves."""
+
+    @pytest.fixture
+    def scripted(self, monkeypatch):
+        def run(residuals, mw, max_iter=500):
+            monkeypatch.setattr(accel, "Workspace", lambda *args: ScriptedWorkspace(residuals))
+            monkeypatch.setattr(accel, "mpe_coefficients",
+                                lambda window: np.full(len(window) - 1, np.nan))
+            config = SolitaryConfig(speed=0.57, mw=mw, max_iter=max_iter)
+            with pytest.raises(NonConvergenceError) as got:
+                cycled_solve(ModelParams(0.8, 1.2, BO), SpectralGrid(8.0, 16), config)
+            return got.value.trace
+        return run
+
+    @pytest.mark.parametrize("mw, stops", [(2, 62), (3, 63), (4, 64), (7, 63)])
+    def test_stops_at_the_first_cycle_end_60_solves_past_the_anchor(self, scripted, mw, stops):
+        trace = scripted([1.0, 0.5, 0.05] + [0.2] * 600, mw)
+        assert (trace.termination, trace.iterations_used) == ("stalled", stops)
+        assert trace.stall == {"anchor_solve": 2, "anchor_residual": 0.05, "best_residual": 0.05,
+                               "stall_solves": STALL_SOLVES, "stall_factor": STALL_FACTOR}
+
+    def test_a_drop_of_exactly_10x_keeps_the_anchor(self, scripted):
+        # 0.1 is 1.0 / 10 exactly: not below it
+        trace = scripted([1.0, 0.1] + [0.2] * 600, mw=2)
+        assert trace.iterations_used == 60
+        assert trace.stall == {"anchor_solve": 0, "anchor_residual": 1.0, "best_residual": 0.1,
+                               "stall_solves": STALL_SOLVES, "stall_factor": STALL_FACTOR}
+
+    def test_each_10x_drop_moves_the_anchor(self, scripted):
+        residuals = [1.0] * 30 + [0.09] * 40 + [0.0089] * 600
+        trace = scripted(residuals, mw=2)
+        assert trace.iterations_used == 70 + 60
+        assert trace.stall["anchor_solve"] == 70 and trace.stall["best_residual"] == 0.0089
+
+    def test_the_plain_iteration_runs_to_the_cap(self, scripted):
+        trace = scripted([1.0] * 600, mw=1)
+        assert (trace.termination, trace.iterations_used, trace.stall) == ("not-converged", 500, None)
+
+
 def assert_same_trace(trace, want):
     assert trace.residuals == want.residuals
     assert trace.m_factors == want.m_factors
@@ -251,6 +347,10 @@ def assert_same_trace(trace, want):
     assert trace.inner_steps == want.inner_steps
     assert trace.extrapolations == want.extrapolations
     assert (trace.converged, trace.iterations_used) == (want.converged, want.iterations_used)
+    assert len(trace.mpe_weights) == len(want.mpe_weights)
+    assert all(np.array_equal(a, b, equal_nan=True)
+               for a, b in zip(trace.mpe_weights, want.mpe_weights))
+    assert trace.stall == want.stall
 
 
 class TestMatchesFreshArrayLoop:
@@ -300,6 +400,44 @@ class TestMatchesFreshArrayLoop:
         assert np.array_equal(seed.half, before)
         assert np.array_equal(wave.half, want.half)
         assert_same_trace(trace, want_trace)
+
+    # past the end of the B-O family (c ~ 0.615), on the benchmark's sweep grid
+    @pytest.mark.parametrize("c, mw", [(0.620, 2), (0.620, 4), (0.649, 2)])
+    def test_stalled_solve(self, bo_params, c, mw):
+        grid = SpectralGrid(256.0, 4096)
+        config = SolitaryConfig(speed=c, mw=mw)
+        with pytest.raises(NonConvergenceError) as got:
+            cycled_solve(bo_params, grid, config)
+        with pytest.raises(NonConvergenceError) as want:
+            fresh_cycled_solve(bo_params, grid, config)
+        trace = got.value.trace
+        assert_same_trace(trace, want.value.trace)
+        assert trace.termination == "stalled" and trace.iterations_used < 150
+        stall = trace.stall
+        assert (stall["stall_solves"], stall["stall_factor"]) == (STALL_SOLVES, STALL_FACTOR)
+        # stopped at the first cycle end STALL_SOLVES solves past the anchor
+        assert 0 <= trace.iterations_used - stall["anchor_solve"] - STALL_SOLVES < mw
+        assert stall["anchor_residual"] in trace.residuals
+        assert stall["best_residual"] == min(trace.residuals) <= stall["anchor_residual"]
+        assert min(trace.residuals) >= stall["anchor_residual"] / STALL_FACTOR
+        assert len(trace.mpe_weights) == trace.phases.count("extrapolated")
+
+    @pytest.mark.parametrize("max_iter, termination", [(STALL_SOLVES - 1, "not-converged"),
+                                                       (500, "stalled")])
+    def test_the_cap_below_the_stall_rule(self, bo_params, max_iter, termination):
+        # a solve that stalls at 500 still stops at a cap below STALL_SOLVES
+        config = SolitaryConfig(speed=0.620, mw=2, max_iter=max_iter)
+        with pytest.raises(NonConvergenceError) as got:
+            cycled_solve(bo_params, SpectralGrid(256.0, 4096), config)
+        assert got.value.trace.termination == termination
+        assert (got.value.trace.stall is None) == (termination == "not-converged")
+
+    def test_plain_iteration_is_exempt(self, bo_params):
+        # mw = 1 sits on a plateau past STALL_SOLVES, then converges
+        _, trace = cycled_solve(bo_params, SpectralGrid(256.0, 4096), SolitaryConfig(speed=0.620))
+        assert trace.converged and trace.iterations_used == 155
+        assert longest_plateau(trace) > STALL_SOLVES
+        assert trace.stall is None and trace.mpe_weights == []
 
     def test_the_wave_owns_its_memory(self, bo_params, wave_grid):
         # a view into the per-solve window would pin mw+1 states
@@ -358,6 +496,8 @@ class TestMatchesFullLengthOracle:
         assert np.max(np.abs(full_arrays(wave) - want)) <= 1e-12 * np.max(np.abs(want))
         residual_gap = np.abs(np.subtract(trace.residuals, want_trace.residuals))
         assert np.max(residual_gap) <= 1e-12 * want_trace.residuals[0]
+        # the oracle has no stall rule: these solves never come near it
+        assert longest_plateau(want_trace) < STALL_SOLVES / 2
         if mw > 1:
             extrapolated = trace.phases.count("extrapolated")
             counts = trace.extrapolations

@@ -57,6 +57,27 @@ def test_output_matches_benchmark_reference(tmp_path, workload, key):
     assert verdict.failure is None, (verdict.failure, verdict.notes)
 
 
+SWEEP_REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["solitary-sweep"]
+
+
+@pytest.mark.parametrize("key", [key for key in SWEEP_REFERENCE if not key.endswith("-mw1")])
+def test_cycling_sweep_solves_converge_or_stall(tmp_path, key):
+    # converging widths keep the reference's solve count; the ones that ran
+    # to the cap or raised (B-O c >= 0.62, past the family's end) now stall
+    inv = invocation("solitary-sweep", key)
+    config, out_dir = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(inv.config))
+    code = main([inv.command, "--config", str(config), "--out", str(out_dir), "--quiet"])
+    obs = observe(inv.command, code, out_dir)
+    baseline = SWEEP_REFERENCE[key]["baseline"]
+    if baseline["exit"] == 0:
+        assert (code, obs["termination"], obs["solves"]) == (0, "converged", baseline["solves"])
+    else:
+        assert (code, obs["termination"]) == (4, "stalled")
+        assert obs["solves"] == obs["iterations"] < 150
+        assert "stall" in json.loads((out_dir / "manifest.json").read_text())
+
+
 def test_layer_ladder_kernels_run(tmp_path):
     # what `perfbench/run.py --trace 1` calls besides the timed kernels
     assert isinstance(ladder.spectral._fft_workers, int)

@@ -80,6 +80,10 @@ SOLITARY_CFG = {
     "mw": 1,
 }
 
+# The benchmark sweep's B-O grid at a speed past the end of the family
+# (c ~ 0.615): mw = 1 converges at solve 155, mw >= 2 stalls.
+STALLING_CFG = {"regime": "bo", "gamma": 0.8, "alpha": 1.2, "c": 0.62, "l": 256.0, "N": 4096}
+
 
 class TestEvolveCommand:
     def test_missing_key_names_it(self, tmp_path, capsys):
@@ -280,6 +284,48 @@ class TestSolitaryCommand:
             rows = handle.read().strip().splitlines()
         assert len(rows) == 1 + 6  # header, the seed and one row per solve
 
+    def test_stalled_run_writes_the_stall_block(self, tmp_path, capsys):
+        # B-O c = 0.62 lies past the end of the family: mw = 2 stalls
+        cfg = dict(STALLING_CFG, mw=2)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code = main(["solitary", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 4
+        manifest = read_manifest(out_dir)
+        assert f"solitary: stalled after {manifest['iterations']} iterations" in \
+            capsys.readouterr().err
+        assert manifest["termination"] == "stalled"
+        assert manifest["outputs"] == ["trace.csv"]
+        stall = manifest["stall"]
+        assert sorted(stall) == ["anchor_residual", "anchor_solve", "best_residual",
+                                 "leading_ritz_modulus", "stall_factor", "stall_solves"]
+        assert (stall["stall_solves"], stall["stall_factor"]) == (60, 10)
+        assert 60 <= manifest["iterations"] - stall["anchor_solve"] < 62
+        rows = trace_rows(out_dir)
+        residuals = [float(row["residual"]) for row in rows]
+        assert int(rows[-1]["iter"]) == manifest["iterations"]
+        assert stall["best_residual"] == min(residuals) <= stall["anchor_residual"]
+        # a plateau: the leading Ritz value of the extrapolation near the unit circle
+        assert 0.9 < stall["leading_ritz_modulus"] < 1.1
+
+    def test_only_a_stalled_run_has_a_stall_block(self, tmp_path):
+        for cfg in (SOLITARY_CFG, dict(SOLITARY_CFG, max_iter=5, mw=2)):
+            run_cli(tmp_path, "solitary", cfg)
+            assert "stall" not in read_manifest(tmp_path / "out")
+
+    def test_a_stall_is_a_row_of_the_accel_table(self, tmp_path):
+        block = dict(STALLING_CFG, kind="accel", mw_list=[1, 2])
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        assert code == 6
+        with open(out_dir / "acceleration_table.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(row["iterations"], row["status"]) for row in rows] == [
+            ("155", "converged"), (rows[1]["iterations"], "stalled")]
+        assert int(rows[1]["iterations"]) < 150
+        assert read_manifest(out_dir)["outputs"] == [
+            "acceleration_table.csv", "trace_mw1.csv", "trace_mw2.csv", "summary.json"]
+
     def test_singular_speed_exit_code(self, tmp_path):
         kt, c_sing = singular_speed()
         cfg = dict(SOLITARY_CFG, c=c_sing, l=64.0, N=64)
@@ -344,6 +390,19 @@ class TestVerifyCommand:
         code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
         assert code == 0
         assert read_manifest(out_dir)["config"]["experiments"][0]["threshold"] == 1e-6
+
+    def test_roundtrip_time_defaults(self):
+        block = {"kind": "roundtrip", "regime": "bo", "gamma": 0.8, "alpha": 1.2,
+                 "c": 0.57, "l": 64.0, "N": 512}
+        resolved = cli._resolve(cli._COMMANDS["verify"][1], {"experiments": [block]})
+        assert [(b["t_end"], b["dt"]) for b in resolved["experiments"]] == [(1.0, 1e-3)]
+
+    def test_a_roundtrip_deviation_at_the_threshold_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "traveling_wave_roundtrip", lambda *args: 1e-6)
+        block = dict(ROUNDTRIP_BLOCK, threshold=1e-6)
+        code, out_dir = run_cli(tmp_path, "verify", {"experiments": [block]})
+        assert code == 0
+        assert json.loads((out_dir / "roundtrip.json").read_text())["pass"] is True
 
     def test_accel_experiment_and_trace_files(self, tmp_path):
         cfg = {"experiments": [{

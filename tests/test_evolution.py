@@ -432,6 +432,12 @@ class TestEvolutionConfig:
         evolve(BO_P, grid, sech2_state(0.1, 1.0)(grid), config, sink=snaps)
         assert config.snapshots == len(snaps.times)
 
+    def test_every_step_is_recorded_by_default(self):
+        snaps = Snapshots()
+        evolve(BO_P, SpectralGrid(8.0, 16), sech2_state(0.1, 1.0)(SpectralGrid(8.0, 16)),
+               EvolutionConfig(t_end=0.3, dt=0.1), sink=snaps)
+        assert snaps.times == pytest.approx([0.0, 0.1, 0.2, 0.3])
+
     def test_validation(self):
         with pytest.raises(ValueError, match="dt"):
             EvolutionConfig(t_end=1.0, dt=0.0)
@@ -445,6 +451,9 @@ class TestEvolutionConfig:
         # three steps of 4 is no fourth step, 1e-11 past them is
         assert EvolutionConfig(t_end=12.0 + 2e-12, dt=4.0).n_steps == 3
         assert EvolutionConfig(t_end=12.0 + 1e-11, dt=4.0).n_steps == 4
+        # below dt = 1 it is 1e-12 itself
+        assert EvolutionConfig(t_end=1.0 + 0.5e-12, dt=0.5).n_steps == 2
+        assert EvolutionConfig(t_end=1.0 + 1.5e-12, dt=0.5).n_steps == 3
 
     @pytest.mark.parametrize("value", [2.5, 2.0, "2"])
     def test_non_integral_record_every_is_rejected(self, value):

@@ -17,6 +17,7 @@ from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair,
 from ilwbo import io_utils
 from ilwbo.errors import StepFailureError, WindowUnderflowError
 from ilwbo.harness import (
+    ConvergenceReport,
     acceleration_benchmark,
     convergence_study,
     crest_scale_of,
@@ -68,7 +69,7 @@ class TestConvergenceStudy:
         assert report.errors[-2] / report.errors[-1] > 10.0
         assert report.is_spectral(16.0)
         # temporal error is subdominant at the finest resolution
-        assert report.probe_delta < 0.25 * report.errors[-1]
+        assert 0 < report.probe_delta < 0.25 * report.errors[-1]
 
     def test_band_limited_data_hits_floor(self):
         # data supported on modes |k| <= 5 with a tiny amplitude: every
@@ -119,6 +120,10 @@ class TestConvergenceStudy:
         assert report.errors == [0.0, 0.0, 0.0]
         assert all(np.isnan(r) for r in report.observed_rates)
         assert not report.is_spectral(16.0)
+
+    def test_a_ratio_equal_to_min_ratio_is_spectral(self):
+        report = ConvergenceReport([32, 64, 128], [256.0, 16.0, 1.0], [4.0, 4.0], 0.0)
+        assert report.is_spectral(16.0) and not report.is_spectral(16.5)
 
 
 DESK_CONVERGENCE = json.loads(

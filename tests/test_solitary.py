@@ -177,6 +177,23 @@ class TestSolveS:
             solve_S(ILW_P, grid, c_sing, rhs)
         assert abs(excinfo.value.ktilde) == pytest.approx(abs(kt), rel=1e-12)
 
+    @pytest.mark.parametrize("ratio, singular", [(0.5e-12, True), (1.5e-12, False)])
+    def test_the_singular_floor(self, ratio, singular):
+        # c with |det S| at mode 5 = ratio * the mode's largest entry, against
+        # DET_FLOOR = 1e-12: det = c^2 (1+g) - ((1-gamma)/gamma)(1+beta*g)
+        grid = SpectralGrid(64.0, 64)
+        g = float(symbol_g(ILW_P, grid.wavenumbers[5]))
+        product = (0.2 / 0.8) * (1 + g / 6)
+        c_sing = math.sqrt(product / (1 + g))
+        largest = max(c_sing * (1 + g), (1 + g / 6) / 0.8, 0.2)
+        c = math.sqrt((product + ratio * largest) / (1 + g))
+        rhs = random_half(grid, np.random.default_rng(10))
+        if singular:
+            with pytest.raises(SingularModeError):
+                solve_S(ILW_P, grid, c, rhs)
+        else:
+            solve_S(ILW_P, grid, c, rhs)
+
 
 class TestNonlinearity:
     def test_zero(self):
