@@ -127,8 +127,7 @@ _WAVE_KEYS = {
 
 def _default_record_every(cfg: dict) -> int:
     """About ten snapshots per run (EvolutionConfig rejects a t_end/dt above 2**53)."""
-    positive = cfg["t_end"] > 0 and cfg["dt"] > 0
-    n_steps = cfg["t_end"] / cfg["dt"] if positive else 1.0
+    n_steps = cfg["t_end"] / cfg["dt"] if cfg["dt"] > 0 else 1.0
     return max(1, int(round(n_steps)) // 10) if math.isfinite(n_steps) else 1
 
 

@@ -137,11 +137,14 @@ def state_l2_distance(
 
 # The study evolves its runs on forked worker processes when they take at
 # least this many RK4 steps in all.  Starting and stopping a 2-worker pool
-# costs about 20 ms and a step at N <= 256 about 60-110 us, so the pool
-# breaks even near 400-500 steps (21 alternating runs at N = 8-32 and
-# 32-128, the pool's gain: -11 and -7 ms at 150 steps, -5 and -2 ms at 300,
-# +2 and +9 ms at 600, +10 and +14 ms at 900); below that, a study's gain
-# would be small next to the spread of its run time in-process.
+# costs about 10 ms, and a step at N <= 256 about 60-110 us.  The break-even
+# moves with N and from one session to the next, so a rule on the step count
+# alone misjudges the studies near it (2 cores, medians of 9 alternating
+# runs, in-process against pooled): 12-16 against 25-36 ms at 150 steps;
+# 39-55 against 48-60 ms at 600 steps on N = 16-64 and 45-59 against 54-59 ms
+# on N = 32-128, the pool losing in one session and winning in the other;
+# 104-117 against 71-84 ms at 1200 steps; 244-261 against 167 ms for the
+# desk study, 3000 steps.
 STUDY_POOL_MIN_STEPS = 600
 
 
@@ -192,8 +195,9 @@ def convergence_study(
     The runs (reference, each resolution, probe) are independent: with enough
     steps in all, fork and 2 CPUs they run on forked worker processes (see
     STUDY_POOL_MIN_STEPS), otherwise one after another here.  Either way the
-    report is the same to the bit, and the error raised is the one the first
-    failing run, in that order, raises.
+    report is the same to the bit.  A run that cannot be built raises its
+    error before any run starts; of the runs that fail to evolve, the first
+    in that order raises its error.
     """
     if not all(isinstance(n, (int, np.integer)) for n in resolutions):
         raise ValueError(f"resolutions must be integers, got {list(resolutions)}")
@@ -202,18 +206,13 @@ def convergence_study(
         raise ValueError(f"resolutions {res} must span at least 4x, finest over coarsest")
 
     runs = [(2 * res[-1], dt)] + [(n, dt) for n in res] + [(res[-1], dt / 2.0)]
-    jobs, build_error = [], None
-    try:
-        for n, dt_run in runs:
-            grid = SpectralGrid(half_length, n)
-            jobs.append((grid, initial(grid), EvolutionConfig(t_end=t_end, dt=dt_run)))
-    except Exception as err:  # raised after the runs before it, as in run order
-        build_error = err
+    jobs = []
+    for n, dt_run in runs:
+        grid = SpectralGrid(half_length, n)
+        jobs.append((grid, initial(grid), EvolutionConfig(t_end=t_end, dt=dt_run)))
     finals = _evolve_all(params, jobs)
-    if build_error is not None:
-        raise build_error
-
     grids = [grid for grid, _, _ in jobs]
+
     errors = [
         state_l2_distance(grids[i], finals[i], grids[0], finals[0])
         for i in range(1, len(res) + 1)

@@ -77,9 +77,9 @@ def _repr_bytes(values: np.ndarray) -> np.ndarray:
 def _block_bytes(parts: list) -> list[np.ndarray]:
     """The `fmt` bytes of each value of a block's equal-length column `parts`,
     one NUL-padded uint8 matrix per column: the float arrays all through one
-    _repr_bytes call over their concatenation, since a call costs about 100 us
-    whatever its length; a 2-d uint8 array as the rows it already is; any
-    other column value by value."""
+    _repr_bytes call over their concatenation, since a call costs about 250 us
+    plus about 0.2 us per value; a 2-d uint8 array as the rows it already is;
+    any other column value by value."""
     is_float = [isinstance(part, np.ndarray) and part.dtype.kind == "f" for part in parts]
     floats = [part for part, flag in zip(parts, is_float) if flag]
     rows = iter(np.split(_repr_bytes(np.concatenate(floats)), len(floats)) if floats else ())
@@ -182,7 +182,7 @@ class OutputDir:
 # after the first hold at least this many zeta and u values, (snapshots - 1) *
 # 2N.  In-process a snapshot costs about 0.32 us per zeta and u value to
 # transform, format and write (2.6 ms at N = 4096), and starting and stopping
-# a 2-worker pool about 5 ms, so the pool breaks even between 25 000 and
+# a 2-worker pool about 10 ms, so the pool breaks even between 25 000 and
 # 50 000 values: N = 4096 runs on 2 cores took 15 ms in-process and 17 ms
 # pooled at 24 576 values, 24 and 20-23 ms at 49 152, 43-45 and 29-30 ms at
 # 98 304, 83-84 and 48-51 ms at 196 608 (medians of 5, two rounds).  The
@@ -353,10 +353,10 @@ class SnapshotWriter:
     SNAPSHOTS_PER_JOB snapshots each, while the caller goes on; the writer
     holds each state's half spectrum, which the caller must not change,
     until its job is done.  Otherwise each snapshot's job runs here as it is
-    taken, and so do the jobs a broken pool held.  Each file is listed in
-    `out` once its job is done, in the order taken; of a job that failed,
-    the files before the one it failed on.  A worker's OSError is raised by
-    a later `write` or by `close`.
+    taken.  The jobs that a broken pool held or did not take run here, in
+    order.  Each file is listed in `out` once its job is done, in the order
+    taken; of a job that failed, the files before the one it failed on.  A
+    worker's OSError is raised by a later `write` or by `close`.
 
     The caller owns the writer: pass `write` as `evolve`'s sink, which gets
     only checked states, and call `close` also when the run fails, so the
@@ -391,14 +391,12 @@ class SnapshotWriter:
         job = (self.grid, self._nodes, paths, [fmt(t) for t in times], halves)
         future = self._runner.submit(_write_snapshots, *job)
         self._jobs.append((times, future, job))
-        # a job no pool took is written here, after every job before it
-        self._finish(self._max_jobs if future is not None else 0)
+        self._finish(self._max_jobs)
 
     def _finish(self, keep: int) -> None:
-        """List the snapshots of the jobs that are done, oldest first, and wait
-        for (or run) the oldest job until at most `keep` are left."""
-        # every job held has a future while keep > 0
-        while self._jobs and (len(self._jobs) > keep or self._jobs[0][1].done()):
+        """Wait for (or run) the oldest job and list its snapshots, until at
+        most `keep` jobs are left."""
+        while len(self._jobs) > keep:
             times, future, job = self._jobs.popleft()
             paths = job[2]
             written = 0

@@ -1,12 +1,14 @@
-"""Seeded mutation smoke: how much of `src/` does the test suite guard?
+"""Mutation smoke: how much of `src/` does the test suite guard?
 
-    python tests/mutation_smoke.py
+    python tests/mutation_smoke.py                # a seeded draw of all sites
+    python tests/mutation_smoke.py --since REV    # the sites on lines changed since REV
 
 Run by hand from the repository root; pytest does not collect this file, and
 a full run takes minutes.  It copies `src/`, `tests/`, `configs/`,
-`perfbench/` and `pyproject.toml` into a temporary directory and mutates only
-that copy, one mutation at a time, never the checkout.  The mutation sites
-are those of `src/ilwbo/*.py` but `__init__.py` and `errors.py`:
+`perfbench/`, `pyproject.toml` and `README.md` into a temporary directory
+and mutates only that copy, one mutation at a time, never the checkout.
+The mutation sites are those of `src/ilwbo/*.py` but `__init__.py` and
+`errors.py`:
 
 * a comparison `<`/`<=`, `>`/`>=` or `==`/`!=` swapped;
 * an arithmetic `+`/`-` or `*`/`/` swapped, in an expression or an augmented
@@ -14,21 +16,27 @@ are those of `src/ilwbo/*.py` but `__init__.py` and `errors.py`:
 * a boolean `and`/`or` swapped;
 * an int constant plus 1, or a float constant times 2.
 
-`COUNT` sites are drawn with `random.Random(SEED)` from the sorted list of
-all sites; `EQUIVALENT` is kept for that draw.  Each mutant runs the tier-1
-suite with `-x`, a fixed hypothesis seed and the two known-red acceptance
-tests deselected: it is killed when the suite fails or runs past `TIMEOUT_S`
-seconds, and it survives when the suite passes.  A survivor in `EQUIVALENT` is reported with its reason; any other
-survivor is a gap in the tests.  The exit status is 1 when such a gap is
-found or the unmutated copy fails, else 0.
+Without options, `COUNT` sites are drawn with `random.Random(SEED)` from the
+sorted list of all sites.  With `--since REV`, every site on a line of
+`src/ilwbo/` that `git diff -U0 REV` reports as added or changed is mutated,
+so a branch can be checked against the commit it starts from.  `EQUIVALENT`
+holds for either set of sites.  Each mutant runs the tier-1 suite with
+`-x`, a fixed hypothesis seed and the two known-red acceptance tests
+deselected: it is killed when the suite fails or runs past `TIMEOUT_S`
+seconds, and it survives when the suite passes.  A survivor in `EQUIVALENT`
+is reported with its reason; any other survivor is a gap in the tests.  The
+exit status is 1 when such a gap is found or the unmutated copy fails, else
+0.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
 import random
+import re
 import resource
 import shutil
 import signal
@@ -41,7 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "configs", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "perfbench", "pyproject.toml", "README.md")
 SKIPPED_MODULES = ("__init__.py", "errors.py")
 KNOWN_RED = (
     "tests/test_acceptance.py::TestAcceptance::test_c04_algebraic_residual_ilw",
@@ -91,18 +99,9 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "states = np.empty((2, 2, grid.n_modes // 2 + 1), dtype=complex)",
      "states = np.empty((3, 2, grid.n_modes // 2 + 1), dtype=complex)"):
         "the steps write rows i % 2 only: a third row is allocated and never used",
-    ("io_utils.py",
-     "while self._jobs and (len(self._jobs) > keep or self._jobs[0][1].done()):",
-     "while self._jobs and (len(self._jobs) >= keep or self._jobs[0][1].done()):"):
-        "the writer keeps one job fewer in flight: the same files, written and listed in "
-        "the same order",
     ("cli.py",
-     'positive = cfg["t_end"] > 0 and cfg["dt"] > 0',
-     'positive = cfg["t_end"] >= 0 and cfg["dt"] > 0'):
-        "at t_end 0 the step count is 0, not the placeholder 1: both resolve to record_every 1",
-    ("cli.py",
-     'n_steps = cfg["t_end"] / cfg["dt"] if positive else 1.0',
-     'n_steps = cfg["t_end"] / cfg["dt"] if positive else 2.0'):
+     'n_steps = cfg["t_end"] / cfg["dt"] if cfg["dt"] > 0 else 1.0',
+     'n_steps = cfg["t_end"] / cfg["dt"] if cfg["dt"] > 0 else 2.0'):
         "every placeholder step count below 20 resolves to record_every 1",
     ("_shortest.py",
      "_FIXED = 20  # point places p = -3..16 (0.d0 d1 ... x 10^p) written without an exponent",
@@ -141,6 +140,11 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 1):"):
         "a writer expecting 0 or 1 snapshots has no values after the first: (expected - 1) "
         "x 2N stays below POOL_MIN_VALUES either way, so it writes in-process",
+    ("cli.py",
+     "if (a, b) != (1, 2) and counts[a] - counts[b] > first_drop:",
+     "if (a, b) != (1, 3) and counts[a] - counts[b] > first_drop:"):
+        "the pair (1, 2) never drops by more than its own drop, and (1, 3) is a pair only "
+        "when mw 2 is absent, where this loop does not run",
     ("solitary.py",
      "i = int(np.argmin(np.abs(det) - floor))",
      "i = int(np.argmin(np.abs(det) + floor))"):
@@ -239,6 +243,22 @@ def all_sites(src: Path) -> list[Site]:
             for site in sites_of(path.name, path.read_text())]
 
 
+def changed_lines(rev: str) -> set[tuple[str, int]]:
+    """(module, line) of each line of `src/ilwbo/*.py` that the working tree
+    adds or changes since `rev`, from the hunk headers of `git diff -U0`."""
+    diff = subprocess.run(["git", "diff", "-U0", "--no-color", rev, "--", "src/ilwbo"],
+                          cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    lines, module = set(), None
+    for text in diff.splitlines():
+        if text.startswith("+++ "):
+            name = text[4:]
+            module = Path(name).name if name.startswith("b/") and name.endswith(".py") else None
+        elif module and (hunk := re.match(r"@@ -\S+ \+(\d+)(?:,(\d+))? @@", text)):
+            start, count = int(hunk[1]), int(hunk[2] or 1)
+            lines.update((module, line) for line in range(start, start + count))
+    return lines
+
+
 def mutated(source: str, site: Site) -> str:
     lines = source.splitlines(keepends=True)
     text = lines[site.line - 1]
@@ -267,13 +287,23 @@ def run_suite(copy: Path, timeout: float) -> str:
         return "timeout"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Mutation smoke over src/ilwbo.")
+    parser.add_argument("--since", metavar="REV",
+                        help="mutate only the sites on lines changed since this git revision")
+    args = parser.parse_args(argv)
     sites = all_sites(ROOT / "src" / "ilwbo")
     stale = set(EQUIVALENT) - {site.key() for site in sites}
     for key in sorted(stale):
         print(f"stale EQUIVALENT entry, matching no site: {key}")
-    chosen = random.Random(SEED).sample(sites, min(COUNT, len(sites)))
-    print(f"{len(sites)} sites; {len(chosen)} mutants, seed {SEED}", flush=True)
+    if args.since is None:
+        chosen = random.Random(SEED).sample(sites, min(COUNT, len(sites)))
+        drawn = f"seed {SEED}"
+    else:
+        changed = changed_lines(args.since)
+        chosen = [site for site in sites if (site.module, site.line) in changed]
+        drawn = f"on the lines changed since {args.since}"
+    print(f"{len(sites)} sites; {len(chosen)} mutants, {drawn}", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="mutation-smoke-") as tmp:
         copy = Path(tmp)

@@ -1202,6 +1202,16 @@ class TestOutcomes:
         assert "dt=0.5" in capsys.readouterr().err
         assert read_manifest(out_dir)["exit_status"] == 2
 
+    def test_verify_a_study_run_that_cannot_be_built_is_a_config_error(self, tmp_path, capsys):
+        # the reference at N = 48 would overflow, but no run evolves before
+        # the grid of N = 6 is rejected
+        cfg = {"experiments": [dict(CONVERGENCE_BLOCK, resolutions=[6, 24], amplitude=1e200)]}
+        code, out_dir = run_cli(tmp_path, "verify", cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: n_modes N must be even and >= 8, got 6")
+        assert read_manifest(out_dir)["exit_status"] == 2
+
     def test_verify_resolutions_spanning_less_than_4x(self, tmp_path, capsys):
         cfg = {"experiments": [dict(CONVERGENCE_BLOCK, resolutions=[32, 64])]}
         code, out_dir = run_cli(tmp_path, "verify", cfg)

@@ -98,14 +98,22 @@ class TestConvergenceStudy:
                           t_end=0.01, dt=0.002, half_length=16.0)
         assert calls == [(256, 0.002), (32, 0.002), (64, 0.002), (128, 0.002), (128, 0.001)]
 
-    def test_a_bad_resolution_is_raised_after_the_runs_before_it(self):
-        # the reference at N = 48 overflows before N = 6 is found to be too small
-        with pytest.raises(StepFailureError, match="non-finite"):
-            convergence_study(BO_P, gaussian_state(1e200, 1.2), [6, 24],
+    def test_a_bad_resolution_is_raised_before_any_run(self, tmp_path, monkeypatch):
+        # the reference at N = 48, first in run order, would overflow; N = 6
+        # is found to be too small before it starts, in-process and pooled
+        log = tmp_path / "jobs"
+        monkeypatch.setattr(harness, "_evolve_job", _logged_evolve_job)
+        monkeypatch.setattr(sys.modules[__name__], "_job_log", str(log))
+        for min_steps in (float("inf"), 0):
+            monkeypatch.setattr(harness, "STUDY_POOL_MIN_STEPS", min_steps)
+            with pytest.raises(ValueError, match="n_modes N must be even and >= 8, got 6"):
+                convergence_study(BO_P, gaussian_state(1e200, 1.2), [6, 24],
+                                  t_end=0.1, dt=0.01, half_length=16.0)
+        assert not log.exists()
+        with pytest.raises(StepFailureError, match="non-finite"):  # the log counts runs
+            convergence_study(BO_P, gaussian_state(1e200, 1.2), [8, 32],
                               t_end=0.1, dt=0.01, half_length=16.0)
-        with pytest.raises(ValueError, match="n_modes N must be even and >= 8, got 6"):
-            convergence_study(BO_P, gaussian_state(0.1, 1.2), [6, 24],
-                              t_end=0.1, dt=0.01, half_length=16.0)
+        assert log.exists()
 
     def test_requires_resolution_spread(self):
         for resolutions in ([32, 64], []):
@@ -343,8 +351,10 @@ class TestDecayFit:
         assert fit.fit_quality == 0.0
         assert fit.fitted_rate == 0.0
 
-    def test_window_of_exactly_the_fewest_points(self):
-        # the tail above the floor is cut to its first n window points
+    @pytest.mark.parametrize("cut", [0.0, 1e-7])
+    def test_window_of_exactly_the_fewest_points(self, cut):
+        # the tail above the floor is cut to its first n window points; a
+        # point at the floor, 1e-7 for this unit peak, is dropped too
         grid = SpectralGrid(32.0, 256)
         full = np.exp(-np.abs(grid.nodes))
         window = (grid.nodes >= decay_fit(grid, full, "exponential").window[0]) & (
@@ -352,7 +362,7 @@ class TestDecayFit:
         first = np.flatnonzero(window)
         for n in (harness.MIN_FIT_POINTS, harness.MIN_FIT_POINTS - 1):
             profile = full.copy()
-            profile[first[n:]] = 0.0
+            profile[first[n:]] = cut
             if n < harness.MIN_FIT_POINTS:
                 with pytest.raises(WindowUnderflowError, match=f"only {n} tail points"):
                     decay_fit(grid, profile, "exponential")
@@ -394,6 +404,10 @@ class TestDecayFit:
         grid = SpectralGrid(20.0, 512)
         profile = 0.5 * np.exp(-((grid.nodes / 2.0) ** 2))
         assert crest_scale_of(grid, profile) == pytest.approx(2.0, rel=0.05)
+
+    def test_a_zero_profile_has_no_crest_scale(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            crest_scale_of(SpectralGrid(10.0, 64), np.zeros(64))
 
     def test_crest_scale_is_the_first_node_strictly_below_peak_over_e(self):
         grid = SpectralGrid(10.0, 64)

@@ -105,7 +105,7 @@ class TestWriteCsv:
         assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
 
     def test_one_kernel_call_per_block(self, tmp_path, monkeypatch):
-        # a call costs about 100 us whatever its length, so a block's float
+        # a call costs about 250 us plus 0.2 us per value, so a block's float
         # columns share one
         calls = []
         kernel = io_utils._repr_bytes
@@ -124,6 +124,11 @@ class TestWriteCsv:
         assert calls == [3 * CSV_BLOCK_ROWS, 3 * CSV_BLOCK_ROWS, 3 * 37]
         row_writer(str(tmp_path / "old.csv"), ["a", "b", "c"], zip(*columns))
         assert read_bytes(tmp_path / "table.csv") == read_bytes(tmp_path / "old.csv")
+
+    def test_no_columns_match_row_writer(self, tmp_path):
+        write_csv(str(tmp_path / "new.csv"), [], [])
+        row_writer(str(tmp_path / "old.csv"), [], [])
+        assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv") == b"\n"
 
     def test_columns_of_unequal_length(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
@@ -432,6 +437,52 @@ class TestInitWorker:
             io_utils._init_worker(os.getppid() + 1)
         assert exited.value.args == (0,)
         assert calls == [("prctl", 1, signal.SIGTERM)]
+
+
+class LazyJobs:
+    """A stand-in for ForkJobs with `workers` workers: a job is run only when
+    its result is asked for, so every job submitted stays pending until then."""
+
+    class Future:
+        def done(self):
+            return False
+
+    def __init__(self, workers):
+        self.workers, self.pending = workers, 0
+
+    def submit(self, fn, *args):
+        self.pending += 1
+        return self.Future()
+
+    def result(self, future, fn, *args):
+        self.pending -= 1
+        return fn(*args)
+
+    def close(self, cancel=True):
+        pass
+
+
+def test_the_writer_keeps_jobs_per_worker_jobs_in_flight(tmp_path, monkeypatch):
+    # the writer waits for its oldest job only when it holds more than
+    # JOBS_PER_WORKER jobs per worker, and lists every file in order
+    runner = LazyJobs(2)
+    monkeypatch.setattr(io_utils, "ForkJobs", lambda workers: runner)
+    grid, params = SpectralGrid(16.0, 16), ModelParams(0.8, 1.2, BO)
+    state = sech2_state(0.2, 0.8)(grid)
+    out = OutputDir(str(tmp_path))
+    writer = SnapshotWriter(out, grid, params)
+    bound = io_utils.JOBS_PER_WORKER * runner.workers
+    taken = (bound + 2) * io_utils.SNAPSHOTS_PER_JOB + 1
+    pending = []
+    for i in range(taken):
+        writer.write(0.5 * i, state)
+        pending.append(runner.pending)
+    assert max(pending) == bound
+    writer.close()
+    assert runner.pending == 0
+    names = [f"snapshot_{i:04d}.csv" for i in range(taken)]
+    assert writer.files == names and out.files == names + ["snapshots_manifest.json"]
+    assert sorted(os.listdir(tmp_path)) == sorted(out.files)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()

@@ -84,6 +84,7 @@ class TestSolitaryConfig:
         with pytest.raises(ValueError, match="speed c=-5e-324"):
             SolitaryConfig(speed=-5e-324)
         assert SolitaryConfig(speed=1e-300).speed == 1e-300
+        assert SolitaryConfig(speed=1e-308).speed == 1e-308  # 1/c = 1e308, finite
 
     @pytest.mark.parametrize("name", ["max_iter", "mw"])
     def test_non_integral_counts_are_rejected(self, name):
@@ -193,6 +194,19 @@ class TestSolveS:
                 solve_S(ILW_P, grid, c, rhs)
         else:
             solve_S(ILW_P, grid, c, rhs)
+
+    def test_a_determinant_on_the_floor_is_singular(self, monkeypatch):
+        # B-O, gamma 0.5, c 1.5: at k = 0, where g = 0, det S = c^2 - 1 = 1.25
+        # and the largest entry is 1/gamma = 2, both exact, so a DET_FLOOR of
+        # 0.625 puts |det| on the floor there; every other mode lies above it
+        params, grid = ModelParams(0.5, 1.2, BO), SpectralGrid(16.0, 32)
+        rhs = random_half(grid, np.random.default_rng(3))
+        monkeypatch.setattr(solitary, "DET_FLOOR", 0.625)
+        with pytest.raises(SingularModeError) as excinfo:
+            solve_S(params, grid, 1.5, rhs)
+        assert excinfo.value.ktilde == 0.0
+        monkeypatch.setattr(solitary, "DET_FLOOR", 0.62)
+        solve_S(params, grid, 1.5, rhs)
 
 
 class TestNonlinearity:
