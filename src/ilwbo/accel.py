@@ -158,12 +158,13 @@ def cycled_solve(
         workspace = Workspace(params, grid, c)
         m, res = evaluate(z, fz, "plain")
         while not trace.converged:
-            if config.mw > 1 and solves - anchor_solve >= STALL_SOLVES:
-                trace.stall = {"anchor_solve": anchor_solve, "anchor_residual": anchor_res,
-                               "best_residual": best_res, "stall_solves": STALL_SOLVES,
-                               "stall_factor": STALL_FACTOR}
-                raise NonConvergenceError(trace)
-            window[0] = z
+            if config.mw > 1:  # the plain iteration is exempt, and only MPE reads window[0]
+                if solves - anchor_solve >= STALL_SOLVES:
+                    trace.stall = {"anchor_solve": anchor_solve, "anchor_residual": anchor_res,
+                                   "best_residual": best_res, "stall_solves": STALL_SOLVES,
+                                   "stall_factor": STALL_FACTOR}
+                    raise NonConvergenceError(trace)
+                window[0] = z
             for j in range(1, config.mw + 1):
                 if solves >= config.max_iter:
                     raise NonConvergenceError(trace)

@@ -56,6 +56,7 @@ from .io_utils import (
     OutputDir,
     OutputError,
     SnapshotWriter,
+    keep_heap,
     read_profile_csv,
     write_csv,
     write_json,
@@ -323,7 +324,8 @@ def _verify_convergence(block: dict, out: OutputDir, tag: str) -> tuple[bool, di
     )
     ok = report.is_spectral(block["min_ratio"])
     out.write(f"convergence_report{tag}.csv", write_csv, ["N", "error", "rate"],
-              [report.resolutions, report.errors, [math.nan] + report.observed_rates])
+              [report.resolutions, np.array(report.errors, dtype=float),
+               np.array([math.nan] + report.observed_rates, dtype=float)])
     detail = {
         "resolutions": report.resolutions,
         "errors": report.errors,
@@ -395,7 +397,7 @@ def _accel_ordering_ok(counts: dict[int, int]) -> bool:
     if 1 in counts and 2 in counts:
         first_drop = counts[1] - counts[2]
         for a, b in pairs:
-            if (a, b) != (1, 2) and counts[a] - counts[b] > first_drop:
+            if counts[a] - counts[b] > first_drop:
                 return False
     return True
 
@@ -403,9 +405,9 @@ def _accel_ordering_ok(counts: dict[int, int]) -> bool:
 def _verify_accel(block: dict, out: OutputDir, tag: str) -> tuple[bool, dict]:
     params, grid, config = _wave_problem(block)
     rows = acceleration_benchmark(params, grid, config, block["mw_list"])
-    columns = ("mw", "iterations", "seconds", "status")
-    out.write(f"acceleration_table{tag}.csv", write_csv, columns,
-              [[getattr(r, column) for r in rows] for column in columns])
+    out.write(f"acceleration_table{tag}.csv", write_csv, ("mw", "iterations", "seconds", "status"),
+              [[r.mw for r in rows], [r.iterations for r in rows],
+               np.array([r.seconds for r in rows], dtype=float), [r.status for r in rows]])
     for row in rows:
         if row.trace is not None:
             out.write(f"trace_mw{row.mw}{tag}.csv", write_trace_csv, row.trace)
@@ -506,8 +508,10 @@ def main(argv=None) -> int:
 
     Every outcome, a configuration error included, leaves a manifest.json
     listing each file the run wrote: every output goes through one
-    `OutputDir`, which lists a file once it is complete.
+    `OutputDir`, which lists a file once it is complete.  The process keeps
+    its heap from here on, as the pool workers do (`io_utils.keep_heap`).
     """
+    keep_heap()
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     out = OutputDir(args.out)

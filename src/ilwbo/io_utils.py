@@ -161,7 +161,8 @@ def write_trace_csv(path: str, trace: IterationTrace) -> None:
     write_csv(
         path,
         ["iter", "residual", "m_factor", "phase"],
-        [trace.inner_steps, trace.residuals, trace.m_factors, trace.phases],
+        [trace.inner_steps, np.array(trace.residuals, dtype=float),
+         np.array(trace.m_factors, dtype=float), trace.phases],
     )
 
 
@@ -256,33 +257,45 @@ def _glibc() -> bool:
         return False
 
 
+def _libc():
+    """The C library through ctypes, or None when there is none."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None)
+    except OSError:
+        return None
+
+
+def keep_heap() -> None:
+    """Where glibc is the C library, raise this process's mmap threshold to
+    32 MiB and its trim threshold to 64 MiB, so that the float kernel's and
+    pocketfft's arrays are reused from the heap, not mapped and faulted in
+    again on every call; both are set, since setting either one turns off
+    glibc's dynamic threshold.  `cli.main` and each pool worker call it.
+    Elsewhere it does nothing, and a failed call is ignored: it never raises."""
+    libc = _libc() if _glibc() else None
+    if libc is not None:
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _init_worker(parent: int) -> None:
     """Each pool worker runs this once, after its fork from `parent`.
 
     It asks Linux for SIGTERM when the thread that forked it ends (prctl's
     PR_SET_PDEATHSIG, through ctypes), so that a parent killed by SIGKILL
     leaves no worker behind, and it exits at once if `parent` has died
-    already.  Where glibc is the C library, it raises glibc's mmap threshold
-    to 32 MiB and its trim threshold to 64 MiB, so that the float kernel's
-    arrays are reused from the worker's heap, not mapped and faulted in
-    again on every call; both are set, since setting either one turns off
-    glibc's dynamic threshold.  A call the C library lacks is skipped and a
-    failed one ignored: this never raises.  The parent's allocator is not
-    touched."""
-    import ctypes
+    already.  Then it keeps its heap (`keep_heap`).  A call the C library
+    lacks is skipped and a failed one ignored: this never raises."""
     import signal
 
-    try:
-        libc = ctypes.CDLL(None)
-    except OSError:
-        libc = None
+    libc = _libc()
     if hasattr(libc, "prctl"):
         libc.prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
     if os.getppid() != parent:
         os._exit(0)
-    if libc is not None and _glibc():
-        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    keep_heap()
 
 
 class ForkJobs:

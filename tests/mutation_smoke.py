@@ -140,11 +140,6 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 1):"):
         "a writer expecting 0 or 1 snapshots has no values after the first: (expected - 1) "
         "x 2N stays below POOL_MIN_VALUES either way, so it writes in-process",
-    ("cli.py",
-     "if (a, b) != (1, 2) and counts[a] - counts[b] > first_drop:",
-     "if (a, b) != (1, 3) and counts[a] - counts[b] > first_drop:"):
-        "the pair (1, 2) never drops by more than its own drop, and (1, 3) is a pair only "
-        "when mw 2 is absent, where this loop does not run",
     ("solitary.py",
      "i = int(np.argmin(np.abs(det) - floor))",
      "i = int(np.argmin(np.abs(det) + floor))"):

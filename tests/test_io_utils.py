@@ -29,6 +29,7 @@ from ilwbo.io_utils import (
     write_json,
     write_snapshots,
 )
+from ilwbo.solitary import IterationTrace
 from ilwbo.spectral import state_to_nodal
 
 from conftest import Snapshots
@@ -242,6 +243,25 @@ class TestWriteJson:
 
 
 class TestReportWriters:
+    def test_trace_matches_row_writer_in_one_kernel_call(self, tmp_path, monkeypatch):
+        # its two float columns go through the kernel as one array; nan,
+        # infinities and subnormals still read as repr writes them
+        calls = []
+        kernel = io_utils._repr_bytes
+        monkeypatch.setattr(io_utils, "_repr_bytes", lambda values: calls.append(len(values))
+                            or kernel(values))
+        rng = np.random.default_rng(3)
+        residuals, m_factors = awkward_floats(rng, 141), awkward_floats(rng, 141)[::-1]
+        trace = IterationTrace()
+        for i, (res, m) in enumerate(zip(residuals, m_factors)):
+            trace.append(res, m, ("plain", "extrapolated")[i % 2], i)
+        io_utils.write_trace_csv(str(tmp_path / "trace.csv"), trace)
+        assert calls == [2 * 141]
+        header = ["iter", "residual", "m_factor", "phase"]
+        row_writer(str(tmp_path / "old.csv"), header,
+                   zip(trace.inner_steps, trace.residuals, trace.m_factors, trace.phases))
+        assert read_bytes(tmp_path / "trace.csv") == read_bytes(tmp_path / "old.csv")
+
     def test_snapshots_match_row_writer(self, tmp_path):
         params = ModelParams(0.8, 1.2, BO)
         grid = SpectralGrid(64.0, 1024)
@@ -511,9 +531,40 @@ def test_a_pool_worker_keeps_its_heap(tmp_path):
         print(runner.result(future, job, 8192))
         runner.close()
     """)
+    assert _fresh_process_output(code) < 50
+
+
+@pytest.mark.skipif(not io_utils._glibc(), reason="glibc's allocator")
+def test_the_cli_process_keeps_its_heap(tmp_path):
+    # with glibc's default thresholds a second `main` that solves and writes
+    # an N = 4096 wave took 1150-1200 minor faults in a fresh process, and
+    # 0-1 with the thresholds that `main` sets
+    config = tmp_path / "wave.json"
+    config.write_text(json.dumps({"regime": "bo", "gamma": 0.8, "alpha": 1.2, "c": 0.54,
+                                  "l": 256.0, "N": 4096, "tol": 1e-10, "max_iter": 500,
+                                  "mw": 1}))
+    code = textwrap.dedent(f"""
+        import resource
+        from ilwbo.cli import main
+
+        def run(out):
+            assert main(["solitary", "--config", {str(config)!r}, "--out", out, "--quiet"]) == 0
+
+        run({str(tmp_path / "first")!r})
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run({str(tmp_path / "second")!r})
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    assert _fresh_process_output(code) < 50
+    assert (tmp_path / "second" / "wave.csv").read_bytes() == \
+        (tmp_path / "first" / "wave.csv").read_bytes()
+
+
+def _fresh_process_output(code: str) -> int:
+    """The integer that `code` prints, run in a fresh interpreter on this package."""
     src = str(pathlib.Path(io_utils.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env, timeout=60)
-    assert int(done.stdout) < 50
+    return int(done.stdout)

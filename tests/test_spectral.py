@@ -494,9 +494,10 @@ class TestProductKernel:
 
 class TestProductKernelIsExact:
     """At N = 2 mod 4, (3N + 1) // 2 is odd: the padded grid must round it up
-    to stay alias-free.  The oracle is a direct sum, not the kernel's sizes."""
+    to stay alias-free; at N = 1024 and 4096 it is 25N/16.  The oracle is a
+    direct sum, not the kernel's sizes."""
 
-    @pytest.mark.parametrize("n", [10, 14, 18])
+    @pytest.mark.parametrize("n", [10, 14, 18, 1024, 4096])
     def test_truncated_convolution(self, n):
         h = n // 2
         rng = np.random.default_rng(n)
@@ -509,14 +510,19 @@ class TestProductKernelIsExact:
         exact = np.stack([np.convolve(full[0], full[1]), np.convolve(full[1], full[1])])
         exact = exact[:, 2 * h: 3 * h]  # the sums for k = 0..N/2-1
         out = ProductKernel(SpectralGrid(2.0, n), 1.0)(half, np.empty((2, h + 1), dtype=complex))
-        assert np.max(np.abs(out[:, :h] - exact)) < 1e-13
+        # relative to the sums, which grow like N: at most 43 at N = 10..18,
+        # 8.2e3 at N = 4096
+        assert np.max(np.abs(out[:, :h] - exact)) < 2e-15 * np.max(np.abs(exact))
         assert np.all(out[:, h] == 0.0)
 
 
-    def test_the_padded_grid_is_the_least_even_size_of_3n_over_2(self):
-        # an odd size is as exact, but moves the last bits of every product
-        # at N = 2 mod 4, and so the bytes a run writes
-        assert [_padded_size(n) for n in (8, 10, 14, 16, 18, 1024)] == [12, 16, 22, 24, 28, 1536]
+    def test_the_padded_grid_takes_25n_over_16_at_powers_of_two_from_1024(self):
+        # elsewhere the least even size >= 3N/2: an odd size is as exact, but
+        # moves the last bits of every product at N = 2 mod 4, and so the
+        # bytes a run writes
+        sizes = (8, 10, 14, 16, 18, 512, 1536, 3000)
+        assert [_padded_size(n) for n in sizes] == [12, 16, 22, 24, 28, 768, 2304, 4500]
+        assert [_padded_size(n) for n in (1024, 4096, 16384)] == [1600, 6400, 25600]
 
 
 class TestFftWorkers:
