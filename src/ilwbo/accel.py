@@ -142,7 +142,6 @@ def cycled_solve(
         nonlocal anchor_solve, anchor_res, best_res
         mx, res_x = workspace.evaluate(x, f)
         trace.append(res_x, mx, phase, solves)
-        trace.iterations_used = solves
         # before the tolerance: a collapse at a tiny iterate is no solution
         if not math.isfinite(res_x) or math.isnan(mx):
             raise NonConvergenceError(trace)

@@ -10,6 +10,7 @@ as a function of the extrapolation width.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -19,7 +20,7 @@ import numpy as np
 from .accel import cycled_solve
 from .errors import NonConvergenceError, SingularModeError, WindowUnderflowError
 from .evolution import EvolutionConfig, evolve
-from .io_utils import ForkJobs, fork_workers
+from .io_utils import ForkJobs
 from .solitary import IterationTrace, SolitaryConfig
 from .spectral import (
     ModelParams,
@@ -135,17 +136,11 @@ def state_l2_distance(
     )
 
 
-# The study evolves its runs on forked worker processes when they take at
-# least this many RK4 steps in all.  Starting and stopping a 2-worker pool
-# costs about 10 ms, and a step at N <= 256 about 60-110 us.  The break-even
-# moves with N and from one session to the next, so a rule on the step count
-# alone misjudges the studies near it (2 cores, medians of 9 alternating
-# runs, in-process against pooled): 12-16 against 25-36 ms at 150 steps;
-# 39-55 against 48-60 ms at 600 steps on N = 16-64 and 45-59 against 54-59 ms
-# on N = 32-128, the pool losing in one session and winning in the other;
-# 104-117 against 71-84 ms at 1200 steps; 244-261 against 167 ms for the
-# desk study, 3000 steps.
-STUDY_POOL_MIN_STEPS = 600
+# In-process seconds of an RK4 step, STEP_S + STEP_MODE_S N log2 N: a step
+# took 45-74/54-102/64-121/145-298/588-771/2700-3350 us at N = 32/128/256/
+# 1024/4096/16384 on 2 cores (medians of 9 runs, three sessions).
+STEP_S = 50e-6
+STEP_MODE_S = 0.012e-6
 
 
 def _evolve_job(params: ModelParams, grid: SpectralGrid, initial: StatePair,
@@ -160,19 +155,19 @@ def _evolve_all(params: ModelParams, jobs: list) -> list[StatePair]:
     """The final state of each (grid, initial state, config) job, in job order;
     the error raised is the first failing job's, as when the jobs run in turn.
 
-    With at least STUDY_POOL_MIN_STEPS steps in all, fork and 2 CPUs, the jobs
-    run on worker processes forked from this one, longest first, and the
-    results are read back in job order; a job no worker ran runs here.
+    Each job is stated to `ForkJobs` as its steps at STEP_S + STEP_MODE_S N
+    log2 N seconds each.  When it forks, the jobs run on worker processes
+    forked from this one, longest first, so that the last run to start is a
+    short one, and the results are read back in job order; a job no worker
+    ran runs here.
     """
-    steps = [config.n_steps for _, _, config in jobs]
-    runner = ForkJobs(min(fork_workers(), len(jobs)) if sum(steps) >= STUDY_POOL_MIN_STEPS else 0)
+    seconds = [config.n_steps * (STEP_S + STEP_MODE_S * grid.n_modes * math.log2(grid.n_modes))
+               for grid, _, config in jobs]
+    runner = ForkJobs(seconds)
     try:
-        # longest first, so that the last run to start is a short one
-        futures = {i: runner.submit(_evolve_job, params, *jobs[i])
-                   for i in sorted(range(len(jobs)), key=lambda i: (steps[i], jobs[i][0].n_modes),
-                                   reverse=True)}
-        return [runner.result(futures[i], _evolve_job, params, *job)
-                for i, job in enumerate(jobs)]
+        handles = {i: runner.submit(_evolve_job, params, *jobs[i])
+                   for i in sorted(range(len(jobs)), key=seconds.__getitem__, reverse=True)}
+        return [runner.result(handles[i]) for i in range(len(jobs))]
     finally:
         runner.close()
 
@@ -192,9 +187,9 @@ def convergence_study(
     resolution reports the temporal error floor so stagnating spatial errors
     can be recognized rather than misread as a convergence failure.
 
-    The runs (reference, each resolution, probe) are independent: with enough
-    steps in all, fork and 2 CPUs they run on forked worker processes (see
-    STUDY_POOL_MIN_STEPS), otherwise one after another here.  Either way the
+    The runs (reference, each resolution, probe) are independent: when a
+    pool would end sooner, they run on forked worker processes (see
+    `_evolve_all`), otherwise one after another here.  Either way the
     report is the same to the bit.  A run that cannot be built raises its
     error before any run starts; of the runs that fail to evolve, the first
     in that order raises its error.

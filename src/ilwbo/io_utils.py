@@ -8,9 +8,7 @@ the bytes of its Python repr, the shortest round-trip decimal, so reloading a
 CSV reproduces the exact binary values and identical runs produce
 byte-identical files.  The numpy kernel of `_shortest` makes those bytes for
 a whole float array at once; `tests/test_io_utils.py::TestReprBytes` pins
-them against repr.  A snapshot writer formats its node column here before
-its pool forks, so the workers inherit the loaded kernel.  A pool job
-carries all its inputs, so a worker and this process run the same call.
+them against repr.
 """
 
 from __future__ import annotations
@@ -179,30 +177,20 @@ class OutputDir:
         self.files.append(name)
 
 
-# A run formats its snapshots on forked worker processes when the snapshots
-# after the first hold at least this many zeta and u values, (snapshots - 1) *
-# 2N.  In-process a snapshot costs about 0.32 us per zeta and u value to
-# transform, format and write (2.6 ms at N = 4096), and starting and stopping
-# a 2-worker pool about 10 ms, so the pool breaks even between 25 000 and
-# 50 000 values: N = 4096 runs on 2 cores took 15 ms in-process and 17 ms
-# pooled at 24 576 values, 24 and 20-23 ms at 49 152, 43-45 and 29-30 ms at
-# 98 304, 83-84 and 48-51 ms at 196 608 (medians of 5, two rounds).  The
-# margin keeps runs whose gain would be small next to the spread of their
-# run time in-process.
-POOL_MIN_VALUES = 200_000
-
-# Snapshots per pool job, and jobs in flight per worker.  Each job costs this
-# process one pickling and one dispatch, so a job of several snapshots leaves
-# it more time to step; but the writer, and the pool until a job's result is
-# back, hold the half spectra, 16 (N + 2) bytes each, of up to
-# JOBS_PER_WORKER * workers + 1 jobs.  `perfbench/run.py --workload
-# evolve-snapshots` on 2 cores (N = 4096, 4 rounds) read median wall_s 0.343 s
-# and peak RSS 63.9-64.1 MB at 3 snapshots x 2 jobs, 0.366 s at 3 x 1,
-# 0.375 s at 2 x 2, and 0.341 s and 64.5-64.7 MB at 4 x 2.  The second job
-# pays only on workers that keep their heap and format a block in one kernel
-# call: without those two, 3 x 2 read 0.397 s against 0.403 s at 3 x 1.
+# Snapshots per pool job, and jobs in flight per worker.  A job costs this
+# process one pickling and one dispatch, so several snapshots a job leave it
+# more time to step; but the writer and the pool hold the half spectra, 16 (N
+# + 2) bytes each, of up to JOBS_PER_WORKER * workers + 1 jobs.  3 x 2 read
+# the least wall_s and peak RSS on `evolve-snapshots` (2 cores; see CHANGES).
 SNAPSHOTS_PER_JOB = 3
 JOBS_PER_WORKER = 2
+
+# The in-process seconds per zeta and u value of a snapshot (its transform,
+# the float kernel and the write), and to start and stop a pool; on 2 cores,
+# medians of three sessions: 0.35-0.47 us per value at N = 4096, and 9.7-13.5
+# ms for a 2-worker pool given two no-op jobs.
+SNAPSHOT_VALUE_S = 0.4e-6
+POOL_START_S = 0.01
 
 SNAPSHOT_HEADER = ("t", "x", "zeta", "u")
 
@@ -222,6 +210,16 @@ def _write_snapshots(grid: SpectralGrid, nodes: np.ndarray, paths: Sequence[str]
     first error; the node byte matrix comes once for the whole batch."""
     for path, t, half in zip(paths, times, halves):
         _write_snapshot(path, t, nodes, *state_to_nodal(grid, StatePair(half)))
+
+
+def _snapshot_job_seconds(snapshots: int, n_modes: int, most: int = 1024) -> list[float]:
+    """The in-process seconds of each job of SNAPSHOTS_PER_JOB snapshots of N =
+    `n_modes`, or past `most` jobs `most` equal shares: alike on `most` CPUs."""
+    value_s = 2 * n_modes * SNAPSHOT_VALUE_S
+    if snapshots > most * SNAPSHOTS_PER_JOB:
+        return [snapshots * value_s / most] * most
+    return [min(SNAPSHOTS_PER_JOB, snapshots - i) * value_s
+            for i in range(0, snapshots, SNAPSHOTS_PER_JOB)]
 
 
 def _node_bytes(nodes: np.ndarray) -> np.ndarray:
@@ -299,51 +297,60 @@ def _init_worker(parent: int) -> None:
 
 
 class ForkJobs:
-    """Jobs run on `workers` processes forked from this one, or in-process
-    when fewer than 2 workers are asked for or a worker died and broke the
-    pool; the one place that decides which.  A broken pool is shut down
-    without cancelling, so a future still held reads as broken, not as
-    cancelled.  The pool machinery is imported only when a pool is built.
-    A job is a module-level function of its arguments alone: a worker
-    unpickles it by name, and `result` runs it here when no worker did.
-    Each worker first runs `_init_worker`, which ties its life to this
-    process and keeps its heap between jobs.
+    """Jobs run on `pool_size` processes forked from this one, given each
+    job's estimated in-process seconds, or in-process when that is 0 or a
+    worker died and broke the pool; the one place that decides which.  A
+    broken pool is shut down without cancelling, so a future still held
+    reads as broken, not as cancelled.  The pool machinery is imported only
+    when a pool is built.  A job is a module-level function of its arguments
+    alone: a worker unpickles it by name, and `result` runs it here when no
+    worker did.  Each worker first runs `_init_worker`, which ties its life
+    to this process and keeps its heap between jobs.
     """
 
-    def __init__(self, workers: int):
-        self.workers = workers if workers >= 2 else 0
+    def __init__(self, seconds: Sequence[float]):
+        self.workers = self.pool_size(seconds, fork_workers())
         self._pool = None
         if self.workers:
             # fork, not spawn: a spawned worker imports numpy and this package
             # again (about 0.4 s), which would cost more than the pool saves
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
+            self._broken = BrokenProcessPool
             self._pool = ProcessPoolExecutor(self.workers, multiprocessing.get_context("fork"),
                                              initializer=_init_worker, initargs=(os.getpid(),))
 
-    def submit(self, fn, *args):
-        """A future of `fn(*args)` on a worker, or None when no pool runs it."""
-        if self._pool is None:
-            return None
-        from concurrent.futures.process import BrokenProcessPool
+    @staticmethod
+    def pool_size(seconds: Sequence[float], cpus: int) -> int:
+        """w = min(cpus, jobs) workers for jobs of these in-process `seconds`,
+        when w >= 2 and the pool, which takes the longest job or an even
+        share plus POOL_START_S, ends before the jobs in turn would; else 0."""
+        workers, total = min(cpus, len(seconds)), sum(seconds)
+        pays = workers >= 2 and max(max(seconds), total / workers) + POOL_START_S < total
+        return workers if pays else 0
 
-        try:
-            return self._pool.submit(fn, *args)
-        except BrokenProcessPool:
-            self.close(cancel=False)
-            return None
+    def submit(self, fn, *args) -> tuple:
+        """The handle `result` takes for the job `fn(*args)`, sent to a
+        worker when a pool runs."""
+        future = None
+        if self._pool is not None:
+            try:
+                future = self._pool.submit(fn, *args)
+            except self._broken:
+                self.close(cancel=False)
+        return future, fn, args
 
-    def result(self, future, fn, *args):
-        """The worker's value of `future`, or `fn(*args)`, the job it was
-        submitted as, when no worker ran it or its pool broke; a job's own
-        error is raised as it is."""
+    def result(self, handle: tuple):
+        """The value of the job `handle` names: the worker's, or the job run
+        here when no worker ran it or its pool broke; a job's own error is
+        raised as it is."""
+        future, fn, args = handle
         if future is not None:
-            from concurrent.futures.process import BrokenProcessPool
-
             try:
                 return future.result()
-            except BrokenProcessPool:
+            except self._broken:
                 self.close(cancel=False)
         return fn(*args)
 
@@ -360,16 +367,16 @@ class SnapshotWriter:
     atomically; `close` writes the index naming them all.
 
     The node column is formatted once, here, when the writer is built, and
-    `t` once per file.  When the `expected` snapshots hold enough values,
-    worker processes forked from this one at the first job, so that they
-    inherit the loaded float kernel, run the `_write_snapshots` jobs,
-    SNAPSHOTS_PER_JOB snapshots each, while the caller goes on; the writer
-    holds each state's half spectrum, which the caller must not change,
-    until its job is done.  Otherwise each snapshot's job runs here as it is
-    taken.  The jobs that a broken pool held or did not take run here, in
-    order.  Each file is listed in `out` once its job is done, in the order
-    taken; of a job that failed, the files before the one it failed on.  A
-    worker's OSError is raised by a later `write` or by `close`.
+    `t` once per file.  The `expected` snapshots are stated to `ForkJobs` by
+    `_snapshot_job_seconds`.  When it forks, workers forked at the first
+    job, so that they inherit the loaded float kernel, run the
+    `_write_snapshots` jobs while the caller goes on; the writer holds each
+    state's half spectrum, which the caller must not change, until its job
+    is done.  Otherwise each snapshot's job runs here as it is taken.  The
+    jobs that a broken pool held or did not take run here, in order.  Each
+    file is listed in `out` once its job is done, in the order taken; of a
+    job that failed, the files before the one it failed on.  A worker's
+    OSError is raised by a later `write` or by `close`.
 
     The caller owns the writer: pass `write` as `evolve`'s sink, which gets
     only checked states, and call `close` also when the run fails, so the
@@ -383,12 +390,10 @@ class SnapshotWriter:
         self.files: list[str] = []  # the snapshots listed, for the index
         self._taken = 0
         self._batch: list[tuple] = []  # (path, t, half) of the snapshots not yet sent
-        self._jobs: deque = deque()  # (times, future or None, job arguments), oldest first
+        self._jobs: deque = deque()  # (times, paths, runner handle), oldest first
         self._nodes = _node_bytes(grid.nodes)
-        big = (expected - 1) * 2 * grid.n_modes >= POOL_MIN_VALUES
-        self._runner = ForkJobs(fork_workers() if big else 0)
+        self._runner = ForkJobs(_snapshot_job_seconds(expected, grid.n_modes))
         self._batch_size = SNAPSHOTS_PER_JOB if self._runner.workers else 1
-        self._max_jobs = JOBS_PER_WORKER * self._runner.workers
 
     def write(self, t: float, state: StatePair) -> None:
         path = os.path.join(self.out.path, f"snapshot_{self._taken:04d}.csv")
@@ -401,20 +406,19 @@ class SnapshotWriter:
         """Hand the snapshots not yet sent to the runner as one job."""
         paths, times, halves = zip(*self._batch)
         self._batch = []
-        job = (self.grid, self._nodes, paths, [fmt(t) for t in times], halves)
-        future = self._runner.submit(_write_snapshots, *job)
-        self._jobs.append((times, future, job))
-        self._finish(self._max_jobs)
+        handle = self._runner.submit(_write_snapshots, self.grid, self._nodes, paths,
+                                     [fmt(t) for t in times], halves)
+        self._jobs.append((times, paths, handle))
+        self._finish(JOBS_PER_WORKER * self._runner.workers)
 
     def _finish(self, keep: int) -> None:
         """Wait for (or run) the oldest job and list its snapshots, until at
         most `keep` jobs are left."""
         while len(self._jobs) > keep:
-            times, future, job = self._jobs.popleft()
-            paths = job[2]
+            times, paths, handle = self._jobs.popleft()
             written = 0
             try:
-                self._runner.result(future, _write_snapshots, *job)
+                self._runner.result(handle)
                 written = len(paths)
             except OutputError as err:
                 written = paths.index(err.filename)  # the files before it are complete
@@ -445,11 +449,8 @@ class SnapshotWriter:
                 "files": self.files,
                 "times": [float(t) for t in self.times],
                 "grid": {"half_length": self.grid.half_length, "n_modes": self.grid.n_modes},
-                "params": {
-                    "gamma": self.params.gamma,
-                    "alpha": self.params.alpha,
-                    "regime": self.params.regime,
-                },
+                "params": {"gamma": self.params.gamma, "alpha": self.params.alpha,
+                           "regime": self.params.regime},
             })
         if error is not None:
             raise error

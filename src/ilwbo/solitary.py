@@ -107,11 +107,15 @@ class IterationTrace:
     phases: list[str] = field(default_factory=list)
     inner_steps: list[int] = field(default_factory=list)
     converged: bool = False
-    iterations_used: int = 0
     extrapolations: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(("accepted", "rejected", "skipped"), 0))
     mpe_weights: list[np.ndarray] = field(default_factory=list)
     stall: dict | None = None
+
+    @property
+    def iterations_used(self) -> int:
+        """The fixed-point solves before the last row, 0 with no row."""
+        return self.inner_steps[-1] if self.inner_steps else 0
 
     @property
     def termination(self) -> str:

@@ -339,7 +339,6 @@ def fresh_cycled_solve(params, grid, config, seed=None):
     def evaluate(x, phase):
         fx, mx, res_x = fresh_evaluate_iterate(params, grid, c, x)
         trace.append(res_x, mx, phase, solves)
-        trace.iterations_used = solves
         if not math.isfinite(res_x) or math.isnan(mx):
             raise NonConvergenceError(trace)
         trace.converged = res_x <= config.tol
@@ -524,7 +523,6 @@ def reference_cycled_solve(params, grid, config):
 
     def converged(res, m, phase):
         trace.append(res, m, phase, solves)
-        trace.iterations_used = solves
         if math.isnan(m):  # a collapsed denominator ends the solve
             raise NonConvergenceError(trace)
         trace.converged = res <= config.tol

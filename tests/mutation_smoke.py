@@ -14,7 +14,9 @@ The mutation sites are those of `src/ilwbo/*.py` but `__init__.py` and
 * an arithmetic `+`/`-` or `*`/`/` swapped, in an expression or an augmented
   assignment;
 * a boolean `and`/`or` swapped;
-* an int constant plus 1, or a float constant times 2.
+* an int constant plus 1, or a float constant times 2;
+* a guard negated: the test of an `if` or `elif` whose body raises or
+  returns, written on one line, becomes `not (test)`.
 
 Without options, `COUNT` sites are drawn with `random.Random(SEED)` from the
 sorted list of all sites.  With `--since REV`, every site on a line of
@@ -113,10 +115,6 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "e = np.where(p < 2, 1 - p, p - 1)"):
         "at p = 1, the only place it moves, both branches give 0",
     ("io_utils.py",
-     "self._runner = ForkJobs(fork_workers() if big else 0)",
-     "self._runner = ForkJobs(fork_workers() if big else 1)"):
-        "ForkJobs runs in-process when asked for fewer than 2 workers",
-    ("io_utils.py",
      "JOBS_PER_WORKER = 2",
      "JOBS_PER_WORKER = 3"):
         "the writer keeps one job more in flight per worker: the same files, written and "
@@ -138,8 +136,12 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("io_utils.py",
      "def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 0):",
      "def __init__(self, out: OutputDir, grid: SpectralGrid, params, expected: int = 1):"):
-        "a writer expecting 0 or 1 snapshots has no values after the first: (expected - 1) "
-        "x 2N stays below POOL_MIN_VALUES either way, so it writes in-process",
+        "a writer expecting 0 or 1 snapshots states at most one job, which ForkJobs runs "
+        "in-process either way",
+    ("io_utils.py",
+     "if snapshots > most * SNAPSHOTS_PER_JOB:",
+     "if snapshots >= most * SNAPSHOTS_PER_JOB:"):
+        "at `most` full jobs the equal shares are the full jobs themselves",
     ("solitary.py",
      "i = int(np.argmin(np.abs(det) - floor))",
      "i = int(np.argmin(np.abs(det) + floor))"):
@@ -226,6 +228,12 @@ def sites_of(module: str, source: str) -> list[Site]:
         elif isinstance(node, ast.BoolOp):
             for left, right in zip(node.values, node.values[1:]):
                 swap(left, right)
+        elif (isinstance(node, ast.If) and node.test.lineno == node.test.end_lineno
+              and any(isinstance(stmt, (ast.Raise, ast.Return)) for stmt in node.body)):
+            line = lines[node.test.lineno - 1]
+            test = line[node.test.col_offset:node.test.end_col_offset]
+            found.append(Site(module, node.test.lineno, node.test.col_offset,
+                              node.test.end_col_offset, test, f"not ({test})", line))
         elif isinstance(node, ast.Constant) and _constant(node) is not None:
             line = lines[node.lineno - 1]
             found.append(Site(module, node.lineno, node.col_offset, node.end_col_offset,

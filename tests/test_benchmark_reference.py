@@ -14,14 +14,17 @@ import sys
 
 import pytest
 
+from ilwbo import harness, io_utils
 from ilwbo.cli import main
+from ilwbo.evolution import EvolutionConfig
+from ilwbo.spectral import ModelParams
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import ladder  # noqa: E402
 from checks import judge, observe  # noqa: E402
-from workloads import kinds  # noqa: E402
+from workloads import Invocation, kinds  # noqa: E402
 
 
 def invocation(workload, key):
@@ -97,3 +100,39 @@ def test_layer_ladder_kernels_run(tmp_path):
         "harness.convergence_study_s", "harness.roundtrip_s", "harness.decay_fit_s",
         "accel.cycled_solve_s", "io_utils.snapshot_ms.N4096"])
     assert all(value > 0 for value in rungs.values())
+
+
+def pool_decision(inv, monkeypatch):
+    """The workers `ForkJobs` would fork on 2 CPUs for an invocation's
+    snapshots or study runs, or None when it reaches no pool."""
+    cfg = inv.config
+    if inv.command == "evolve":
+        config = EvolutionConfig(t_end=cfg["t_end"], dt=cfg["dt"],
+                                 record_every=cfg["record_every"])
+        return io_utils.ForkJobs.pool_size(
+            io_utils._snapshot_job_seconds(config.snapshots, cfg["N"]), 2)
+    blocks = cfg.get("experiments", [])
+    if [block["kind"] for block in blocks] != ["convergence"]:
+        return None
+    block, stated = blocks[0], []
+    monkeypatch.setattr(harness, "ForkJobs",
+                        lambda seconds: stated.append(seconds) or io_utils.ForkJobs([]))
+    harness.convergence_study(ModelParams(block["gamma"], block["alpha"], block["regime"]),
+                              harness.gaussian_state(block["amplitude"], block["width"]),
+                              block["resolutions"], block["t_end"], block["dt"], block["l"])
+    return io_utils.ForkJobs.pool_size(stated[0], 2)
+
+
+def test_each_benchmark_kind_keeps_its_pool_decision(monkeypatch):
+    # evolve-compute's two snapshots are one job; evolve-snapshots writes
+    # 101 snapshots at N = 4096; the desk's study takes 3000 steps
+    pooled = {"evolve-snapshots": {"N4096"}, "verify-desk": {"desk0-convergence"}}
+    for workload in ("evolve-compute", "evolve-snapshots", "solitary-sweep", "verify-desk"):
+        for kind, variants in kinds(workload, PERFBENCH.parent).items():
+            for inv in variants:
+                want = 2 if kind in pooled.get(workload, ()) else (
+                    0 if inv.command == "evolve" else None)
+                assert pool_decision(inv, monkeypatch) == want, inv.key
+    shipped = json.loads((PERFBENCH.parent / "configs" / "evolve_gaussian.json").read_text())
+    assert pool_decision(Invocation("shipped", "evolve_gaussian", "evolve", shipped, None),
+                         monkeypatch) == 0

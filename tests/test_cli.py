@@ -639,7 +639,7 @@ def test_evolve_memory_does_not_grow_with_the_snapshot_count(tmp_path):
     # the warm-up's 33 snapshots start the worker pool, whose one-time imports
     # are then not charged to the 101-snapshot run
     warm_up = dict(SNAPSHOT_EVOLVE, t_end=2.0, record_every=1)
-    assert 32 * 2 * warm_up["N"] >= io_utils.POOL_MIN_VALUES
+    assert io_utils.ForkJobs.pool_size(io_utils._snapshot_job_seconds(33, warm_up["N"]), 2)
     run_cli(tmp_path, "evolve", warm_up, out="warm-up")
     assert evolve_peak_bytes(tmp_path, 1) <= 1.5 * evolve_peak_bytes(tmp_path, 10)
 
@@ -677,7 +677,7 @@ POOLED_SNAPSHOTS = [f"snapshot_{i:04d}.csv" for i in range(21)]
 
 
 def test_in_process_snapshots_run_the_pool_job(tmp_path, monkeypatch):
-    monkeypatch.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+    monkeypatch.setattr(io_utils, "POOL_START_S", float("inf"))
     monkeypatch.setattr(io_utils, "_write_snapshot", _logged_snapshot)
     code, out_dir = run_cli(tmp_path, "evolve", POOLED_EVOLVE)
     assert code == 0
@@ -695,12 +695,12 @@ def pool_workers(monkeypatch):
         pytest.skip("the snapshot pool needs fork and at least 2 CPUs")
     chosen = []
 
-    def recording(workers, *args):
-        runner = _FORK_JOBS(workers, *args)
+    def recording(seconds):
+        runner = _FORK_JOBS(seconds)
         chosen.append(runner.workers)
         return runner
 
-    monkeypatch.setattr(io_utils, "POOL_MIN_VALUES", 0)
+    monkeypatch.setattr(io_utils, "POOL_START_S", 0.0)
     monkeypatch.setattr(io_utils, "ForkJobs", recording)
     return chosen
 
@@ -721,7 +721,7 @@ class TestSnapshotPool:
 
     def test_writes_the_same_files_and_index(self, tmp_path, pool_workers):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+            mp.setattr(io_utils, "POOL_START_S", float("inf"))
             assert run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="in-process")[0] == 0
         code, pooled = run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="pooled")
         assert code == 0 and pool_workers[-1] >= 2
@@ -748,7 +748,7 @@ class TestSnapshotPool:
     def test_step_failure_keeps_the_earlier_snapshots_and_index(self, tmp_path, pool_workers):
         cfg = dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+            mp.setattr(io_utils, "POOL_START_S", float("inf"))
             assert run_cli(tmp_path, "evolve", cfg, out="in-process")[0] == 3
         code, pooled = run_cli(tmp_path, "evolve", cfg, out="pooled")
         assert code == 3 and pool_workers[-1] >= 2
@@ -786,7 +786,7 @@ class TestSnapshotPool:
         for out in ("in-process", "pooled"):
             (tmp_path / out / name).mkdir(parents=True)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+            mp.setattr(io_utils, "POOL_START_S", float("inf"))
             assert run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="in-process")[0] == 2
         capsys.readouterr()
         code, pooled = run_cli(tmp_path, "evolve", POOLED_EVOLVE, out="pooled")
@@ -815,7 +815,7 @@ class TestSnapshotPool:
         cfg = dict(DIVERGING_EVOLVE, t_end=1000.0, record_every=1)
         assert 11 % io_utils.SNAPSHOTS_PER_JOB
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io_utils, "POOL_MIN_VALUES", float("inf"))
+            mp.setattr(io_utils, "POOL_START_S", float("inf"))
             assert run_cli(tmp_path, "evolve", cfg, out="in-process")[0] == 3
         code, pooled = run_cli(tmp_path, "evolve", cfg, out="pooled")
         assert code == 3 and pool_workers[-1] >= 2
@@ -894,9 +894,8 @@ def _start_time(pid):
 
 
 # Runs that take a pool and outlast the test's wait for its workers: 101
-# snapshots of N = 4096, far past POOL_MIN_VALUES, in 10 000 steps; and a
-# convergence study of five runs of 10 000 steps or more, far past
-# STUDY_POOL_MIN_STEPS
+# snapshots of N = 4096 in 10 000 steps; and a convergence study of five
+# runs of 10 000 steps or more
 _POOLED_RUNS = {
     "snapshot-pool": ("evolve", dict(EVOLVE_CFG, N=4096, l=64.0, t_end=100.0,
                                      record_every=100)),

@@ -15,7 +15,7 @@ from ilwbo.errors import (
 from ilwbo.solitary import IterationTrace
 
 TRACE = IterationTrace(residuals=[1e-2, 3e-4, 2e-5], m_factors=[1.0, 1.2, 1.1],
-                       phases=["plain"] * 3, inner_steps=[0, 1, 2], iterations_used=2)
+                       phases=["plain"] * 3, inner_steps=[0, 1, 2])
 
 ERRORS = {
     IlwboError: (IlwboError("base"), ()),

@@ -104,8 +104,8 @@ class TestConvergenceStudy:
         log = tmp_path / "jobs"
         monkeypatch.setattr(harness, "_evolve_job", _logged_evolve_job)
         monkeypatch.setattr(sys.modules[__name__], "_job_log", str(log))
-        for min_steps in (float("inf"), 0):
-            monkeypatch.setattr(harness, "STUDY_POOL_MIN_STEPS", min_steps)
+        for start in (float("inf"), 0.0):
+            monkeypatch.setattr(io_utils, "POOL_START_S", start)
             with pytest.raises(ValueError, match="n_modes N must be even and >= 8, got 6"):
                 convergence_study(BO_P, gaussian_state(1e200, 1.2), [6, 24],
                                   t_end=0.1, dt=0.01, half_length=16.0)
@@ -150,13 +150,13 @@ def study_pools(monkeypatch):
         pytest.skip("the study pool needs fork and at least 2 CPUs")
     built = []
 
-    def recording(workers, *args):
-        runner = _FORK_JOBS(workers, *args)
+    def recording(seconds):
+        runner = _FORK_JOBS(seconds)
         if runner.workers:
             built.append(runner.workers)
         return runner
 
-    monkeypatch.setattr(harness, "STUDY_POOL_MIN_STEPS", 0)
+    monkeypatch.setattr(io_utils, "POOL_START_S", 0.0)
     monkeypatch.setattr(harness, "ForkJobs", recording)
     return built
 
@@ -164,7 +164,7 @@ def study_pools(monkeypatch):
 def in_process(study, *args, **kwargs):
     """`study(*args, **kwargs)` with every run evolved in this process."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "STUDY_POOL_MIN_STEPS", float("inf"))
+        mp.setattr(io_utils, "POOL_START_S", float("inf"))
         return study(*args, **kwargs)
 
 
@@ -207,7 +207,7 @@ STUDY_RUNS = [128, 16, 32, 64, 64]
 
 def test_in_process_study_runs_are_the_pool_jobs(tmp_path, monkeypatch):
     want = convergence_study(*STUDY_ARGS, **STUDY_KWARGS)
-    monkeypatch.setattr(harness, "STUDY_POOL_MIN_STEPS", float("inf"))
+    monkeypatch.setattr(io_utils, "POOL_START_S", float("inf"))
     report, jobs = study_jobs(convergence_study, monkeypatch, tmp_path / "jobs",
                               *STUDY_ARGS, **STUDY_KWARGS)
     assert jobs == [(_TEST_PID, n) for n in STUDY_RUNS] and report == want
@@ -285,6 +285,64 @@ class TestStudyPool:
             pickle.dumps(traced)
         monkeypatch.setattr(harness, "evolve", traced)
         assert convergence_study(*args, **kwargs) == want and study_pools
+
+
+def stated_seconds(monkeypatch, study, *args, **kwargs):
+    """The run seconds `study(*args, **kwargs)` states to `ForkJobs`, one
+    list per pool asked for; every run is evolved in this process."""
+    stated = []
+    monkeypatch.setattr(harness, "ForkJobs",
+                        lambda seconds: stated.append(seconds) or _FORK_JOBS([]))
+    study(*args, **kwargs)
+    return stated
+
+
+class TestStudyPoolDecision:
+    """The study's runs, stated by their steps and N, on both sides of the
+    clear corners of `ForkJobs.pool_size` on 2 CPUs; 600 steps at small N,
+    where the pool's gain changes sign between sessions, is left unpinned."""
+
+    @pytest.mark.parametrize("resolutions, steps, half_length, pooled", [
+        ([16, 32, 64], 150, 16.0, False),  # 12-16 ms in-process, 25-36 ms pooled
+        ([32, 64, 128], 1200, 16.0, True),  # 104-117 ms, 71-84 ms pooled
+        ([1024, 4096], 100, 512.0, True),  # 62-66 ms, 49-51 ms pooled
+    ])
+    def test_corners(self, monkeypatch, resolutions, steps, half_length, pooled):
+        # each run takes a fifth of the steps, or a sixth with three
+        # resolutions, and the dt/2 probe twice that
+        dt = 0.0625 if half_length > 16 else 0.002
+        t_end = dt * steps / (len(resolutions) + 3)
+        stated, = stated_seconds(monkeypatch, convergence_study, BO_P, gaussian_state(0.1, 1.2),
+                                 resolutions, t_end=t_end, dt=dt, half_length=half_length)
+        runs = [2 * resolutions[-1], *resolutions, resolutions[-1]]
+        n_steps = [round(t_end / dt)] * (len(runs) - 1) + [2 * round(t_end / dt)]
+        assert sum(n_steps) == steps
+        assert stated == [n * (harness.STEP_S + harness.STEP_MODE_S * big_n * np.log2(big_n))
+                          for n, big_n in zip(n_steps, runs)]
+        assert bool(io_utils.ForkJobs.pool_size(stated, 2)) is pooled
+
+    def test_the_cost_constants_sit_inside_their_measured_ranges(self):
+        # 2 cores, three sessions; a re-measured figure moves the constant
+        # and this table together
+        measured_step_us = {32: (45, 74), 128: (54, 102), 256: (64, 121), 1024: (145, 298),
+                            4096: (588, 771), 16384: (2700, 3350)}
+        for n, (low, high) in measured_step_us.items():
+            assert low <= (harness.STEP_S + harness.STEP_MODE_S * n * np.log2(n)) * 1e6 <= high, n
+        assert 0.35e-6 <= io_utils.SNAPSHOT_VALUE_S <= 0.47e-6
+        assert 9.7e-3 <= io_utils.POOL_START_S <= 13.5e-3
+
+    def test_the_runs_start_longest_first(self, monkeypatch):
+        # the reference at N = 128, then the probe's 2x steps at N = 64
+        submitted = []
+        submit = _FORK_JOBS.submit
+
+        def recording(runner, fn, params, grid, initial, config):
+            submitted.append((grid.n_modes, config.n_steps))
+            return submit(runner, fn, params, grid, initial, config)
+
+        monkeypatch.setattr(_FORK_JOBS, "submit", recording)
+        convergence_study(*STUDY_ARGS, t_end=0.2, dt=0.002, half_length=16.0)
+        assert submitted == [(64, 200), (128, 100), (64, 100), (32, 100), (16, 100)]
 
 
 class TestInitialData:

@@ -373,16 +373,71 @@ def test_fork_workers_is_one_per_cpu_from_two(monkeypatch, cpus, workers):
     assert io_utils.fork_workers() == workers
 
 
-def test_the_snapshot_pool_starts_at_pool_min_values(tmp_path, monkeypatch):
-    # (snapshots - 1) * 2N values: 10 * 2 * 64 = 1280 at 11 snapshots
-    fork_jobs, asked = io_utils.ForkJobs, []
-    monkeypatch.setattr(io_utils, "fork_workers", lambda: 2)
-    monkeypatch.setattr(io_utils, "ForkJobs", lambda workers: asked.append(workers) or fork_jobs(0))
-    monkeypatch.setattr(io_utils, "POOL_MIN_VALUES", 1280)
-    grid, params = SpectralGrid(16.0, 64), ModelParams(0.8, 1.2, BO)
-    for expected in (10, 11):
-        SnapshotWriter(OutputDir(str(tmp_path)), grid, params, expected).close()
-    assert asked == [0, 2]
+class TestPoolDecision:
+    """`ForkJobs.pool_size`, the one pooling rule, as a function of the jobs'
+    in-process seconds and the CPUs, and the writer's jobs on both sides of
+    its clear corners; the corners near break-even are left unpinned."""
+
+    def test_fewer_than_two_jobs_or_cpus_run_in_process(self):
+        assert io_utils.ForkJobs.pool_size([], 4) == 0
+        assert io_utils.ForkJobs.pool_size([10.0], 4) == 0
+        assert io_utils.ForkJobs.pool_size([10.0, 10.0], 1) == 0
+        assert io_utils.ForkJobs.pool_size([10.0, 10.0], 0) == 0
+
+    def test_one_worker_per_job_up_to_the_cpus(self):
+        assert io_utils.ForkJobs.pool_size([10.0] * 2, 4) == 2
+        assert io_utils.ForkJobs.pool_size([10.0] * 5, 4) == 4
+
+    def test_the_pool_must_end_sooner_than_the_jobs_in_turn(self):
+        start = io_utils.POOL_START_S
+        # the longest job, or an even share, plus the start: 2 start against 2 start
+        assert io_utils.ForkJobs.pool_size([start, start], 2) == 0
+        assert io_utils.ForkJobs.pool_size([start] * 3, 2) == 2
+        assert io_utils.ForkJobs.pool_size([start] * 3, 3) == 3
+        # one long job: the others save less than the start costs
+        assert io_utils.ForkJobs.pool_size([100 * start, start / 2], 2) == 0
+        assert io_utils.ForkJobs.pool_size([100 * start, 2 * start], 2) == 2
+
+    @pytest.mark.parametrize("snapshots, pooled", [
+        (4, False),   # 24 576 values after the first: 15 ms in-process, 17 ms pooled
+        (25, True),   # 196 608 values after the first: 97-117 ms, 80-87 ms pooled
+        (101, True),  # the evolve-snapshots runs
+    ])
+    def test_snapshot_corners_at_n4096(self, snapshots, pooled):
+        seconds = io_utils._snapshot_job_seconds(snapshots, 4096)
+        assert len(seconds) == -(-snapshots // io_utils.SNAPSHOTS_PER_JOB)
+        assert bool(io_utils.ForkJobs.pool_size(seconds, 2)) is pooled
+
+    @pytest.mark.parametrize("n_modes", [8, 256, 4096, 16384, 1 << 20])
+    def test_a_two_snapshot_run_is_one_job_in_process(self, n_modes):
+        seconds = io_utils._snapshot_job_seconds(2, n_modes)
+        assert len(seconds) == 1 and io_utils.ForkJobs.pool_size(seconds, 64) == 0
+
+    @pytest.mark.parametrize("snapshots", [3 * 1024 + 1, 10 ** 15])
+    def test_a_long_run_states_a_bounded_list_with_the_same_decision(self, snapshots):
+        # the writer of an evolve to t_end = 1e12 at record_every 1 is built
+        # in microseconds; its jobs would fork on any CPU count from 2
+        seconds = io_utils._snapshot_job_seconds(snapshots, 256)
+        assert len(seconds) == 1024
+        assert sum(seconds) == pytest.approx(snapshots * 512 * io_utils.SNAPSHOT_VALUE_S)
+        assert [io_utils.ForkJobs.pool_size(seconds, cpus) for cpus in (1, 2, 64, 1024)] == \
+            [0, 2, 64, 1024]
+        small = io_utils._snapshot_job_seconds(3 * 1024, 256)
+        assert len(small) == 1024 and max(small) == 3 * 512 * io_utils.SNAPSHOT_VALUE_S
+
+    def test_the_writer_states_its_expected_snapshots(self, tmp_path, monkeypatch):
+        stated = []
+        monkeypatch.setattr(io_utils, "ForkJobs",
+                            lambda seconds: stated.append(seconds) or _FORK_JOBS([]))
+        grid, params = SpectralGrid(16.0, 64), ModelParams(0.8, 1.2, BO)
+        for expected in (0, 7):
+            SnapshotWriter(OutputDir(str(tmp_path)), grid, params, expected).close()
+        assert stated == [[], io_utils._snapshot_job_seconds(7, 64)]
+        assert stated[1] == [3 * 128 * io_utils.SNAPSHOT_VALUE_S] * 2 + \
+            [128 * io_utils.SNAPSHOT_VALUE_S]
+
+
+_FORK_JOBS = io_utils.ForkJobs
 
 
 class FakeLibc:
@@ -463,19 +518,16 @@ class LazyJobs:
     """A stand-in for ForkJobs with `workers` workers: a job is run only when
     its result is asked for, so every job submitted stays pending until then."""
 
-    class Future:
-        def done(self):
-            return False
-
     def __init__(self, workers):
         self.workers, self.pending = workers, 0
 
     def submit(self, fn, *args):
         self.pending += 1
-        return self.Future()
+        return fn, args
 
-    def result(self, future, fn, *args):
+    def result(self, handle):
         self.pending -= 1
+        fn, args = handle
         return fn(*args)
 
     def close(self, cancel=True):
@@ -486,7 +538,7 @@ def test_the_writer_keeps_jobs_per_worker_jobs_in_flight(tmp_path, monkeypatch):
     # the writer waits for its oldest job only when it holds more than
     # JOBS_PER_WORKER jobs per worker, and lists every file in order
     runner = LazyJobs(2)
-    monkeypatch.setattr(io_utils, "ForkJobs", lambda workers: runner)
+    monkeypatch.setattr(io_utils, "ForkJobs", lambda seconds: runner)
     grid, params = SpectralGrid(16.0, 16), ModelParams(0.8, 1.2, BO)
     state = sech2_state(0.2, 0.8)(grid)
     out = OutputDir(str(tmp_path))
@@ -505,8 +557,8 @@ def test_the_writer_keeps_jobs_per_worker_jobs_in_flight(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == sorted(out.files)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
-                    or not io_utils._glibc(), reason="a forked worker under glibc")
+@pytest.mark.skipif(not io_utils.fork_workers() or not io_utils._glibc(),
+                    reason="a forked worker under glibc")
 def test_a_pool_worker_keeps_its_heap(tmp_path):
     # in a fresh process glibc trims a worker's heap between the float
     # kernel's calls and faults it in again: about 3800 minor faults for 5
@@ -525,10 +577,9 @@ def test_a_pool_worker_keeps_its_heap(tmp_path):
                 repr_bytes(values)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-        runner = io_utils.ForkJobs(2)
-        future = runner.submit(job, 8192)
-        assert future is not None
-        print(runner.result(future, job, 8192))
+        runner = io_utils.ForkJobs([1.0, 1.0])
+        assert runner.workers == 2
+        print(runner.result(runner.submit(job, 8192)))
         runner.close()
     """)
     assert _fresh_process_output(code) < 50

@@ -9,7 +9,13 @@ import pytest
 from ilwbo import BO, ILW, ModelParams, SolitaryConfig, SpectralGrid, StatePair, solitary
 from ilwbo.accel import cycled_solve
 from ilwbo.errors import NonConvergenceError, SingularModeError
-from ilwbo.solitary import Workspace, evaluate_iterate, petviashvili_step, seed_profile
+from ilwbo.solitary import (
+    IterationTrace,
+    Workspace,
+    evaluate_iterate,
+    petviashvili_step,
+    seed_profile,
+)
 from ilwbo.spectral import (
     nodal_norm,
     state_from_nodal,
@@ -310,6 +316,15 @@ class TestSeedProfile:
 
 
 class TestPetviashvili:
+    def test_iterations_used_is_the_last_rows_solve_count(self):
+        trace = IterationTrace()
+        assert trace.iterations_used == 0
+        for inner in (0, 1, 1, 2):
+            trace.append(1.0, 1.0, "plain", inner)
+        assert trace.iterations_used == 2
+        with pytest.raises(AttributeError):
+            trace.iterations_used = 5
+
     def test_restart_from_converged_wave(self, bo_params, wave_grid, bo_wave):
         # criterion-10 behavior: the converged output is a fixed point
         config, wave, _ = bo_wave
