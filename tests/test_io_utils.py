@@ -424,6 +424,7 @@ class TestPoolDecision:
             [0, 2, 64, 1024]
         small = io_utils._snapshot_job_seconds(3 * 1024, 256)
         assert len(small) == 1024 and max(small) == 3 * 512 * io_utils.SNAPSHOT_VALUE_S
+        assert len(io_utils._snapshot_job_seconds(3 * 1000, 256)) == 1000
 
     def test_the_writer_states_its_expected_snapshots(self, tmp_path, monkeypatch):
         stated = []
