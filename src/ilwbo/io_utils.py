@@ -212,10 +212,10 @@ def _write_snapshots(grid: SpectralGrid, nodes: np.ndarray, paths: Sequence[str]
         _write_snapshot(path, t, nodes, *state_to_nodal(grid, StatePair(half)))
 
 
-def _snapshot_job_seconds(snapshots: int, n_modes: int, most: int = 1024) -> list[float]:
+def _snapshot_job_seconds(snapshots: int, n_modes: int) -> list[float]:
     """The in-process seconds of each job of SNAPSHOTS_PER_JOB snapshots of N =
     `n_modes`, or past `most` jobs `most` equal shares: alike on `most` CPUs."""
-    value_s = 2 * n_modes * SNAPSHOT_VALUE_S
+    value_s, most = 2 * n_modes * SNAPSHOT_VALUE_S, 1024
     if snapshots > most * SNAPSHOTS_PER_JOB:
         return [snapshots * value_s / most] * most
     return [min(SNAPSHOTS_PER_JOB, snapshots - i) * value_s
