@@ -305,7 +305,7 @@ class TestStudyPoolDecision:
     @pytest.mark.parametrize("resolutions, steps, half_length, pooled", [
         ([16, 32, 64], 150, 16.0, False),  # 12-16 ms in-process, 25-36 ms pooled
         ([32, 64, 128], 1200, 16.0, True),  # 104-117 ms, 71-84 ms pooled
-        ([1024, 4096], 100, 512.0, True),  # 62-66 ms, 49-51 ms pooled
+        ([1024, 4096], 100, 512.0, True),  # 63-97 ms, 51-80 ms pooled
     ])
     def test_corners(self, monkeypatch, resolutions, steps, half_length, pooled):
         # each run takes a fifth of the steps, or a sixth with three

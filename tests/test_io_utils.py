@@ -400,7 +400,7 @@ class TestPoolDecision:
 
     @pytest.mark.parametrize("snapshots, pooled", [
         (4, False),   # 24 576 values after the first: 15 ms in-process, 17 ms pooled
-        (25, True),   # 196 608 values after the first: 97-117 ms, 80-87 ms pooled
+        (25, True),   # 196 608 values after the first: pooled won 31 of 47 pairs
         (101, True),  # the evolve-snapshots runs
     ])
     def test_snapshot_corners_at_n4096(self, snapshots, pooled):
@@ -415,8 +415,8 @@ class TestPoolDecision:
 
     @pytest.mark.parametrize("snapshots", [3 * 1024 + 1, 10 ** 15])
     def test_a_long_run_states_a_bounded_list_with_the_same_decision(self, snapshots):
-        # the writer of an evolve to t_end = 1e12 at record_every 1 is built
-        # in microseconds; its jobs would fork on any CPU count from 2
+        # a writer expecting the snapshots of an evolve to t_end = 1e12 states
+        # 1024 jobs, not one per three snapshots; they fork on 2 CPUs or more
         seconds = io_utils._snapshot_job_seconds(snapshots, 256)
         assert len(seconds) == 1024
         assert sum(seconds) == pytest.approx(snapshots * 512 * io_utils.SNAPSHOT_VALUE_S)
