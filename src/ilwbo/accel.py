@@ -56,12 +56,13 @@ SUM_FLOOR = 1e-12
 
 
 def mpe_coefficients(window: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Affine weights gamma_0..gamma_q for a window of q+2 half-spectrum
-    iterates: a sequence, or one (q+2, 2, N/2+1) array, which is differenced
-    in place of a stacked copy.
+    """Affine weights gamma_0..gamma_q for a window of q+2 iterates, real
+    cosine coefficients or complex half spectra: a sequence, or one
+    (q+2, 2, N/2+1) array, which is differenced in place of a stacked copy.
 
     The least squares are taken in the nodal norm: each difference, as real
-    numbers, scaled by the root of its Parseval weight (see `nodal_inner`).
+    numbers (so a real window gives half the rows of a complex one), scaled
+    by the root of its Parseval weight (see `nodal_inner`).
     Rank-deficient difference matrices are handled by the minimum-norm
     least-squares solution.  So a stationary window (all differences exactly
     zero) gets c_0..c_{q-1} = 0, i.e. gamma = (0, ..., 0, 1): the last
@@ -116,20 +117,23 @@ def cycled_solve(
     does a stall (see the module docstring), with `trace.stall` set.  Each
     cycle's MPE weights are kept in `trace.mpe_weights`.
 
-    The iteration runs on the half spectrum of `seed` (left unchanged) through
-    one `solitary.Workspace`: each cycle's plain iterates are written into
-    one (mw+1, 2, N/2+1) window allocated per solve, F(Z) alternates between
-    two buffers, and the returned wave is a copy of the last iterate that
-    owns its memory.
+    The iteration runs through one `solitary.Workspace`, on the cosine
+    coefficients of an even seed: `seed_profile` with no `seed`, or a seed
+    whose `half.imag` is all zero.  Any other seed is iterated on its complex
+    half spectrum.  The seed is left unchanged.  Each cycle's plain iterates
+    are written into one (mw+1, 2, N/2+1) window allocated per solve, F(Z)
+    alternates between two buffers, and the returned wave is a complex copy
+    of the last iterate that owns its memory (imaginary part exactly 0 on the
+    even path).
     """
     c = config.speed
-    z = seed.half if seed is not None else seed_profile(params, grid, config)
-    if nodal_norm(grid, z) == 0.0:
-        raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
-                         if seed is None else "seed iterate must be nonzero")
-
+    if seed is None:
+        z = seed_profile(params, grid, config)
+    else:
+        # contiguous, as np.vdot can round a strided view differently
+        z = seed.half if seed.half.imag.any() else np.ascontiguousarray(seed.half.real)
     try:
-        window = np.empty((config.mw + 1,) + z.shape, dtype=complex)
+        window = np.empty((config.mw + 1,) + z.shape, dtype=z.dtype)
     except (MemoryError, ValueError) as err:  # numpy's ValueError: no address space holds it
         raise ValueError(f"mw={config.mw} asks for an iterate window too large to allocate "
                          f"({err})") from err
@@ -152,9 +156,13 @@ def cycled_solve(
         return mx, res_x
 
     # a diverging iterate overflows on its way to a non-finite residual, as
-    # do the S tables of an extreme gamma such as 1e-300
+    # do the S tables of an extreme gamma such as 1e-300 and the seed's norm
+    # at seed_amplitude 1e300 (inf - inf in `nodal_inner`)
     with np.errstate(over="ignore", invalid="ignore"):
-        workspace = Workspace(params, grid, c)
+        if nodal_norm(grid, z) == 0.0:
+            raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
+                             if seed is None else "seed iterate must be nonzero")
+        workspace = Workspace(params, grid, c, z.dtype)
         m, res = evaluate(z, fz, "plain")
         while not trace.converged:
             if config.mw > 1:  # the plain iteration is exempt, and only MPE reads window[0]
@@ -187,4 +195,4 @@ def cycled_solve(
                 fz, fx = fx, fz
             else:  # restart the cycle from the last plain iterate
                 trace.extrapolations["rejected"] += 1
-    return StatePair(z.copy()), trace
+    return StatePair(z.astype(complex)), trace

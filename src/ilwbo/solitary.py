@@ -17,9 +17,14 @@ with the Euclidean inner product over all 2N nodal values; the squared
 stabilizing factor matches the quadratic nonlinearity and collapses to 1 at a
 solution.  The iteration is monitored by the residual RES = ||S Z - F(Z)||
 in the same nodal norm and stops once RES <= tol.  Iterates are (2, N/2+1)
-half spectra (the `half` of a `spectral.StatePair`), over which the 2N-value
-nodal inner product is a Parseval sum: each mode weighted 2 for its conjugate
-partner, k = 0 and -N/2 weighted 1 (`spectral.nodal_inner`).
+arrays over k = 0..N/2, over which the 2N-value nodal inner product is a
+Parseval sum: each mode weighted 2 for its partner -k, k = 0 and -N/2
+weighted 1 (`spectral.nodal_inner`).  S, S^{-1} and F keep a wave even, and
+the sech^2 seed is even, so a solve from it holds real iterates: the cosine
+coefficients, the real half spectrum, with products from
+`spectral.EvenProductKernel`.  Any other iterate is a complex half spectrum
+(the `half` of a `spectral.StatePair`), with products from
+`spectral.ProductKernel`.
 
 `Workspace` is the one implementation of S, S^{-1} and F.  `cycled_solve`
 builds one per solve: it reads the S tables once, keeps one product kernel
@@ -37,6 +42,7 @@ import numpy as np
 
 from .errors import SingularModeError
 from .spectral import (
+    EvenProductKernel,
     ModelParams,
     ProductKernel,
     SpectralGrid,
@@ -146,11 +152,10 @@ class IterationTrace:
 
 
 def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
-    """Half-spectrum tables of S (S z = diag * z + off * z[::-1]) and of 1/det S,
-    with the singularity check; g is even, so k = 0..N/2 holds every |k|.
-
-    Stored complex, as numpy casts a real factor in a complex product anyway
-    (and divides a complex array by a real one as a product with 1/det).
+    """Real tables over k = 0..N/2 of S (S z = diag * z + off * z[::-1]) and
+    of 1/det S, with the singularity check; g is even, so k = 0..N/2 holds
+    every |k|.  `Workspace` casts them once to its iterates' dtype: numpy
+    casts a real factor of a complex product to complex anyway.
     """
     k = grid.wavenumbers[: grid.n_modes // 2 + 1]
     g = symbol_g(params, k)
@@ -165,11 +170,13 @@ def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
     if np.any(bad):
         i = int(np.argmin(np.abs(det) - floor))
         raise SingularModeError(k[i], det[i])
-    return tuple(np.array(t, dtype=complex) for t in ((s11, s22), (s12, s21), 1.0 / det))
+    return np.array((s11, s22)), np.array((s12, s21)), 1.0 / det
 
 
 def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig) -> np.ndarray:
-    """Initial iterate: zeta = A sech^2(lambda x), u = (1-gamma) zeta / c.
+    """Initial iterate: zeta = A sech^2(lambda x), u = (1-gamma) zeta / c, as
+    its cosine coefficients (the real part of its half spectrum, whose
+    imaginary part is only rounding).
 
     The u component comes from the second (algebraic) equation of the
     traveling-wave system with its quadratic term dropped.
@@ -178,25 +185,29 @@ def seed_profile(params: ModelParams, grid: SpectralGrid, config: SolitaryConfig
     with np.errstate(over="ignore"):
         zeta = config.seed_amplitude / np.cosh(config.seed_width * grid.nodes) ** 2
     u = (1.0 - params.gamma) * zeta / config.speed
-    return state_from_nodal(grid, zeta, u).half
+    return state_from_nodal(grid, zeta, u).half.real.copy()
 
 
 class Workspace:
     """One solve's S, S^{-1} and F on buffers allocated once, as
     `evolution.Stepper` is for the evolver.
 
-    It reads the S tables once and keeps one `ProductKernel` built on the
+    It serves iterates of one dtype: real cosine coefficients (float) or
+    complex half spectra (complex).  It reads the S tables once, in that
+    dtype, and keeps one `EvenProductKernel` or `ProductKernel` built on the
     factors (1/gamma, 0.5/gamma) of F.  Each method writes into the `out` it
     is given with the operations, in their order, of the formulas in the
     module docstring, so every iterate, residual and m is the same to the
     bit as from fresh arrays.  `out` must not alias the input.
     """
 
-    def __init__(self, params: ModelParams, grid: SpectralGrid, c: float):
+    def __init__(self, params: ModelParams, grid: SpectralGrid, c: float, dtype):
         self._grid = grid
-        self._diag, self._off, self._inv_det = _S_tables(params, grid, c)
+        self._diag, self._off, self._inv_det = (np.asarray(t, dtype=dtype)
+                                                for t in _S_tables(params, grid, c))
         self._diag_reversed = self._diag[::-1].copy()
-        self._product = ProductKernel(grid, [[1.0 / params.gamma], [0.5 / params.gamma]])
+        kernel = ProductKernel if self._diag.dtype.kind == "c" else EvenProductKernel
+        self._product = kernel(grid, [[1.0 / params.gamma], [0.5 / params.gamma]])
         self._work = np.empty_like(self._diag)
         self._scratch = np.empty_like(self._diag)
 
@@ -241,7 +252,7 @@ def evaluate_iterate(
     """F(Z), m and RES at iterate Z on a fresh `Workspace`, for perfbench's
     ladder and the tests."""
     fz = np.empty_like(z)
-    m, res = Workspace(params, grid, c).evaluate(z, fz)
+    m, res = Workspace(params, grid, c, z.dtype).evaluate(z, fz)
     return fz, m, res
 
 
@@ -250,4 +261,4 @@ def petviashvili_step(
 ) -> np.ndarray:
     """Z_next from F(Z) and m on a fresh `Workspace`, for perfbench's ladder
     and the tests."""
-    return Workspace(params, grid, c).step(fz, m, np.empty_like(fz))
+    return Workspace(params, grid, c, fz.dtype).step(fz, m, np.empty_like(fz))

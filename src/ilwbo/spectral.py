@@ -24,15 +24,17 @@ Conventions used throughout the package
   real-even or odd-imaginary multipliers, the per-mode 2x2 solve, real affine
   combinations) acts on the half spectrum, so no solver re-symmetrizes its
   state.
-* The evolver and the Petviashvili/MPE solver step that same array.  The
-  solver's ``nodal_inner`` is the weighted Parseval sum over it (weight 1 at
-  ``k = 0`` and ``-N/2``, 2 elsewhere).  Both take their quadratic products
-  from ``ProductKernel``, the one dealiased-product kernel of the half
-  spectrum: it owns a grid's zero-padded, nodal and spectrum buffers, runs
-  its two transforms through the pocketfft routines under ``scipy.fft``
-  straight into them, splits the real ``-N/2`` input coefficient in halves
-  between ``-N/2`` and ``+N/2``, and writes the finished products, times its
-  caller's factors, with the output phase applied and the ``-N/2`` output
+* The evolver steps that same array.  The Petviashvili/MPE solver steps it
+  too, or, for an even wave, its real part: the cosine coefficients, since
+  an even real field has real coefficients.  The solver's ``nodal_inner`` is
+  the weighted Parseval sum over either (weight 1 at ``k = 0`` and ``-N/2``,
+  2 elsewhere).  Both take their quadratic products from ``ProductKernel``,
+  the dealiased-product kernel of the half spectrum, or, on cosine
+  coefficients, from ``EvenProductKernel``: each owns a grid's zero-padded
+  and nodal buffers, runs its two transforms through the pocketfft routines
+  under ``scipy.fft`` straight into them, splits the real ``-N/2`` input
+  coefficient in halves between ``-N/2`` and ``+N/2``, and writes the
+  finished products, times its caller's factors, with the ``-N/2`` output
   slot zero.  The evolver keeps one kernel per run and the solver one per
   solve.  Every other transform goes through public ``scipy.fft``.
 
@@ -51,8 +53,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft
-# the routines that scipy.fft's real transforms end in, for ProductKernel only;
-# the tests pin their bits against the public scipy.fft calls
+# the routines that scipy.fft's real transforms end in, for the product kernels
+# only; the tests pin their bits against the public scipy.fft calls
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
 from scipy.fft._pocketfft.helper import _workers as _pocketfft_workers
 
@@ -377,14 +379,58 @@ class ProductKernel:
         return out
 
 
+class EvenProductKernel:
+    """`ProductKernel` for an even real pair, on its (2, N/2+1) cosine
+    coefficients: the real half spectrum, as `half.real` of the state.
+
+    On the padded grid of m points shifted by half a cell, x_j = (j+1/2)2l/m,
+    an even field's values at j = 0..m/2-1 are the DCT-III of its cosine
+    coefficients (-N/2 halved, as in `ProductKernel`) zero-padded to m/2, and
+    the product's coefficients are the DCT-II of the products over m: two
+    real transforms of length m/2, which pocketfft takes through a real FFT
+    of that length.  The origin of the shifted grid is x = 0, so no phase
+    enters.  The kernel calls the pocketfft routine that public
+    `scipy.fft.dct` (type 3, then type 2) ends in, with its arguments,
+    straight into its own buffers.  It writes modes 0..N/2 times
+    `factors / m` into `out`, with the -N/2 slot set to +0.0, and returns
+    `out`; `half` is left alone.
+    """
+
+    def __init__(self, grid: SpectralGrid, factors):
+        h = self._h = grid.n_modes // 2
+        self.size = _padded_size(grid.n_modes)
+        self.input_weight = np.ones(h + 1)
+        self.input_weight[h] = 0.5
+        self.factors = np.asarray(factors, dtype=float) / self.size
+        self._threads = _pocketfft_workers(_fft_workers)
+        self._padded = np.zeros((2, self.size // 2))
+        self._nodal = np.empty_like(self._padded)
+        self._nodal_rows = tuple(self._nodal)
+        self._padded_band = self._padded[:, : h + 1]
+        self._spectrum_band = self._nodal[:, : h + 1]
+
+    def __call__(self, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(self.input_weight, half, out=self._padded_band)
+        # out of place, so the zero padding persists; the DCT-II runs in place
+        _pocketfft.dct(self._padded, 3, (-1,), 0, self._nodal, self._threads, None)
+        zeta, u = self._nodal_rows
+        zeta *= u
+        u *= u
+        _pocketfft.dct(self._nodal, 2, (-1,), 0, self._nodal, self._threads, None)
+        np.multiply(self._spectrum_band, self.factors, out=out)
+        out[:, self._h] = 0.0
+        return out
+
+
 # ----------------------------------------------------------------------------
 # Inner products and norms
 # ----------------------------------------------------------------------------
 
 def nodal_inner(grid: SpectralGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean inner product of the stacked 2N nodal values of two real
-    states, from their half spectra: by Parseval, N * Re sum_k a_hat conj(b_hat)
-    over all N modes, where the conjugate modes -k double 1..N/2-1.
+    states, from their half spectra or cosine coefficients: by Parseval,
+    N * Re sum_k a_hat conj(b_hat) over all N modes, where the modes -k
+    double 1..N/2-1.
     """
     h = grid.n_modes // 2
     s = 2.0 * np.vdot(b, a) - np.vdot(b[:, ::h], a[:, ::h])

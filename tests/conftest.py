@@ -37,6 +37,7 @@ from ilwbo.spectral import (
     nodal_inner,
     nodal_norm,
     projected_product,
+    state_from_nodal,
     symbol_g,
     symbol_J,
     symbol_T,
@@ -78,6 +79,24 @@ def product_kernel_reference(grid, half, factors):
     # which can round a complex product differently in its last bit
     table = (phase * factors).astype(complex)
     out = spectrum[:, : h + 1] * table
+    out[:, h] = 0.0
+    return out
+
+
+def even_product_reference(grid, half, factors):
+    """`EvenProductKernel(grid, factors)(half, out)` on fresh arrays, through
+    the public `scipy.fft.dct` (type 3, then type 2): the kernel's own
+    arithmetic, step for step, so its direct pocketfft calls must match it
+    bit for bit."""
+    h = grid.n_modes // 2
+    m = _padded_size(grid.n_modes)
+    weight = np.ones(h + 1)
+    weight[h] = 0.5
+    padded = np.zeros((2, m // 2))
+    padded[:, : h + 1] = weight * half
+    values = scipy.fft.dct(padded, type=3)
+    products = np.stack((values[0] * values[1], values[1] * values[1]))
+    out = scipy.fft.dct(products, type=2)[:, : h + 1] * (np.asarray(factors, dtype=float) / m)
     out[:, h] = 0.0
     return out
 
@@ -273,10 +292,11 @@ def assemble_S_mode(params, c, ktilde):
     )
 
 
-# The half-spectrum solver on fresh arrays, one per operation: an oracle for
-# `solitary.Workspace` and `accel.cycled_solve`, which run each solve on
-# buffers allocated once, with the same operations in the same order, so
-# their iterates, residuals and m factors are these to the bit.
+# The solver on fresh arrays, one per operation, on real cosine coefficients
+# or complex half spectra: an oracle for `solitary.Workspace` and
+# `accel.cycled_solve`, which run each solve on buffers allocated once, with
+# the same operations in the same order, so their iterates, residuals and m
+# factors are these to the bit.
 
 def apply_S(params, grid, c, z):
     diag, off, _ = _S_tables(params, grid, c)
@@ -290,8 +310,13 @@ def solve_S(params, grid, c, rhs):
 
 
 def nonlinearity_F(params, grid, z):
-    """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the evolver."""
-    return quadratic_terms(grid, z) * np.array([[1.0 / params.gamma], [0.5 / params.gamma]])
+    """(1/gamma) (zeta*u, u^2/2) with the alias-free products of the evolver;
+    on cosine coefficients, the factors are folded in as the even kernel
+    folds them."""
+    factors = np.array([[1.0 / params.gamma], [0.5 / params.gamma]])
+    if np.isrealobj(z):
+        return even_product_reference(grid, z, factors)
+    return quadratic_terms(grid, z) * factors
 
 
 def fresh_evaluate_iterate(params, grid, c, z):
@@ -326,13 +351,26 @@ def longest_plateau(trace):
                for i, solves in enumerate(trace.inner_steps))
 
 
+def sech2_seed_state(params, grid, config):
+    """The state of `seed_profile`'s nodal sech^2 seed, with the imaginary
+    part that its rfft leaves: a seed that `cycled_solve` iterates on the
+    complex half spectrum, where `seed_profile`'s cosine coefficients (its
+    real part) take the even path."""
+    with np.errstate(over="ignore"):
+        zeta = config.seed_amplitude / np.cosh(config.seed_width * grid.nodes) ** 2
+    return state_from_nodal(grid, zeta, (1.0 - params.gamma) * zeta / config.speed)
+
+
 def fresh_cycled_solve(params, grid, config, seed=None):
     """The cycling loop on a list window of fresh iterates; the MPE weights
     come from `accel.mpe_coefficients`, looked up at each call so that a
     test's monkeypatch reaches both loops.  The stall rule is read off the
-    whole trace at the start of each cycle."""
+    whole trace at the start of each cycle.  An even seed (none, or one with
+    no imaginary part) runs on its cosine coefficients."""
     c = config.speed
     z = seed.half if seed is not None else seed_profile(params, grid, config)
+    if not z.imag.any():
+        z = np.ascontiguousarray(z.real)
     trace = IterationTrace()
     solves = 0
 
@@ -378,7 +416,7 @@ def fresh_cycled_solve(params, grid, config, seed=None):
                 z, fz, m, res = x, fx, mx, res_x
             else:
                 trace.extrapolations["rejected"] += 1
-    return StatePair(z), trace
+    return StatePair(z.astype(complex)), trace
 
 
 def residual_norm(params, grid, c, state):

@@ -1,5 +1,6 @@
 """Tests for minimal polynomial extrapolation and cycling-mode acceleration."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from conftest import (
     reference_cycled_solve,
     reference_mpe_coefficients,
     residual_norm,
+    sech2_seed_state,
     zero_state,
 )
 
@@ -401,6 +403,18 @@ class TestMatchesFreshArrayLoop:
         assert np.array_equal(wave.half, want.half)
         assert_same_trace(trace, want_trace)
 
+    @pytest.mark.parametrize("mw", [1, 2])
+    def test_complex_seed(self, bo_params, wave_grid, mw):
+        # the seed's rounding imaginary part keeps the solve on the complex
+        # half spectrum, in both loops
+        config = SolitaryConfig(speed=0.57, mw=mw)
+        seed = sech2_seed_state(bo_params, wave_grid, config)
+        wave, trace = cycled_solve(bo_params, wave_grid, config, seed=seed)
+        want, want_trace = fresh_cycled_solve(bo_params, wave_grid, config, seed=seed)
+        assert trace.converged and wave.half.imag.any()
+        assert np.array_equal(wave.half, want.half)
+        assert_same_trace(trace, want_trace)
+
     # past the end of the B-O family (c ~ 0.615), on the benchmark's sweep grid
     @pytest.mark.parametrize("c, mw", [(0.620, 2), (0.620, 4), (0.649, 2)])
     def test_stalled_solve(self, bo_params, c, mw):
@@ -503,3 +517,43 @@ class TestMatchesFullLengthOracle:
             counts = trace.extrapolations
             assert extrapolated > 0 and counts["skipped"] == 0
             assert counts["accepted"] + counts["rejected"] == extrapolated
+
+
+class TestEvenPath:
+    """A solve from an even seed runs on its cosine coefficients; any other
+    seed runs on its complex half spectrum."""
+
+    # the benchmark's sweep grids
+    @pytest.mark.parametrize("params, grid, c", [
+        (ModelParams(0.8, 1.2, BO), SpectralGrid(256.0, 4096), 0.60),
+        (ModelParams(0.8, 1.2, ILW), SpectralGrid(128.0, 2048), 0.38)])
+    @pytest.mark.parametrize("mw", [1, 2, 4])
+    def test_agrees_with_the_complex_path(self, params, grid, c, mw):
+        config = SolitaryConfig(speed=c, mw=mw)
+        seed = sech2_seed_state(params, grid, config)
+        assert seed.half.imag.any()
+        even, even_trace = cycled_solve(params, grid, config)
+        wave, trace = cycled_solve(params, grid, config, seed=seed)
+        assert (even_trace.termination, even_trace.iterations_used) == ("converged",
+                                                                        trace.iterations_used)
+        assert trace.converged and even_trace.phases == trace.phases
+        assert not even.half.imag.any() and wave.half.imag.any()
+        assert np.max(np.abs(even.half - wave.half)) <= 1e-12 * np.max(np.abs(wave.half))
+
+    def test_a_seed_with_zero_imaginary_part_takes_the_even_path(self, bo_params, wave_grid):
+        config = SolitaryConfig(speed=0.57, mw=2)
+        even, trace = cycled_solve(bo_params, wave_grid, config)
+        again, again_trace = cycled_solve(
+            bo_params, wave_grid, config,
+            seed=StatePair(seed_profile(bo_params, wave_grid, config).astype(complex)))
+        assert np.array_equal(again.half.view(np.uint64), even.half.view(np.uint64))
+        assert again_trace.residuals == trace.residuals
+
+    @pytest.mark.parametrize("key, value", [("seed_amplitude", 1e300), ("speed", 1e-300)])
+    def test_a_diverging_solve_does_not_warn(self, bo_params, wave_grid, key, value):
+        # the seed's nodal norm is inf - inf = nan here
+        config = replace(SolitaryConfig(speed=0.57), **{key: value})
+        with warnings.catch_warnings(), pytest.raises(NonConvergenceError) as got:
+            warnings.simplefilter("error")
+            cycled_solve(bo_params, wave_grid, config)
+        assert got.value.trace.termination == "diverged"

@@ -33,6 +33,7 @@ from conftest import (
     full_state,
     nonlinearity_F,
     random_hermitian,
+    sech2_seed_state,
     solve_S,
     state_of,
     zero_state,
@@ -253,23 +254,25 @@ class TestWorkspace:
     def test_matches_the_fresh_array_functions(self, params, c, n):
         grid = SpectralGrid(n / 16.0, n)
         rng = np.random.default_rng(n)
-        z = random_half(grid, rng, 0.3)
-        workspace = Workspace(params, grid, c)
-        out = np.full_like(z, np.nan)
-        assert np.array_equal(workspace.apply_S(z, out), apply_S(params, grid, c, z))
-        assert np.array_equal(workspace.solve_S(z, out), solve_S(params, grid, c, z))
-        assert np.array_equal(workspace.F(z, out), nonlinearity_F(params, grid, z))
-        fz = np.full_like(z, np.nan)
-        m, res = workspace.evaluate(z, fz)
-        want_fz, want_m, want_res = fresh_evaluate_iterate(params, grid, c, z)
-        assert np.array_equal(fz, want_fz)
-        assert (m, res) == (want_m, want_res)
-        want_step = fresh_petviashvili_step(params, grid, c, want_fz, want_m)
-        assert np.array_equal(workspace.step(fz, m, out), want_step)
-        # the ladder's wrappers build a workspace per call
-        got_fz, got_m, got_res = evaluate_iterate(params, grid, c, z)
-        assert np.array_equal(got_fz, want_fz) and (got_m, got_res) == (want_m, want_res)
-        assert np.array_equal(petviashvili_step(params, grid, c, fz, m), want_step)
+        half = random_half(grid, rng, 0.3)
+        # a complex half spectrum, and real cosine coefficients
+        for z in (half, half.real.copy()):
+            workspace = Workspace(params, grid, c, z.dtype)
+            out = np.full_like(z, np.nan)
+            assert np.array_equal(workspace.apply_S(z, out), apply_S(params, grid, c, z))
+            assert np.array_equal(workspace.solve_S(z, out), solve_S(params, grid, c, z))
+            assert np.array_equal(workspace.F(z, out), nonlinearity_F(params, grid, z))
+            fz = np.full_like(z, np.nan)
+            m, res = workspace.evaluate(z, fz)
+            want_fz, want_m, want_res = fresh_evaluate_iterate(params, grid, c, z)
+            assert np.array_equal(fz, want_fz)
+            assert (m, res) == (want_m, want_res)
+            want_step = fresh_petviashvili_step(params, grid, c, want_fz, want_m)
+            assert np.array_equal(workspace.step(fz, m, out), want_step)
+            # the ladder's wrappers build a workspace per call
+            got_fz, got_m, got_res = evaluate_iterate(params, grid, c, z)
+            assert np.array_equal(got_fz, want_fz) and (got_m, got_res) == (want_m, want_res)
+            assert np.array_equal(petviashvili_step(params, grid, c, fz, m), want_step)
 
 
     @pytest.mark.parametrize("below", [False, True])
@@ -279,7 +282,7 @@ class TestWorkspace:
         grid = SpectralGrid(4.0, 64)
         z = random_half(grid, np.random.default_rng(1), 0.3)
         fz = np.empty_like(z)
-        workspace = Workspace(BO_P, grid, 0.57)
+        workspace = Workspace(BO_P, grid, 0.57, z.dtype)
         floor = solitary.DENOMINATOR_FLOOR
         den = np.nextafter(floor, 0.0) if below else floor
 
@@ -293,11 +296,15 @@ class TestWorkspace:
 
 class TestSeedProfile:
     def test_even_profile_has_real_coefficients(self):
+        # the seed is the cosine coefficients: the real part of the half
+        # spectrum, whose imaginary part is only rounding
         grid = SpectralGrid(16.0, 128)
         cfg = SolitaryConfig(speed=0.5, seed_amplitude=-0.4, seed_width=0.8)
         seed = seed_profile(ILW_P, grid, cfg)
-        assert np.max(np.abs(seed[0].imag)) < 1e-12
-        assert np.max(np.abs(seed[1].imag)) < 1e-12
+        half = sech2_seed_state(ILW_P, grid, cfg).half
+        assert seed.dtype == np.float64 and seed.flags.c_contiguous
+        assert np.array_equal(seed, half.real)
+        assert 0.0 < np.max(np.abs(half.imag)) < 1e-16
 
     def test_wide_grid_builds_without_overflow_warnings(self):
         grid = SpectralGrid(1024.0, 16384)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from ilwbo import BO, ILW, ModelParams, SpectralGrid, spectral
 from ilwbo.spectral import (
+    EvenProductKernel,
     ProductKernel,
     _padded_size,
     derivative_symbol,
@@ -38,6 +39,7 @@ from conftest import (
     apply_multiplier,
     brute_force_product,
     derivative,
+    even_product_reference,
     full_arrays,
     full_l2_norm,
     full_state,
@@ -490,6 +492,50 @@ class TestProductKernel:
         # a later call writes no earlier caller's out
         for got, kept in results:
             assert np.array_equal(got.view(np.uint64), kept.view(np.uint64))
+
+
+class TestEvenProductKernel:
+    """The kernel of cosine coefficients against the public `scipy.fft.dct`
+    oracle, bit for bit, and against `ProductKernel` on an even state."""
+
+    FACTORS = np.array([[1.25], [0.625]])  # the solver's (1/gamma, 0.5/gamma) at gamma 0.8
+
+    @pytest.mark.parametrize("n", [8, 32, 998, 1024, 2048, 4096, 16384])
+    def test_matches_public_scipy_dct_oracle_bitwise(self, n):
+        # three calls in a row on one kernel, so nothing in its own buffers
+        # carries between calls
+        grid = SpectralGrid(half_length=3.0, n_modes=n)
+        kernel = EvenProductKernel(grid, self.FACTORS)
+        rng = np.random.default_rng(n)
+        h = n // 2
+        results = []
+        for _ in range(3):
+            half = rng.standard_normal((2, h + 1))  # a nonzero -N/2 input coefficient too
+            before = half.copy()
+            out = np.empty_like(half)
+            got = kernel(half, out)
+            assert got is out
+            want = even_product_reference(grid, half, self.FACTORS)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(half.view(np.uint64), before.view(np.uint64))
+            # the zero padding above the band, and the -N/2 output slot, are +0.0
+            assert not kernel._padded[:, h + 1:].view(np.uint64).any()
+            assert not got[:, h].view(np.uint64).any()
+            results.append((got, got.copy()))
+        for got, kept in results:
+            assert np.array_equal(got.view(np.uint64), kept.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [8, 32, 998, 1024, 2048, 4096, 16384])
+    def test_agrees_with_product_kernel_on_an_even_state(self, n):
+        grid = SpectralGrid(half_length=n / 16.0, n_modes=n)
+        x = grid.nodes
+        with np.errstate(over="ignore"):  # 1/inf = 0 far out
+            zeta = -0.4 / np.cosh(0.5 * x) ** 2 + 0.1 / np.cosh(0.3 * x) ** 4
+        u = 0.25 * zeta + 0.05 * np.cos(np.pi * x / grid.half_length)
+        half = state_from_nodal(grid, zeta, u).half
+        want = ProductKernel(grid, self.FACTORS)(half, np.empty_like(half))
+        got = EvenProductKernel(grid, self.FACTORS)(half.real.copy(), np.empty(half.shape))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestProductKernelIsExact:
