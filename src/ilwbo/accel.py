@@ -12,15 +12,16 @@ iterates.  For an affine iteration Z -> M Z + b this recovers the fixed point
 exactly whenever the minimal polynomial of M with respect to the initial
 error has degree <= q and 1 is not an eigenvalue of M.
 
-`cycled_solve` wraps the Petviashvili iteration in cycling mode: with width
-mw >= 2 it runs mw fixed-point solves, extrapolates over the resulting window
-of mw+1 iterates (order mw-1), restarts from the extrapolated point, and
-repeats; mw = 1 is the plain iteration, the same loop with the
-extrapolation step skipped.  An extrapolated point is accepted
-only if it does not increase the residual; otherwise the cycle continues from
-the last plain iterate, so cycling can never do worse than the plain
-iteration (a looser 10x acceptance window lets occasional bad extrapolations
-through during the nonlinear transient and measurably slows convergence).
+`cycled_solve` wraps the Petviashvili iteration, on the cosine coefficients of
+an even wave (see `solitary`), in cycling mode: with width mw >= 2 it runs mw
+fixed-point solves, extrapolates over the resulting window of mw+1 iterates
+(order mw-1), restarts from the extrapolated point, and repeats; mw = 1 is the
+plain iteration, the same loop with the extrapolation step skipped.  An
+extrapolated point is accepted only if it does not increase the residual;
+otherwise the cycle continues from the last plain iterate, so cycling can
+never do worse than the plain iteration (a looser 10x acceptance window lets
+occasional bad extrapolations through during the nonlinear transient and
+measurably slows convergence).
 
 A cycling solve (mw >= 2) also stops once its residual has stopped falling:
 past the end of a solitary-wave family the leading Ritz value of the
@@ -119,21 +120,23 @@ def cycled_solve(
 
     The iteration runs through one `solitary.Workspace`, on the cosine
     coefficients of an even seed: `seed_profile` with no `seed`, or a seed
-    whose `half.imag` is all zero.  Any other seed is iterated on its complex
-    half spectrum.  The seed is left unchanged.  Each cycle's plain iterates
-    are written into one (mw+1, 2, N/2+1) window allocated per solve, F(Z)
-    alternates between two buffers, and the returned wave is a complex copy
-    of the last iterate that owns its memory (imaginary part exactly 0 on the
-    even path).
+    whose `half.imag` is all zero, as every returned wave's is.  Any other
+    seed raises ValueError; a translated wave is `spectral.translate_state`
+    of a solved one.  The seed is left unchanged.  Each cycle's plain
+    iterates are written into one (mw+1, 2, N/2+1) window allocated per
+    solve, F(Z) alternates between two buffers, and the returned wave is a
+    complex copy of the last iterate that owns its memory.
     """
     c = config.speed
     if seed is None:
         z = seed_profile(params, grid, config)
+    elif seed.half.imag.any():
+        raise ValueError("seed must be even: its half.imag must be all zero")
     else:
         # contiguous, as np.vdot can round a strided view differently
-        z = seed.half if seed.half.imag.any() else np.ascontiguousarray(seed.half.real)
+        z = np.ascontiguousarray(seed.half.real)
     try:
-        window = np.empty((config.mw + 1,) + z.shape, dtype=z.dtype)
+        window = np.empty((config.mw + 1,) + z.shape)
     except (MemoryError, ValueError) as err:  # numpy's ValueError: no address space holds it
         raise ValueError(f"mw={config.mw} asks for an iterate window too large to allocate "
                          f"({err})") from err
@@ -162,7 +165,7 @@ def cycled_solve(
         if nodal_norm(grid, z) == 0.0:
             raise ValueError("the seed's nodal norm underflows to 0: seed_amplitude is too small"
                              if seed is None else "seed iterate must be nonzero")
-        workspace = Workspace(params, grid, c, z.dtype)
+        workspace = Workspace(params, grid, c)
         m, res = evaluate(z, fz, "plain")
         while not trace.converged:
             if config.mw > 1:  # the plain iteration is exempt, and only MPE reads window[0]

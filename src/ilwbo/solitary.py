@@ -20,11 +20,9 @@ in the same nodal norm and stops once RES <= tol.  Iterates are (2, N/2+1)
 arrays over k = 0..N/2, over which the 2N-value nodal inner product is a
 Parseval sum: each mode weighted 2 for its partner -k, k = 0 and -N/2
 weighted 1 (`spectral.nodal_inner`).  S, S^{-1} and F keep a wave even, and
-the sech^2 seed is even, so a solve from it holds real iterates: the cosine
-coefficients, the real half spectrum, with products from
-`spectral.EvenProductKernel`.  Any other iterate is a complex half spectrum
-(the `half` of a `spectral.StatePair`), with products from
-`spectral.ProductKernel`.
+the sech^2 seed is even, so the iterates are real: the cosine coefficients,
+the real part of the half spectrum (the `half` of a `spectral.StatePair`),
+with products from `spectral.EvenProductKernel`.
 
 `Workspace` is the one implementation of S, S^{-1} and F.  `cycled_solve`
 builds one per solve: it reads the S tables once, keeps one product kernel
@@ -44,7 +42,6 @@ from .errors import SingularModeError
 from .spectral import (
     EvenProductKernel,
     ModelParams,
-    ProductKernel,
     SpectralGrid,
     nodal_inner,
     nodal_norm,
@@ -154,9 +151,7 @@ class IterationTrace:
 def _S_tables(params: ModelParams, grid: SpectralGrid, c: float):
     """Real tables over k = 0..N/2 of S (S z = diag * z + off * z[::-1]) and
     of 1/det S, with the singularity check; g is even, so k = 0..N/2 holds
-    every |k|.  `Workspace` casts them once to its iterates' dtype: numpy
-    casts a real factor of a complex product to complex anyway.
-    """
+    every |k|."""
     k = grid.wavenumbers[: grid.n_modes // 2 + 1]
     g = symbol_g(params, k)
     a = params.alpha
@@ -192,22 +187,19 @@ class Workspace:
     """One solve's S, S^{-1} and F on buffers allocated once, as
     `evolution.Stepper` is for the evolver.
 
-    It serves iterates of one dtype: real cosine coefficients (float) or
-    complex half spectra (complex).  It reads the S tables once, in that
-    dtype, and keeps one `EvenProductKernel` or `ProductKernel` built on the
-    factors (1/gamma, 0.5/gamma) of F.  Each method writes into the `out` it
-    is given with the operations, in their order, of the formulas in the
-    module docstring, so every iterate, residual and m is the same to the
-    bit as from fresh arrays.  `out` must not alias the input.
+    Its iterates are real cosine coefficients.  It reads the S tables once
+    and keeps one `EvenProductKernel` built on the factors (1/gamma,
+    0.5/gamma) of F.  Each method writes into the `out` it is given with the
+    operations, in their order, of the formulas in the module docstring, so
+    every iterate, residual and m is the same to the bit as from fresh
+    arrays.  `out` must not alias the input.
     """
 
-    def __init__(self, params: ModelParams, grid: SpectralGrid, c: float, dtype):
+    def __init__(self, params: ModelParams, grid: SpectralGrid, c: float):
         self._grid = grid
-        self._diag, self._off, self._inv_det = (np.asarray(t, dtype=dtype)
-                                                for t in _S_tables(params, grid, c))
+        self._diag, self._off, self._inv_det = _S_tables(params, grid, c)
         self._diag_reversed = self._diag[::-1].copy()
-        kernel = ProductKernel if self._diag.dtype.kind == "c" else EvenProductKernel
-        self._product = kernel(grid, [[1.0 / params.gamma], [0.5 / params.gamma]])
+        self._product = EvenProductKernel(grid, [[1.0 / params.gamma], [0.5 / params.gamma]])
         self._work = np.empty_like(self._diag)
         self._scratch = np.empty_like(self._diag)
 
@@ -252,7 +244,7 @@ def evaluate_iterate(
     """F(Z), m and RES at iterate Z on a fresh `Workspace`, for perfbench's
     ladder and the tests."""
     fz = np.empty_like(z)
-    m, res = Workspace(params, grid, c, z.dtype).evaluate(z, fz)
+    m, res = Workspace(params, grid, c).evaluate(z, fz)
     return fz, m, res
 
 
@@ -261,4 +253,4 @@ def petviashvili_step(
 ) -> np.ndarray:
     """Z_next from F(Z) and m on a fresh `Workspace`, for perfbench's ladder
     and the tests."""
-    return Workspace(params, grid, c, fz.dtype).step(fz, m, np.empty_like(fz))
+    return Workspace(params, grid, c).step(fz, m, np.empty_like(fz))

@@ -24,19 +24,18 @@ Conventions used throughout the package
   real-even or odd-imaginary multipliers, the per-mode 2x2 solve, real affine
   combinations) acts on the half spectrum, so no solver re-symmetrizes its
   state.
-* The evolver steps that same array.  The Petviashvili/MPE solver steps it
-  too, or, for an even wave, its real part: the cosine coefficients, since
-  an even real field has real coefficients.  The solver's ``nodal_inner`` is
-  the weighted Parseval sum over either (weight 1 at ``k = 0`` and ``-N/2``,
-  2 elsewhere).  Both take their quadratic products from ``ProductKernel``,
-  the dealiased-product kernel of the half spectrum, or, on cosine
-  coefficients, from ``EvenProductKernel``: each owns a grid's zero-padded
-  and nodal buffers, runs its two transforms through the pocketfft routines
-  under ``scipy.fft`` straight into them, splits the real ``-N/2`` input
-  coefficient in halves between ``-N/2`` and ``+N/2``, and writes the
-  finished products, times its caller's factors, with the ``-N/2`` output
-  slot zero.  The evolver keeps one kernel per run and the solver one per
-  solve.  Every other transform goes through public ``scipy.fft``.
+* The evolver steps that same array.  The Petviashvili/MPE solver steps its
+  real part, the cosine coefficients of an even wave.  ``nodal_inner`` is the
+  weighted Parseval sum over either (weight 1 at ``k = 0`` and ``-N/2``, 2
+  elsewhere).  The evolver takes its quadratic products from
+  ``ProductKernel``, the dealiased-product kernel of the half spectrum, and
+  the solver from its twin on cosine coefficients, ``EvenProductKernel``: each
+  owns a grid's zero-padded and nodal buffers, runs its two transforms through
+  the pocketfft routines under ``scipy.fft`` straight into them, splits the
+  real ``-N/2`` input coefficient in halves between ``-N/2`` and ``+N/2``, and
+  writes the finished products, times its caller's factors, with the ``-N/2``
+  output slot zero.  The evolver keeps one kernel per run and the solver one
+  per solve.  Every other transform goes through public ``scipy.fft``.
 
 The two model regimes differ only in the nonlocal symbol ``g``:
 ``g(k) = (alpha/gamma) * |k| * coth|k|`` for the finite-lower-depth (ILW)

@@ -37,7 +37,6 @@ from ilwbo.spectral import (
     nodal_inner,
     nodal_norm,
     projected_product,
-    state_from_nodal,
     symbol_g,
     symbol_J,
     symbol_T,
@@ -292,11 +291,12 @@ def assemble_S_mode(params, c, ktilde):
     )
 
 
-# The solver on fresh arrays, one per operation, on real cosine coefficients
-# or complex half spectra: an oracle for `solitary.Workspace` and
-# `accel.cycled_solve`, which run each solve on buffers allocated once, with
-# the same operations in the same order, so their iterates, residuals and m
-# factors are these to the bit.
+# The solver on fresh arrays, one per operation, on real cosine coefficients:
+# an oracle for `solitary.Workspace` and `accel.cycled_solve`, which run each
+# solve on buffers allocated once, with the same operations in the same
+# order, so their iterates, residuals and m factors are these to the bit.
+# They also take complex half spectra, for `residual_norm` and the
+# full-length oracle below.
 
 def apply_S(params, grid, c, z):
     diag, off, _ = _S_tables(params, grid, c)
@@ -351,26 +351,14 @@ def longest_plateau(trace):
                for i, solves in enumerate(trace.inner_steps))
 
 
-def sech2_seed_state(params, grid, config):
-    """The state of `seed_profile`'s nodal sech^2 seed, with the imaginary
-    part that its rfft leaves: a seed that `cycled_solve` iterates on the
-    complex half spectrum, where `seed_profile`'s cosine coefficients (its
-    real part) take the even path."""
-    with np.errstate(over="ignore"):
-        zeta = config.seed_amplitude / np.cosh(config.seed_width * grid.nodes) ** 2
-    return state_from_nodal(grid, zeta, (1.0 - params.gamma) * zeta / config.speed)
-
-
 def fresh_cycled_solve(params, grid, config, seed=None):
     """The cycling loop on a list window of fresh iterates; the MPE weights
     come from `accel.mpe_coefficients`, looked up at each call so that a
     test's monkeypatch reaches both loops.  The stall rule is read off the
-    whole trace at the start of each cycle.  An even seed (none, or one with
-    no imaginary part) runs on its cosine coefficients."""
+    whole trace at the start of each cycle.  It runs on the cosine
+    coefficients of `seed_profile`, or of an even seed."""
     c = config.speed
-    z = seed.half if seed is not None else seed_profile(params, grid, config)
-    if not z.imag.any():
-        z = np.ascontiguousarray(z.real)
+    z = seed_profile(params, grid, config) if seed is None else seed.half.real.copy()
     trace = IterationTrace()
     solves = 0
 

@@ -26,7 +26,6 @@ from conftest import (
     reference_cycled_solve,
     reference_mpe_coefficients,
     residual_norm,
-    sech2_seed_state,
     zero_state,
 )
 
@@ -403,18 +402,6 @@ class TestMatchesFreshArrayLoop:
         assert np.array_equal(wave.half, want.half)
         assert_same_trace(trace, want_trace)
 
-    @pytest.mark.parametrize("mw", [1, 2])
-    def test_complex_seed(self, bo_params, wave_grid, mw):
-        # the seed's rounding imaginary part keeps the solve on the complex
-        # half spectrum, in both loops
-        config = SolitaryConfig(speed=0.57, mw=mw)
-        seed = sech2_seed_state(bo_params, wave_grid, config)
-        wave, trace = cycled_solve(bo_params, wave_grid, config, seed=seed)
-        want, want_trace = fresh_cycled_solve(bo_params, wave_grid, config, seed=seed)
-        assert trace.converged and wave.half.imag.any()
-        assert np.array_equal(wave.half, want.half)
-        assert_same_trace(trace, want_trace)
-
     # past the end of the B-O family (c ~ 0.615), on the benchmark's sweep grid
     @pytest.mark.parametrize("c, mw", [(0.620, 2), (0.620, 4), (0.649, 2)])
     def test_stalled_solve(self, bo_params, c, mw):
@@ -494,15 +481,20 @@ class TestMatchesFullLengthOracle:
             want = reference_mpe_coefficients([full_state(z) for z in window[:size]])
             assert np.max(np.abs(gammas - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("params, c", [(ModelParams(0.8, 1.2, BO), 0.57),
-                                           (ModelParams(0.8, 1.2, ILW), 0.40)])
+    # the demonstration grid, and the benchmark's sweep grids
+    @pytest.mark.parametrize("params, grid, c", [
+        (ModelParams(0.8, 1.2, BO), SpectralGrid(64.0, 1024), 0.57),
+        (ModelParams(0.8, 1.2, ILW), SpectralGrid(64.0, 1024), 0.40),
+        (ModelParams(0.8, 1.2, BO), SpectralGrid(256.0, 4096), 0.60),
+        (ModelParams(0.8, 1.2, ILW), SpectralGrid(128.0, 2048), 0.38),
+    ], ids=["params0-0.57", "params1-0.4", "sweep-bo-0.6", "sweep-ilw-0.38"])
     @pytest.mark.parametrize("mw", [1, 2, 4])
-    def test_cycled_solve(self, wave_grid, params, c, mw):
+    def test_cycled_solve(self, params, grid, c, mw):
         # seed_width 0.5: the CLI default, which the desk's accel block and
         # the benchmark's solitary sweep run with
         config = SolitaryConfig(speed=c, tol=1e-10, max_iter=500, mw=mw, seed_width=0.5)
-        wave, trace = cycled_solve(params, wave_grid, config)
-        want, want_trace = reference_cycled_solve(params, wave_grid, config)
+        wave, trace = cycled_solve(params, grid, config)
+        want, want_trace = reference_cycled_solve(params, grid, config)
         assert trace.converged and want_trace.converged
         assert trace.iterations_used == want_trace.iterations_used
         assert trace.phases == want_trace.phases
@@ -520,25 +512,7 @@ class TestMatchesFullLengthOracle:
 
 
 class TestEvenPath:
-    """A solve from an even seed runs on its cosine coefficients; any other
-    seed runs on its complex half spectrum."""
-
-    # the benchmark's sweep grids
-    @pytest.mark.parametrize("params, grid, c", [
-        (ModelParams(0.8, 1.2, BO), SpectralGrid(256.0, 4096), 0.60),
-        (ModelParams(0.8, 1.2, ILW), SpectralGrid(128.0, 2048), 0.38)])
-    @pytest.mark.parametrize("mw", [1, 2, 4])
-    def test_agrees_with_the_complex_path(self, params, grid, c, mw):
-        config = SolitaryConfig(speed=c, mw=mw)
-        seed = sech2_seed_state(params, grid, config)
-        assert seed.half.imag.any()
-        even, even_trace = cycled_solve(params, grid, config)
-        wave, trace = cycled_solve(params, grid, config, seed=seed)
-        assert (even_trace.termination, even_trace.iterations_used) == ("converged",
-                                                                        trace.iterations_used)
-        assert trace.converged and even_trace.phases == trace.phases
-        assert not even.half.imag.any() and wave.half.imag.any()
-        assert np.max(np.abs(even.half - wave.half)) <= 1e-12 * np.max(np.abs(wave.half))
+    """A solve runs on the cosine coefficients of an even seed."""
 
     def test_a_seed_with_zero_imaginary_part_takes_the_even_path(self, bo_params, wave_grid):
         config = SolitaryConfig(speed=0.57, mw=2)

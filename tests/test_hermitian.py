@@ -5,8 +5,9 @@ A `StatePair` holds the half spectrum, and its full-length `zeta_hat` and
 are real.  `state_from_nodal` forms a real field by `rfft` (and
 `state_to_nodal` reads it by `irfft`); every other operation (real-even and
 odd-imaginary multipliers, the per-mode 2x2 solve, real affine combinations,
-the `ProductKernel` products) must keep that exact, bit for bit, so no solver
-re-symmetrizes its state.
+the `ProductKernel` products) must keep that exact, bit for bit, so the
+evolver never re-symmetrizes its state.  The solver's iterates are real
+cosine coefficients, whose mirror is Hermitian as it stands.
 """
 
 import numpy as np

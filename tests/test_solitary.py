@@ -22,6 +22,7 @@ from ilwbo.spectral import (
     state_to_nodal,
     symbol_g,
     to_nodal,
+    translate_state,
 )
 
 from conftest import (
@@ -33,7 +34,7 @@ from conftest import (
     full_state,
     nonlinearity_F,
     random_hermitian,
-    sech2_seed_state,
+    residual_norm,
     solve_S,
     state_of,
     zero_state,
@@ -254,25 +255,23 @@ class TestWorkspace:
     def test_matches_the_fresh_array_functions(self, params, c, n):
         grid = SpectralGrid(n / 16.0, n)
         rng = np.random.default_rng(n)
-        half = random_half(grid, rng, 0.3)
-        # a complex half spectrum, and real cosine coefficients
-        for z in (half, half.real.copy()):
-            workspace = Workspace(params, grid, c, z.dtype)
-            out = np.full_like(z, np.nan)
-            assert np.array_equal(workspace.apply_S(z, out), apply_S(params, grid, c, z))
-            assert np.array_equal(workspace.solve_S(z, out), solve_S(params, grid, c, z))
-            assert np.array_equal(workspace.F(z, out), nonlinearity_F(params, grid, z))
-            fz = np.full_like(z, np.nan)
-            m, res = workspace.evaluate(z, fz)
-            want_fz, want_m, want_res = fresh_evaluate_iterate(params, grid, c, z)
-            assert np.array_equal(fz, want_fz)
-            assert (m, res) == (want_m, want_res)
-            want_step = fresh_petviashvili_step(params, grid, c, want_fz, want_m)
-            assert np.array_equal(workspace.step(fz, m, out), want_step)
-            # the ladder's wrappers build a workspace per call
-            got_fz, got_m, got_res = evaluate_iterate(params, grid, c, z)
-            assert np.array_equal(got_fz, want_fz) and (got_m, got_res) == (want_m, want_res)
-            assert np.array_equal(petviashvili_step(params, grid, c, fz, m), want_step)
+        z = random_half(grid, rng, 0.3).real.copy()
+        workspace = Workspace(params, grid, c)
+        out = np.full_like(z, np.nan)
+        assert np.array_equal(workspace.apply_S(z, out), apply_S(params, grid, c, z))
+        assert np.array_equal(workspace.solve_S(z, out), solve_S(params, grid, c, z))
+        assert np.array_equal(workspace.F(z, out), nonlinearity_F(params, grid, z))
+        fz = np.full_like(z, np.nan)
+        m, res = workspace.evaluate(z, fz)
+        want_fz, want_m, want_res = fresh_evaluate_iterate(params, grid, c, z)
+        assert np.array_equal(fz, want_fz)
+        assert (m, res) == (want_m, want_res)
+        want_step = fresh_petviashvili_step(params, grid, c, want_fz, want_m)
+        assert np.array_equal(workspace.step(fz, m, out), want_step)
+        # the ladder's wrappers build a workspace per call
+        got_fz, got_m, got_res = evaluate_iterate(params, grid, c, z)
+        assert np.array_equal(got_fz, want_fz) and (got_m, got_res) == (want_m, want_res)
+        assert np.array_equal(petviashvili_step(params, grid, c, fz, m), want_step)
 
 
     @pytest.mark.parametrize("below", [False, True])
@@ -280,9 +279,9 @@ class TestWorkspace:
         # ||Z||^2 = 1, <S Z, Z> = 2 and <F(Z), Z> exactly DENOMINATOR_FLOOR
         # still divide; one ulp less is negligible
         grid = SpectralGrid(4.0, 64)
-        z = random_half(grid, np.random.default_rng(1), 0.3)
+        z = random_half(grid, np.random.default_rng(1), 0.3).real
         fz = np.empty_like(z)
-        workspace = Workspace(BO_P, grid, 0.57, z.dtype)
+        workspace = Workspace(BO_P, grid, 0.57)
         floor = solitary.DENOMINATOR_FLOOR
         den = np.nextafter(floor, 0.0) if below else floor
 
@@ -301,7 +300,8 @@ class TestSeedProfile:
         grid = SpectralGrid(16.0, 128)
         cfg = SolitaryConfig(speed=0.5, seed_amplitude=-0.4, seed_width=0.8)
         seed = seed_profile(ILW_P, grid, cfg)
-        half = sech2_seed_state(ILW_P, grid, cfg).half
+        zeta = -0.4 / np.cosh(0.8 * grid.nodes) ** 2
+        half = state_from_nodal(grid, zeta, (1.0 - 0.8) * zeta / 0.5).half
         assert seed.dtype == np.float64 and seed.flags.c_contiguous
         assert np.array_equal(seed, half.real)
         assert 0.0 < np.max(np.abs(half.imag)) < 1e-16
@@ -343,7 +343,7 @@ class TestPetviashvili:
 
     def test_fixed_point_stays(self, bo_params, wave_grid, bo_wave):
         config, wave, _ = bo_wave
-        fz, m, _ = evaluate_iterate(bo_params, wave_grid, config.speed, wave.half)
+        fz, m, _ = evaluate_iterate(bo_params, wave_grid, config.speed, wave.half.real)
         z1 = petviashvili_step(bo_params, wave_grid, config.speed, fz, m)
         diff = StatePair(z1 - wave.half)
         # the wave satisfies the system to RES <= tol, so one update moves it
@@ -371,11 +371,11 @@ class TestPetviashvili:
         zeta_hat[1] = 0.5
         zeta_hat[-1] = 0.5
         z = state_of(zeta_hat, np.zeros(32, dtype=complex))
-        fz, m, res = evaluate_iterate(ILW_P, grid, 0.52, z.half)
+        fz, m, res = evaluate_iterate(ILW_P, grid, 0.52, z.half.real)
         assert np.isnan(m)
         # F(Z) and the residual are computed as for any iterate
         assert not fz.any()
-        assert res == nodal_norm(grid, apply_S(ILW_P, grid, 0.52, z.half)) > 0
+        assert res == nodal_norm(grid, apply_S(ILW_P, grid, 0.52, z.half.real)) > 0
 
     def test_zero_seed_rejected(self, ilw_params):
         grid = SpectralGrid(8.0, 32)
@@ -383,20 +383,21 @@ class TestPetviashvili:
         with pytest.raises(ValueError, match="seed"):
             cycled_solve(ilw_params, grid, config, seed=zero_state(grid))
 
-    def test_translation_equivariance(self, ilw_params, ilw_smooth_wave):
-        # shifting the seed by whole nodes shifts the converged wave likewise
+    def test_a_translated_seed_is_rejected(self, ilw_params, ilw_smooth_wave):
+        # the solve runs on cosine coefficients, which hold even waves only
         grid, config, wave, _ = ilw_smooth_wave
         shift_nodes = 37
         seed = seed_profile(ilw_params, grid, config)
         zeta, u = state_to_nodal(grid, StatePair(seed))
         shifted_seed = state_from_nodal(
             grid, np.roll(zeta, shift_nodes), np.roll(u, shift_nodes))
-        shifted_wave, trace = cycled_solve(ilw_params, grid, config, seed=shifted_seed)
-        assert trace.converged
-        wz, wu = state_to_nodal(grid, wave)
-        sz, su = state_to_nodal(grid, shifted_wave)
-        assert np.max(np.abs(sz - np.roll(wz, shift_nodes))) < 1e-8
-        assert np.max(np.abs(su - np.roll(wu, shift_nodes))) < 1e-8
+        before = shifted_seed.half.copy()
+        with pytest.raises(ValueError, match="seed must be even"):
+            cycled_solve(ilw_params, grid, config, seed=shifted_seed)
+        assert np.array_equal(shifted_seed.half, before)
+        # the translated wave is the solved one, turned
+        shifted_wave = translate_state(grid, wave, shift_nodes * grid.node_spacing)
+        assert residual_norm(ilw_params, grid, config.speed, shifted_wave) <= config.tol
 
     def test_same_wave_from_different_seed_amplitudes(self, ilw_params, ilw_smooth_wave):
         grid, config, wave, _ = ilw_smooth_wave
@@ -462,7 +463,7 @@ class TestPetviashvili:
         planted = state_from_nodal(grid, v[:8], v[8:])
         config = SolitaryConfig(speed=c, tol=1e-12, max_iter=200, mw=1)
         seed = state_from_nodal(grid, 1.3 * v[:8], 1.3 * v[8:])
-        recovered, trace = cycled_solve(params, grid, config, seed=seed)
+        recovered, trace = cycled_solve(params, grid, config, seed=StatePair(seed.half.real))
         assert trace.converged
         assert np.max(np.abs(recovered.zeta_hat - planted.zeta_hat)) < 1e-10
         assert np.max(np.abs(recovered.u_hat - planted.u_hat)) < 1e-10
