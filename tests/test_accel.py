@@ -523,6 +523,24 @@ class TestEvenPath:
         assert np.array_equal(again.half.view(np.uint64), even.half.view(np.uint64))
         assert again_trace.residuals == trace.residuals
 
+    # the sech^2 seed's state with the rounding imaginary part its rfft leaves
+    # in both fields, and the even seed with one imaginary u coefficient
+    @pytest.mark.parametrize("odd", ["rounding", "u-only"])
+    def test_a_seed_with_an_imaginary_part_is_rejected(self, bo_params, wave_grid, odd):
+        config = SolitaryConfig(speed=0.57)
+        if odd == "rounding":
+            zeta = config.seed_amplitude / np.cosh(config.seed_width * wave_grid.nodes) ** 2
+            seed = state_from_nodal(wave_grid, zeta, (1.0 - bo_params.gamma) * zeta / config.speed)
+            assert 0.0 < np.max(np.abs(seed.half.imag)) < 1e-16
+        else:
+            seed = StatePair(seed_profile(bo_params, wave_grid, config).astype(complex))
+            seed.half[1, 3] += 1e-300j
+        before = seed.half.copy()
+        # rejected before the window is sized: mw = 2**70 fits no address space
+        with pytest.raises(ValueError, match="^seed must be even"):
+            cycled_solve(bo_params, wave_grid, replace(config, mw=2**70), seed=seed)
+        assert np.array_equal(seed.half, before)
+
     @pytest.mark.parametrize("key, value", [("seed_amplitude", 1e300), ("speed", 1e-300)])
     def test_a_diverging_solve_does_not_warn(self, bo_params, wave_grid, key, value):
         # the seed's nodal norm is inf - inf = nan here
